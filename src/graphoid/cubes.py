@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import olap
 from .dims import (
@@ -22,6 +22,7 @@ from .dims import (
     Level,
     RollupStep,
     all_level,
+    comparator,
     open_dimension,
 )
 from .hypergraph import (
@@ -263,11 +264,11 @@ def cube_roll_up(
     if to_level not in schema.reachable_from(cube.levels[i]):
         raise CubeError(f"level {to_level} not reachable from {cube.levels[i]} in {dim}")
     fns = _agg_functions(cube, measures)
-    step = RollupStep(dim, cube.levels[i], to_level)
+    roll = cube.catalog.roller(dim, cube.levels[i], to_level)
     grouped: dict[tuple, list[tuple]] = {}
     for coord in sorted(cube.cells):
         rolled = list(coord)
-        rolled[i] = cube.catalog.roll(dim, step.from_level, step.to_level, coord[i])
+        rolled[i] = roll(coord[i])
         grouped.setdefault(tuple(rolled), []).append(cube.cells[coord])
     cells = {
         coord: tuple(
@@ -293,19 +294,25 @@ def cube_slice(cube: Cube, dim: str, measures: Sequence[tuple[str, str]] | None 
     )
 
 
-def _cell_atom(cube: Cube, atom: Atom, coord: tuple, values: tuple) -> bool:
-    from .dims import compare_values
-
+def _cell_test(cube: Cube, atom: Atom) -> Callable[[tuple, tuple], bool]:
+    """Resolve an atom to a test of one cell's coordinate and measure values."""
+    compare = comparator(atom.cmp)
     if atom.level is None:
         j = cube.measure_index(atom.dim)
-        result = compare_values(atom.cmp, values[j], atom.value)
+        read = lambda coord, values: values[j]  # noqa: E731
     else:
         i = cube.dim_index(atom.dim)
-        member = coord[i]
-        if cube.levels[i] != atom.level:
-            member = cube.catalog.roll(atom.dim, cube.levels[i], atom.level, member)
-        result = compare_values(atom.cmp, member, atom.value)
-    return (not result) if atom.negated else result
+        if cube.levels[i] == atom.level:
+            read = lambda coord, values: coord[i]  # noqa: E731
+        else:
+            roll = cube.catalog.roller(atom.dim, cube.levels[i], atom.level)
+            read = lambda coord, values: roll(coord[i])  # noqa: E731
+
+    def test(coord: tuple, values: tuple) -> bool:
+        result = compare(read(coord, values), atom.value)
+        return (not result) if atom.negated else result
+
+    return test
 
 
 def cube_dice(cube: Cube, cond: Condition) -> Cube:
@@ -320,10 +327,11 @@ def cube_dice(cube: Cube, cond: Condition) -> Cube:
                 raise CubeError(f"dimension {atom.dim} has no level {atom.level!r}")
             if atom.level != cube.levels[i] and atom.level not in schema.reachable_from(cube.levels[i]):
                 raise CubeError(f"condition level {atom.dim}.{atom.level} below the cube's level")
+    clauses = [[_cell_test(cube, a) for a in clause] for clause in cond.clauses]
     cells = {
         coord: values
         for coord, values in cube.cells.items()
-        if any(all(_cell_atom(cube, a, coord, values) for a in clause) for clause in cond.clauses)
+        if any(all(test(coord, values) for test in tests) for tests in clauses)
     }
     return Cube(cube.catalog, cube.dims, cube.levels, cube.measures, cells)
 

@@ -4,13 +4,19 @@ A dimension schema is a small DAG of levels with a unique bottom level and a
 unique top level ``All``; an instance populates each level with members and
 connects adjacent levels with functional parent mappings.  Roll-up is the
 transitive composition of those mappings, materialized per level pair when
-the instance is built.
+the instance is built.  ``DimensionInstance.roller`` checks one roll-up
+step once and returns a lookup over those maps; every roll-up, the
+per-value ``rollup``/``DimensionCatalog.roll`` included, goes through it.
+``DimensionCatalog.roll`` keeps each step it resolved, so rolling value by
+value costs a lookup per value, not a check of the step.
 """
 from __future__ import annotations
 
 import datetime
 import itertools
+import operator
 from dataclasses import dataclass, field
+from typing import Callable
 
 ALL_LEVEL = "All"
 ALL_MEMBER = "all"
@@ -30,27 +36,43 @@ class UnreachableLevel(DimensionError):
     pass
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_VALUE_TESTS: dict[str, Callable[[object], bool]] = {
+    "string": lambda value: isinstance(value, str),
+    "int": _is_int,
+    "decimal": lambda value: _is_int(value) or isinstance(value, float),
+    "date": lambda value: isinstance(value, datetime.date) and not isinstance(value, datetime.datetime),
+}
+
+_COMPARATORS: dict[str, Callable[[object, object], bool]] = {
+    "=": operator.eq,
+    "<": operator.lt,
+    ">": operator.gt,
+}
+
+
+def value_test(vtype: str) -> Callable[[object], bool]:
+    """The membership test of a level's value type."""
+    try:
+        return _VALUE_TESTS[vtype]
+    except KeyError:
+        raise DimensionError(f"unknown value type {vtype!r}") from None
+
+
 def value_matches(vtype: str, value: object) -> bool:
     """Does a scalar belong to a level's value type?"""
-    if vtype == "string":
-        return isinstance(value, str)
-    if vtype == "int":
-        return isinstance(value, int) and not isinstance(value, bool)
-    if vtype == "decimal":
-        return (isinstance(value, int) and not isinstance(value, bool)) or isinstance(value, float)
-    if vtype == "date":
-        return isinstance(value, datetime.date) and not isinstance(value, datetime.datetime)
-    raise DimensionError(f"unknown value type {vtype!r}")
+    return value_test(vtype)(value)
 
 
-def compare_values(cmp: str, left: object, right: object) -> bool:
-    if cmp == "=":
-        return left == right
-    if cmp == "<":
-        return left < right  # type: ignore[operator]
-    if cmp == ">":
-        return left > right  # type: ignore[operator]
-    raise DimensionError(f"unknown comparator {cmp!r}")
+def comparator(cmp: str) -> Callable[[object, object], bool]:
+    """The binary predicate a comparison symbol stands for."""
+    try:
+        return _COMPARATORS[cmp]
+    except KeyError:
+        raise DimensionError(f"unknown comparator {cmp!r}") from None
 
 
 @dataclass(frozen=True)
@@ -212,7 +234,10 @@ class DimensionInstance:
 
     ``rollup_maps`` materializes the transitive composition for every
     reachable level pair and is derived at construction; it is only
-    meaningful once ``validate_instance`` comes back clean.
+    meaningful once ``validate_instance`` comes back clean.  Every roll-up
+    reads these maps through ``roller``, which checks one level pair once
+    and returns a function of the member, so a hot loop pays a membership
+    test and one lookup per value.
     """
 
     schema: DimensionSchema
@@ -281,13 +306,60 @@ class DimensionInstance:
             return frozenset({ALL_MEMBER})
         return self.members.get(level, frozenset())
 
-    def contains(self, level: str, value: object) -> bool:
+    def member_test(self, level: str) -> Callable[[object], bool]:
+        """Resolve membership in one level to a predicate on values."""
         lv = self.schema.level(level)
         if lv.open:
-            return value_matches(lv.vtype, value)
+            return value_test(lv.vtype)
         if level == ALL_LEVEL:
-            return value == ALL_MEMBER
-        return value in self.members.get(level, frozenset())
+            return lambda value: value == ALL_MEMBER
+        return self.members.get(level, frozenset()).__contains__
+
+    def contains(self, level: str, value: object) -> bool:
+        return self.member_test(level)(value)
+
+    def roller(self, from_level: str, to_level: str) -> Callable[[object], object]:
+        """Resolve the roll-up from one level to another to a function of the member.
+
+        Unknown levels raise ``UnreachableLevel`` here.  The returned
+        function raises ``UnknownMember`` for a value outside the from-level
+        or without a roll-up, and ``UnreachableLevel`` for a member when the
+        to-level is not above the from-level.
+        """
+        schema = self.schema
+        dim = schema.name
+        for level in (from_level, to_level):
+            if not schema.has_level(level):
+                raise UnreachableLevel(f"dimension {dim}: unknown level {level}")
+        is_member = self.member_test(from_level)
+        # rollup_maps holds a map for exactly the level pairs one can climb
+        mapping = self.rollup_maps.get((from_level, to_level))
+        reachable = to_level in (from_level, ALL_LEVEL) or mapping is not None
+        mapping = mapping or {}
+
+        def refusal(member: object) -> DimensionError:
+            if not is_member(member):
+                return UnknownMember(f"dimension {dim}: {member!r} is not a member of level {from_level}")
+            if not reachable:
+                return UnreachableLevel(f"dimension {dim}: level {to_level} not reachable from {from_level}")
+            return UnknownMember(f"dimension {dim}: no roll-up for {member!r} from {from_level} to {to_level}")
+
+        if to_level == from_level:
+            def roll(member):
+                if is_member(member):
+                    return member
+                raise refusal(member)
+        elif to_level == ALL_LEVEL:
+            def roll(member):
+                if is_member(member):
+                    return ALL_MEMBER
+                raise refusal(member)
+        else:
+            def roll(member):
+                if is_member(member) and member in mapping:
+                    return mapping[member]
+                raise refusal(member)
+        return roll
 
 
 def validate_instance(instance: DimensionInstance) -> list[str]:
@@ -314,14 +386,15 @@ def validate_instance(instance: DimensionInstance) -> list[str]:
         problems.append(f"dimension {dim}: domain of {ALL_LEVEL} must be exactly {{{ALL_MEMBER!r}}}")
 
     edges = set(schema.edges)
+    member_of = {level: instance.member_test(level) for level in declared}
     seen_child: dict[tuple[object, str, str], object] = {}
     for child, clv, parent, plv in instance.parent_quads:
         if (clv, plv) not in edges:
             problems.append(f"dimension {dim}: parent pair uses non-edge {clv}->{plv}")
             continue
-        if not instance.contains(clv, child):
+        if not member_of[clv](child):
             problems.append(f"dimension {dim}: parent pair child {child!r} not in dom({clv})")
-        if not instance.contains(plv, parent):
+        if not member_of[plv](parent):
             problems.append(f"dimension {dim}: parent pair parent {parent!r} not in dom({plv})")
         key = (child, clv, plv)
         if key in seen_child and seen_child[key] != parent:
@@ -373,29 +446,7 @@ def validate_instance(instance: DimensionInstance) -> list[str]:
 
 def rollup(instance: DimensionInstance, step: RollupStep, member: object):
     """Roll one member from step.from_level to step.to_level."""
-    schema = instance.schema
-    if not schema.has_level(step.from_level):
-        raise UnreachableLevel(f"dimension {schema.name}: unknown level {step.from_level}")
-    if not schema.has_level(step.to_level):
-        raise UnreachableLevel(f"dimension {schema.name}: unknown level {step.to_level}")
-    if not instance.contains(step.from_level, member):
-        raise UnknownMember(
-            f"dimension {schema.name}: {member!r} is not a member of level {step.from_level}"
-        )
-    if step.to_level == step.from_level:
-        return member
-    if step.to_level == ALL_LEVEL:
-        return ALL_MEMBER
-    if step.to_level not in schema.reachable_from(step.from_level):
-        raise UnreachableLevel(
-            f"dimension {schema.name}: level {step.to_level} not reachable from {step.from_level}"
-        )
-    mapping = instance.rollup_maps.get((step.from_level, step.to_level), {})
-    if member not in mapping:
-        raise UnknownMember(
-            f"dimension {schema.name}: no roll-up for {member!r} from {step.from_level} to {step.to_level}"
-        )
-    return mapping[member]
+    return instance.roller(step.from_level, step.to_level)(member)
 
 
 ID_DIMENSION = "Id"
@@ -427,6 +478,10 @@ class DimensionCatalog:
     """Immutable name -> instance lookup; always carries the Id dimension."""
 
     instances: dict[str, DimensionInstance]
+    # roll-up steps resolved by ``roll``, one per (dimension, from, to)
+    _rollers: dict[tuple[str, str, str], Callable[[object], object]] = field(
+        init=False, compare=False, repr=False, default_factory=dict
+    )
 
     @classmethod
     def of(cls, *dims: DimensionInstance) -> DimensionCatalog:
@@ -459,5 +514,16 @@ class DimensionCatalog:
     def level(self, dim: str, level: str) -> Level:
         return self.schema(dim).level(level)
 
+    def roller(self, dim: str, from_level: str, to_level: str) -> Callable[[object], object]:
+        """One dimension's resolved roll-up step; see ``DimensionInstance.roller``."""
+        return self.instance(dim).roller(from_level, to_level)
+
     def roll(self, dim: str, from_level: str, to_level: str, member: object):
-        return rollup(self.instance(dim), RollupStep(dim, from_level, to_level), member)
+        """Roll one member.  The step is resolved on first use and kept, so a
+        per-value call costs one lookup in this catalog and one in the step's
+        roll-up map."""
+        key = (dim, from_level, to_level)
+        roll = self._rollers.get(key)
+        if roll is None:
+            roll = self._rollers[key] = self.roller(dim, from_level, to_level)
+        return roll(member)

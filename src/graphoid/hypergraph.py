@@ -88,11 +88,6 @@ class HyperEdge:
         return self.source | self.target
 
 
-def adjacency(edge: HyperEdge) -> frozenset[int]:
-    """All node ids the edge touches, sources and targets combined."""
-    return edge.adjacency
-
-
 @dataclass(frozen=True, eq=False)
 class Graphoid:
     """An immutable graph value bound to a dimension catalog.
@@ -101,6 +96,8 @@ class Graphoid:
     dimension.  ``base``/``tainted`` track lineage: ``base`` points at the
     graph the value was derived from (None for freshly built ones) and
     ``tainted`` records that a dice or slice happened along the way.
+    ``folds`` maps each measure slot an aggregation folded to the aggregate
+    its values now hold; unfolded slots hold raw values.
     """
 
     catalog: DimensionCatalog = field(repr=False)
@@ -111,6 +108,7 @@ class Graphoid:
     levels: Mapping[tuple[str, int], str]
     base: Graphoid | None = field(default=None, repr=False)
     tainted: bool = False
+    folds: Mapping[tuple[str, int], str] = field(default_factory=dict)
 
     @property
     def node_count(self) -> int:
@@ -260,6 +258,13 @@ def build_graphoid(
             level_map[(tname, slot)] = level
     if problems:
         raise GraphoidBuildError(problems)
+    # one resolved membership test per (type, slot)
+    in_domain = {
+        name: tuple(
+            catalog.instance(dim).member_test(level_map[(name, slot)]) for slot, dim in enumerate(decl.dims)
+        )
+        for name, decl in (*ntypes.items(), *etypes.items())
+    }
 
     node_table: dict[int, Node] = {}
     for row in nodes:
@@ -279,12 +284,11 @@ def build_graphoid(
             problems.append(f"node id {ident}: duplicate identifier")
             continue
         bad = False
-        for slot, value in enumerate(node.label):
-            dim = decl.dims[slot]
-            level = level_map[(node.ntype, slot)]
-            if not catalog.instance(dim).contains(level, value):
+        for slot, (value, member) in enumerate(zip(node.label, in_domain[node.ntype])):
+            if not member(value):
                 problems.append(
-                    f"node {node.label!r}: slot {slot} value {value!r} outside dom({dim}.{level})"
+                    f"node {node.label!r}: slot {slot} value {value!r} outside "
+                    f"dom({decl.dims[slot]}.{level_map[(node.ntype, slot)]})"
                 )
                 bad = True
         if not bad:
@@ -316,12 +320,11 @@ def build_graphoid(
             if ident not in node_table:
                 problems.append(f"edge {etype} {label!r}: endpoint {ident} is not a node")
                 bad = True
-        for slot, value in enumerate(label):
-            dim = decl.dims[slot]
-            level = level_map[(etype, slot)]
-            if not catalog.instance(dim).contains(level, value):
+        for slot, (value, member) in enumerate(zip(label, in_domain[etype])):
+            if not member(value):
                 problems.append(
-                    f"edge {etype} {label!r}: slot {slot} value {value!r} outside dom({dim}.{level})"
+                    f"edge {etype} {label!r}: slot {slot} value {value!r} outside "
+                    f"dom({decl.dims[slot]}.{level_map[(etype, slot)]})"
                 )
                 bad = True
         if not bad:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .hypergraph import Graphoid, GraphoidError
-from .olap import Condition, TargetSet, eval_atom
+from .olap import Condition, TargetSet, atom_test
 
 
 @dataclass(frozen=True)
@@ -98,13 +98,16 @@ def _matching_nodes(g: Graphoid, flt: NodeFilter) -> list[int]:
             raise GraphoidError(
                 f"filter level {atom.dim}.{level_name} is below the stored level {stored}"
             )
+    clauses = [
+        [atom_test(a, decl, g.levels, g.catalog) for a in clause] for clause in flt.condition.clauses
+    ]
     matched = []
     for ident in sorted(g.nodes):
         node = g.nodes[ident]
         if node.ntype != flt.ntype:
             continue
-        for clause in flt.condition.clauses:
-            values = [eval_atom(a, decl, g.levels, node.label, g.catalog) for a in clause]
+        for tests in clauses:
+            values = [None if test is None else test(node.label) for test in tests]
             if all(v is True for v in values):
                 matched.append(ident)
                 break

@@ -6,18 +6,24 @@ nodes that became indistinguishable, aggr merges parallel edges and folds
 their measures, and roll-up is the composition of the three.  Dice and its
 strong variant filter edges under a three-valued reading of conditions, slice
 rolls a dimension out entirely, and n-delete removes a node type.
+
+Each operation resolves its roll-up steps, class keys and condition atoms
+once, to the dimension instances' roll-up tables and to per-type slot
+tuples, and then makes one lookup per label value.  A folded measure slot
+remembers its aggregate, so a second fold is either exact (SUM, MIN and MAX
+over themselves; COUNT re-folds its counts with SUM) or refused.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from operator import attrgetter, itemgetter
+from typing import Callable, Sequence
 
 from .dims import (
     ALL_LEVEL,
-    ALL_MEMBER,
     ID_DIMENSION,
     RollupStep,
-    compare_values,
+    comparator,
     value_matches,
 )
 from .hypergraph import (
@@ -89,18 +95,24 @@ def _coerce_measures(measures: MeasurePairs) -> tuple[tuple[str, str], ...]:
     return pairs
 
 
+_FOLDS: dict[str, Callable[[list], object]] = {
+    "SUM": sum,
+    "MIN": min,
+    "MAX": max,
+    "COUNT": len,
+    "AVG": lambda values: sum(values) / len(values),
+}
+
+# aggregates whose fold over partial results equals the fold over the raw values
+_REFOLDS = {"SUM": "SUM", "MIN": "MIN", "MAX": "MAX", "COUNT": "SUM"}
+
+
 def apply_aggregate(fn: str, values: list):
-    if fn == "SUM":
-        return sum(values)
-    if fn == "MIN":
-        return min(values)
-    if fn == "MAX":
-        return max(values)
-    if fn == "COUNT":
-        return len(values)
-    if fn == "AVG":
-        return sum(values) / len(values)
-    raise OlapError(f"unknown aggregate {fn!r}")
+    try:
+        fold = _FOLDS[fn]
+    except KeyError:
+        raise OlapError(f"unknown aggregate {fn!r}") from None
+    return fold(values)
 
 
 # ---------------------------------------------------------------------------
@@ -143,18 +155,24 @@ def _atom_slot(atom: Atom, decl: NodeTypeDecl | EdgeTypeDecl) -> int | None:
     return None
 
 
-def eval_atom(atom: Atom, decl, levels, label: tuple, catalog) -> bool | None:
-    """Two-valued comparison where possible, None when the atom has no slot here."""
+def atom_test(atom: Atom, decl, levels, catalog) -> Callable[[tuple], bool] | None:
+    """Resolve an atom on one type to a two-valued test of a label; None when
+    the type has no slot for it."""
     slot = _atom_slot(atom, decl)
     if slot is None:
         return None
     stored = levels[(decl.name, slot)]
-    value = label[slot]
     target_level = atom.level if atom.level is not None else catalog.schema(atom.dim).bottom
-    if stored != target_level:
-        value = catalog.roll(atom.dim, stored, target_level, value)
-    result = compare_values(atom.cmp, value, atom.value)
-    return (not result) if atom.negated else result
+    roll = catalog.roller(atom.dim, stored, target_level) if stored != target_level else None
+    compare = comparator(atom.cmp)
+    constant, negated = atom.value, atom.negated
+
+    def test(label: tuple) -> bool:
+        value = label[slot] if roll is None else roll(label[slot])
+        result = compare(value, constant)
+        return (not result) if negated else result
+
+    return test
 
 
 def validate_condition(g: Graphoid, cond: Condition) -> None:
@@ -187,32 +205,58 @@ def validate_condition(g: Graphoid, cond: Condition) -> None:
             )
 
 
-def _literal_not_false(atom: Atom, decl, levels, label, catalog) -> bool:
-    value = eval_atom(atom, decl, levels, label, catalog)
-    return True if value is None else value
+def edge_filter(g: Graphoid, cond: Condition) -> Callable[[HyperEdge], bool]:
+    """Resolve a condition on a graph to a predicate on its edges.
+
+    An edge satisfies an atom when it is not false on the edge itself and on
+    every adjacent node; clauses and the disjunction lift pointwise.  Each
+    atom is resolved per declared type once, and each node's verdict on an
+    atom is computed at most once, on the first edge that needs it.
+    """
+    nodes = g.nodes
+    clauses = []
+    for clause in cond.clauses:
+        compiled = []
+        for atom in clause:
+            edge_tests = {
+                name: atom_test(atom, decl, g.levels, g.catalog) for name, decl in g.edge_types.items()
+            }
+            node_tests = {
+                name: atom_test(atom, decl, g.levels, g.catalog) for name, decl in g.node_types.items()
+            }
+            compiled.append((edge_tests, node_tests, {}))
+        clauses.append(compiled)
+
+    def satisfies(edge: HyperEdge) -> bool:
+        adjacent = None
+        for clause in clauses:
+            for edge_tests, node_tests, verdicts in clause:
+                test = edge_tests[edge.etype]
+                if test is not None and not test(edge.label):
+                    break
+                if adjacent is None:
+                    adjacent = sorted(edge.adjacency)
+                for ident in adjacent:
+                    verdict = verdicts.get(ident)
+                    if verdict is None:
+                        node = nodes[ident]
+                        node_test = node_tests[node.ntype]
+                        verdict = verdicts[ident] = node_test is None or bool(node_test(node.label))
+                    if not verdict:
+                        break
+                else:
+                    continue
+                break
+            else:
+                return True
+        return False
+
+    return satisfies
 
 
 def edge_satisfies(g: Graphoid, edge: HyperEdge, cond: Condition) -> bool:
-    """An edge satisfies an atom when it is not false on the edge itself and
-    on every adjacent node; clauses and the disjunction lift pointwise."""
-    edecl = g.edge_types[edge.etype]
-    adjacent = [g.nodes[i] for i in sorted(edge.adjacency)]
-    for clause in cond.clauses:
-        ok = True
-        for atom in clause:
-            if not _literal_not_false(atom, edecl, g.levels, edge.label, g.catalog):
-                ok = False
-                break
-            for node in adjacent:
-                ndecl = g.node_types[node.ntype]
-                if not _literal_not_false(atom, ndecl, g.levels, node.label, g.catalog):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
+    """Does one edge satisfy the condition?  See ``edge_filter``."""
+    return edge_filter(g, cond)(edge)
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +316,11 @@ def climb(g: Graphoid, targets, step: RollupStep) -> Graphoid:
 
     node_slots = {name: slot for name, slot in found if name in g.node_types}
     edge_slots = {name: slot for name, slot in found if name in g.edge_types}
+    roll, dim, lo, hi = g.catalog.roll, step.dimension, step.from_level, step.to_level
 
     def moved(label: tuple, slot: int) -> tuple:
-        out = list(label)
-        out[slot] = g.catalog.roll(step.dimension, step.from_level, step.to_level, label[slot])
-        return tuple(out)
+        # the catalog resolves the step on the first value and keeps it
+        return label[:slot] + (roll(dim, lo, hi, label[slot]),) + label[slot + 1:]
 
     nodes = dict(g.nodes)
     if node_slots:
@@ -338,8 +382,14 @@ def group(g: Graphoid, type_name: str, step: RollupStep) -> Graphoid:
     raise OlapError(f"unknown type {type_name!r}")
 
 
-def _aggregation_plan(g: Graphoid, edge_type: str, pairs) -> dict[str, dict[int, str]]:
-    """Which slots of which edge types fold under which aggregate."""
+def _aggregation_plan(g: Graphoid, edge_type: str, pairs) -> tuple[dict[str, dict[int, str]], dict]:
+    """Which slots of which edge types fold under which aggregate.
+
+    Returns the aggregate each slot is folded with now, and the graph's fold
+    record updated with the aggregate each slot will hold.  A slot that
+    already holds aggregates folds again only where that is exact: SUM, MIN
+    and MAX over themselves, and COUNT, whose counts are summed.
+    """
     plan: dict[str, dict[int, str]] = {}
     if edge_type == WILDCARD:
         for dim, fn in pairs:
@@ -358,16 +408,42 @@ def _aggregation_plan(g: Graphoid, edge_type: str, pairs) -> dict[str, dict[int,
             if slot is None:
                 raise OlapError(f"edge type {edge_type} has no measure {dim}")
             plan.setdefault(decl.name, {})[slot] = fn
+    folds = dict(g.folds)
     for name, slots in plan.items():
         decl = g.edge_types[name]
         for slot, fn in slots.items():
+            prior = g.folds.get((name, slot))
+            folds[(name, slot)] = fn
+            if prior is not None:
+                if prior != fn or fn not in _REFOLDS:
+                    raise OlapError(
+                        f"measure {decl.dims[slot]} of {name} already holds {prior} aggregates; "
+                        f"folding them with {fn} would not give the {fn} of the raw values"
+                    )
+                slots[slot] = _REFOLDS[fn]
+                continue
             level = g.levels[(name, slot)]
             if fn != "COUNT" and level != g.catalog.schema(decl.dims[slot]).bottom:
                 raise OlapError(
                     f"measure {decl.dims[slot]} of {name} sits at level {level}; "
                     "only COUNT can fold non-bottom values"
                 )
-    return plan
+    return plan, folds
+
+
+_surrogate = attrgetter("surrogate")
+
+
+def _key_getter(slots: tuple[int, ...]) -> Callable[[tuple], object]:
+    if not slots:
+        return lambda label: ()
+    return itemgetter(*slots)
+
+
+def _same_value(value: object, stored: object) -> bool:
+    """Can a folded value stand in for the stored one?  Equal ints can; any
+    other value only when it is the stored object (0 + -0.0 is 0.0)."""
+    return value is stored or (type(value) is int and type(stored) is int and value == stored)
 
 
 def aggr(g: Graphoid, edge_type: str, measures: MeasurePairs) -> Graphoid:
@@ -382,42 +458,46 @@ def aggr(g: Graphoid, edge_type: str, measures: MeasurePairs) -> Graphoid:
     """
     g = minimize(g)
     pairs = _coerce_measures(measures)
-    plan = _aggregation_plan(g, edge_type, pairs)
+    plan, folds = _aggregation_plan(g, edge_type, pairs)
 
-    def class_key(e: HyperEdge):
-        decl = g.edge_types[e.etype]
-        skip = set(plan[e.etype])
-        for slot, dim in enumerate(decl.dims):
-            if dim == ID_DIMENSION:
-                skip.add(slot)
-        kept = tuple(v for slot, v in enumerate(e.label) if slot not in skip)
-        return (e.etype, e.source, e.target, kept)
-
+    class_slots = {
+        name: _key_getter(tuple(
+            slot
+            for slot, dim in enumerate(g.edge_types[name].dims)
+            if slot not in slots and dim != ID_DIMENSION
+        ))
+        for name, slots in plan.items()
+    }
     classes: dict[tuple, list[HyperEdge]] = {}
     for e in g.edges:
-        if e.etype in plan:
-            classes.setdefault(class_key(e), []).append(e)
+        key_of = class_slots.get(e.etype)
+        if key_of is not None:
+            classes.setdefault((e.etype, e.source, e.target, key_of(e.label)), []).append(e)
+    by_rep = {min(members, key=_surrogate).surrogate: members for members in classes.values()}
 
-    reps = {min(members, key=lambda e: e.surrogate).surrogate: key for key, members in classes.items()}
+    fold_slots = {name: tuple((slot, _FOLDS[fn]) for slot, fn in slots.items()) for name, slots in plan.items()}
     edges: list[HyperEdge] = []
     for e in g.edges:
-        if e.etype not in plan:
+        folding = fold_slots.get(e.etype)
+        if folding is None:
             edges.append(e)
             continue
-        key = reps.get(e.surrogate)
-        if key is None:
+        members = by_rep.get(e.surrogate)
+        if members is None:
             continue
-        members = classes[key]
-        label = list(e.label)
-        for slot, fn in plan[e.etype].items():
-            label[slot] = apply_aggregate(fn, [m.label[slot] for m in members])
-        edges.append(HyperEdge(e.etype, e.source, e.target, tuple(label), e.surrogate))
-    return g.derive(edges=tuple(edges))
+        label = e.label
+        for slot, fold in folding:
+            value = fold([m.label[slot] for m in members])
+            if not _same_value(value, label[slot]):
+                label = label[:slot] + (value,) + label[slot + 1:]
+        # most one-edge classes fold to their own values and keep their edge
+        edges.append(e if label is e.label else HyperEdge(e.etype, e.source, e.target, label, e.surrogate))
+    return g.derive(edges=tuple(edges), folds=folds)
 
 
 def roll_up(g: Graphoid, targets, step: RollupStep, edge_type: str, measures: MeasurePairs) -> Graphoid:
     """Climb, contract, then aggregate: the usual coarsening move."""
-    return aggr(minimize(climb(g, targets, step)), edge_type, measures)
+    return aggr(climb(g, targets, step), edge_type, measures)
 
 
 def drill_down(
@@ -432,7 +512,9 @@ def drill_down(
 
     Only sound while no dice or slice happened since the base was built; the
     requested level must be reachable from the base's stored level, so any
-    level the original data supports can be re-materialized.
+    level the original data supports can be re-materialized.  Every other
+    slot whose level moved since the base is climbed to its level in ``g``
+    again, so earlier climbs on other dimensions are kept.
     """
     if g.tainted:
         raise LineageError("drill-down after a dice or slice is undefined")
@@ -449,14 +531,28 @@ def drill_down(
     else:
         names = list(targets.names or ())
     cur = base
+    drilled = set()
     for name in names:
         decl = base.type_decl(name)
         if dimension not in decl.dims:
             raise OlapError(f"type {name} lacks dimension {dimension}")
         slot = decl.dims.index(dimension)
+        drilled.add((name, slot))
         stored = base.levels[(name, slot)]
         cur = climb(cur, TargetSet.of(name), RollupStep(dimension, stored, to_level))
-    return aggr(minimize(cur), edge_type, measures)
+    for (name, slot), level in g.levels.items():
+        if (name, slot) in drilled or base.levels.get((name, slot)) == level:
+            continue
+        if (name, slot) not in base.levels:
+            raise LineageError(f"drill-down cannot replay type {name}: it is not in the lineage base")
+        dim = base.type_decl(name).dims[slot]
+        stored = base.levels[(name, slot)]
+        if level not in g.catalog.schema(dim).reachable_from(stored):
+            raise LineageError(
+                f"drill-down cannot replay {name} {dim}: level {level} is not above the base level {stored}"
+            )
+        cur = climb(cur, TargetSet.of(name), RollupStep(dim, stored, level))
+    return aggr(cur, edge_type, measures)
 
 
 def dice(g: Graphoid, cond: Condition) -> Graphoid:
@@ -467,17 +563,19 @@ def dice(g: Graphoid, cond: Condition) -> Graphoid:
     there or it evaluates to true.
     """
     validate_condition(g, cond)
-    edges = tuple(e for e in g.edges if edge_satisfies(g, e, cond))
+    satisfies = edge_filter(g, cond)
+    edges = tuple(e for e in g.edges if satisfies(e))
     return g.derive(edges=edges, tainted=True)
 
 
 def s_dice(g: Graphoid, cond: Condition) -> Graphoid:
     """Dice, then also drop survivors sharing an adjacency set with a removed edge."""
     validate_condition(g, cond)
+    satisfies = edge_filter(g, cond)
     kept: list[HyperEdge] = []
     removed_adjacency: set[frozenset[int]] = set()
     for e in g.edges:
-        if edge_satisfies(g, e, cond):
+        if satisfies(e):
             kept.append(e)
         else:
             removed_adjacency.add(e.adjacency)
@@ -502,7 +600,7 @@ def slice_out(g: Graphoid, dimension: str, measures: MeasurePairs) -> Graphoid:
         stored = cur.levels[(name, slot)]
         if stored != ALL_LEVEL:
             cur = climb(cur, TargetSet.of(name), RollupStep(dimension, stored, ALL_LEVEL))
-    result = aggr(minimize(cur), WILDCARD, measures)
+    result = aggr(cur, WILDCARD, measures)
     return result.derive(tainted=True)
 
 

@@ -10,7 +10,7 @@ import csv
 import datetime
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, TextIO
 
 from .cubes import Cube, CubeMeasure, build_cube
@@ -24,6 +24,7 @@ from .dims import (
     open_dimension,
 )
 from .hypergraph import (
+    AGGREGATES,
     EdgeTypeDecl,
     Graphoid,
     GraphoidError,
@@ -102,14 +103,17 @@ def instance_from_json(raw: dict, schema: DimensionSchema | None = None) -> Dime
         schema = schema_from_json(declared)
     if schema is None:
         raise StoreError("instance file names a schema that was not supplied")
+    vtypes: dict[str, str] = {}
+    for lv in schema.levels:
+        vtypes.setdefault(lv.name, lv.vtype)
     members = {}
     for level, values in raw.get("members", {}).items():
-        vtype = schema.level(level).vtype if schema.has_level(level) else "string"
+        vtype = vtypes.get(level, "string")
         members[level] = frozenset(_value_from_json(vtype, v) for v in values)
     parents = []
     for child, clv, parent, plv in raw.get("parents", ()):
-        cvt = schema.level(clv).vtype if schema.has_level(clv) else "string"
-        pvt = schema.level(plv).vtype if schema.has_level(plv) else "string"
+        cvt = vtypes.get(clv, "string")
+        pvt = vtypes.get(plv, "string")
         parents.append((_value_from_json(cvt, child), clv, _value_from_json(pvt, parent), plv))
     return DimensionInstance.build(schema, members, tuple(parents))
 
@@ -118,7 +122,7 @@ def instance_from_json(raw: dict, schema: DimensionSchema | None = None) -> Dime
 # graph values
 
 def graphoid_to_json(g: Graphoid) -> dict:
-    return {
+    doc = {
         "nodeTypes": [{"name": d.name, "dims": list(d.dims)} for d in g.node_types.values()],
         "edgeTypes": [
             {
@@ -141,6 +145,9 @@ def graphoid_to_json(g: Graphoid) -> dict:
             for e in g.edges
         ],
     }
+    if g.folds:
+        doc["folds"] = [[name, slot, fn] for (name, slot), fn in sorted(g.folds.items())]
+    return doc
 
 
 def graphoid_from_json(raw: dict, catalog: DimensionCatalog) -> Graphoid:
@@ -159,28 +166,35 @@ def graphoid_from_json(raw: dict, catalog: DimensionCatalog) -> Graphoid:
         for slot, level in enumerate(per_slot):
             levels[(name, slot)] = level
 
+    def slot_vtype(dim: str, level: str | None) -> str:
+        if dim in catalog and level is not None and catalog.schema(dim).has_level(level):
+            return catalog.schema(dim).level(level).vtype
+        return "string"
+
+    vtypes = {
+        name: tuple(slot_vtype(dim, levels.get((name, slot))) for slot, dim in enumerate(decl.dims))
+        for name, decl in decls.items()
+    }
+
     def coerce_row(name: str, values: list) -> tuple:
-        decl = decls.get(name)
-        if decl is None or len(values) != len(decl.dims):
+        types = vtypes.get(name)
+        if types is None or len(values) != len(types):
             return tuple(values)
-        out = []
-        for slot, v in enumerate(values):
-            dim = decl.dims[slot]
-            level = levels.get((name, slot))
-            vtype = (
-                catalog.schema(dim).level(level).vtype
-                if dim in catalog and level is not None and catalog.schema(dim).has_level(level)
-                else "string"
-            )
-            out.append(_value_from_json(vtype, v))
-        return tuple(out)
+        return tuple(_value_from_json(vtype, v) for vtype, v in zip(types, values))
 
     nodes = [Node(row[0], coerce_row(row[0], row[1:])) for row in raw.get("nodes", ())]
     edges = [
         (row[0], frozenset(row[1]), frozenset(row[2])) + coerce_row(row[0], row[3:])
         for row in raw.get("edges", ())
     ]
-    return build_graphoid(catalog, node_types, edge_types, nodes, edges, levels)
+    g = build_graphoid(catalog, node_types, edge_types, nodes, edges, levels)
+    folds = {}
+    for name, slot, fn in raw.get("folds", ()):
+        decl = g.edge_types.get(name)
+        if decl is None or not isinstance(slot, int) or not 0 <= slot < decl.arity or fn not in AGGREGATES:
+            raise StoreError(f"fold record [{name!r}, {slot!r}, {fn!r}] names no measure slot and aggregate")
+        folds[(name, slot)] = fn
+    return replace(g, folds=folds) if folds else g
 
 
 # ---------------------------------------------------------------------------
@@ -214,13 +228,13 @@ def cube_from_json(raw: dict, catalog: DimensionCatalog) -> Cube:
 # files
 
 def save_json(payload: dict, target: str | TextIO) -> None:
+    # one dumps call: json.dump writes chunk by chunk through the pure-Python encoder
+    text = json.dumps(payload, indent=2) + "\n"
     if hasattr(target, "write"):
-        json.dump(payload, target, indent=2)
-        target.write("\n")
+        target.write(text)
         return
     with open(target, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_json(source: str | TextIO) -> dict:

@@ -236,3 +236,111 @@ class TestCatalog:
 
     def test_roll_lookup(self, figures_catalog):
         assert figures_catalog.roll("Phone", "Phone", "Customer", "Ph4") == "C3"
+
+
+def reference_roll(instance: DimensionInstance, from_level: str, to_level: str, member: object):
+    """The roll-up semantics spelled out check by check, without any table."""
+    schema = instance.schema
+    for level in (from_level, to_level):
+        if not schema.has_level(level):
+            raise UnreachableLevel(f"dimension {schema.name}: unknown level {level}")
+    if not instance.contains(from_level, member):
+        raise UnknownMember(f"dimension {schema.name}: {member!r} is not a member of level {from_level}")
+    if to_level == from_level:
+        return member
+    if to_level == "All":
+        return "all"
+    if to_level not in schema.reachable_from(from_level):
+        raise UnreachableLevel(f"dimension {schema.name}: level {to_level} not reachable from {from_level}")
+    path = schema.paths_between(from_level, to_level)[0]
+    value = member
+    for a, b in zip(path, path[1:]):
+        step = instance.rollup_maps[(a, b)]
+        if value not in step:
+            raise UnknownMember(
+                f"dimension {schema.name}: no roll-up for {member!r} from {from_level} to {to_level}"
+            )
+        value = step[value]
+    return value
+
+
+def outcome(fn, *args):
+    try:
+        return ("value", fn(*args))
+    except Exception as exc:  # the type and message are what is compared
+        return (type(exc), str(exc))
+
+
+def assert_resolver_matches(catalog: DimensionCatalog) -> int:
+    """Every (dimension, from, to, probe) through roller, roll and the reference."""
+    checked = 0
+    for dim in catalog.names:
+        instance = catalog.instance(dim)
+        schema = instance.schema
+        levels = [lv.name for lv in schema.levels] + ["NoSuchLevel"]
+        for from_level in levels:
+            probes = ["not-a-member", 3.5, None, datetime.date(1999, 1, 1)]
+            if schema.has_level(from_level) and not schema.level(from_level).open:
+                probes += sorted(instance.domain(from_level), key=repr)
+            else:
+                probes += [0, 42, "text"]
+            for to_level in levels:
+                for member in probes:
+                    expected = outcome(reference_roll, instance, from_level, to_level, member)
+                    resolved = outcome(lambda m: catalog.roller(dim, from_level, to_level)(m), member)
+                    assert resolved == expected, (dim, from_level, to_level, member)
+                    assert outcome(catalog.roll, dim, from_level, to_level, member) == expected
+                    checked += 1
+    return checked
+
+
+class TestRoller:
+    def test_matches_reference_on_generator_catalog(self):
+        from graphoid.store import GeneratorConfig, generate
+
+        data = generate(GeneratorConfig(phone_count=12, user_count=6, call_count=30, seed=5))
+        assert assert_resolver_matches(data.catalog) > 0
+
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_reference_on_random_cube_catalogs(self, seed):
+        from graphoid.cubes import random_catalog
+
+        assert assert_resolver_matches(random_catalog(random.Random(seed))) > 0
+
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_reference_on_linear_and_diamond_schemas(self, seed):
+        rng = random.Random(seed)
+        assert assert_resolver_matches(DimensionCatalog.of(random_instance(rng, random_schema(rng, "D")))) > 0
+
+    def test_matches_reference_on_a_partial_instance(self, phone_dimension):
+        # a member with no parent at one level: "no roll-up" rather than "not a member"
+        schema = linear_schema("D", "Low", "High")
+        partial = DimensionInstance.build(schema, {"Low": {"a", "b"}, "High": {"x"}}, [("a", "Low", "x", "High")])
+        catalog = DimensionCatalog.of(phone_dimension, partial)
+        assert assert_resolver_matches(catalog) > 0
+        with pytest.raises(UnknownMember, match="no roll-up for 'b' from Low to High"):
+            catalog.roller("D", "Low", "High")("b")
+
+    def test_open_level_type_checked_on_the_way_to_all(self):
+        duration = open_dimension("Duration")
+        roll = duration.roller("Duration", "All")
+        assert roll(42) == "all" and roll(4.5) == "all"
+        with pytest.raises(UnknownMember, match="'42' is not a member of level Duration"):
+            roll("42")
+        with pytest.raises(UnknownMember, match="True is not a member of level Duration"):
+            roll(True)
+
+    def test_unknown_levels_refused_when_resolving(self, phone_dimension):
+        with pytest.raises(UnreachableLevel, match="unknown level Nowhere"):
+            phone_dimension.roller("Phone", "Nowhere")
+        with pytest.raises(UnreachableLevel, match="unknown level Nowhere"):
+            phone_dimension.roller("Nowhere", "Phone")
+
+    def test_unreachable_level_checks_membership_first(self, phone_dimension):
+        roll = phone_dimension.roller("Operator", "City")
+        with pytest.raises(UnknownMember, match="is not a member of level Operator"):
+            roll("Ph1")
+        with pytest.raises(UnreachableLevel, match="level City not reachable from Operator"):
+            roll("ATT")

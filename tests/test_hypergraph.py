@@ -14,7 +14,6 @@ from graphoid.hypergraph import (
     HyperEdge,
     Node,
     NodeTypeDecl,
-    adjacency,
     build_graphoid,
     edgify,
 )
@@ -99,15 +98,15 @@ class TestBuildGraphoid:
 class TestAdjacency:
     def test_group_call_adjacency(self, base_graph):
         edge = next(e for e in base_graph.edges if e.target == frozenset({12, 15}))
-        assert adjacency(edge) == frozenset({12, 13, 15})
+        assert edge.adjacency == frozenset({12, 13, 15})
 
     def test_empty_source(self):
         e = HyperEdge("#E", frozenset(), frozenset({1, 2, 3}), ())
-        assert adjacency(e) == frozenset({1, 2, 3})
+        assert e.adjacency == frozenset({1, 2, 3})
 
     def test_self_loop_collapses(self):
         e = HyperEdge("#E", frozenset({1}), frozenset({1}), ())
-        assert adjacency(e) == frozenset({1})
+        assert e.adjacency == frozenset({1})
 
 
 class TestBagEquality:

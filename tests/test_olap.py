@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BASE_CALLS, CONTRACTION, DAY, OPERATOR_OF
+from conftest import BASE_CALLS, CALL_DECL, CONTRACTION, DAY, OPERATOR_OF, PHONE_DECL
 from graphoid.dims import (
     DimensionCatalog,
     DimensionInstance,
@@ -22,7 +22,15 @@ from graphoid.dims import (
     RollupStep,
     open_dimension,
 )
-from graphoid.hypergraph import EdgeTypeDecl, GraphoidError, NodeTypeDecl, build_graphoid
+from graphoid.dims import UnknownMember
+from graphoid.hypergraph import (
+    EdgeTypeDecl,
+    GraphoidError,
+    HyperEdge,
+    NodeTypeDecl,
+    build_graphoid,
+    edgify,
+)
 from graphoid.olap import (
     Atom,
     Condition,
@@ -40,7 +48,9 @@ from graphoid.olap import (
     roll_up,
     s_dice,
     slice_out,
+    validate_condition,
 )
+from graphoid.store import GeneratorConfig, generate
 from helpers import climbable_step, random_graphoid, random_graphoid_input, shuffled_build
 
 
@@ -570,3 +580,193 @@ class TestNDelete:
     def test_unknown_type_refused(self, base_graph):
         with pytest.raises(GraphoidError, match="unknown node type"):
             n_delete(base_graph, "#User")
+
+
+class TestOneEdgeClasses:
+    @pytest.mark.parametrize("fn", ["SUM", "MIN", "MAX", "COUNT", "AVG"])
+    @pytest.mark.parametrize("value", [7, 3600, 10**30, -0.0, 2.5])
+    def test_fold_like_apply_aggregate(self, figures_catalog, fn, value):
+        g = build_graphoid(
+            figures_catalog, [PHONE_DECL], [CALL_DECL], [("#Phone", 11, "Ph1")],
+            [("#Call", [11], [11], DAY(2016, 10, 10), value)],
+        )
+        (edge,) = aggr(g, "#Call", [("Duration", fn)]).edges
+        expected = apply_aggregate(fn, [value])
+        assert type(edge.label[1]) is type(expected)
+        assert repr(edge.label[1]) == repr(expected)
+
+
+def flat_rollup(data, phone_level: str, year_of, fn: str) -> dict:
+    """(caller members, participant members, year) -> fn over the raw durations."""
+    member = {
+        pid: pid if phone_level == "PhoneId" else getattr(info, phone_level.lower())
+        for pid, info in data.phones.items()
+    }
+    groups: dict[tuple, list] = {}
+    for call in data.calls:
+        key = (
+            frozenset({member[call.caller]}),
+            frozenset(member[p] for p in call.participants),
+            year_of(call.start.date()),
+        )
+        groups.setdefault(key, []).append(call.duration)
+    folds = {"SUM": sum, "MIN": min, "MAX": max, "COUNT": len, "AVG": lambda v: sum(v) / len(v)}
+    return {key: folds[fn](values) for key, values in groups.items()}
+
+
+def graph_totals(g) -> dict:
+    member = {ident: node.label[1] for ident, node in g.nodes.items()}
+    totals = {}
+    for e in g.edges:
+        key = (frozenset(member[i] for i in e.source), frozenset(member[i] for i in e.target), e.label[0])
+        assert key not in totals, f"class {key!r} was not merged"
+        totals[key] = e.label[1]
+    return totals
+
+
+class TestMultiStepFolds:
+    MONTH = RollupStep("Time", "Day", "Month")
+    YEAR = RollupStep("Time", "Month", "Year")
+
+    def two_step(self, g, fn):
+        pairs = [("Duration", fn)]
+        monthly = roll_up(g, ["#Call"], self.MONTH, "#Call", pairs)
+        return roll_up(monthly, ["#Call"], self.YEAR, "#Call", pairs)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from(["PhoneId", "Operator"]))
+    def test_chain_equals_direct_flat_oracle(self, seed, phone_level):
+        data = generate(GeneratorConfig(phone_count=12, user_count=6, call_count=120, seed=seed))
+        g = data.graphoid
+        if phone_level != "PhoneId":
+            g = group(g, "#Phone", RollupStep("Phone", "PhoneId", phone_level))
+        for fn in ("SUM", "MIN", "MAX", "COUNT"):
+            assert graph_totals(self.two_step(g, fn)) == flat_rollup(data, phone_level, lambda d: d.year, fn)
+        try:
+            got = graph_totals(self.two_step(g, "AVG"))
+        except OlapError:
+            return
+        assert got == flat_rollup(data, phone_level, lambda d: d.year, "AVG")
+
+    def test_count_refolds_with_sum(self, base_graph):
+        chained = self.two_step(base_graph, "COUNT")
+        assert sum(e.label[1] for e in chained.edges) == len(BASE_CALLS)
+        assert chained.folds == {("#Call", 1): "COUNT"}
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [("AVG", "AVG"), ("SUM", "AVG"), ("COUNT", "SUM"), ("SUM", "COUNT"), ("MIN", "MAX"), ("SUM", "MIN")],
+    )
+    def test_mixed_or_average_refold_refused(self, base_graph, first, second):
+        monthly = roll_up(base_graph, ["#Call"], self.MONTH, "#Call", [("Duration", first)])
+        with pytest.raises(OlapError, match=f"already holds {first} aggregates"):
+            roll_up(monthly, ["#Call"], self.YEAR, "#Call", [("Duration", second)])
+
+    def test_fold_record_survives_other_operations(self, base_graph):
+        counted = roll_up(base_graph, ["#Call"], self.MONTH, "#Call", [("Duration", "COUNT")])
+        diced = dice(counted, Condition.of(Atom("Duration", None, ">", 0)))
+        assert diced.folds == counted.folds
+        sliced = slice_out(diced, "Time", [("Duration", "COUNT")])
+        assert sum(e.label[1] for e in sliced.edges) == len(BASE_CALLS)
+
+
+class TestDrillDownReplay:
+    def test_keeps_an_earlier_group_on_another_dimension(self):
+        data = generate(GeneratorConfig(phone_count=40, user_count=20, call_count=300, seed=3))
+        pairs = [("Duration", "SUM")]
+        grouped = group(data.graphoid, "#Phone", RollupStep("Phone", "PhoneId", "Operator"))
+        yearly = roll_up(grouped, ["#Call"], RollupStep("Time", "Day", "Year"), "#Call", pairs)
+        drilled = drill_down(yearly, ["#Call"], "Time", "Month", "#Call", pairs)
+        direct = roll_up(grouped, ["#Call"], RollupStep("Time", "Day", "Month"), "#Call", pairs)
+        assert drilled.node_count == 4
+        assert drilled.bag_equal(direct)
+
+    def test_unreplayable_slot_refused(self, base_graph):
+        moved = edgify(base_graph, "#Phone", 1)
+        with pytest.raises(LineageError, match="cannot replay type #HasPhone"):
+            drill_down(moved, ["#Call"], "Time", "Day", "#Call", [("Duration", "SUM")])
+
+
+def out_of_domain_graph(base_graph):
+    """The base graph plus one call on a day the Time dimension does not hold."""
+    stray = HyperEdge("#Call", frozenset({11}), frozenset({12}), (DAY(1999, 1, 1), 3), surrogate=99)
+    return base_graph.derive(edges=base_graph.edges + (stray,))
+
+
+class TestOutOfDomainValues:
+    MESSAGE = "dimension Time: datetime.date(1999, 1, 1) is not a member of level Day"
+
+    def test_climb_reports_the_member(self, base_graph):
+        with pytest.raises(UnknownMember) as err:
+            climb(out_of_domain_graph(base_graph), ["#Call"], RollupStep("Time", "Day", "Month"))
+        assert str(err.value) == self.MESSAGE
+
+    def test_dice_reports_the_member(self, base_graph):
+        cond = Condition.of(Atom("Time", "Month", "=", "2016-10"))
+        with pytest.raises(UnknownMember) as err:
+            dice(out_of_domain_graph(base_graph), cond)
+        assert str(err.value) == self.MESSAGE
+
+
+def reference_satisfies(g, edge, cond) -> bool:
+    """Every atom on the edge and on each adjacent node, rolled value by value."""
+
+    def not_false(atom, decl, label) -> bool:
+        if atom.level is None:
+            slot = decl.measure_slot_of(atom.dim) if isinstance(decl, EdgeTypeDecl) else None
+        else:
+            slot = decl.dims.index(atom.dim) if atom.dim in decl.dims else None
+        if slot is None:
+            return True
+        target = atom.level if atom.level is not None else g.catalog.schema(atom.dim).bottom
+        value = g.catalog.roll(atom.dim, g.levels[(decl.name, slot)], target, label[slot])
+        result = {"=": value == atom.value, "<": value < atom.value, ">": value > atom.value}[atom.cmp]
+        return result != atom.negated
+
+    return any(
+        all(
+            not_false(atom, g.edge_types[edge.etype], edge.label)
+            and all(not_false(atom, g.node_types[g.nodes[i].ntype], g.nodes[i].label) for i in edge.adjacency)
+            for atom in clause
+        )
+        for clause in cond.clauses
+    )
+
+
+def random_graph_condition(rng: random.Random, g) -> Condition:
+    dims = [n for n in g.catalog.names if n not in ("Id", "M1", "M2")]
+    clauses = []
+    for _ in range(rng.randint(1, 3)):
+        atoms = []
+        for _ in range(rng.randint(1, 3)):
+            if not dims or rng.random() < 0.3:
+                atoms.append(Atom("M1", None, rng.choice("<>="), rng.randint(0, 100), rng.random() < 0.3))
+                continue
+            inst = g.catalog.instance(rng.choice(dims))
+            level = rng.choice([lv.name for lv in inst.schema.levels if lv.name != "All"])
+            value = rng.choice(sorted(inst.domain(level)))
+            atoms.append(Atom(inst.name, level, rng.choice("<>="), value, rng.random() < 0.3))
+        clauses.append(tuple(atoms))
+    return Condition(tuple(clauses))
+
+
+class TestCompiledConditions:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_dice_matches_per_edge_reference(self, seed):
+        rng = random.Random(seed)
+        g = random_graphoid(rng)
+        step = climbable_step(rng, g)
+        if step is not None and rng.random() < 0.5:
+            g = climb(g, "*", step)
+        cond = random_graph_condition(rng, g)
+        try:
+            validate_condition(g, cond)
+        except OlapError:
+            return
+        expected = [e for e in g.edges if reference_satisfies(g, e, cond)]
+        assert edge_bag(dice(g, cond)) == Counter((e.etype, e.source, e.target, e.label) for e in expected)
+        removed = {e.adjacency for e in g.edges if not reference_satisfies(g, e, cond)}
+        assert edge_bag(s_dice(g, cond)) == Counter(
+            (e.etype, e.source, e.target, e.label) for e in expected if e.adjacency not in removed
+        )

@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import datetime
 import io
+import json
 import random
 
 import pytest
@@ -12,7 +13,9 @@ from hypothesis import strategies as st
 
 from graphoid.cubes import build_cube, random_catalog, random_cube
 from graphoid.dims import validate_instance, validate_schema
+from graphoid.dims import RollupStep
 from graphoid.hypergraph import GraphoidError
+from graphoid.olap import OlapError, group, roll_up
 from graphoid.store import (
     CALL_COLUMNS,
     GeneratorConfig,
@@ -94,6 +97,42 @@ class TestJsonRoundTrips:
         save_json(instance_to_json(phone_dimension), buffer)
         buffer.seek(0)
         assert instance_from_json(load_json(buffer)) == phone_dimension
+
+    def test_saved_text_is_indented_dump_plus_newline(self, tmp_path):
+        payload = graphoid_to_json(generate(GeneratorConfig(phone_count=10, user_count=5, call_count=40, seed=2)).graphoid)
+        expected = json.dumps(payload, indent=2) + "\n"
+        path = tmp_path / "graph.json"
+        save_json(payload, str(path))
+        assert path.read_text(encoding="utf-8") == expected
+        buffer = io.StringIO()
+        save_json(payload, buffer)
+        assert buffer.getvalue() == expected
+
+
+class TestFoldRecord:
+    def test_count_refolds_after_a_save_and_load(self, tmp_path):
+        data = generate(GeneratorConfig(phone_count=8, user_count=4, call_count=400, seed=3))
+        grouped = group(data.graphoid, "#Phone", RollupStep("Phone", "PhoneId", "Operator"))
+        count = [("Duration", "COUNT")]
+        monthly = roll_up(grouped, ["#Call"], RollupStep("Time", "Day", "Month"), "#Call", count)
+        path = str(tmp_path / "monthly.json")
+        save_json(graphoid_to_json(monthly), path)
+        loaded = graphoid_from_json(load_json(path), data.catalog)
+        assert loaded.folds == {("#Call", 1): "COUNT"}
+        yearly = roll_up(loaded, ["#Call"], RollupStep("Time", "Month", "Year"), "#Call", count)
+        assert sum(e.label[1] for e in yearly.edges) == 400
+        with pytest.raises(OlapError, match="already holds COUNT aggregates"):
+            roll_up(loaded, ["#Call"], RollupStep("Time", "Month", "Year"), "#Call", [("Duration", "AVG")])
+
+    def test_unfolded_graph_writes_no_record(self, base_graph):
+        assert "folds" not in graphoid_to_json(base_graph)
+        assert graphoid_from_json(graphoid_to_json(base_graph), base_graph.catalog).folds == {}
+
+    @pytest.mark.parametrize("record", [["#Nope", 1, "SUM"], ["#Call", 9, "SUM"], ["#Call", 1, "MEDIAN"]])
+    def test_bad_record_refused(self, base_graph, record):
+        doc = {**graphoid_to_json(base_graph), "folds": [record]}
+        with pytest.raises(StoreError, match="fold record"):
+            graphoid_from_json(doc, base_graph.catalog)
 
 
 class TestSniffKind:
