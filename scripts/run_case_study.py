@@ -1,107 +1,22 @@
 """Run the seven phone-call case-study queries on generated data and time them.
 
-Generates a synthetic call data set, builds the call graphoid, and runs the
-group-average and shortest-path queries at a few roll-up levels, printing one
-wall-time row per query.  Presets `--scale d1` and `--scale d2` reproduce the
+The queries are defined once, in ``graphoid bench``; this script forwards its
+arguments there.  Presets `--scale d1` and `--scale d2` reproduce the
 published data-set sizes; the default desk scale finishes in seconds.
 
     python3 scripts/run_case_study.py
-    python3 scripts/run_case_study.py --calls 20000 --phones 400 --workers 4
+    python3 scripts/run_case_study.py --scale d1 --seed 1
+    python3 scripts/run_case_study.py --calls 20000 --phones 400 --sizes 2 3 4
 """
 from __future__ import annotations
 
-import argparse
-import dataclasses
 import sys
-import time
 
-from graphoid import metrics, olap, store
-from graphoid.dims import RollupStep
-from graphoid.gql import Atom, Condition, NodeFilter
-
-
-def parse_args(argv):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--scale", choices=("desk", "d1", "d2"), default="desk",
-                        help="preset sizes; desk is CI-sized, d1/d2 match the published runs")
-    parser.add_argument("--phones", type=int, default=None)
-    parser.add_argument("--users", type=int, default=None)
-    parser.add_argument("--calls", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--sizes", type=int, nargs="+", default=[2, 3],
-                        help="group sizes for the average-duration queries")
-    return parser.parse_args(argv)
-
-
-def pick_config(args) -> store.GeneratorConfig:
-    base = {
-        "desk": store.GeneratorConfig(seed=args.seed),
-        "d1": dataclasses.replace(store.TABLE_SCALE_D1, seed=args.seed),
-        "d2": dataclasses.replace(store.TABLE_SCALE_D2, seed=args.seed),
-    }[args.scale]
-    overrides = {}
-    if args.phones is not None:
-        overrides["phone_count"] = args.phones
-    if args.users is not None:
-        overrides["user_count"] = args.users
-    if args.calls is not None:
-        overrides["call_count"] = args.calls
-    return dataclasses.replace(base, **overrides) if overrides else base
+from graphoid import cli
 
 
 def main(argv=None) -> int:
-    args = parse_args(argv if argv is not None else sys.argv[1:])
-    config = pick_config(args)
-    t0 = time.perf_counter()
-    data = store.generate(config)
-    g = data.graphoid
-    print(f"generated {len(data.calls)} calls over {len(data.phones)} phones "
-          f"in {time.perf_counter() - t0:.2f}s (seed {config.seed})")
-
-    rows: list[tuple[str, float, int]] = []
-
-    def run(label: str, fn) -> None:
-        start = time.perf_counter()
-        result = fn()
-        rows.append((label, time.perf_counter() - start, len(result)))
-
-    by_customer = olap.minimize(olap.climb(
-        g, [store.PHONE_TYPE], RollupStep("Phone", store.PHONE_BOTTOM, "Customer")))
-    by_operator = olap.minimize(olap.climb(
-        g, [store.PHONE_TYPE], RollupStep("Phone", store.PHONE_BOTTOM, "Operator")))
-    for n in args.sizes:
-        run(f"Q1 avg duration, {n}-phone groups",
-            lambda n=n: metrics.group_average(g, [store.CALL_TYPE], n, "Duration", args.workers))
-    for n in args.sizes:
-        run(f"Q2 avg duration, {n}-customer groups",
-            lambda n=n: metrics.group_average(by_customer, [store.CALL_TYPE], n, "Duration", args.workers))
-    for n in args.sizes:
-        run(f"Q3 avg duration, {n}-operator groups",
-            lambda n=n: metrics.group_average(by_operator, [store.CALL_TYPE], n, "Duration", args.workers))
-
-    def city(value: str) -> NodeFilter:
-        return NodeFilter(store.PHONE_TYPE, Condition.of(Atom("Phone", "City", "=", value)))
-
-    def operator(value: str) -> NodeFilter:
-        return NodeFilter(store.PHONE_TYPE, Condition.of(Atom("Phone", "Operator", "=", value)))
-
-    everyone = NodeFilter(store.PHONE_TYPE)
-    run("Q4 shortest paths, all pairs",
-        lambda: metrics.shortest_paths(g, everyone, everyone, [store.CALL_TYPE], args.workers))
-    run("Q5 shortest paths, Claro -> Movistar",
-        lambda: metrics.shortest_paths(g, operator("Claro"), operator("Movistar"),
-                                       [store.CALL_TYPE], args.workers))
-    run("Q6 shortest paths, Buenos Aires -> Salta",
-        lambda: metrics.shortest_paths(g, city("Buenos Aires"), city("Salta"),
-                                       [store.CALL_TYPE], args.workers))
-    run("Q7 shortest paths, from Buenos Aires",
-        lambda: metrics.shortest_paths(g, city("Buenos Aires"), everyone,
-                                       [store.CALL_TYPE], args.workers))
-
-    for label, elapsed, size in rows:
-        print(f"{label:45s} {elapsed * 1000:10.1f} ms   {size} rows")
-    return 0
+    return cli.main(["bench", *(sys.argv[1:] if argv is None else argv)])
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ corresponding graph pipeline to the cube's hypergraph embedding, and checks
 that decoding the graph result gives back exactly the classical answer.
 Exits non-zero if any trial disagrees.
 
-    python3 scripts/run_equivalence.py --trials 1000 --seed 7 --workers 4
+    python3 scripts/run_equivalence.py --trials 1000 --seed 7
 """
 from __future__ import annotations
 
@@ -21,12 +21,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--trials", type=int, default=200)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--quiet", action="store_true", help="print only the summary")
     args = parser.parse_args(argv if argv is not None else sys.argv[1:])
 
     t0 = time.perf_counter()
-    results = run_equivalence_trials(args.trials, args.seed, args.workers)
+    results = run_equivalence_trials(args.trials, args.seed)
     elapsed = time.perf_counter() - t0
     ok = 0
     for r in results:

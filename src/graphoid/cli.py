@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -15,7 +16,7 @@ import sys
 import time
 
 from . import cubes, gql, metrics, olap, store
-from .dims import DimensionCatalog, DimensionError, validate_instance, validate_schema
+from .dims import DimensionCatalog, DimensionError, RollupStep, validate_instance, validate_schema
 from .hypergraph import Graphoid, GraphoidBuildError, GraphoidError
 from .metrics import NodeFilter
 from .olap import Atom, Condition
@@ -25,13 +26,6 @@ class CliFailure(Exception):
     def __init__(self, message: str, code: int):
         super().__init__(message)
         self.code = code
-
-
-def _workers_default() -> int:
-    try:
-        return max(1, int(os.environ.get("GRAPHOID_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 def _read_text(path: str) -> str:
@@ -206,7 +200,7 @@ def _summary(value) -> str:
     return f"{len(tuple(value))} path results"
 
 
-def _run_repl(catalog: DimensionCatalog, workers: int) -> int:
+def _run_repl(catalog: DimensionCatalog) -> int:
     loader = _make_loader(catalog, os.getcwd())
     env: dict[str, object] = {}
     buffer = ""
@@ -231,7 +225,7 @@ def _run_repl(catalog: DimensionCatalog, workers: int) -> int:
                 for problem in problems:
                     print(f"error: {problem}")
                 continue
-            outcome = gql.eval_program(program, catalog, loader, bindings=env, workers=workers)
+            outcome = gql.eval_program(program, catalog, loader, bindings=env)
         except gql.GqlError as exc:
             print(f"error: {exc}")
             continue
@@ -250,7 +244,7 @@ def _run_repl(catalog: DimensionCatalog, workers: int) -> int:
 def cmd_query(args) -> int:
     catalog = _catalog_from_dims(args.dims)
     if args.repl:
-        return _run_repl(catalog, args.workers)
+        return _run_repl(catalog)
     if not args.file:
         raise CliFailure("query needs a program file or --repl", 2)
     text = _read_text(args.file)
@@ -266,9 +260,7 @@ def cmd_query(args) -> int:
             print(f"check error: {problem}", file=sys.stderr)
         return 1
     try:
-        outcome = gql.eval_program(
-            program, catalog, _make_loader(catalog, base_dir), workers=args.workers
-        )
+        outcome = gql.eval_program(program, catalog, _make_loader(catalog, base_dir))
     except (gql.GqlError, GraphoidError) as exc:
         print(f"evaluation error: {exc}", file=sys.stderr)
         return 1
@@ -278,7 +270,7 @@ def cmd_query(args) -> int:
 
 
 def cmd_theorem1(args) -> int:
-    results = cubes.run_equivalence_trials(args.trials, args.seed, args.workers)
+    results = cubes.run_equivalence_trials(args.trials, args.seed)
     ok = sum(1 for r in results if r.ok)
     if args.format == "json":
         for r in results:
@@ -304,46 +296,63 @@ def cmd_theorem1(args) -> int:
     return 0 if ok == len(results) else 1
 
 
+BENCH_SCALES = {
+    "desk": store.GeneratorConfig(),
+    "d1": store.TABLE_SCALE_D1,
+    "d2": store.TABLE_SCALE_D2,
+}
+
+
 def cmd_bench(args) -> int:
-    config = store.GeneratorConfig(
-        phone_count=args.phones, user_count=args.users, call_count=args.calls, seed=args.seed
-    )
-    data = store.generate(config)
+    """Time the case-study queries Q1-Q7 on one generated call graph."""
+    if min(args.sizes) < 1:
+        raise CliFailure("bench: group sizes must be at least 1", 2)
+    flags = (("seed", args.seed), ("phone_count", args.phones), ("user_count", args.users), ("call_count", args.calls))
+    config = dataclasses.replace(BENCH_SCALES[args.scale], **{name: value for name, value in flags if value is not None})
+    t0 = time.perf_counter()
+    try:
+        data = store.generate(config)
+    except GraphoidError as exc:
+        print(f"bench failed: {exc}", file=sys.stderr)
+        return 1
+    generated = time.perf_counter() - t0
     g = data.graphoid
+    calls = [store.CALL_TYPE]
     rows: list[tuple[str, float, int]] = []
 
     def run(label: str, fn) -> None:
         t0 = time.perf_counter()
         result = fn()
-        elapsed = time.perf_counter() - t0
-        size = len(result) if hasattr(result, "__len__") else 1
-        rows.append((label, elapsed, size))
+        rows.append((label, time.perf_counter() - t0, len(result)))
 
-    from .dims import RollupStep
+    def grouped(level: str) -> Graphoid:
+        return olap.group(g, store.PHONE_TYPE, RollupStep(store.PHONE_DIMENSION, store.PHONE_BOTTOM, level))
 
-    by_customer = olap.minimize(
-        olap.climb(g, [store.PHONE_TYPE], RollupStep(store.PHONE_DIMENSION, store.PHONE_BOTTOM, "Customer"))
+    def phones_where(level: str, value: str) -> NodeFilter:
+        return NodeFilter(store.PHONE_TYPE, Condition.of(Atom(store.PHONE_DIMENSION, level, "=", value)))
+
+    averaged = (("Q1", "phone", g), ("Q2", "customer", grouped("Customer")), ("Q3", "operator", grouped("Operator")))
+    for query, member, graph in averaged:
+        for n in args.sizes:
+            run(
+                f"{query} avg duration, {n}-{member} groups",
+                lambda graph=graph, n=n: metrics.group_average(graph, calls, n, "Duration"),
+            )
+    everyone = NodeFilter(store.PHONE_TYPE)
+    buenos_aires = phones_where("City", "Buenos Aires")
+    paths = {
+        "Q4 shortest paths, all pairs": (everyone, everyone),
+        "Q5 shortest paths, Claro -> Movistar": (phones_where("Operator", "Claro"), phones_where("Operator", "Movistar")),
+        "Q6 shortest paths, Buenos Aires -> Salta": (buenos_aires, phones_where("City", "Salta")),
+        "Q7 shortest paths, from Buenos Aires": (buenos_aires, everyone),
+    }
+    for label, (source, target) in paths.items():
+        run(label, lambda source=source, target=target: metrics.shortest_paths(g, source, target, calls))
+
+    print(
+        f"benchmark over {len(data.calls)} calls, {len(data.phones)} phones (seed {config.seed}), "
+        f"generated in {generated:.2f} s"
     )
-    by_operator = olap.minimize(
-        olap.climb(g, [store.PHONE_TYPE], RollupStep(store.PHONE_DIMENSION, store.PHONE_BOTTOM, "Operator"))
-    )
-    for n in (2, 3):
-        run(f"Q1 avg duration, {n}-phone groups", lambda n=n: metrics.group_average(g, [store.CALL_TYPE], n, "Duration", args.workers))
-    for n in (2, 3):
-        run(f"Q2 avg duration, {n}-customer groups", lambda n=n: metrics.group_average(by_customer, [store.CALL_TYPE], n, "Duration", args.workers))
-    for n in (2, 3):
-        run(f"Q3 avg duration, {n}-operator groups", lambda n=n: metrics.group_average(by_operator, [store.CALL_TYPE], n, "Duration", args.workers))
-    phones = NodeFilter(store.PHONE_TYPE)
-    claro = NodeFilter(store.PHONE_TYPE, Condition.of(Atom(store.PHONE_DIMENSION, "Operator", "=", "Claro")))
-    movistar = NodeFilter(store.PHONE_TYPE, Condition.of(Atom(store.PHONE_DIMENSION, "Operator", "=", "Movistar")))
-    ba = NodeFilter(store.PHONE_TYPE, Condition.of(Atom(store.PHONE_DIMENSION, "City", "=", "Buenos Aires")))
-    salta = NodeFilter(store.PHONE_TYPE, Condition.of(Atom(store.PHONE_DIMENSION, "City", "=", "Salta")))
-    run("Q4 shortest paths, all pairs", lambda: metrics.shortest_paths(g, phones, phones, [store.CALL_TYPE], args.workers))
-    run("Q5 shortest paths, Claro -> Movistar", lambda: metrics.shortest_paths(g, claro, movistar, [store.CALL_TYPE], args.workers))
-    run("Q6 shortest paths, Buenos Aires -> Salta", lambda: metrics.shortest_paths(g, ba, salta, [store.CALL_TYPE], args.workers))
-    run("Q7 shortest paths, from Buenos Aires", lambda: metrics.shortest_paths(g, ba, phones, [store.CALL_TYPE], args.workers))
-
-    print(f"benchmark over {len(data.calls)} calls, {len(data.phones)} phones (seed {config.seed})")
     for label, elapsed, size in rows:
         print(f"{label:45s} {elapsed * 1000:10.1f} ms   {size} rows")
     return 0
@@ -357,14 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="graphoid", description="graph OLAP engine over labelled directed multi-hypergraphs"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_workers(p):
-        p.add_argument(
-            "--workers",
-            type=int,
-            default=_workers_default(),
-            help="parallel workers (default from GRAPHOID_WORKERS)",
-        )
 
     p = sub.add_parser("validate", help="validate schema/instance/graphoid/cube files")
     p.add_argument("files", nargs="+", help="JSON files to validate")
@@ -392,22 +393,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", action="append", default=[], help="dimension file (repeatable)")
     p.add_argument("--out", default="-", help="where OUTPUT values go (- for stdout)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    add_workers(p)
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("theorem1", help="random cube/graph equivalence trials")
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    add_workers(p)
     p.set_defaults(func=cmd_theorem1)
 
-    p = sub.add_parser("bench", help="time the case-study queries on synthetic data")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--calls", type=int, default=1000)
-    p.add_argument("--phones", type=int, default=100)
-    p.add_argument("--users", type=int, default=50)
-    add_workers(p)
+    p = sub.add_parser("bench", help="time the case-study queries Q1-Q7 on synthetic data")
+    p.add_argument(
+        "--scale",
+        choices=tuple(BENCH_SCALES),
+        default="desk",
+        help="preset data sizes; desk finishes in seconds, d1/d2 match the published runs",
+    )
+    p.add_argument("--seed", type=int, help="override the preset's seed (desk 7, d1 1, d2 2)")
+    p.add_argument("--calls", type=int, help="override the preset's call count")
+    p.add_argument("--phones", type=int, help="override the preset's phone count")
+    p.add_argument("--users", type=int, help="override the preset's user count")
+    p.add_argument(
+        "--sizes", type=int, nargs="+", default=[2, 3], help="group sizes for the average-duration queries Q1-Q3"
+    )
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -33,7 +33,6 @@ from .hypergraph import (
     NodeTypeDecl,
     build_graphoid,
 )
-from .metrics import map_deterministic
 from .olap import Atom, Condition
 
 FIRST_STAR_ID = 11
@@ -540,8 +539,7 @@ def run_trial(index: int, seed: int) -> TrialResult:
     return TrialResult(index, seed, op.describe(), mismatches)
 
 
-def run_equivalence_trials(trials: int, seed: int, workers: int = 1) -> list[TrialResult]:
+def run_equivalence_trials(trials: int, seed: int) -> list[TrialResult]:
     """Independent random cube/op trials; deterministic for a given seed."""
     root = random.Random(seed)
-    child_seeds = [(i, root.randrange(2**63)) for i in range(trials)]
-    return map_deterministic(lambda pair: run_trial(*pair), child_seeds, workers)
+    return [run_trial(i, root.randrange(2**63)) for i in range(trials)]

@@ -796,7 +796,6 @@ def eval_program(
     catalog: DimensionCatalog,
     loader: Loader | None = None,
     bindings: dict[str, object] | None = None,
-    workers: int = 1,
 ) -> EvalOutcome:
     """Run the statements in order; OUTPUT values are collected in order."""
     env: dict[str, object] = dict(bindings or {})
@@ -847,7 +846,7 @@ def eval_program(
                 )
             return edgify(src, expr.node_type, decl.dims.index(expr.dimension))
         if isinstance(expr, ShortestPathsOp):
-            return shortest_paths(src, expr.from_filter, expr.to_filter, expr.via, workers)
+            return shortest_paths(src, expr.from_filter, expr.to_filter, expr.via)
         raise GqlEvalError(f"cannot evaluate {expr!r}", stmt.line, stmt.col)
 
     for stmt in program.statements:

@@ -95,7 +95,8 @@ class Graphoid:
     ``levels`` maps (type name, slot) to the current level of that slot's
     dimension.  ``base``/``tainted`` track lineage: ``base`` points at the
     graph the value was derived from (None for freshly built ones) and
-    ``tainted`` records that a dice or slice happened along the way.
+    ``tainted`` records that a dice, slice or node deletion happened along
+    the way.
     ``folds`` maps each measure slot an aggregation folded to the aggregate
     its values now hold; unfolded slots hold raw values.
     """

@@ -11,9 +11,8 @@ import csv
 import io
 import itertools
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
 from .hypergraph import Graphoid, GraphoidError
 from .olap import Condition, TargetSet, atom_test
@@ -37,14 +36,6 @@ class PathResult:
     @property
     def reachable(self) -> bool:
         return self.hops >= 0
-
-
-def map_deterministic(fn: Callable, items: Sequence, workers: int = 1) -> list:
-    """Order-preserving map, threaded when more than one worker is asked for."""
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _selected_edges(g: Graphoid, via) -> list:
@@ -129,7 +120,6 @@ def shortest_paths(
     source_filter: NodeFilter,
     target_filter: NodeFilter,
     via="*",
-    workers: int = 1,
 ) -> tuple[PathResult, ...]:
     """Hop counts and witness paths for every (source, target) pair, source != target.
 
@@ -140,9 +130,7 @@ def shortest_paths(
     adj = adjacency_projection(g, via)
     sources = _matching_nodes(g, source_filter)
     targets = _matching_nodes(g, target_filter)
-    distance_maps = dict(
-        zip(targets, map_deterministic(lambda root: _bfs_distances(adj, root), targets, workers))
-    )
+    distance_maps = {root: _bfs_distances(adj, root) for root in targets}
     results: list[PathResult] = []
     for source in sources:
         for target in targets:
@@ -180,7 +168,6 @@ def group_average(
     via,
     size: int,
     measure: str,
-    workers: int = 1,
 ) -> dict[tuple[int, ...], float]:
     """Average of an edge measure over every ``size``-subset of co-participants.
 
@@ -190,24 +177,19 @@ def group_average(
     if size < 1:
         raise GraphoidError("group size must be at least 1")
     edges = _selected_edges(g, via)
+    slots: dict[str, int] = {}
     for e in edges:
-        decl = g.edge_types[e.etype]
-        if decl.measure_slot_of(measure) is None:
-            raise GraphoidError(f"edge type {e.etype} has no measure {measure}")
-
-    def tally(edge):
-        decl = g.edge_types[edge.etype]
-        slot = decl.measure_slot_of(measure)
-        value = edge.label[slot]
-        return [
-            (combo, value)
-            for combo in itertools.combinations(sorted(edge.adjacency), size)
-        ]
+        if e.etype not in slots:
+            slot = g.edge_types[e.etype].measure_slot_of(measure)
+            if slot is None:
+                raise GraphoidError(f"edge type {e.etype} has no measure {measure}")
+            slots[e.etype] = slot
 
     sums: dict[tuple[int, ...], float] = {}
     counts: dict[tuple[int, ...], int] = {}
-    for contributions in map_deterministic(tally, edges, workers):
-        for combo, value in contributions:
+    for e in edges:
+        value = e.label[slots[e.etype]]
+        for combo in itertools.combinations(sorted(e.adjacency), size):
             sums[combo] = sums.get(combo, 0) + value
             counts[combo] = counts.get(combo, 0) + 1
     return {combo: sums[combo] / counts[combo] for combo in sorted(sums)}

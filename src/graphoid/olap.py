@@ -510,14 +510,14 @@ def drill_down(
 ) -> Graphoid:
     """Re-derive a finer view from the lineage base.
 
-    Only sound while no dice or slice happened since the base was built; the
-    requested level must be reachable from the base's stored level, so any
-    level the original data supports can be re-materialized.  Every other
-    slot whose level moved since the base is climbed to its level in ``g``
-    again, so earlier climbs on other dimensions are kept.
+    Only sound while no dice, slice or node deletion happened since the base
+    was built; the requested level must be reachable from the base's stored
+    level, so any level the original data supports can be re-materialized.
+    Every other slot whose level moved since the base is climbed to its level
+    in ``g`` again, so earlier climbs on other dimensions are kept.
     """
     if g.tainted:
-        raise LineageError("drill-down after a dice or slice is undefined")
+        raise LineageError("drill-down after a dice, slice or node deletion is undefined")
     base = g.base if g.base is not None else g
     targets = TargetSet.coerce(targets)
     if targets.is_wildcard:
@@ -605,7 +605,11 @@ def slice_out(g: Graphoid, dimension: str, measures: MeasurePairs) -> Graphoid:
 
 
 def n_delete(g: Graphoid, node_type: str) -> Graphoid:
-    """Remove a node type; edges shrink and vanish once they touch nothing."""
+    """Remove a node type; edges shrink and vanish once they touch nothing.
+
+    The result is tainted: the base still holds the deleted nodes, so a
+    drill-down could not re-derive without bringing them back.
+    """
     g.node_type(node_type)
     dead = {ident for ident, node in g.nodes.items() if node.ntype == node_type}
     nodes = {ident: node for ident, node in g.nodes.items() if ident not in dead}
@@ -615,4 +619,4 @@ def n_delete(g: Graphoid, node_type: str) -> Graphoid:
         target = e.target - dead
         if source or target:
             edges.append(HyperEdge(e.etype, source, target, e.label, e.surrogate))
-    return g.derive(nodes=nodes, edges=tuple(edges))
+    return g.derive(nodes=nodes, edges=tuple(edges), tainted=True)

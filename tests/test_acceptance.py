@@ -101,7 +101,7 @@ def test_2_cube_equivalence_trials():
     star-embedded pipeline agree exactly on every trial."""
     problems: list[str] = []
     t0 = time.perf_counter()
-    results = run_equivalence_trials(200, seed=7, workers=1)
+    results = run_equivalence_trials(200, seed=7)
     elapsed = time.perf_counter() - t0
     if len(results) != 200:
         problems.append(f"{len(results)} trials ran, wanted 200")

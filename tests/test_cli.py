@@ -1,8 +1,10 @@
 """The command line: exit codes, output formats, and the statement loop."""
 from __future__ import annotations
 
+import importlib.util
 import io
 import json
+import pathlib
 
 import pytest
 
@@ -292,29 +294,53 @@ class TestTheorem1:
         assert all(row["ok"] for row in lines[:-1])
         assert lines[-1] == {"trials": 8, "equivalent": 8}
 
-    def test_workers_flag(self, capsys):
-        rc = cli.main(["theorem1", "--trials", "6", "--seed", "9", "--workers", "3"])
-        assert rc == 0
-        assert "6/6 equivalent" in capsys.readouterr().out
+
+SMALL_BENCH = ["--phones", "12", "--users", "5", "--calls", "60", "--seed", "2"]
+CASE_STUDY_SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_case_study.py"
+
+
+def bench_rows(out: str) -> list[tuple[str, str]]:
+    """(label, row count) per query line; the timings are dropped."""
+    return [(line[:45].rstrip(), line.split()[-2]) for line in out.splitlines() if line.startswith("Q")]
 
 
 class TestBench:
     def test_small_run(self, capsys):
-        rc = cli.main(["bench", "--phones", "12", "--users", "5", "--calls", "60", "--seed", "2"])
+        rc = cli.main(["bench", *SMALL_BENCH])
         out = capsys.readouterr().out
         assert rc == 0
         assert "benchmark over 60 calls, 12 phones" in out
         for label in ("Q1", "Q2", "Q3", "Q4", "Q5", "Q6", "Q7"):
             assert label in out
 
+    def test_script_forwards_to_bench(self, capsys):
+        spec = importlib.util.spec_from_file_location("run_case_study", CASE_STUDY_SCRIPT)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        assert script.main([*SMALL_BENCH, "--sizes", "2"]) == 0
+        from_script = bench_rows(capsys.readouterr().out)
+        assert cli.main(["bench", *SMALL_BENCH, "--sizes", "2"]) == 0
+        from_cli = bench_rows(capsys.readouterr().out)
+        assert [label[:2] for label, _ in from_cli] == ["Q1", "Q2", "Q3", "Q4", "Q5", "Q6", "Q7"]
+        assert from_script == from_cli
 
-class TestWorkersDefault:
-    def test_env_variable_sets_the_default(self, monkeypatch):
-        monkeypatch.setenv("GRAPHOID_WORKERS", "3")
-        args = cli.build_parser().parse_args(["query", "--repl"])
-        assert args.workers == 3
+    def test_desk_scale_is_the_default_size(self, capsys):
+        rc = cli.main(["bench", "--scale", "desk", "--calls", "60", "--sizes", "2"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "benchmark over 60 calls, 100 phones (seed 7)" in out
 
-    def test_bad_value_falls_back_to_one(self, monkeypatch):
-        monkeypatch.setenv("GRAPHOID_WORKERS", "many")
-        args = cli.build_parser().parse_args(["theorem1"])
-        assert args.workers == 1
+    def test_preset_seed_applies_unless_given(self, capsys):
+        sizes = ["--phones", "12", "--users", "5", "--calls", "60", "--sizes", "2"]
+        assert cli.main(["bench", "--scale", "d1", *sizes]) == 0
+        assert "12 phones (seed 1)" in capsys.readouterr().out
+        assert cli.main(["bench", "--scale", "d1", "--seed", "4", *sizes]) == 0
+        assert "12 phones (seed 4)" in capsys.readouterr().out
+
+    def test_bad_sizes_are_a_usage_error(self, capsys):
+        assert cli.main(["bench", *SMALL_BENCH, "--sizes", "0"]) == 2
+        assert "group sizes must be at least 1" in capsys.readouterr().err
+
+    def test_bad_config_fails(self, capsys):
+        assert cli.main(["bench", "--phones", "1", "--calls", "60"]) == 1
+        assert "bench failed" in capsys.readouterr().err

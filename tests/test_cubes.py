@@ -345,6 +345,3 @@ class TestEquivalence:
         a = run_equivalence_trials(10, seed=7)
         b = run_equivalence_trials(10, seed=7)
         assert a == b
-
-    def test_worker_count_does_not_change_trials(self):
-        assert run_equivalence_trials(10, seed=7, workers=4) == run_equivalence_trials(10, seed=7)

@@ -16,7 +16,6 @@ from graphoid.metrics import (
     PathResult,
     adjacency_projection,
     group_average,
-    map_deterministic,
     path_results_to_csv,
     path_results_to_rows,
     shortest_paths,
@@ -112,11 +111,6 @@ class TestShortestPaths:
         with pytest.raises(GraphoidError, match="below the stored level"):
             shortest_paths(operator_graph, flt, PHONES)
 
-    def test_worker_count_does_not_change_results(self, base_graph):
-        one = shortest_paths(base_graph, PHONES, PHONES, workers=1)
-        four = shortest_paths(base_graph, PHONES, PHONES, workers=4)
-        assert one == four
-
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**9))
     def test_hop_counts_match_floyd_warshall(self, seed):
@@ -192,11 +186,6 @@ class TestGroupAverage:
         with pytest.raises(GraphoidError, match="has no measure"):
             group_average(base_graph, "#Call", 2, "Latency")
 
-    def test_worker_count_does_not_change_results(self, base_graph):
-        one = group_average(base_graph, "#Call", 2, "Duration", workers=1)
-        four = group_average(base_graph, "#Call", 2, "Duration", workers=4)
-        assert one == four
-
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**9))
     def test_matches_brute_force(self, seed):
@@ -212,12 +201,3 @@ class TestGroupAverage:
                 counts[combo] += 1
         expected = {combo: sums[combo] / counts[combo] for combo in sums}
         assert group_average(g, "*", size, "M1") == expected
-
-
-class TestMapDeterministic:
-    def test_preserves_order_with_threads(self):
-        items = list(range(50))
-        assert map_deterministic(lambda x: x * x, items, workers=4) == [x * x for x in items]
-
-    def test_single_worker_path(self):
-        assert map_deterministic(str, [1, 2, 3]) == ["1", "2", "3"]

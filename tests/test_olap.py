@@ -581,6 +581,15 @@ class TestNDelete:
         with pytest.raises(GraphoidError, match="unknown node type"):
             n_delete(base_graph, "#User")
 
+    def test_drill_down_after_delete_refused(self):
+        data = generate(GeneratorConfig(phone_count=8, user_count=4, call_count=400, seed=3))
+        pairs = [("Duration", "SUM")]
+        yearly = roll_up(data.graphoid, ["#Call"], RollupStep("Time", "Day", "Year"), "#Call", pairs)
+        emptied = n_delete(yearly, "#Phone")
+        assert emptied.node_count == 0 and emptied.tainted
+        with pytest.raises(LineageError, match="node deletion"):
+            drill_down(emptied, ["#Call"], "Time", "Month", "#Call", pairs)
+
 
 class TestOneEdgeClasses:
     @pytest.mark.parametrize("fn", ["SUM", "MIN", "MAX", "COUNT", "AVG"])
