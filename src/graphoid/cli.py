@@ -229,9 +229,6 @@ def _run_repl(catalog: DimensionCatalog) -> int:
         except gql.GqlError as exc:
             print(f"error: {exc}")
             continue
-        except GraphoidError as exc:
-            print(f"error: {exc}")
-            continue
         for value in outcome.outputs:
             sys.stdout.write(_render_output(value, "json"))
         for name, value in outcome.bindings.items():
@@ -261,7 +258,7 @@ def cmd_query(args) -> int:
         return 1
     try:
         outcome = gql.eval_program(program, catalog, _make_loader(catalog, base_dir))
-    except (gql.GqlError, GraphoidError) as exc:
+    except gql.GqlError as exc:
         print(f"evaluation error: {exc}", file=sys.stderr)
         return 1
     rendered = "".join(_render_output(value, args.format) for value in outcome.outputs)

@@ -5,35 +5,29 @@ directives.  Expressions are operation calls over graph values, bare names,
 or ``LOAD "file"``.  Conditions are normalized to disjunctive normal form at
 parse time (negation stays on the atoms), and ``print_program`` emits a
 canonical form that re-parses to the same tree.
+
+Each operation is one row of the op table ``OPS``: its keyword, its tree
+node class, the grammar of its arguments after the source, and the function
+that evaluates it.  The grammar is a tuple of separators (``,`` ``;``
+``->``) and argument kinds; the kind table ``KINDS`` says how each kind is
+parsed, printed and checked.  The parser, the printer, the checker and the
+evaluator are each one loop over a row, and the node's fields after
+``source`` are the row's arguments in grammar order.
 """
 from __future__ import annotations
 
 import datetime
+import math
 import re
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import MISSING, dataclass, field, fields
+from decimal import Decimal
+from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .dims import DimensionCatalog, RollupStep, value_matches
+from .dims import DimensionCatalog, DimensionError, RollupStep, value_matches
 from .hypergraph import AGGREGATES, Graphoid, GraphoidError, edgify
-from .metrics import NodeFilter, shortest_paths
-from . import olap
+from .metrics import NodeFilter
+from . import metrics, olap
 from .olap import Atom, Condition, TargetSet
-
-OP_NAMES = (
-    "CLIMB",
-    "MINIMIZE",
-    "GROUP",
-    "AGGR",
-    "ROLLUP",
-    "DRILLDOWN",
-    "SLICE",
-    "DICE",
-    "SDICE",
-    "NDELETE",
-    "EDGIFY",
-    "SHORTESTPATHS",
-)
-KEYWORDS = ("OUTPUT", "LOAD", "WHERE", "AND", "OR", "NOT") + OP_NAMES
 
 
 class GqlError(ValueError):
@@ -216,7 +210,7 @@ class ShortestPathsOp:
     source: object
     from_filter: NodeFilter
     to_filter: NodeFilter
-    via: TargetSet
+    via: TargetSet = TargetSet.everything()
 
 
 @dataclass(frozen=True)
@@ -348,7 +342,7 @@ class _Parser:
             self.next()
             path = self.expect("STRING")
             return Load(path.value)
-        if tok.kind in OP_NAMES:
+        if tok.kind in _BY_KEYWORD:
             return self.op_call()
         if tok.kind == "NAME":
             if self.peek(1).kind == "(":
@@ -358,95 +352,26 @@ class _Parser:
         raise self.fail(f"expected an expression, found {tok.text or 'end of input'!r}")
 
     def op_call(self):
-        op = self.next()
+        spec = _BY_KEYWORD[self.next().kind]
         self.expect("(")
-        source = self.expression()
-        build = getattr(self, f"_args_{op.kind.lower()}")
-        result = build(source)
+        args = [self.expression()]
+        for item in spec.grammar:
+            if item in KINDS:
+                args.append(KINDS[item].parse(self))
+            elif self.peek().kind == ")" and len(args) >= spec.required:
+                break  # the remaining arguments take the node's defaults
+            else:
+                self.expect(item)
         self.expect(")")
-        return result
+        return spec.node(*args)
 
-    # per-operation argument tails -------------------------------------------
+    # argument kinds ------------------------------------------------------------
 
-    def _args_climb(self, source):
-        self.expect(",")
-        targets = self.target_set()
-        self.expect(",")
-        return ClimbOp(source, targets, self.step())
+    def type_name(self) -> str:
+        return self.expect("TYPENAME").value
 
-    def _args_minimize(self, source):
-        return MinimizeOp(source)
-
-    def _args_group(self, source):
-        self.expect(",")
-        tname = self.expect("TYPENAME").value
-        self.expect(",")
-        return GroupOp(source, tname, self.step())
-
-    def _args_aggr(self, source):
-        self.expect(",")
-        etype = self.edge_type_or_star()
-        self.expect(",")
-        return AggrOp(source, etype, self.measures())
-
-    def _args_rollup(self, source):
-        self.expect(",")
-        targets = self.target_set()
-        self.expect(",")
-        step = self.step()
-        self.expect(";")
-        etype = self.edge_type_or_star()
-        self.expect(",")
-        return RollupOp(source, targets, step, etype, self.measures())
-
-    def _args_drilldown(self, source):
-        self.expect(",")
-        targets = self.target_set()
-        self.expect(",")
-        dim = self.expect("NAME").value
-        self.expect("->")
-        level = self.level_name()
-        self.expect(";")
-        etype = self.edge_type_or_star()
-        self.expect(",")
-        return DrilldownOp(source, targets, dim, level, etype, self.measures())
-
-    def _args_slice(self, source):
-        self.expect(",")
-        dim = self.expect("NAME").value
-        self.expect(";")
-        return SliceOp(source, dim, self.measures())
-
-    def _args_dice(self, source):
-        self.expect(",")
-        return DiceOp(source, self.condition())
-
-    def _args_sdice(self, source):
-        self.expect(",")
-        return SdiceOp(source, self.condition())
-
-    def _args_ndelete(self, source):
-        self.expect(",")
-        return NdeleteOp(source, self.expect("TYPENAME").value)
-
-    def _args_edgify(self, source):
-        self.expect(",")
-        ntype = self.expect("TYPENAME").value
-        self.expect(",")
-        return EdgifyOp(source, ntype, self.expect("NAME").value)
-
-    def _args_shortestpaths(self, source):
-        self.expect(",")
-        src = self.node_filter()
-        self.expect(",")
-        dst = self.node_filter()
-        via = TargetSet.everything()
-        if self.peek().kind == ",":
-            self.next()
-            via = self.target_set()
-        return ShortestPathsOp(source, src, dst, via)
-
-    # shared pieces -----------------------------------------------------------
+    def dimension(self) -> str:
+        return self.expect("NAME").value
 
     def target_set(self) -> TargetSet:
         tok = self.peek()
@@ -572,13 +497,15 @@ def parse_condition(text: str) -> Condition:
 # printer
 
 def format_value(value: object) -> str:
-    if isinstance(value, str):
+    if isinstance(value, str) and "\n" not in value:  # the lexer has no newline escape
         body = value.replace("\\", "\\\\").replace('"', '\\"')
         return f'"{body}"'
-    if isinstance(value, bool):
-        raise GqlError(f"cannot print literal {value!r}", 0, 0)
-    if isinstance(value, (int, float)):
+    if isinstance(value, int) and not isinstance(value, bool):
         return repr(value)
+    if isinstance(value, float) and math.isfinite(value):
+        # positional, with a point, so NUMBER reads back the same float
+        text = format(Decimal(repr(value)), "f")
+        return text if "." in text else f"{text}.0"
     if isinstance(value, datetime.date):
         return value.isoformat()
     raise GqlError(f"cannot print literal {value!r}", 0, 0)
@@ -620,45 +547,22 @@ def _format_filter(flt: NodeFilter) -> str:
     return f"{flt.ntype} WHERE {format_condition(flt.condition)}"
 
 
+_SEPARATORS = {",": ", ", ";": "; ", "->": " -> "}
+
+
 def format_expr(expr) -> str:
     if isinstance(expr, Ref):
         return expr.name
     if isinstance(expr, Load):
         return f'LOAD {format_value(expr.path)}'
-    if isinstance(expr, ClimbOp):
-        return f"CLIMB({format_expr(expr.source)}, {_format_targets(expr.targets)}, {_format_step(expr.step)})"
-    if isinstance(expr, MinimizeOp):
-        return f"MINIMIZE({format_expr(expr.source)})"
-    if isinstance(expr, GroupOp):
-        return f"GROUP({format_expr(expr.source)}, {expr.type_name}, {_format_step(expr.step)})"
-    if isinstance(expr, AggrOp):
-        return f"AGGR({format_expr(expr.source)}, {expr.edge_type}, {_format_measures(expr.measures)})"
-    if isinstance(expr, RollupOp):
-        return (
-            f"ROLLUP({format_expr(expr.source)}, {_format_targets(expr.targets)}, "
-            f"{_format_step(expr.step)}; {expr.edge_type}, {_format_measures(expr.measures)})"
-        )
-    if isinstance(expr, DrilldownOp):
-        return (
-            f"DRILLDOWN({format_expr(expr.source)}, {_format_targets(expr.targets)}, "
-            f"{expr.dimension} -> {expr.to_level}; {expr.edge_type}, {_format_measures(expr.measures)})"
-        )
-    if isinstance(expr, SliceOp):
-        return f"SLICE({format_expr(expr.source)}, {expr.dimension}; {_format_measures(expr.measures)})"
-    if isinstance(expr, DiceOp):
-        return f"DICE({format_expr(expr.source)}, {format_condition(expr.condition)})"
-    if isinstance(expr, SdiceOp):
-        return f"SDICE({format_expr(expr.source)}, {format_condition(expr.condition)})"
-    if isinstance(expr, NdeleteOp):
-        return f"NDELETE({format_expr(expr.source)}, {expr.node_type})"
-    if isinstance(expr, EdgifyOp):
-        return f"EDGIFY({format_expr(expr.source)}, {expr.node_type}, {expr.dimension})"
-    if isinstance(expr, ShortestPathsOp):
-        return (
-            f"SHORTESTPATHS({format_expr(expr.source)}, {_format_filter(expr.from_filter)}, "
-            f"{_format_filter(expr.to_filter)}, {_format_targets(expr.via)})"
-        )
-    raise GqlError(f"cannot print expression {expr!r}", 0, 0)
+    spec = _BY_NODE.get(type(expr))
+    if spec is None:
+        raise GqlError(f"cannot print expression {expr!r}", 0, 0)
+    text = format_expr(expr.source)
+    operands = iter(_operands(expr))
+    for item in spec.grammar:
+        text += KINDS[item].show(next(operands)) if item in KINDS else _SEPARATORS[item]
+    return f"{spec.keyword}({text})"
 
 
 def print_program(program: Program) -> str:
@@ -672,45 +576,61 @@ def print_program(program: Program) -> str:
 # ---------------------------------------------------------------------------
 # static checks
 
-def _check_condition(cond: Condition, catalog: DimensionCatalog, where: str, report: list[str]) -> None:
+# Each checker yields the problems of one argument.  ``previous`` is the
+# argument before it: a level is checked against the dimension it follows.
+
+def _no_problems(catalog: DimensionCatalog, value, previous) -> Iterable[str]:
+    return ()
+
+
+def _condition_problems(catalog: DimensionCatalog, cond: Condition, previous) -> Iterable[str]:
     for atom in cond.atoms():
         if atom.dim not in catalog:
-            report.append(f"{where}: unknown dimension {atom.dim!r}")
+            yield f"unknown dimension {atom.dim!r}"
             continue
         schema = catalog.schema(atom.dim)
         level_name = atom.level if atom.level is not None else schema.bottom
         if not schema.has_level(level_name):
-            report.append(f"{where}: dimension {atom.dim} has no level {level_name!r}")
+            yield f"dimension {atom.dim} has no level {level_name!r}"
             continue
         level = schema.level(level_name)
         if not value_matches(level.vtype, atom.value):
-            report.append(
-                f"{where}: constant {format_value(atom.value)} is not a {level.vtype} "
+            yield (
+                f"constant {format_value(atom.value)} is not a {level.vtype} "
                 f"({atom.dim}.{level_name})"
             )
         if atom.cmp in ("<", ">") and not level.ordered:
-            report.append(f"{where}: level {atom.dim}.{level_name} is unordered")
+            yield f"level {atom.dim}.{level_name} is unordered"
 
 
-def _check_step(step: RollupStep, catalog: DimensionCatalog, where: str, report: list[str]) -> None:
+def _filter_problems(catalog: DimensionCatalog, flt: NodeFilter, previous) -> Iterable[str]:
+    return () if flt.condition is None else _condition_problems(catalog, flt.condition, previous)
+
+
+def _step_problems(catalog: DimensionCatalog, step: RollupStep, previous) -> Iterable[str]:
     if step.dimension not in catalog:
-        report.append(f"{where}: unknown dimension {step.dimension!r}")
+        yield f"unknown dimension {step.dimension!r}"
         return
     schema = catalog.schema(step.dimension)
     for name in (step.from_level, step.to_level):
         if not schema.has_level(name):
-            report.append(f"{where}: dimension {step.dimension} has no level {name!r}")
+            yield f"dimension {step.dimension} has no level {name!r}"
             return
     if step.to_level not in schema.reachable_from(step.from_level):
-        report.append(
-            f"{where}: level {step.to_level} not reachable from {step.from_level} in {step.dimension}"
-        )
+        yield f"level {step.to_level} not reachable from {step.from_level} in {step.dimension}"
 
 
-def _check_measures(measures, where: str, report: list[str]) -> None:
-    for _, fn in measures:
-        if fn not in AGGREGATES:
-            report.append(f"{where}: unknown aggregate {fn!r}")
+def _dimension_problems(catalog: DimensionCatalog, dim: str, previous) -> Iterable[str]:
+    return () if dim in catalog else (f"unknown dimension {dim!r}",)
+
+
+def _level_problems(catalog: DimensionCatalog, level: str, dim: str) -> Iterable[str]:
+    if dim in catalog and not catalog.schema(dim).has_level(level):
+        yield f"dimension {dim} has no level {level!r}"
+
+
+def _measure_problems(catalog: DimensionCatalog, measures, previous) -> Iterable[str]:
+    return (f"unknown aggregate {fn!r}" for _, fn in measures if fn not in AGGREGATES)
 
 
 def check(program: Program, catalog: DimensionCatalog, defined: set[str] | None = None) -> list[str]:
@@ -725,49 +645,15 @@ def check(program: Program, catalog: DimensionCatalog, defined: set[str] | None 
             return
         if isinstance(expr, Load):
             return
-        if isinstance(expr, ClimbOp):
-            walk(expr.source, where)
-            _check_step(expr.step, catalog, where, report)
-        elif isinstance(expr, MinimizeOp):
-            walk(expr.source, where)
-        elif isinstance(expr, GroupOp):
-            walk(expr.source, where)
-            _check_step(expr.step, catalog, where, report)
-        elif isinstance(expr, AggrOp):
-            walk(expr.source, where)
-            _check_measures(expr.measures, where, report)
-        elif isinstance(expr, RollupOp):
-            walk(expr.source, where)
-            _check_step(expr.step, catalog, where, report)
-            _check_measures(expr.measures, where, report)
-        elif isinstance(expr, DrilldownOp):
-            walk(expr.source, where)
-            if expr.dimension not in catalog:
-                report.append(f"{where}: unknown dimension {expr.dimension!r}")
-            elif not catalog.schema(expr.dimension).has_level(expr.to_level):
-                report.append(f"{where}: dimension {expr.dimension} has no level {expr.to_level!r}")
-            _check_measures(expr.measures, where, report)
-        elif isinstance(expr, SliceOp):
-            walk(expr.source, where)
-            if expr.dimension not in catalog:
-                report.append(f"{where}: unknown dimension {expr.dimension!r}")
-            _check_measures(expr.measures, where, report)
-        elif isinstance(expr, (DiceOp, SdiceOp)):
-            walk(expr.source, where)
-            _check_condition(expr.condition, catalog, where, report)
-        elif isinstance(expr, NdeleteOp):
-            walk(expr.source, where)
-        elif isinstance(expr, EdgifyOp):
-            walk(expr.source, where)
-            if expr.dimension not in catalog:
-                report.append(f"{where}: unknown dimension {expr.dimension!r}")
-        elif isinstance(expr, ShortestPathsOp):
-            walk(expr.source, where)
-            for flt in (expr.from_filter, expr.to_filter):
-                if flt.condition is not None:
-                    _check_condition(flt.condition, catalog, where, report)
-        else:
+        spec = _BY_NODE.get(type(expr))
+        if spec is None:
             report.append(f"{where}: unknown expression {expr!r}")
+            return
+        walk(expr.source, where)
+        previous = None
+        for kind, value in zip(spec.kinds, _operands(expr)):
+            report.extend(f"{where}: {problem}" for problem in KINDS[kind].check(catalog, value, previous))
+            previous = value
 
     for stmt in program.statements:
         where = f"line {stmt.line}"
@@ -777,6 +663,85 @@ def check(program: Program, catalog: DimensionCatalog, defined: set[str] | None 
                 report.append(f"{where}: name {stmt.name!r} is already bound")
             env.add(stmt.name)
     return report
+
+
+# ---------------------------------------------------------------------------
+# the op table
+
+class ArgKind(NamedTuple):
+    parse: Callable[[_Parser], object]
+    show: Callable[[object], str]
+    check: Callable[[DimensionCatalog, object, object], Iterable[str]]
+
+
+KINDS = {
+    "targets": ArgKind(_Parser.target_set, _format_targets, _no_problems),
+    "step": ArgKind(_Parser.step, _format_step, _step_problems),
+    "type": ArgKind(_Parser.type_name, str, _no_problems),
+    "edge": ArgKind(_Parser.edge_type_or_star, str, _no_problems),
+    "dim": ArgKind(_Parser.dimension, str, _dimension_problems),
+    "level": ArgKind(_Parser.level_name, str, _level_problems),
+    "measures": ArgKind(_Parser.measures, _format_measures, _measure_problems),
+    "condition": ArgKind(_Parser.condition, format_condition, _condition_problems),
+    "filter": ArgKind(_Parser.node_filter, _format_filter, _filter_problems),
+}
+
+
+@dataclass(frozen=True)
+class OpSpec:
+    keyword: str
+    node: type
+    grammar: tuple[str, ...]  # separators and argument kinds after the source
+    evaluate: Callable[..., object]  # (source graph, *arguments) -> value
+
+    @property
+    def kinds(self) -> tuple[str, ...]:
+        return tuple(item for item in self.grammar if item in KINDS)
+
+    @property
+    def required(self) -> int:
+        """Fields of the node, the source included, that have no default."""
+        return sum(f.default is MISSING for f in fields(self.node))
+
+
+def _operands(op) -> list:
+    """An op node's fields after its source, in grammar order."""
+    return [getattr(op, f.name) for f in fields(op)[1:]]
+
+
+def _late(module, name: str) -> Callable[..., object]:
+    """Call ``module.name`` as it is bound at call time, so a wrapper swapped
+    into the module (a tracer, a test double) sees the calls made here."""
+    return lambda *args: getattr(module, name)(*args)
+
+
+def _edgify(g: Graphoid, node_type: str, dimension: str) -> Graphoid:
+    dims = g.node_type(node_type).dims
+    if dimension not in dims:
+        raise GraphoidError(f"type {node_type} lacks dimension {dimension}")
+    return edgify(g, node_type, dims.index(dimension))
+
+
+OPS = (
+    OpSpec("CLIMB", ClimbOp, (",", "targets", ",", "step"), _late(olap, "climb")),
+    OpSpec("MINIMIZE", MinimizeOp, (), _late(olap, "minimize")),
+    OpSpec("GROUP", GroupOp, (",", "type", ",", "step"), _late(olap, "group")),
+    OpSpec("AGGR", AggrOp, (",", "edge", ",", "measures"), _late(olap, "aggr")),
+    OpSpec("ROLLUP", RollupOp, (",", "targets", ",", "step", ";", "edge", ",", "measures"), _late(olap, "roll_up")),
+    OpSpec("DRILLDOWN", DrilldownOp, (",", "targets", ",", "dim", "->", "level", ";", "edge", ",", "measures"),
+           _late(olap, "drill_down")),
+    OpSpec("SLICE", SliceOp, (",", "dim", ";", "measures"), _late(olap, "slice_out")),
+    OpSpec("DICE", DiceOp, (",", "condition"), _late(olap, "dice")),
+    OpSpec("SDICE", SdiceOp, (",", "condition"), _late(olap, "s_dice")),
+    OpSpec("NDELETE", NdeleteOp, (",", "type"), _late(olap, "n_delete")),
+    OpSpec("EDGIFY", EdgifyOp, (",", "type", ",", "dim"), _edgify),
+    OpSpec("SHORTESTPATHS", ShortestPathsOp, (",", "filter", ",", "filter", ",", "targets"),
+           _late(metrics, "shortest_paths")),
+)
+OP_NAMES = tuple(spec.keyword for spec in OPS)
+KEYWORDS = ("OUTPUT", "LOAD", "WHERE", "AND", "OR", "NOT") + OP_NAMES
+_BY_KEYWORD = dict(zip(OP_NAMES, OPS))
+_BY_NODE = {spec.node: spec for spec in OPS}
 
 
 # ---------------------------------------------------------------------------
@@ -815,46 +780,15 @@ def eval_program(
             if loader is None:
                 raise GqlEvalError("LOAD is not available here", stmt.line, stmt.col)
             return loader(expr.path)
-        src = graph_of(evaluate(expr.source, stmt), stmt)
-        if isinstance(expr, ClimbOp):
-            return olap.climb(src, expr.targets, expr.step)
-        if isinstance(expr, MinimizeOp):
-            return olap.minimize(src)
-        if isinstance(expr, GroupOp):
-            return olap.group(src, expr.type_name, expr.step)
-        if isinstance(expr, AggrOp):
-            return olap.aggr(src, expr.edge_type, expr.measures)
-        if isinstance(expr, RollupOp):
-            return olap.roll_up(src, expr.targets, expr.step, expr.edge_type, expr.measures)
-        if isinstance(expr, DrilldownOp):
-            return olap.drill_down(
-                src, expr.targets, expr.dimension, expr.to_level, expr.edge_type, expr.measures
-            )
-        if isinstance(expr, SliceOp):
-            return olap.slice_out(src, expr.dimension, expr.measures)
-        if isinstance(expr, DiceOp):
-            return olap.dice(src, expr.condition)
-        if isinstance(expr, SdiceOp):
-            return olap.s_dice(src, expr.condition)
-        if isinstance(expr, NdeleteOp):
-            return olap.n_delete(src, expr.node_type)
-        if isinstance(expr, EdgifyOp):
-            decl = src.node_type(expr.node_type)
-            if expr.dimension not in decl.dims:
-                raise GqlEvalError(
-                    f"type {expr.node_type} lacks dimension {expr.dimension}", stmt.line, stmt.col
-                )
-            return edgify(src, expr.node_type, decl.dims.index(expr.dimension))
-        if isinstance(expr, ShortestPathsOp):
-            return shortest_paths(src, expr.from_filter, expr.to_filter, expr.via)
-        raise GqlEvalError(f"cannot evaluate {expr!r}", stmt.line, stmt.col)
+        spec = _BY_NODE.get(type(expr))
+        if spec is None:
+            raise GqlEvalError(f"cannot evaluate {expr!r}", stmt.line, stmt.col)
+        return spec.evaluate(graph_of(evaluate(expr.source, stmt), stmt), *_operands(expr))
 
     for stmt in program.statements:
         try:
             value = evaluate(stmt.expr, stmt)
-        except GqlEvalError:
-            raise
-        except GraphoidError as exc:
+        except (GraphoidError, DimensionError) as exc:
             raise GqlEvalError(str(exc), stmt.line, stmt.col) from exc
         if stmt.name is None:
             outputs.append(value)

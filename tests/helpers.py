@@ -249,13 +249,16 @@ _TYPE_POOL = ("#Phone", "#Call", "#User", "#Sales")
 
 
 def _random_literal(rng: random.Random):
-    kind = rng.randrange(4)
+    kind = rng.randrange(5)
     if kind == 0:
         return f"val{rng.randint(0, 99)}"
     if kind == 1:
         return rng.randint(-50, 500)
     if kind == 2:
         return round(rng.uniform(-5, 5), 2)
+    if kind == 3:
+        # tiny and huge magnitudes, whose repr() uses exponent form
+        return rng.uniform(-10, 10) * 10.0 ** rng.randint(-12, 20)
     return datetime.date(2016, rng.randint(1, 12), rng.randint(1, 28))
 
 

@@ -3,7 +3,9 @@ from __future__ import annotations
 
 import datetime
 import itertools
+import pathlib
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -11,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphoid import olap
-from graphoid.dims import RollupStep
+from graphoid.dims import DimensionCatalog, DimensionInstance, DimensionSchema, Level, RollupStep
 from graphoid.gql import (
+    OPS,
     AggrOp,
     BoolAnd,
     BoolAtom,
@@ -22,6 +25,7 @@ from graphoid.gql import (
     DiceOp,
     DrilldownOp,
     EdgifyOp,
+    GqlError,
     GqlEvalError,
     GqlSyntaxError,
     GroupOp,
@@ -38,14 +42,18 @@ from graphoid.gql import (
     check,
     eval_program,
     format_condition,
+    format_value,
     normalize_condition,
     parse,
     parse_condition,
     print_program,
 )
+from graphoid.hypergraph import NodeTypeDecl, build_graphoid
 from graphoid.metrics import NodeFilter, PathResult
 from graphoid.olap import Atom, Condition, TargetSet
 from helpers import random_atom, random_bool_tree, random_program
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 PIPELINE = (
     "G2 = GROUP(G, #Phone, Phone: Phone -> Operator);\n"
@@ -132,6 +140,13 @@ class TestParse:
     def test_each_operation(self, text, expected):
         program = parse(f"X = {text};")
         assert program.statements[0].expr == expected
+
+    def test_shortest_paths_targets_default_to_everything(self):
+        program = parse("X = SHORTESTPATHS(G, #Phone, #Phone);")
+        expr = program.statements[0].expr
+        assert expr == ShortestPathsOp(Ref("G"), NodeFilter("#Phone"), NodeFilter("#Phone"))
+        assert expr.via == TargetSet.everything()
+        assert print_program(program) == "X = SHORTESTPATHS(G, #Phone, #Phone, *);\n"
 
     def test_load_source(self):
         program = parse('G0 = LOAD "calls/graph.json";')
@@ -276,6 +291,22 @@ class TestPrinter:
         cond = Condition.of(Atom("Time", "Day", "=", datetime.date(2016, 10, 10)))
         assert format_condition(cond) == "Time.Day = 2016-10-10"
 
+    @pytest.mark.parametrize(
+        "value,text",
+        [(0.00001, "0.00001"), (1e16, "10000000000000000.0"), (-2.5e-7, "-0.00000025"), (3.0, "3.0")],
+    )
+    def test_floats_print_positionally_and_round_trip(self, value, text):
+        assert format_value(value) == text
+        program = parse(f"X = DICE(G, Duration > {text});")
+        (atom,) = program.statements[0].expr.condition.atoms()
+        assert atom.value == value and isinstance(atom.value, float)
+        assert print_program(program) == f"X = DICE(G, Duration > {text});\n"
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), True, "a\nb"])
+    def test_unprintable_literals_refused(self, value):
+        with pytest.raises(GqlError, match="cannot print literal"):
+            format_value(value)
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**9))
     def test_print_parse_fixpoint(self, seed):
@@ -385,6 +416,38 @@ class TestEval:
         with pytest.raises(GqlEvalError, match="lacks dimension Time"):
             eval_program(program, figures_catalog, bindings={"G": base_graph})
 
+    def test_dimension_error_carries_statement_position(self):
+        # b has no High parent, so climbing Low -> High cannot roll it up
+        schema = DimensionSchema(
+            "D", (Level("Low"), Level("High"), Level("All", ordered=False)),
+            (("Low", "High"), ("High", "All")),
+        )
+        partial = DimensionInstance.build(
+            schema, {"Low": {"a", "b"}, "High": {"x"}}, [("a", "Low", "x", "High")]
+        )
+        catalog = DimensionCatalog.of(partial)
+        g = build_graphoid(catalog, [NodeTypeDecl("#N", ("Id", "D"))], [], [("#N", 1, "a"), ("#N", 2, "b")], [])
+        text = "A = MINIMIZE(G);\nOUTPUT CLIMB(A, *, D: Low -> High);\n"
+        with pytest.raises(GqlEvalError, match="no roll-up for 'b' from Low to High") as info:
+            eval_program(parse(text), catalog, bindings={"G": g})
+        assert info.value.line == 2
+
+    def test_operations_are_looked_up_when_called(self, base_graph, figures_catalog, monkeypatch):
+        # a wrapper swapped into olap (as the benchmark's tracer does) sees GQL's calls
+        calls = []
+        original = olap.roll_up
+
+        def spy(*args):
+            calls.append(args[1:])
+            return original(*args)
+
+        monkeypatch.setattr(olap, "roll_up", spy)
+        outcome = eval_program(parse(PIPELINE), figures_catalog, bindings={"G": base_graph})
+        assert calls == [
+            (TargetSet.of("#Call"), RollupStep("Time", "Day", "Year"), "#Call", (("Duration", "SUM"),))
+        ]
+        assert outcome.outputs == [original(outcome.bindings["G2"], *calls[0])]
+
     def test_rebinding_fails_at_eval_too(self, base_graph, figures_catalog):
         text = "G = MINIMIZE(G);"
         with pytest.raises(GqlEvalError, match="already bound"):
@@ -395,3 +458,28 @@ class TestEval:
         outcome = eval_program(parse("G2 = MINIMIZE(G);"), figures_catalog, bindings=env)
         assert set(env) == {"G"}
         assert set(outcome.bindings) == {"G", "G2"}
+
+
+class TestDocs:
+    """The language reference and the shipped queries agree with the op table."""
+
+    def reference(self) -> str:
+        return (ROOT / "docs" / "query-language.md").read_text(encoding="utf-8")
+
+    def test_ebnf_operations_match_the_op_table(self):
+        (ebnf,) = re.findall(r"```ebnf\n(.*?)```", self.reference(), re.S)
+        documented = set(re.findall(r'"([A-Z]+)"\s*,\s*"\("', ebnf))
+        assert documented == {spec.keyword for spec in OPS}
+
+    @pytest.mark.parametrize(
+        "name", ["docs example"] + sorted(p.name for p in (ROOT / "queries").glob("*.gql"))
+    )
+    def test_programs_parse_and_print_to_a_fixpoint(self, name):
+        if name == "docs example":
+            text = re.findall(r"```\n(.*?)```", self.reference(), re.S)[0]
+        else:
+            text = (ROOT / "queries" / name).read_text(encoding="utf-8")
+        program = parse(text)
+        printed = print_program(program)
+        assert parse(printed) == program
+        assert print_program(parse(printed)) == printed
