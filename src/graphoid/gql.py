@@ -71,6 +71,7 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
+_ESCAPE_RE = re.compile(r"\\(.)")  # the only escapes are \" and \\
 
 
 def tokenize(text: str) -> list[Token]:
@@ -90,8 +91,10 @@ def tokenize(text: str) -> list[Token]:
             value = float(raw) if "." in raw else int(raw)
             tokens.append(Token("NUMBER", raw, value, line, col))
         elif kind == "STRING":
-            body = raw[1:-1].replace('\\"', '"').replace("\\\\", "\\")
-            tokens.append(Token("STRING", raw, body, line, col))
+            for esc in _ESCAPE_RE.finditer(raw):
+                if esc.group(1) not in '"\\':
+                    raise GqlSyntaxError(f"unknown escape {esc.group()} in string", line, col + esc.start())
+            tokens.append(Token("STRING", raw, _ESCAPE_RE.sub(r"\1", raw[1:-1]), line, col))
         elif kind == "NAME":
             upper = raw.upper()
             if upper in KEYWORDS:
@@ -506,7 +509,7 @@ def format_value(value: object) -> str:
         # positional, with a point, so NUMBER reads back the same float
         text = format(Decimal(repr(value)), "f")
         return text if "." in text else f"{text}.0"
-    if isinstance(value, datetime.date):
+    if isinstance(value, datetime.date) and not isinstance(value, datetime.datetime):
         return value.isoformat()
     raise GqlError(f"cannot print literal {value!r}", 0, 0)
 

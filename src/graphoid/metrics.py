@@ -2,15 +2,20 @@
 
 The projection treats two nodes as adjacent when some hyperedge of the
 selected types touches both, ignoring direction and multiplicity.  Shortest
-paths are unweighted hop counts over that projection, with the
-lexicographically smallest witness path reported per endpoint pair.
+paths are unweighted hop counts over that projection.  The witness reported
+per endpoint pair is the lexicographically smallest shortest path; an
+unreachable pair gets hops -1 and an empty path.
+
+Paths are computed one target at a time.  A layered BFS from the target
+grows each distance layer as a set, from the frontier (top-down) or from the
+unvisited nodes (bottom-up), whichever is smaller.  A node's next hop is its
+smallest neighbour in the layer below, and its path is memoized per target.
 """
 from __future__ import annotations
 
 import csv
 import io
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -26,7 +31,7 @@ class NodeFilter:
     condition: Condition | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathResult:
     source: int
     target: int
@@ -57,18 +62,6 @@ def adjacency_projection(g: Graphoid, via="*") -> dict[int, tuple[int, ...]]:
             neighbors[u].add(v)
             neighbors[v].add(u)
     return {ident: tuple(sorted(ns)) for ident, ns in sorted(neighbors.items())}
-
-
-def _bfs_distances(adj: dict[int, tuple[int, ...]], root: int) -> dict[int, int]:
-    dist = {root: 0}
-    queue = deque([root])
-    while queue:
-        cur = queue.popleft()
-        for nxt in adj[cur]:
-            if nxt not in dist:
-                dist[nxt] = dist[cur] + 1
-                queue.append(nxt)
-    return dist
 
 
 def _matching_nodes(g: Graphoid, flt: NodeFilter) -> list[int]:
@@ -105,14 +98,26 @@ def _matching_nodes(g: Graphoid, flt: NodeFilter) -> list[int]:
     return matched
 
 
-def _witness(adj, dist_to_target: dict[int, int], source: int, target: int) -> tuple[int, ...]:
-    """Greedy front-first walk: always the smallest neighbor one hop closer."""
-    path = [source]
-    cur = source
-    while cur != target:
-        cur = min(n for n in adj[cur] if dist_to_target.get(n, -1) == dist_to_target[cur] - 1)
-        path.append(cur)
-    return tuple(path)
+def _distance_layers(near: dict[int, frozenset[int]], target: int) -> list[set[int]]:
+    """Nodes at 0, 1, 2, ... hops from ``target``, each step grown from the smaller side.
+
+    Top-down while the frontier is smaller than the unvisited set: the union
+    of the frontier's neighbour sets.  Bottom-up otherwise: the unvisited
+    nodes with a neighbour in the frontier.
+    """
+    layers = [{target}]
+    unvisited = set(near) - {target}
+    frontier = layers[0]
+    while frontier and unvisited:
+        if len(frontier) < len(unvisited):
+            frontier = set().union(*[near[v] for v in frontier])
+            frontier &= unvisited
+        else:
+            frontier = {v for v in unvisited if not near[v].isdisjoint(frontier)}
+        if frontier:
+            layers.append(frontier)
+            unvisited -= frontier
+    return layers
 
 
 def shortest_paths(
@@ -124,26 +129,40 @@ def shortest_paths(
     """Hop counts and witness paths for every (source, target) pair, source != target.
 
     Unreachable pairs get hops -1 and an empty path.  Results are ordered by
-    (source, target); ties in witness choice break toward smaller node ids,
-    which makes the reported path the lexicographically smallest one.
+    (source, target).  The witness is the lexicographically smallest shortest
+    path: ``v``'s path is ``(v,)`` plus the path of its smallest neighbour one
+    layer closer, memoized per target, so witnesses to one target share their
+    suffix tuples.  Each target's results go straight into their slot, so
+    only one target's layers and memo are alive at a time.
     """
     adj = adjacency_projection(g, via)
+    near = {v: frozenset(ns) for v, ns in adj.items()}
     sources = _matching_nodes(g, source_filter)
     targets = _matching_nodes(g, target_filter)
-    distance_maps = {root: _bfs_distances(adj, root) for root in targets}
-    results: list[PathResult] = []
-    for source in sources:
-        for target in targets:
+    width = len(targets)
+    slots: list[PathResult | None] = [None] * (len(sources) * width)
+    for j, target in enumerate(targets):
+        layers = _distance_layers(near, target)
+        hops_to = {v: hops for hops, layer in enumerate(layers) for v in layer}
+        memo = {target: (target,)}
+        for i, source in enumerate(sources):
             if source == target:
                 continue
-            dist = distance_maps[target]
-            if source not in dist:
-                results.append(PathResult(source, target, -1, ()))
-            else:
-                results.append(
-                    PathResult(source, target, dist[source], _witness(adj, dist, source, target))
-                )
-    return tuple(results)
+            hops = hops_to.get(source, -1)
+            path = ()
+            if hops > 0:
+                chain = []
+                cur, below = source, hops
+                while cur not in memo:
+                    chain.append(cur)
+                    below -= 1
+                    cur = min(near[cur] & layers[below])
+                path = memo[cur]
+                for v in reversed(chain):
+                    path = (v,) + path
+                    memo[v] = path
+            slots[i * width + j] = PathResult(source, target, hops, path)
+    return tuple(r for r in slots if r is not None)
 
 
 def path_results_to_csv(results: Iterable[PathResult]) -> str:

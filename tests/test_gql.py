@@ -205,6 +205,16 @@ class TestSyntaxErrors:
         with pytest.raises(GqlSyntaxError, match="trailing input"):
             parse_condition("Duration > 3 ;")
 
+    @pytest.mark.parametrize("escape", ["\\n", "\\t", "\\x", "\\'"])
+    def test_unknown_string_escape(self, escape):
+        with pytest.raises(GqlSyntaxError, match="unknown escape") as info:
+            parse(f'A = MINIMIZE(G);\nX = DICE(G, Phone.City = "a\\\\{escape}");')
+        assert (info.value.line, info.value.col) == (2, 30)
+
+    def test_known_escapes_decode(self):
+        cond = parse_condition('Phone.City = "\\\\n \\" \\\\"')
+        assert cond.atoms()[0].value == '\\n " \\'
+
 
 def D(value) -> Atom:
     return Atom("Duration", None, ">", value)
@@ -302,7 +312,9 @@ class TestPrinter:
         assert atom.value == value and isinstance(atom.value, float)
         assert print_program(program) == f"X = DICE(G, Duration > {text});\n"
 
-    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), True, "a\nb"])
+    @pytest.mark.parametrize(
+        "value", [float("inf"), float("-inf"), float("nan"), True, "a\nb", datetime.datetime(2016, 1, 1, 12)]
+    )
     def test_unprintable_literals_refused(self, value):
         with pytest.raises(GqlError, match="cannot print literal"):
             format_value(value)

@@ -1,7 +1,9 @@
 """Co-occurrence projection, shortest paths, and grouped measure averages."""
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import pickle
 import random
 from collections import Counter
 
@@ -10,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BASE_CALLS
-from graphoid.hypergraph import GraphoidError
+from graphoid import store
+from graphoid.cubes import random_catalog
+from graphoid.hypergraph import EdgeTypeDecl, GraphoidError, NodeTypeDecl, build_graphoid
 from graphoid.metrics import (
     NodeFilter,
     PathResult,
@@ -139,6 +143,94 @@ class TestShortestPaths:
         flt = NodeFilter(ntype)
         hops = {(r.source, r.target): r.hops for r in shortest_paths(g, flt, flt)}
         assert all(hops[(t, s)] == h for (s, t), h in hops.items())
+
+
+def smallest_shortest_paths(nodes: list[int], pairs: set[tuple[int, int]]) -> dict:
+    """(source, target) -> (hops, smallest path) over every shortest path, enumerated."""
+    dist = floyd_warshall(nodes, pairs)
+    near: dict[int, set[int]] = {u: set() for u in nodes}
+    for u, v in pairs:
+        near[u].add(v)
+        near[v].add(u)
+
+    def every_shortest(path: tuple[int, ...], target: int):
+        last = path[-1]
+        if last == target:
+            yield path
+            return
+        for nxt in near[last]:
+            if dist[(nxt, target)] == dist[(last, target)] - 1:
+                yield from every_shortest(path + (nxt,), target)
+
+    return {
+        (s, t): (dist[(s, t)], min(every_shortest((s,), t)) if dist[(s, t)] > 0 else ())
+        for s in nodes
+        for t in nodes
+        if s != t
+    }
+
+
+def dense_store_graph(rng: random.Random):
+    """A generated call graph of at most 16 phones with up to five calls per phone."""
+    phones = rng.randint(4, 16)
+    config = store.GeneratorConfig(
+        phone_count=phones,
+        user_count=rng.randint(1, phones),
+        call_count=rng.randint(phones, 5 * phones),
+        max_group_size=3,
+        seed=rng.randrange(10**6),
+    )
+    return store.generate(config).graphoid
+
+
+def two_dense_components(rng: random.Random):
+    """A large and a small component, each pair inside one joined with probability 0.7."""
+    big, small = rng.randint(5, 14), rng.randint(2, 5)
+    ids = rng.sample(range(1, 100), big + small)
+    parts = (ids[:big], ids[big:])
+    edges = [
+        ("#E0", [u], [v], 1)
+        for part in parts
+        for u, v in itertools.combinations(part, 2)
+        if rng.random() < 0.7
+    ]
+    return build_graphoid(
+        random_catalog(rng),
+        [NodeTypeDecl("#N0", ("Id",))],
+        [EdgeTypeDecl("#E0", ("M1",), measures=((0, "SUM"),))],
+        [("#N0", i) for i in ids],
+        edges,
+    )
+
+
+GRAPH_KINDS = {"sparse": random_graphoid, "dense": dense_store_graph, "two components": two_dense_components}
+
+
+class TestWitnessOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(GRAPH_KINDS)), st.integers(0, 10**9))
+    def test_witness_is_smallest_enumerated_shortest_path(self, kind, seed):
+        rng = random.Random(seed)
+        g = GRAPH_KINDS[kind](rng)
+        nodes = sorted(g.nodes)
+        expected = smallest_shortest_paths(nodes, cooccurrence_pairs(e.adjacency for e in g.edges))
+        flt = NodeFilter(g.nodes[nodes[0]].ntype)
+        ends = [i for i in nodes if g.nodes[i].ntype == flt.ntype]
+        results = shortest_paths(g, flt, flt)
+        assert [(r.source, r.target) for r in results] == [(s, t) for s in ends for t in ends if s != t]
+        assert all((r.hops, r.path) == expected[(r.source, r.target)] for r in results)
+
+
+class TestPathResult:
+    def test_value_semantics(self):
+        r = PathResult(11, 14, 3, (11, 12, 13, 14))
+        assert [f.name for f in dataclasses.fields(r)] == ["source", "target", "hops", "path"]
+        same = PathResult(11, 14, 3, (11, 12, 13, 14))
+        assert r == same and hash(r) == hash(same)
+        assert pickle.loads(pickle.dumps(r)) == r
+        assert not hasattr(r, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.hops = 2
 
 
 class TestPathRendering:
