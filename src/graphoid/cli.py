@@ -122,8 +122,7 @@ def cmd_ingest(args) -> int:
     except GraphoidError as exc:
         print(f"ingest failed: {exc}", file=sys.stderr)
         return 1
-    payload = json.dumps(store.graphoid_to_json(g), indent=2) + "\n"
-    _write_text(payload, args.out)
+    _write_text(store.dump_text(store.graphoid_to_json(g)), args.out)
     print(f"ingested {g.edge_count} calls over {g.node_count} phones", file=sys.stderr)
     return 0
 
@@ -173,11 +172,11 @@ def _render_output(value, fmt: str) -> str:
     if isinstance(value, Graphoid):
         if fmt == "csv":
             return _graphoid_edge_csv(value)
-        return json.dumps(store.graphoid_to_json(value), indent=2) + "\n"
+        return store.dump_text(store.graphoid_to_json(value))
     results = tuple(value)
     if fmt == "csv":
         return metrics.path_results_to_csv(results)
-    return json.dumps(metrics.path_results_to_rows(results), indent=2) + "\n"
+    return store.dump_text(metrics.path_results_to_rows(results))
 
 
 def _make_loader(catalog: DimensionCatalog, base_dir: str):

@@ -43,7 +43,7 @@ def _is_int(value: object) -> bool:
 _VALUE_TESTS: dict[str, Callable[[object], bool]] = {
     "string": lambda value: isinstance(value, str),
     "int": _is_int,
-    "decimal": lambda value: _is_int(value) or isinstance(value, float),
+    "decimal": lambda value: isinstance(value, (int, float)) and not isinstance(value, bool),
     "date": lambda value: isinstance(value, datetime.date) and not isinstance(value, datetime.datetime),
 }
 
@@ -248,13 +248,12 @@ class DimensionInstance:
     )
 
     def __post_init__(self) -> None:
-        maps: dict[tuple[str, str], dict] = {}
-        for child_level, parent_level in self.schema.edges:
-            step: dict = {}
-            for child, clv, parent, plv in self.parent_quads:
-                if clv == child_level and plv == parent_level and child not in step:
-                    step[child] = parent
-            maps[(child_level, parent_level)] = step
+        # one pass buckets the quads by schema edge; a child's first parent wins
+        maps: dict[tuple[str, str], dict] = {edge: {} for edge in self.schema.edges}
+        for child, clv, parent, plv in self.parent_quads:
+            step = maps.get((clv, plv))
+            if step is not None:
+                step.setdefault(child, parent)
         # compose outward from every level; first computed map per pair wins
         edge_maps = dict(maps)
         for start in sorted({lv.name for lv in self.schema.levels}):
@@ -379,8 +378,9 @@ def validate_instance(instance: DimensionInstance) -> list[str]:
         if lv.open and members:
             problems.append(f"dimension {dim}: open level {level} must not enumerate members")
             continue
+        is_typed = value_test(lv.vtype)
         for member in members:
-            if not value_matches(lv.vtype, member):
+            if not is_typed(member):
                 problems.append(f"dimension {dim}: member {member!r} is not a {lv.vtype} at level {level}")
     if instance.members.get(ALL_LEVEL, frozenset({ALL_MEMBER})) != frozenset({ALL_MEMBER}):
         problems.append(f"dimension {dim}: domain of {ALL_LEVEL} must be exactly {{{ALL_MEMBER!r}}}")

@@ -259,13 +259,17 @@ def build_graphoid(
             level_map[(tname, slot)] = level
     if problems:
         raise GraphoidBuildError(problems)
-    # one resolved membership test per (type, slot)
-    in_domain = {
-        name: tuple(
-            catalog.instance(dim).member_test(level_map[(name, slot)]) for slot, dim in enumerate(decl.dims)
-        )
-        for name, decl in (*ntypes.items(), *etypes.items())
-    }
+    # one resolved membership test per (type, slot); a type's arity is the length of its tuple
+    def slot_tests(decls: Mapping[str, NodeTypeDecl | EdgeTypeDecl]) -> dict[str, tuple]:
+        return {
+            name: tuple(
+                catalog.instance(dim).member_test(level_map[(name, slot)]) for slot, dim in enumerate(decl.dims)
+            )
+            for name, decl in decls.items()
+        }
+
+    node_tests = slot_tests(ntypes)
+    edge_tests = slot_tests(etypes)
 
     node_table: dict[int, Node] = {}
     for row in nodes:
@@ -285,7 +289,7 @@ def build_graphoid(
             problems.append(f"node id {ident}: duplicate identifier")
             continue
         bad = False
-        for slot, (value, member) in enumerate(zip(node.label, in_domain[node.ntype])):
+        for slot, (value, member) in enumerate(zip(node.label, node_tests[node.ntype])):
             if not member(value):
                 problems.append(
                     f"node {node.label!r}: slot {slot} value {value!r} outside "
@@ -299,13 +303,30 @@ def build_graphoid(
     if problems:
         raise GraphoidBuildError(problems)
 
+    node_ids = node_table.keys()
     edge_list: list[HyperEdge] = []
     for row in edges:
         if isinstance(row, HyperEdge):
-            etype, source, target, label = row.etype, row.source, row.target, row.label
+            etype, source, target, label = row.etype, frozenset(row.source), frozenset(row.target), row.label
         else:
             etype, source, target = str(row[0]), frozenset(row[1]), frozenset(row[2])
             label = tuple(row[3:])
+        # fast path: a row that passes every check below is kept after these tests alone
+        tests = edge_tests.get(etype)
+        if (
+            tests is not None
+            and len(label) == len(tests)
+            and (source or target)
+            and node_ids >= source
+            and node_ids >= target
+        ):
+            for value, member in zip(label, tests):
+                if not member(value):
+                    break
+            else:
+                edge_list.append(HyperEdge(etype, source, target, label, surrogate=len(edge_list)))
+                continue
+        # a failing row: report each of its problems, in this order
         if etype not in etypes:
             problems.append(f"edge {label!r}: unknown edge type {etype}")
             continue
@@ -316,22 +337,15 @@ def build_graphoid(
         if not source and not target:
             problems.append(f"edge {etype} {label!r}: source and target sets are both empty")
             continue
-        bad = False
         for ident in sorted(source | target):
             if ident not in node_table:
                 problems.append(f"edge {etype} {label!r}: endpoint {ident} is not a node")
-                bad = True
-        for slot, (value, member) in enumerate(zip(label, in_domain[etype])):
+        for slot, (value, member) in enumerate(zip(label, edge_tests[etype])):
             if not member(value):
                 problems.append(
                     f"edge {etype} {label!r}: slot {slot} value {value!r} outside "
                     f"dom({decl.dims[slot]}.{level_map[(etype, slot)]})"
                 )
-                bad = True
-        if not bad:
-            edge_list.append(
-                HyperEdge(etype, frozenset(source), frozenset(target), label, surrogate=len(edge_list))
-            )
     if problems:
         raise GraphoidBuildError(problems)
 

@@ -28,7 +28,6 @@ from .hypergraph import (
     EdgeTypeDecl,
     Graphoid,
     GraphoidError,
-    Node,
     NodeTypeDecl,
     build_graphoid,
 )
@@ -44,10 +43,34 @@ def _value_to_json(value: object) -> object:
     return value
 
 
-def _value_from_json(vtype: str, raw: object) -> object:
-    if vtype == "date" and isinstance(raw, str):
+def _date_from_json(raw: object, where: str, *at: object) -> object:
+    """A date for an ISO string; any other value is left for the level's test.
+
+    ``where % at`` names the value's row (or member) and slot when the
+    string is no ISO date.
+    """
+    if not isinstance(raw, str):
+        return raw
+    try:
         return datetime.date.fromisoformat(raw)
-    return raw
+    except ValueError as exc:
+        raise _not_a_date(raw, exc, where % at) from None
+
+
+def _not_a_date(raw: str, exc: ValueError, where: str) -> StoreError:
+    return StoreError(f"{where}: {raw!r} is not an ISO date ({exc})")
+
+
+def _catalog_level(catalog: DimensionCatalog, dim: str, level: str | None) -> Level | None:
+    """The declared level, or None for a dimension or level the catalog lacks."""
+    if dim not in catalog or level is None or not catalog.schema(dim).has_level(level):
+        return None
+    return catalog.level(dim, level)
+
+
+def _is_date_level(catalog: DimensionCatalog, dim: str, level: str | None) -> bool:
+    lv = _catalog_level(catalog, dim, level)
+    return lv is not None and lv.vtype == "date"
 
 
 # ---------------------------------------------------------------------------
@@ -106,15 +129,21 @@ def instance_from_json(raw: dict, schema: DimensionSchema | None = None) -> Dime
     vtypes: dict[str, str] = {}
     for lv in schema.levels:
         vtypes.setdefault(lv.name, lv.vtype)
+    # the decode plan: the levels whose values are dates; every other value passes through
+    dated = {name for name, vtype in vtypes.items() if vtype == "date"}
+    dim = schema.name
     members = {}
     for level, values in raw.get("members", {}).items():
-        vtype = vtypes.get(level, "string")
-        members[level] = frozenset(_value_from_json(vtype, v) for v in values)
+        if level in dated:
+            values = [_date_from_json(v, "dimension %s: member of level %s", dim, level) for v in values]
+        members[level] = frozenset(values)
     parents = []
-    for child, clv, parent, plv in raw.get("parents", ()):
-        cvt = vtypes.get(clv, "string")
-        pvt = vtypes.get(plv, "string")
-        parents.append((_value_from_json(cvt, child), clv, _value_from_json(pvt, parent), plv))
+    for i, (child, clv, parent, plv) in enumerate(raw.get("parents", ())):
+        if clv in dated:
+            child = _date_from_json(child, "dimension %s: parents[%d] child", dim, i)
+        if plv in dated:
+            parent = _date_from_json(parent, "dimension %s: parents[%d] parent", dim, i)
+        parents.append((child, clv, parent, plv))
     return DimensionInstance.build(schema, members, tuple(parents))
 
 
@@ -122,6 +151,29 @@ def instance_from_json(raw: dict, schema: DimensionSchema | None = None) -> Dime
 # graph values
 
 def graphoid_to_json(g: Graphoid) -> dict:
+    # the encode plan: per type, the slots whose level's own test does not rule
+    # out a date (a closed level is only as typed as its members); the values of
+    # an open level of another type, or of All, pass through
+    encoded = {}
+    for name, decl in (*g.node_types.items(), *g.edge_types.items()):
+        levels = (_catalog_level(g.catalog, dim, g.levels.get((name, slot))) for slot, dim in enumerate(decl.dims))
+        encoded[name] = tuple(
+            slot
+            for slot, lv in enumerate(levels)
+            if lv is None or not (lv.name == ALL_LEVEL or (lv.open and lv.vtype != "date"))
+        )
+    nodes = []
+    for node in (g.nodes[i] for i in sorted(g.nodes)):
+        row = [node.ntype, *node.label]
+        for slot in encoded[node.ntype]:
+            row[1 + slot] = _value_to_json(row[1 + slot])
+        nodes.append(row)
+    edges = []
+    for e in g.edges:
+        row = [e.etype, sorted(e.source), sorted(e.target), *e.label]
+        for slot in encoded[e.etype]:
+            row[3 + slot] = _value_to_json(row[3 + slot])
+        edges.append(row)
     doc = {
         "nodeTypes": [{"name": d.name, "dims": list(d.dims)} for d in g.node_types.values()],
         "edgeTypes": [
@@ -136,14 +188,8 @@ def graphoid_to_json(g: Graphoid) -> dict:
             name: [g.levels[(name, slot)] for slot in range(decl.arity)]
             for name, decl in list(g.node_types.items()) + list(g.edge_types.items())
         },
-        "nodes": [
-            [node.ntype] + [_value_to_json(v) for v in node.label]
-            for node in (g.nodes[i] for i in sorted(g.nodes))
-        ],
-        "edges": [
-            [e.etype, sorted(e.source), sorted(e.target)] + [_value_to_json(v) for v in e.label]
-            for e in g.edges
-        ],
+        "nodes": nodes,
+        "edges": edges,
     }
     if g.folds:
         doc["folds"] = [[name, slot, fn] for (name, slot), fn in sorted(g.folds.items())]
@@ -151,6 +197,11 @@ def graphoid_to_json(g: Graphoid) -> dict:
 
 
 def graphoid_from_json(raw: dict, catalog: DimensionCatalog) -> Graphoid:
+    """Decode a graph document and validate it through ``build_graphoid``.
+
+    The ISO strings at the rows' date slots are replaced by dates in place,
+    so ``raw`` comes back decoded; decoding it again changes nothing.
+    """
     node_types = [NodeTypeDecl(d["name"], tuple(d["dims"])) for d in raw.get("nodeTypes", ())]
     edge_types = [
         EdgeTypeDecl(
@@ -165,28 +216,20 @@ def graphoid_from_json(raw: dict, catalog: DimensionCatalog) -> Graphoid:
     for name, per_slot in raw.get("levelMap", {}).items():
         for slot, level in enumerate(per_slot):
             levels[(name, slot)] = level
-
-    def slot_vtype(dim: str, level: str | None) -> str:
-        if dim in catalog and level is not None and catalog.schema(dim).has_level(level):
-            return catalog.schema(dim).level(level).vtype
-        return "string"
-
-    vtypes = {
-        name: tuple(slot_vtype(dim, levels.get((name, slot))) for slot, dim in enumerate(decl.dims))
-        for name, decl in decls.items()
-    }
-
-    def coerce_row(name: str, values: list) -> tuple:
-        types = vtypes.get(name)
-        if types is None or len(values) != len(types):
-            return tuple(values)
-        return tuple(_value_from_json(vtype, v) for vtype, v in zip(types, values))
-
-    nodes = [Node(row[0], coerce_row(row[0], row[1:])) for row in raw.get("nodes", ())]
-    edges = [
-        (row[0], frozenset(row[1]), frozenset(row[2])) + coerce_row(row[0], row[3:])
-        for row in raw.get("edges", ())
-    ]
+    # the decode plan: per type with a date slot (by the level levelMap gives
+    # it), the label width and those slots; every other value passes through
+    dated: dict[str, tuple[int, tuple[int, ...]]] = {}
+    for name, decl in decls.items():
+        slots = tuple(
+            slot for slot, dim in enumerate(decl.dims) if _is_date_level(catalog, dim, levels.get((name, slot)))
+        )
+        if slots:
+            dated[name] = (decl.arity, slots)
+    nodes = raw.get("nodes", ())
+    edges = raw.get("edges", ())
+    if dated:
+        _decode_rows(nodes, "nodes", 1, dated)
+        _decode_rows(edges, "edges", 3, dated)
     g = build_graphoid(catalog, node_types, edge_types, nodes, edges, levels)
     folds = {}
     for name, slot, fn in raw.get("folds", ()):
@@ -195,6 +238,28 @@ def graphoid_from_json(raw: dict, catalog: DimensionCatalog) -> Graphoid:
             raise StoreError(f"fold record [{name!r}, {slot!r}, {fn!r}] names no measure slot and aggregate")
         folds[(name, slot)] = fn
     return replace(g, folds=folds) if folds else g
+
+
+def _decode_rows(rows: list, section: str, offset: int, dated: dict[str, tuple[int, tuple[int, ...]]]) -> None:
+    """Decode the date slots of each row whose type and width match a plan, in place.
+
+    A row's label starts at ``offset``; rows that match no plan are left to
+    ``build_graphoid`` to report.
+    """
+    # per type: the row's length and the row positions of its date slots
+    plans = {name: (offset + arity, tuple(offset + slot for slot in slots)) for name, (arity, slots) in dated.items()}
+    parse = datetime.date.fromisoformat
+    for i, row in enumerate(rows):
+        plan = plans.get(row[0])
+        if plan is None or len(row) != plan[0]:
+            continue
+        for pos in plan[1]:
+            value = row[pos]
+            if isinstance(value, str):
+                try:
+                    row[pos] = parse(value)
+                except ValueError as exc:
+                    raise _not_a_date(value, exc, f"{section}[{i}] slot {pos - offset}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -214,22 +279,28 @@ def cube_to_json(cube: Cube) -> dict:
 def cube_from_json(raw: dict, catalog: DimensionCatalog) -> Cube:
     dims = [(d["dim"], d["level"]) for d in raw.get("dims", ())]
     measures = [CubeMeasure(m["name"], m.get("agg", "SUM")) for m in raw.get("measures", ())]
-    cells = []
-    for coord, values in raw.get("cells", ()):
-        typed = tuple(
-            _value_from_json(catalog.schema(dim).level(level).vtype, v)
-            for (dim, level), v in zip(dims, coord)
-        )
-        cells.append((typed, tuple(values)))
+    # the decode plan: the coordinates whose level holds dates; build_cube reports
+    # unknown dimensions and levels, and coordinates of the wrong length
+    dated = [j for j, (dim, level) in enumerate(dims) if _is_date_level(catalog, dim, level)]
+    cells = raw.get("cells", ())
+    for i, (coord, _) in enumerate(cells):
+        for j in dated:
+            if j < len(coord):
+                coord[j] = _date_from_json(coord[j], "cells[%d] coordinate %d", i, j)
     return build_cube(catalog, dims, measures, cells)
 
 
 # ---------------------------------------------------------------------------
 # files
 
-def save_json(payload: dict, target: str | TextIO) -> None:
+def dump_text(payload: object) -> str:
+    """The saved text of a document: its indented JSON dump and a newline."""
     # one dumps call: json.dump writes chunk by chunk through the pure-Python encoder
-    text = json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def save_json(payload: dict, target: str | TextIO) -> None:
+    text = dump_text(payload)
     if hasattr(target, "write"):
         target.write(text)
         return

@@ -130,6 +130,57 @@ class TestValidate:
         assert "unrecognized document shape" in out
 
 
+def bad_graph_file(workspace, tmp_path) -> pathlib.Path:
+    """The workspace graph with its first edge dated on a day that does not exist."""
+    doc = store.load_json(str(workspace / "graph.json"))
+    doc["edges"][0][3] = "2016-13-45"
+    path = tmp_path / "bad_graph.json"
+    store.save_json(doc, str(path))
+    return path
+
+
+def bad_time_file(workspace, tmp_path) -> pathlib.Path:
+    """The workspace Time dimension with one Day member that does not exist."""
+    doc = store.load_json(str(workspace / "time.dimension.json"))
+    doc["members"]["Day"].append("2016-02-30")
+    path = tmp_path / "bad_time.json"
+    store.save_json(doc, str(path))
+    return path
+
+
+BAD_EDGE_DATE = "edges[0] slot 0: '2016-13-45' is not an ISO date (month must be in 1..12)"
+BAD_DAY_MEMBER = "dimension Time: member of level Day: '2016-02-30' is not an ISO date (day is out of range for month)"
+
+
+class TestMalformedDates:
+    def test_validate_reports_the_edge_row(self, workspace, tmp_path, capsys):
+        path = bad_graph_file(workspace, tmp_path)
+        rc = cli.main(["validate", str(path), *dim_args(workspace)])
+        assert rc == 1
+        assert capsys.readouterr().out == f"FAIL {path}: {BAD_EDGE_DATE}\n"
+
+    def test_validate_reports_the_dimension_member(self, workspace, tmp_path, capsys):
+        path = bad_time_file(workspace, tmp_path)
+        rc = cli.main(["validate", str(path)])
+        assert rc == 1
+        assert capsys.readouterr().out == f"FAIL {path}: {BAD_DAY_MEMBER}\n"
+
+    def test_query_load_is_an_evaluation_error(self, workspace, tmp_path, capsys):
+        path = bad_graph_file(workspace, tmp_path)
+        qfile = tmp_path / "load_bad.gql"
+        qfile.write_text(f'G = LOAD "{path.name}";\nOUTPUT G;\n')
+        rc = cli.main(["query", str(qfile), *dim_args(workspace)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("evaluation error: ") and BAD_EDGE_DATE in err
+
+    def test_dims_file_is_refused(self, workspace, tmp_path, capsys):
+        path = bad_time_file(workspace, tmp_path)
+        rc = cli.main(["validate", str(workspace / "graph.json"), "--dims", str(path)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"{path}: {BAD_DAY_MEMBER}\n"
+
+
 class TestIngest:
     def test_round_trips_the_generated_calls(self, workspace, tmp_path, capsys):
         out_path = tmp_path / "ingested.json"

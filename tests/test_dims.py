@@ -344,3 +344,68 @@ class TestRoller:
             roll("Ph1")
         with pytest.raises(UnreachableLevel, match="level City not reachable from Operator"):
             roll("ATT")
+
+
+def reference_rollup_maps(instance: DimensionInstance) -> dict:
+    """Roll-up maps built one schema edge at a time: each edge rescans every
+    parent quad, and a child's first parent wins; then the maps compose
+    outward from each level."""
+    maps: dict = {}
+    for child_level, parent_level in instance.schema.edges:
+        step: dict = {}
+        for child, clv, parent, plv in instance.parent_quads:
+            if clv == child_level and plv == parent_level and child not in step:
+                step[child] = parent
+        maps[(child_level, parent_level)] = step
+    edge_maps = dict(maps)
+    for start in sorted({lv.name for lv in instance.schema.levels}):
+        visited = {start}
+        frontier = [(start, {m: m for m in instance.members.get(start, frozenset())})]
+        while frontier:
+            level, mapping = frontier.pop()
+            for parent in sorted(instance.schema.parents_of(level)):
+                edge = edge_maps[(level, parent)]
+                key = (start, parent)
+                if key not in maps:
+                    maps[key] = {m: edge[v] for m, v in mapping.items() if v in edge}
+                if parent not in visited:
+                    visited.add(parent)
+                    frontier.append((parent, maps[key]))
+    return maps
+
+
+def assert_rollup_maps_match(catalog: DimensionCatalog) -> None:
+    for dim in catalog.names:
+        instance = catalog.instance(dim)
+        expected = reference_rollup_maps(instance)
+        assert instance.rollup_maps == expected, dim
+        # the same insertion order as well, so iteration over a map is unchanged
+        assert [list(m) for m in instance.rollup_maps.values()] == [list(m) for m in expected.values()], dim
+
+
+class TestRollupMaps:
+    def test_match_reference_on_generator_catalog(self):
+        from graphoid.store import GeneratorConfig, generate
+
+        data = generate(GeneratorConfig(phone_count=30, user_count=10, call_count=200, seed=5))
+        assert_rollup_maps_match(data.catalog)
+
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=40, deadline=None)
+    def test_match_reference_on_random_cube_catalogs(self, seed):
+        from graphoid.cubes import random_catalog
+
+        assert_rollup_maps_match(random_catalog(random.Random(seed)))
+
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=25, deadline=None)
+    def test_match_reference_on_linear_and_diamond_schemas(self, seed):
+        rng = random.Random(seed)
+        assert_rollup_maps_match(DimensionCatalog.of(random_instance(rng, random_schema(rng, "D"))))
+
+    def test_first_parent_wins(self):
+        schema = linear_schema("D", "Low", "High")
+        quads = [("a", "Low", "x", "High"), ("a", "Low", "y", "High"), ("b", "Low", "y", "High")]
+        instance = DimensionInstance.build(schema, {"Low": {"a", "b"}, "High": {"x", "y"}}, quads)
+        assert instance.rollup_maps[("Low", "High")] == {"a": "x", "b": "y"}
+        assert_rollup_maps_match(DimensionCatalog.of(instance))

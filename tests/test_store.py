@@ -14,14 +14,15 @@ from hypothesis import strategies as st
 from graphoid.cubes import build_cube, random_catalog, random_cube
 from graphoid.dims import validate_instance, validate_schema
 from graphoid.dims import RollupStep
-from graphoid.hypergraph import GraphoidError
-from graphoid.olap import OlapError, group, roll_up
+from graphoid.hypergraph import GraphoidBuildError, GraphoidError, HyperEdge, build_graphoid
+from graphoid.olap import OlapError, group, roll_up, slice_out
 from graphoid.store import (
     CALL_COLUMNS,
     GeneratorConfig,
     StoreError,
     cube_from_json,
     cube_to_json,
+    dump_text,
     generate,
     graphoid_from_json,
     graphoid_to_json,
@@ -85,6 +86,14 @@ class TestJsonRoundTrips:
         catalog = random_catalog(rng)
         cube = random_cube(rng, catalog)
         assert cube_from_json(cube_to_json(cube), catalog) == cube
+
+    def test_cube_cell_with_an_extra_coordinate_refused(self):
+        rng = random.Random(3)
+        catalog = random_catalog(rng)
+        doc = cube_to_json(random_cube(rng, catalog))
+        doc["cells"][0][0].append("extra")
+        with pytest.raises(GraphoidError, match="expected .* coordinates"):
+            cube_from_json(doc, catalog)
 
     def test_save_and_load_path(self, tmp_path, base_graph):
         path = tmp_path / "graph.json"
@@ -296,3 +305,184 @@ class TestGenerator:
         a = generate(SMALL)
         b = generate(dataclasses.replace(SMALL, seed=4))
         assert a.calls != b.calls
+
+
+# ---------------------------------------------------------------------------
+# the decode and encode plans
+
+FAULT_HEAD = {
+    "nodeTypes": [{"name": "#Phone", "dims": ["Id", "Phone"]}],
+    "edgeTypes": [{"name": "#Call", "dims": ["Time", "Duration"], "measures": [[1, "SUM"]]}],
+    "levelMap": {"#Phone": ["Id", "Phone"], "#Call": ["Day", "Duration"]},
+}
+GOOD_NODES = [["#Phone", 11, "Ph1"], ["#Phone", 12, "Ph2"], ["#Phone", 13, "Ph3"]]
+
+
+def fault_document(nodes: list, edges: list) -> dict:
+    return json.loads(json.dumps(dict(FAULT_HEAD, nodes=nodes, edges=edges)))
+
+
+class TestBuildReports:
+    """The full problem report for documents with one row per fault, in row order.
+
+    The expected lists are the reports of the per-row checks that predate
+    the decode plan and the fast path, kept verbatim.
+    """
+
+    def test_node_faults(self, figures_catalog):
+        doc = fault_document(
+            [
+                ["#Phone", 11, "Ph1"],
+                ["#Pager", 12, "Ph2"],
+                ["#Phone", 13],
+                ["#Phone", 11, "Ph3"],
+                ["#Phone", 14, "Ph9"],
+                ["#Phone", "15", "Ph5"],
+            ],
+            [],
+        )
+        with pytest.raises(GraphoidBuildError) as info:
+            graphoid_from_json(doc, figures_catalog)
+        assert info.value.problems == [
+            "node (12, 'Ph2'): unknown node type #Pager",
+            "node (13,): expected 2 label slots",
+            "node id 11: duplicate identifier",
+            "node (14, 'Ph9'): slot 1 value 'Ph9' outside dom(Phone.Phone)",
+            "node ('15', 'Ph5'): identifier slot must be an integer",
+        ]
+
+    EDGE_FAULTS = [
+        ["#Call", [11], [12], "2016-10-10", 4],
+        ["#Text", [11], [12], "2016-10-10", 4],
+        ["#Phone", [11], [12], 5],
+        ["#Call", [11], [12], "2016-10-10"],
+        ["#Call", [], [], "2016-10-10", 4],
+        ["#Call", [11], [99, 98], "2016-10-10", 4],
+        ["#Call", [11], [12], "2016-10-11", 4],
+        ["#Call", [11], [12], 20161010, 4],
+        ["#Call", [11], [12], "2016-10-12", "long"],
+        ["#Call", [97], [13], "2016-10-11", 4.5],
+    ]
+    EDGE_PROBLEMS = [
+        "edge ('2016-10-10', 4): unknown edge type #Text",
+        "edge (5,): unknown edge type #Phone",
+        "edge #Call ('2016-10-10',): expected 2 label slots",
+        "edge #Call (datetime.date(2016, 10, 10), 4): source and target sets are both empty",
+        "edge #Call (datetime.date(2016, 10, 10), 4): endpoint 98 is not a node",
+        "edge #Call (datetime.date(2016, 10, 10), 4): endpoint 99 is not a node",
+        "edge #Call (datetime.date(2016, 10, 11), 4): slot 0 value datetime.date(2016, 10, 11) outside dom(Time.Day)",
+        "edge #Call (20161010, 4): slot 0 value 20161010 outside dom(Time.Day)",
+        "edge #Call (datetime.date(2016, 10, 12), 'long'): slot 1 value 'long' outside dom(Duration.Duration)",
+        "edge #Call (datetime.date(2016, 10, 11), 4.5): endpoint 97 is not a node",
+        "edge #Call (datetime.date(2016, 10, 11), 4.5): slot 0 value datetime.date(2016, 10, 11) outside dom(Time.Day)",
+    ]
+
+    def test_edge_faults(self, figures_catalog):
+        doc = fault_document(GOOD_NODES, self.EDGE_FAULTS)
+        with pytest.raises(GraphoidBuildError) as info:
+            graphoid_from_json(doc, figures_catalog)
+        assert info.value.problems == self.EDGE_PROBLEMS
+
+    def test_edge_faults_as_hyperedges(self, figures_catalog):
+        # the document's date slots are decoded in place, so its rows can be built directly
+        doc = fault_document(GOOD_NODES, self.EDGE_FAULTS)
+        with pytest.raises(GraphoidBuildError):
+            graphoid_from_json(doc, figures_catalog)
+        edges = [HyperEdge(row[0], frozenset(row[1]), frozenset(row[2]), tuple(row[3:])) for row in doc["edges"]]
+        decls = graphoid_from_json(fault_document(GOOD_NODES, []), figures_catalog)
+        with pytest.raises(GraphoidBuildError) as info:
+            build_graphoid(
+                figures_catalog, decls.node_types.values(), decls.edge_types.values(), GOOD_NODES, edges, decls.levels
+            )
+        assert info.value.problems == self.EDGE_PROBLEMS
+
+
+class TestMalformedDates:
+    def test_edge_row(self, figures_catalog):
+        doc = fault_document(GOOD_NODES, [["#Call", [11], [12], "2016-10-10", 4], ["#Call", [11], [12], "2016-13-45", 4]])
+        with pytest.raises(StoreError, match=r"^edges\[1\] slot 0: '2016-13-45' is not an ISO date \(month must be in 1..12\)$"):
+            graphoid_from_json(doc, figures_catalog)
+
+    def test_node_row(self, figures_catalog):
+        doc = fault_document([["#Event", 1, "2016-10-10"], ["#Event", 2, "yesterday"]], [])
+        doc["nodeTypes"] = [{"name": "#Event", "dims": ["Id", "Time"]}]
+        doc["levelMap"] = {"#Event": ["Id", "Day"]}
+        with pytest.raises(StoreError, match=r"^nodes\[1\] slot 1: 'yesterday' is not an ISO date"):
+            graphoid_from_json(doc, figures_catalog)
+
+    def test_instance_member_and_parent(self, time_dimension):
+        doc = instance_to_json(time_dimension)
+        doc["members"]["Day"].append("2016-02-30")
+        with pytest.raises(StoreError, match=r"^dimension Time: member of level Day: '2016-02-30' is not an ISO date"):
+            instance_from_json(doc)
+        doc = instance_to_json(time_dimension)
+        doc["parents"][2][0] = "2016-1-1"
+        with pytest.raises(StoreError, match=r"^dimension Time: parents\[2\] child: '2016-1-1' is not an ISO date"):
+            instance_from_json(doc)
+
+    def test_cube_coordinate(self, figures_catalog):
+        doc = {
+            "dims": [{"dim": "Phone", "level": "Operator"}, {"dim": "Time", "level": "Day"}],
+            "measures": [{"name": "Duration", "agg": "SUM"}],
+            "cells": [[["ATT", "2016-10-10"], [4]], [["ATT", "2016-10-32"], [5]]],
+        }
+        with pytest.raises(StoreError, match=r"^cells\[1\] coordinate 1: '2016-10-32' is not an ISO date"):
+            cube_from_json(doc, figures_catalog)
+
+    def test_decoding_twice_changes_nothing(self, base_graph):
+        doc = json.loads(json.dumps(graphoid_to_json(base_graph)))
+        assert graphoid_from_json(doc, base_graph.catalog) == base_graph
+        assert graphoid_from_json(doc, base_graph.catalog) == base_graph
+
+
+def reference_graphoid_to_json(g) -> dict:
+    """The document written value by value, the encoder the plan must match byte for byte."""
+
+    def value(v):
+        return v.isoformat() if isinstance(v, datetime.date) else v
+
+    doc = {
+        "nodeTypes": [{"name": d.name, "dims": list(d.dims)} for d in g.node_types.values()],
+        "edgeTypes": [
+            {"name": d.name, "dims": list(d.dims), "measures": [[slot, fn] for slot, fn in d.measures]}
+            for d in g.edge_types.values()
+        ],
+        "levelMap": {
+            name: [g.levels[(name, slot)] for slot in range(decl.arity)]
+            for name, decl in list(g.node_types.items()) + list(g.edge_types.items())
+        },
+        "nodes": [[node.ntype] + [value(v) for v in node.label] for node in (g.nodes[i] for i in sorted(g.nodes))],
+        "edges": [[e.etype, sorted(e.source), sorted(e.target)] + [value(v) for v in e.label] for e in g.edges],
+    }
+    if g.folds:
+        doc["folds"] = [[name, slot, fn] for (name, slot), fn in sorted(g.folds.items())]
+    return doc
+
+
+def assert_round_trip(g) -> None:
+    text = dump_text(graphoid_to_json(g))
+    assert text == dump_text(reference_graphoid_to_json(g))
+    loaded = graphoid_from_json(load_json(io.StringIO(text)), g.catalog)
+    assert loaded == g
+    assert loaded.folds == g.folds
+
+
+class TestEncodePlan:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_random_graphoids(self, seed):
+        assert_round_trip(random_graphoid(random.Random(seed)))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_folded_generated_graphs(self, seed):
+        rng = random.Random(seed)
+        config = GeneratorConfig(phone_count=rng.randint(4, 10), user_count=3, call_count=rng.randint(1, 60), seed=seed)
+        g = generate(config).graphoid
+        assert_round_trip(g)
+        fn = rng.choice(["SUM", "COUNT", "MIN", "MAX"])
+        grouped = group(g, "#Phone", RollupStep("Phone", "PhoneId", rng.choice(["PhoneId", "Operator", "City"])))
+        folded = roll_up(grouped, ["#Call"], RollupStep("Time", "Day", rng.choice(["Day", "Month", "Year"])), "#Call", [("Duration", fn)])
+        assert folded.folds
+        assert_round_trip(folded)
+        assert_round_trip(slice_out(folded, "Time", [("Duration", fn)]))
