@@ -69,6 +69,8 @@ def _catalog_from_dims(paths: list[str]) -> DimensionCatalog:
             problems = validate_instance(instance)
         except OSError as exc:
             raise CliFailure(f"cannot read {path}: {exc}", 2) from exc
+        except json.JSONDecodeError as exc:
+            raise CliFailure(f"{path}: not valid JSON ({exc})", 1) from exc
         except (GraphoidError, DimensionError, KeyError) as exc:
             raise CliFailure(f"{path}: {exc}", 1) from exc
         if problems:

@@ -514,6 +514,20 @@ class DimensionCatalog:
     def level(self, dim: str, level: str) -> Level:
         return self.schema(dim).level(level)
 
+    def step_problems(self, step: RollupStep) -> list[str]:
+        """Why a roll-up step is illegal here: an unknown dimension, a missing
+        level, or a to-level not reachable from the from-level.  Empty when
+        the step is legal; a step from a level to itself is."""
+        if step.dimension not in self.instances:
+            return [f"unknown dimension {step.dimension!r}"]
+        schema = self.schema(step.dimension)
+        for name in (step.from_level, step.to_level):
+            if not schema.has_level(name):
+                return [f"dimension {step.dimension} has no level {name!r}"]
+        if step.from_level != step.to_level and step.to_level not in schema.reachable_from(step.from_level):
+            return [f"level {step.to_level} not reachable from {step.from_level} in {step.dimension}"]
+        return []
+
     def roller(self, dim: str, from_level: str, to_level: str) -> Callable[[object], object]:
         """One dimension's resolved roll-up step; see ``DimensionInstance.roller``."""
         return self.instance(dim).roller(from_level, to_level)

@@ -17,13 +17,11 @@ evaluator are each one loop over a row, and the node's fields after
 from __future__ import annotations
 
 import datetime
-import math
 import re
 from dataclasses import MISSING, dataclass, field, fields
-from decimal import Decimal
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .dims import DimensionCatalog, DimensionError, RollupStep, value_matches
+from .dims import DimensionCatalog, DimensionError, RollupStep
 from .hypergraph import AGGREGATES, Graphoid, GraphoidError, edgify
 from .metrics import NodeFilter
 from . import metrics, olap
@@ -500,18 +498,10 @@ def parse_condition(text: str) -> Condition:
 # printer
 
 def format_value(value: object) -> str:
-    if isinstance(value, str) and "\n" not in value:  # the lexer has no newline escape
-        body = value.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{body}"'
-    if isinstance(value, int) and not isinstance(value, bool):
-        return repr(value)
-    if isinstance(value, float) and math.isfinite(value):
-        # positional, with a point, so NUMBER reads back the same float
-        text = format(Decimal(repr(value)), "f")
-        return text if "." in text else f"{text}.0"
-    if isinstance(value, datetime.date) and not isinstance(value, datetime.datetime):
-        return value.isoformat()
-    raise GqlError(f"cannot print literal {value!r}", 0, 0)
+    text = olap.format_constant(value)
+    if text is None:
+        raise GqlError(f"cannot print literal {value!r}", 0, 0)
+    return text
 
 
 def format_atom(atom: Atom) -> str:
@@ -587,40 +577,15 @@ def _no_problems(catalog: DimensionCatalog, value, previous) -> Iterable[str]:
 
 
 def _condition_problems(catalog: DimensionCatalog, cond: Condition, previous) -> Iterable[str]:
-    for atom in cond.atoms():
-        if atom.dim not in catalog:
-            yield f"unknown dimension {atom.dim!r}"
-            continue
-        schema = catalog.schema(atom.dim)
-        level_name = atom.level if atom.level is not None else schema.bottom
-        if not schema.has_level(level_name):
-            yield f"dimension {atom.dim} has no level {level_name!r}"
-            continue
-        level = schema.level(level_name)
-        if not value_matches(level.vtype, atom.value):
-            yield (
-                f"constant {format_value(atom.value)} is not a {level.vtype} "
-                f"({atom.dim}.{level_name})"
-            )
-        if atom.cmp in ("<", ">") and not level.ordered:
-            yield f"level {atom.dim}.{level_name} is unordered"
+    return olap.condition_problems(catalog, cond)
 
 
 def _filter_problems(catalog: DimensionCatalog, flt: NodeFilter, previous) -> Iterable[str]:
-    return () if flt.condition is None else _condition_problems(catalog, flt.condition, previous)
+    return metrics.filter_problems(catalog, flt)
 
 
 def _step_problems(catalog: DimensionCatalog, step: RollupStep, previous) -> Iterable[str]:
-    if step.dimension not in catalog:
-        yield f"unknown dimension {step.dimension!r}"
-        return
-    schema = catalog.schema(step.dimension)
-    for name in (step.from_level, step.to_level):
-        if not schema.has_level(name):
-            yield f"dimension {step.dimension} has no level {name!r}"
-            return
-    if step.to_level not in schema.reachable_from(step.from_level):
-        yield f"level {step.to_level} not reachable from {step.from_level} in {step.dimension}"
+    return catalog.step_problems(step)
 
 
 def _dimension_problems(catalog: DimensionCatalog, dim: str, previous) -> Iterable[str]:
@@ -719,10 +684,10 @@ def _late(module, name: str) -> Callable[..., object]:
 
 
 def _edgify(g: Graphoid, node_type: str, dimension: str) -> Graphoid:
-    dims = g.node_type(node_type).dims
-    if dimension not in dims:
+    slot = g.node_type(node_type).slot_of(dimension)
+    if slot is None:
         raise GraphoidError(f"type {node_type} lacks dimension {dimension}")
-    return edgify(g, node_type, dims.index(dimension))
+    return edgify(g, node_type, slot)
 
 
 OPS = (

@@ -30,8 +30,8 @@ class GraphoidBuildError(GraphoidError):
 
 
 @dataclass(frozen=True)
-class NodeTypeDecl:
-    """A node type: name plus the dimension of each label slot (slot 0 is Id)."""
+class _TypeDecl:
+    """A type name plus the dimension of each label slot."""
 
     name: str
     dims: tuple[str, ...]
@@ -39,22 +39,22 @@ class NodeTypeDecl:
     @property
     def arity(self) -> int:
         return len(self.dims)
+
+    def slot_of(self, dim: str) -> int | None:
+        """The label slot holding a dimension, None when the type lacks it."""
+        return self.dims.index(dim) if dim in self.dims else None
 
 
 @dataclass(frozen=True)
-class EdgeTypeDecl:
+class NodeTypeDecl(_TypeDecl):
+    """A node type; slot 0 holds the Id dimension."""
+
+
+@dataclass(frozen=True)
+class EdgeTypeDecl(_TypeDecl):
     """An edge type; ``measures`` maps label slots to default aggregates."""
 
-    name: str
-    dims: tuple[str, ...]
     measures: tuple[tuple[int, str], ...] = ()
-
-    @property
-    def arity(self) -> int:
-        return len(self.dims)
-
-    def measure_slots(self) -> dict[int, str]:
-        return dict(self.measures)
 
     def measure_slot_of(self, dim: str) -> int | None:
         for slot, _ in self.measures:
@@ -137,6 +137,14 @@ class Graphoid:
         if name in self.edge_types:
             return self.edge_types[name]
         raise GraphoidError(f"unknown type {name!r}")
+
+    def slots_of(self, dim: str) -> list[tuple[str, int]]:
+        """Every (type, slot) holding a dimension, node types first."""
+        return [
+            (decl.name, slot)
+            for decl in (*self.node_types.values(), *self.edge_types.values())
+            if (slot := decl.slot_of(dim)) is not None
+        ]
 
     def nodes_of_type(self, name: str) -> tuple[Node, ...]:
         return tuple(n for n in self.nodes.values() if n.ntype == name)
@@ -273,7 +281,11 @@ def build_graphoid(
 
     node_table: dict[int, Node] = {}
     for row in nodes:
-        node = row if isinstance(row, Node) else Node(str(row[0]), tuple(row[1:]))
+        try:
+            node = row if isinstance(row, Node) else Node(str(row[0]), tuple(row[1:]))
+        except (LookupError, TypeError):
+            problems.append(f"node row {row!r}: expected a type and a label")
+            continue
         if node.ntype not in ntypes:
             problems.append(f"node {node.label!r}: unknown node type {node.ntype}")
             continue
@@ -309,7 +321,11 @@ def build_graphoid(
         if isinstance(row, HyperEdge):
             etype, source, target, label = row.etype, frozenset(row.source), frozenset(row.target), row.label
         else:
-            etype, source, target = str(row[0]), frozenset(row[1]), frozenset(row[2])
+            try:
+                etype, source, target = str(row[0]), frozenset(row[1]), frozenset(row[2])
+            except (LookupError, TypeError):
+                problems.append(f"edge row {row!r}: expected a type, source ids and target ids")
+                continue
             label = tuple(row[3:])
         # fast path: a row that passes every check below is kept after these tests alone
         tests = edge_tests.get(etype)

@@ -19,8 +19,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
+from .dims import DimensionCatalog
 from .hypergraph import Graphoid, GraphoidError
-from .olap import Condition, TargetSet, atom_test
+from .olap import Condition, TargetSet, atom_test, condition_problems
 
 
 @dataclass(frozen=True)
@@ -64,38 +65,35 @@ def adjacency_projection(g: Graphoid, via="*") -> dict[int, tuple[int, ...]]:
     return {ident: tuple(sorted(ns)) for ident, ns in sorted(neighbors.items())}
 
 
+def filter_problems(catalog: DimensionCatalog, flt: NodeFilter) -> list[str]:
+    """Why a node filter is illegal in a catalog: its condition's problems,
+    and each atom that names no level (node types hold no measures, so it
+    could never match)."""
+    if flt.condition is None:
+        return []
+    return condition_problems(catalog, flt.condition) + [
+        f"filter atom {atom.dim} names no level" for atom in flt.condition.atoms() if atom.level is None
+    ]
+
+
 def _matching_nodes(g: Graphoid, flt: NodeFilter) -> list[int]:
     decl = g.node_type(flt.ntype)
+    members = [ident for ident in sorted(g.nodes) if g.nodes[ident].ntype == flt.ntype]
     if flt.condition is None:
-        return sorted(ident for ident, node in g.nodes.items() if node.ntype == flt.ntype)
+        return members
+    problems = filter_problems(g.catalog, flt)
+    if problems:
+        raise GraphoidError(problems[0])
     for atom in flt.condition.atoms():
-        if atom.dim not in g.catalog:
-            raise GraphoidError(f"filter references unknown dimension {atom.dim!r}")
-        schema = g.catalog.schema(atom.dim)
-        level_name = atom.level if atom.level is not None else schema.bottom
-        schema.level(level_name)
-        slot = next((i for i, d in enumerate(decl.dims) if d == atom.dim), None)
-        if slot is None:
+        if decl.slot_of(atom.dim) is None:
             raise GraphoidError(f"filter atom {atom.dim} is absent from node type {flt.ntype}")
-        stored = g.levels[(decl.name, slot)]
-        if stored != level_name and level_name not in schema.reachable_from(stored):
-            raise GraphoidError(
-                f"filter level {atom.dim}.{level_name} is below the stored level {stored}"
-            )
-    clauses = [
-        [atom_test(a, decl, g.levels, g.catalog) for a in clause] for clause in flt.condition.clauses
+    # atom_test refuses an atom below the stored level
+    clauses = [[atom_test(a, decl, g.levels, g.catalog) for a in clause] for clause in flt.condition.clauses]
+    return [
+        ident
+        for ident in members
+        if any(all(test(g.nodes[ident].label) for test in tests) for tests in clauses)
     ]
-    matched = []
-    for ident in sorted(g.nodes):
-        node = g.nodes[ident]
-        if node.ntype != flt.ntype:
-            continue
-        for tests in clauses:
-            values = [None if test is None else test(node.label) for test in tests]
-            if all(v is True for v in values):
-                matched.append(ident)
-                break
-    return matched
 
 
 def _distance_layers(near: dict[int, frozenset[int]], target: int) -> list[set[int]]:

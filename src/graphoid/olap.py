@@ -15,13 +15,17 @@ over themselves; COUNT re-folds its counts with SUM) or refused.
 """
 from __future__ import annotations
 
+import datetime
+import math
 from dataclasses import dataclass
+from decimal import Decimal
 from operator import attrgetter, itemgetter
 from typing import Callable, Sequence
 
 from .dims import (
     ALL_LEVEL,
     ID_DIMENSION,
+    DimensionCatalog,
     RollupStep,
     comparator,
     value_matches,
@@ -143,26 +147,64 @@ class Condition:
         return tuple(a for clause in self.clauses for a in clause)
 
 
+def format_constant(value: object) -> str | None:
+    """A condition constant as the query language spells it; None when it has no spelling."""
+    if isinstance(value, str) and "\n" not in value:  # the lexer has no newline escape
+        body = value.replace("\\", "\\\\").replace('"', '\\"')
+        return f'"{body}"'
+    if isinstance(value, int) and not isinstance(value, bool):
+        return repr(value)
+    if isinstance(value, float) and math.isfinite(value):
+        # positional, with a point, so NUMBER reads back the same float
+        text = format(Decimal(repr(value)), "f")
+        return text if "." in text else f"{text}.0"
+    if isinstance(value, datetime.date) and not isinstance(value, datetime.datetime):
+        return value.isoformat()
+    return None
+
+
+def condition_problems(catalog: DimensionCatalog, cond: Condition) -> list[str]:
+    """Why a condition's atoms are illegal in a catalog: an unknown dimension,
+    a missing level, a constant of the wrong type, or ``<``/``>`` on an
+    unordered level.  A measure atom (no level) reads its bottom level."""
+    problems: list[str] = []
+    for atom in cond.atoms():
+        name = atom.level
+        if name is None and atom.dim in catalog:
+            name = catalog.schema(atom.dim).bottom
+        found = catalog.step_problems(RollupStep(atom.dim, name, name))
+        if found:
+            problems.extend(found)
+            continue
+        level = catalog.level(atom.dim, name)
+        if not value_matches(level.vtype, atom.value):
+            spelled = format_constant(atom.value) or repr(atom.value)
+            problems.append(f"constant {spelled} is not a {level.vtype} ({atom.dim}.{name})")
+        if atom.cmp in ("<", ">") and not level.ordered:
+            problems.append(f"level {atom.dim}.{name} is unordered")
+    return problems
+
+
 def _atom_slot(atom: Atom, decl: NodeTypeDecl | EdgeTypeDecl) -> int | None:
     """The label slot an atom reads on this type, None when it has none."""
-    if atom.level is None:
-        if isinstance(decl, EdgeTypeDecl):
-            return decl.measure_slot_of(atom.dim)
-        return None
-    for slot, dim in enumerate(decl.dims):
-        if dim == atom.dim:
-            return slot
-    return None
+    if atom.level is not None:
+        return decl.slot_of(atom.dim)
+    return decl.measure_slot_of(atom.dim) if isinstance(decl, EdgeTypeDecl) else None
 
 
 def atom_test(atom: Atom, decl, levels, catalog) -> Callable[[tuple], bool] | None:
     """Resolve an atom on one type to a two-valued test of a label; None when
-    the type has no slot for it."""
+    the type has no slot for it.  An atom below the slot's stored level is
+    refused: its values cannot be rolled down."""
     slot = _atom_slot(atom, decl)
     if slot is None:
         return None
     stored = levels[(decl.name, slot)]
     target_level = atom.level if atom.level is not None else catalog.schema(atom.dim).bottom
+    if catalog.step_problems(RollupStep(atom.dim, stored, target_level)):
+        raise OlapError(
+            f"condition level {atom.dim}.{target_level} is below the stored level {stored} of type {decl.name}"
+        )
     roll = catalog.roller(atom.dim, stored, target_level) if stored != target_level else None
     compare = comparator(atom.cmp)
     constant, negated = atom.value, atom.negated
@@ -176,33 +218,9 @@ def atom_test(atom: Atom, decl, levels, catalog) -> Callable[[tuple], bool] | No
 
 
 def validate_condition(g: Graphoid, cond: Condition) -> None:
-    """Static checks: level compatibility, value typing, orderedness."""
-    decls = list(g.node_types.values()) + list(g.edge_types.values())
-    for atom in cond.atoms():
-        if atom.dim not in g.catalog:
-            raise OlapError(f"condition references unknown dimension {atom.dim!r}")
-        schema = g.catalog.schema(atom.dim)
-        level_name = atom.level if atom.level is not None else schema.bottom
-        level = schema.level(level_name)  # raises on unknown level
-        if not value_matches(level.vtype, atom.value):
-            raise OlapError(
-                f"condition constant {atom.value!r} is not a {level.vtype} ({atom.dim}.{level_name})"
-            )
-        if atom.cmp in ("<", ">") and not level.ordered:
-            raise OlapError(f"level {atom.dim}.{level_name} is unordered; only '=' applies")
-        for decl in decls:
-            slot = _atom_slot(atom, decl)
-            if slot is None:
-                continue
-            stored = g.levels[(decl.name, slot)]
-            if stored == level_name:
-                continue
-            if level_name in schema.reachable_from(stored):
-                continue
-            raise OlapError(
-                f"condition level {atom.dim}.{level_name} is below the stored level "
-                f"{stored} of type {decl.name}"
-            )
+    """Refuse a condition with a catalog-level problem, or with an atom below
+    the stored level of a slot it reads on some type of the graph."""
+    edge_filter(g, cond)
 
 
 def edge_filter(g: Graphoid, cond: Condition) -> Callable[[HyperEdge], bool]:
@@ -211,8 +229,12 @@ def edge_filter(g: Graphoid, cond: Condition) -> Callable[[HyperEdge], bool]:
     An edge satisfies an atom when it is not false on the edge itself and on
     every adjacent node; clauses and the disjunction lift pointwise.  Each
     atom is resolved per declared type once, and each node's verdict on an
-    atom is computed at most once, on the first edge that needs it.
+    atom is computed at most once, on the first edge that needs it.  Raises
+    OlapError for a condition that ``condition_problems`` or ``atom_test`` refuses.
     """
+    problems = condition_problems(g.catalog, cond)
+    if problems:
+        raise OlapError(problems[0])
     nodes = g.nodes
     clauses = []
     for clause in cond.clauses:
@@ -262,30 +284,33 @@ def edge_satisfies(g: Graphoid, edge: HyperEdge, cond: Condition) -> bool:
 # ---------------------------------------------------------------------------
 # operations
 
+def _target_slots(g: Graphoid, targets: TargetSet, dimension: str) -> list[tuple[str, int]]:
+    """The (type, slot) pairs holding a dimension: on every type for the
+    wildcard, else on each named type, which must hold it."""
+    if targets.is_wildcard:
+        return g.slots_of(dimension)
+    spots = []
+    for name in targets.names or ():
+        slot = g.type_decl(name).slot_of(dimension)
+        if slot is None:
+            raise OlapError(f"type {name} lacks dimension {dimension}")
+        spots.append((name, slot))
+    return spots
+
+
 def _resolve_climb_targets(g: Graphoid, targets: TargetSet, step: RollupStep) -> list[tuple[str, int]]:
     """Slots to rewrite.  A slot already sitting at the destination level is
     accepted as a no-op, so re-running a climb is harmless."""
-    found: list[tuple[str, int]] = []
+    spots = _target_slots(g, targets, step.dimension)
     if targets.is_wildcard:
-        for decl in (*g.node_types.values(), *g.edge_types.values()):
-            for slot, dim in enumerate(decl.dims):
-                if dim == step.dimension and g.levels[(decl.name, slot)] == step.from_level:
-                    found.append((decl.name, slot))
-        if not found and not any(
-            dim == step.dimension and g.levels[(decl.name, slot)] == step.to_level
-            for decl in (*g.node_types.values(), *g.edge_types.values())
-            for slot, dim in enumerate(decl.dims)
-        ):
+        found = [spot for spot in spots if g.levels[spot] == step.from_level]
+        if not found and all(g.levels[spot] != step.to_level for spot in spots):
             raise OlapError(
                 f"no type holds dimension {step.dimension} at level {step.from_level}"
             )
         return found
-    for name in targets.names or ():
-        decl = g.type_decl(name)
-        slots = [slot for slot, dim in enumerate(decl.dims) if dim == step.dimension]
-        if not slots:
-            raise OlapError(f"type {name} lacks dimension {step.dimension}")
-        slot = slots[0]
+    found = []
+    for name, slot in spots:
         stored = g.levels[(name, slot)]
         if stored == step.to_level:
             continue
@@ -302,14 +327,9 @@ def climb(g: Graphoid, targets, step: RollupStep) -> Graphoid:
     if step.dimension == ID_DIMENSION:
         raise OlapError("the Id dimension cannot be climbed")
     targets = TargetSet.coerce(targets)
-    schema = g.catalog.schema(step.dimension)
-    for name in (step.from_level, step.to_level):
-        if not schema.has_level(name):
-            raise OlapError(f"dimension {step.dimension} has no level {name!r}")
-    if step.to_level not in schema.reachable_from(step.from_level):
-        raise OlapError(
-            f"dimension {step.dimension}: level {step.to_level} not reachable from {step.from_level}"
-        )
+    problems = g.catalog.step_problems(step)
+    if problems:
+        raise OlapError(problems[0])
     found = _resolve_climb_targets(g, targets, step)
     if step.from_level == step.to_level:
         return g.derive()
@@ -520,38 +540,23 @@ def drill_down(
         raise LineageError("drill-down after a dice, slice or node deletion is undefined")
     base = g.base if g.base is not None else g
     targets = TargetSet.coerce(targets)
-    if targets.is_wildcard:
-        names = [
-            decl.name
-            for decl in (*base.node_types.values(), *base.edge_types.values())
-            if dimension in decl.dims
-        ]
-        if not names:
-            raise OlapError(f"no type holds dimension {dimension}")
-    else:
-        names = list(targets.names or ())
+    spots = _target_slots(base, targets, dimension)
+    if targets.is_wildcard and not spots:
+        raise OlapError(f"no type holds dimension {dimension}")
     cur = base
-    drilled = set()
-    for name in names:
-        decl = base.type_decl(name)
-        if dimension not in decl.dims:
-            raise OlapError(f"type {name} lacks dimension {dimension}")
-        slot = decl.dims.index(dimension)
-        drilled.add((name, slot))
-        stored = base.levels[(name, slot)]
-        cur = climb(cur, TargetSet.of(name), RollupStep(dimension, stored, to_level))
+    for name, slot in spots:
+        cur = climb(cur, TargetSet.of(name), RollupStep(dimension, base.levels[(name, slot)], to_level))
     for (name, slot), level in g.levels.items():
-        if (name, slot) in drilled or base.levels.get((name, slot)) == level:
+        if (name, slot) in spots or base.levels.get((name, slot)) == level:
             continue
         if (name, slot) not in base.levels:
             raise LineageError(f"drill-down cannot replay type {name}: it is not in the lineage base")
         dim = base.type_decl(name).dims[slot]
-        stored = base.levels[(name, slot)]
-        if level not in g.catalog.schema(dim).reachable_from(stored):
-            raise LineageError(
-                f"drill-down cannot replay {name} {dim}: level {level} is not above the base level {stored}"
-            )
-        cur = climb(cur, TargetSet.of(name), RollupStep(dim, stored, level))
+        step = RollupStep(dim, base.levels[(name, slot)], level)
+        problems = g.catalog.step_problems(step)
+        if problems:
+            raise LineageError(f"drill-down cannot replay {name} {dim}: {problems[0]}")
+        cur = climb(cur, TargetSet.of(name), step)
     return aggr(cur, edge_type, measures)
 
 
@@ -562,7 +567,6 @@ def dice(g: Graphoid, cond: Condition) -> Graphoid:
     adjacent node, where "not false" means either it cannot be evaluated
     there or it evaluates to true.
     """
-    validate_condition(g, cond)
     satisfies = edge_filter(g, cond)
     edges = tuple(e for e in g.edges if satisfies(e))
     return g.derive(edges=edges, tainted=True)
@@ -570,7 +574,6 @@ def dice(g: Graphoid, cond: Condition) -> Graphoid:
 
 def s_dice(g: Graphoid, cond: Condition) -> Graphoid:
     """Dice, then also drop survivors sharing an adjacency set with a removed edge."""
-    validate_condition(g, cond)
     satisfies = edge_filter(g, cond)
     kept: list[HyperEdge] = []
     removed_adjacency: set[frozenset[int]] = set()
@@ -587,12 +590,7 @@ def slice_out(g: Graphoid, dimension: str, measures: MeasurePairs) -> Graphoid:
     """Roll a dimension up to All everywhere and aggregate the listed measures."""
     if dimension == ID_DIMENSION:
         raise OlapError("the Id dimension cannot be sliced out")
-    spots = [
-        (decl.name, slot)
-        for decl in (*g.node_types.values(), *g.edge_types.values())
-        for slot, dim in enumerate(decl.dims)
-        if dim == dimension
-    ]
+    spots = g.slots_of(dimension)
     if not spots:
         raise OlapError(f"dimension {dimension} does not appear in the graph")
     cur = g

@@ -250,7 +250,10 @@ def _decode_rows(rows: list, section: str, offset: int, dated: dict[str, tuple[i
     plans = {name: (offset + arity, tuple(offset + slot for slot in slots)) for name, (arity, slots) in dated.items()}
     parse = datetime.date.fromisoformat
     for i, row in enumerate(rows):
-        plan = plans.get(row[0])
+        try:
+            plan = plans.get(row[0])
+        except (LookupError, TypeError):
+            continue  # a row too short or of the wrong shape: build_graphoid reports it
         if plan is None or len(row) != plan[0]:
             continue
         for pos in plan[1]:

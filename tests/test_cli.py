@@ -5,6 +5,8 @@ import importlib.util
 import io
 import json
 import pathlib
+import re
+import shlex
 
 import pytest
 
@@ -179,6 +181,52 @@ class TestMalformedDates:
         rc = cli.main(["validate", str(workspace / "graph.json"), "--dims", str(path)])
         assert rc == 1
         assert capsys.readouterr().err == f"{path}: {BAD_DAY_MEMBER}\n"
+
+
+def short_row_file(workspace, tmp_path, section: str, row: list) -> pathlib.Path:
+    """The workspace graph with its first node or edge row replaced by ``row``."""
+    doc = store.load_json(str(workspace / "graph.json"))
+    doc[section][0] = row
+    path = tmp_path / "short_row.json"
+    store.save_json(doc, str(path))
+    return path
+
+
+SHORT_ROWS = [
+    ("edges", ["#Call", [1]], "edge row ['#Call', [1]]: expected a type, source ids and target ids"),
+    ("edges", [], "edge row []: expected a type, source ids and target ids"),
+    ("nodes", [], "node row []: expected a type and a label"),
+]
+
+
+class TestShortRows:
+    @pytest.mark.parametrize("section, row, problem", SHORT_ROWS)
+    def test_validate_reports_the_row(self, workspace, tmp_path, capsys, section, row, problem):
+        path = short_row_file(workspace, tmp_path, section, row)
+        rc = cli.main(["validate", str(path), *dim_args(workspace)])
+        assert rc == 1
+        assert capsys.readouterr().out == f"FAIL {path}: {problem}\n"
+
+    @pytest.mark.parametrize("section, row, problem", SHORT_ROWS)
+    def test_query_load_is_an_evaluation_error(self, workspace, tmp_path, capsys, section, row, problem):
+        path = short_row_file(workspace, tmp_path, section, row)
+        qfile = tmp_path / "load_short.gql"
+        qfile.write_text(f'G = LOAD "{path.name}";\nOUTPUT G;\n')
+        rc = cli.main(["query", str(qfile), *dim_args(workspace)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("evaluation error: ") and problem in err
+
+
+class TestDimsNotJson:
+    @pytest.mark.parametrize("command", ["validate", "query"])
+    def test_reported_without_a_traceback(self, workspace, tmp_path, capsys, command):
+        path = tmp_path / "bad.json"
+        path.write_text("{")
+        rc = cli.main([command, str(workspace / "graph.json"), "--dims", str(path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{path}: not valid JSON (") and err.count("\n") == 1
 
 
 class TestIngest:
@@ -395,3 +443,30 @@ class TestBench:
     def test_bad_config_fails(self, capsys):
         assert cli.main(["bench", "--phones", "1", "--calls", "60"]) == 1
         assert "bench failed" in capsys.readouterr().err
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands() -> list[list[str]]:
+    """The arguments of each ``graphoid`` command in a README code block."""
+    commands = []
+    for block in re.findall(r"^```\n(.*?)^```", README.read_text(encoding="utf-8"), re.S | re.M):
+        for line in block.replace("\\\n", " ").splitlines():
+            line = line.removeprefix("$ ").strip()
+            if line.startswith("graphoid "):
+                commands.append(shlex.split(line)[1:])
+    return commands
+
+
+class TestReadme:
+    def test_commands_parse(self):
+        commands = readme_commands()
+        assert len(commands) >= 5
+        for argv in commands:
+            cli.build_parser().parse_args(argv)
+
+    def test_named_scripts_exist(self):
+        root = README.parent
+        for name in re.findall(r"scripts/[\w.-]+\.py", README.read_text(encoding="utf-8")):
+            assert (root / name).is_file(), name

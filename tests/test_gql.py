@@ -355,6 +355,10 @@ class TestCheck:
         report = check(parse('B = DICE(G, Time.Year = "2016");'), figures_catalog, {"G"})
         assert report == ['line 1: constant "2016" is not a int (Time.Year)']
 
+    def test_filter_atom_without_a_level(self, figures_catalog):
+        report = check(parse("P = SHORTESTPATHS(G, #Phone WHERE Phone = 3, #Phone);"), figures_catalog, {"G"})
+        assert report == ["line 1: constant 3 is not a string (Phone.Phone)", "line 1: filter atom Phone names no level"]
+
     def test_unknown_aggregate(self, figures_catalog):
         report = check(parse("B = AGGR(G, #Call, Duration, MEDIAN);"), figures_catalog, {"G"})
         assert report == ["line 1: unknown aggregate 'MEDIAN'"]
