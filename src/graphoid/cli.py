@@ -28,22 +28,17 @@ class CliFailure(Exception):
         self.code = code
 
 
-def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise CliFailure(f"cannot read {path}: {exc}", 2) from exc
+def _read(path: str, parse):
+    """``parse`` over a file argument (``-`` is stdin), the one place an input is opened.
 
-
-def _load_json(path: str) -> dict:
-    if path == "-":
-        return json.load(sys.stdin)
+    A path not readable as UTF-8 text exits 2; text ``parse`` finds is not JSON exits 1.
+    """
     try:
-        return store.load_json(path)
-    except OSError as exc:
+        if path == "-":
+            return parse(sys.stdin)
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return parse(fh)
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliFailure(f"cannot read {path}: {exc}", 2) from exc
     except json.JSONDecodeError as exc:
         raise CliFailure(f"{path}: not valid JSON ({exc})", 1) from exc
@@ -62,16 +57,11 @@ def _write_text(text: str, path: str | None) -> None:
 
 def _catalog_from_dims(paths: list[str]) -> DimensionCatalog:
     catalog = DimensionCatalog.of()
-    for path in paths or []:
+    for path in paths:
         try:
-            source = io.StringIO(sys.stdin.read()) if path == "-" else path
-            instance = store.load_dimension(source)
+            instance = _read(path, store.load_dimension)
             problems = validate_instance(instance)
-        except OSError as exc:
-            raise CliFailure(f"cannot read {path}: {exc}", 2) from exc
-        except json.JSONDecodeError as exc:
-            raise CliFailure(f"{path}: not valid JSON ({exc})", 1) from exc
-        except (GraphoidError, DimensionError, KeyError) as exc:
+        except (GraphoidError, DimensionError) as exc:
             raise CliFailure(f"{path}: {exc}", 1) from exc
         if problems:
             raise CliFailure(f"{path}: " + "; ".join(problems), 1)
@@ -86,22 +76,14 @@ def cmd_validate(args) -> int:
     catalog = _catalog_from_dims(args.dims)
     failed = False
     for path in args.files:
-        raw = _load_json(path)
+        raw = _read(path, store.load_json)
         try:
-            kind = store.sniff_kind(raw)
-            if kind == "schema":
-                problems = validate_schema(store.schema_from_json(raw))
-            elif kind == "instance":
-                problems = validate_instance(store.instance_from_json(raw))
-            elif kind == "graphoid":
-                store.graphoid_from_json(raw, catalog)
-                problems = []
-            else:
-                store.cube_from_json(raw, catalog)
-                problems = []
+            kind, value = store.decode(raw, catalog)
+            checks = {"schema": validate_schema, "instance": validate_instance}
+            problems = checks[kind](value) if kind in checks else []
         except GraphoidBuildError as exc:
             problems = exc.problems
-        except (GraphoidError, DimensionError, KeyError, TypeError) as exc:
+        except (GraphoidError, DimensionError) as exc:
             problems = [str(exc)]
         if problems:
             failed = True
@@ -115,12 +97,7 @@ def cmd_validate(args) -> int:
 def cmd_ingest(args) -> int:
     catalog = _catalog_from_dims(args.dims)
     try:
-        if args.csv == "-":
-            g = store.ingest_calls(sys.stdin, catalog)
-        else:
-            if not os.path.exists(args.csv):
-                raise CliFailure(f"cannot read {args.csv}: no such file", 2)
-            g = store.ingest_calls(args.csv, catalog)
+        g = _read(args.csv, lambda fh: store.ingest_calls(fh, catalog))
     except GraphoidError as exc:
         print(f"ingest failed: {exc}", file=sys.stderr)
         return 1
@@ -143,12 +120,15 @@ def cmd_generate(args) -> int:
         print(f"generate failed: {exc}", file=sys.stderr)
         return 1
     out = args.out
-    os.makedirs(out, exist_ok=True)
-    for name in (store.PHONE_DIMENSION, store.TIME_DIMENSION, store.DURATION_DIMENSION):
-        payload = store.instance_to_json(data.catalog.instance(name))
-        store.save_json(payload, os.path.join(out, f"{name.lower()}.dimension.json"))
-    store.write_calls_csv(data.calls, os.path.join(out, "calls.csv"))
-    store.save_json(store.graphoid_to_json(data.graphoid), os.path.join(out, "graph.json"))
+    try:
+        os.makedirs(out, exist_ok=True)
+        for name in (store.PHONE_DIMENSION, store.TIME_DIMENSION, store.DURATION_DIMENSION):
+            payload = store.instance_to_json(data.catalog.instance(name))
+            store.save_json(payload, os.path.join(out, f"{name.lower()}.dimension.json"))
+        store.write_calls_csv(data.calls, os.path.join(out, "calls.csv"))
+        store.save_json(store.graphoid_to_json(data.graphoid), os.path.join(out, "graph.json"))
+    except OSError as exc:
+        raise CliFailure(f"cannot write {out}: {exc}", 2) from exc
     print(f"generated {len(data.calls)} calls over {len(data.phones)} phones into {out}")
     return 0
 
@@ -185,12 +165,10 @@ def _make_loader(catalog: DimensionCatalog, base_dir: str):
     def load(path: str) -> Graphoid:
         resolved = path if os.path.isabs(path) else os.path.join(base_dir, path)
         try:
-            document = store.load_json(resolved)
-        except OSError as exc:
-            raise store.StoreError(f"cannot load {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise store.StoreError(f"{path} is not valid JSON: {exc}") from exc
-        return store.graphoid_from_json(document, catalog)
+            raw = _read(resolved, store.load_json)
+        except CliFailure as exc:  # inside a program, a file that cannot be loaded is an evaluation error
+            raise store.StoreError(str(exc)) from exc
+        return store.decode(raw, catalog, expect="graphoid")[1]
 
     return load
 
@@ -245,7 +223,7 @@ def cmd_query(args) -> int:
         return _run_repl(catalog)
     if not args.file:
         raise CliFailure("query needs a program file or --repl", 2)
-    text = _read_text(args.file)
+    text = _read(args.file, lambda fh: fh.read())
     base_dir = os.getcwd() if args.file == "-" else os.path.dirname(os.path.abspath(args.file))
     try:
         program = gql.parse(text)

@@ -419,10 +419,13 @@ def check_equivalence(cube: Cube, op: CubeOp) -> list[str]:
 # ---------------------------------------------------------------------------
 # random trials
 
-def random_catalog(rng: random.Random, max_dims: int = 4, max_members: int = 5) -> DimensionCatalog:
+MAX_DIMS, MAX_MEMBERS, MAX_CELLS = 4, 5, 60  # hierarchies per catalog, members per level, cells per cube
+
+
+def random_catalog(rng: random.Random) -> DimensionCatalog:
     """Small random hierarchies plus two open measure dimensions."""
     dims = []
-    for d in range(rng.randint(1, max_dims)):
+    for d in range(rng.randint(1, MAX_DIMS)):
         name = f"Dim{d + 1}"
         depth = rng.randint(0, 2)  # intermediate levels between bottom and All
         level_names = [f"{name}L{k}" for k in range(depth + 1)]
@@ -431,8 +434,7 @@ def random_catalog(rng: random.Random, max_dims: int = 4, max_members: int = 5) 
         schema = DimensionSchema(name, levels, edges)
         members: dict[str, set] = {}
         parents: list[tuple] = []
-        counts = [rng.randint(1, max_members) for _ in level_names]
-        counts = [max(c, 1) for c in counts]
+        counts = [rng.randint(1, MAX_MEMBERS) for _ in level_names]
         for k, level in enumerate(level_names):
             members[level] = {f"{level}_m{i}" for i in range(counts[k])}
         for lower, upper in zip(level_names, level_names[1:]):
@@ -444,7 +446,7 @@ def random_catalog(rng: random.Random, max_dims: int = 4, max_members: int = 5) 
     return DimensionCatalog.of(*dims, *measures)
 
 
-def random_cube(rng: random.Random, catalog: DimensionCatalog, max_cells: int = 60) -> Cube:
+def random_cube(rng: random.Random, catalog: DimensionCatalog) -> Cube:
     """A cube over every hierarchy in the catalog, at bottom levels."""
     dim_names = [n for n in catalog.names if n not in ("Id",) and not catalog.schema(n).level(catalog.schema(n).bottom).open]
     dims = [(n, catalog.schema(n).bottom) for n in dim_names]
@@ -458,7 +460,7 @@ def random_cube(rng: random.Random, catalog: DimensionCatalog, max_cells: int = 
         domain = sorted(catalog.instance(dim).domain(level))
         space = [coord + (m,) for coord in space for m in domain]
     rng.shuffle(space)
-    chosen = sorted(space[: rng.randint(1, min(len(space), max_cells))])
+    chosen = sorted(space[: rng.randint(1, min(len(space), MAX_CELLS))])
     cells = {
         coord: tuple(rng.randint(0, 100) for _ in measures) for coord in chosen
     }

@@ -6,17 +6,20 @@ stay self-contained.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime
 import json
+import os
 import random
 from dataclasses import dataclass, field, replace
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, TextIO
 
 from .cubes import Cube, CubeMeasure, build_cube
 from .dims import (
     ALL_LEVEL,
     DimensionCatalog,
+    DimensionError,
     DimensionInstance,
     DimensionSchema,
     Level,
@@ -102,7 +105,9 @@ def schema_from_json(raw: dict) -> DimensionSchema:
                 )
             )
     edges = tuple((child, parent) for child, parent in raw["edges"])
-    return DimensionSchema(raw["name"], tuple(levels), edges)
+    schema = DimensionSchema(raw["name"], tuple(levels), edges)
+    hash(schema)  # a name, level or edge end that is a JSON list or object is refused here
+    return schema
 
 
 def instance_to_json(instance: DimensionInstance) -> dict:
@@ -120,12 +125,11 @@ def instance_to_json(instance: DimensionInstance) -> dict:
     return {"schema": schema_to_json(schema), "members": members, "parents": parents}
 
 
-def instance_from_json(raw: dict, schema: DimensionSchema | None = None) -> DimensionInstance:
+def instance_from_json(raw: dict) -> DimensionInstance:
     declared = raw.get("schema")
-    if isinstance(declared, dict):
-        schema = schema_from_json(declared)
-    if schema is None:
-        raise StoreError("instance file names a schema that was not supplied")
+    if not isinstance(declared, dict):
+        raise StoreError("instance document embeds no schema")
+    schema = schema_from_json(declared)
     vtypes: dict[str, str] = {}
     for lv in schema.levels:
         vtypes.setdefault(lv.name, lv.vtype)
@@ -302,44 +306,74 @@ def dump_text(payload: object) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+@contextlib.contextmanager
+def _opened(target: str | os.PathLike | TextIO, mode: str) -> Iterator[TextIO]:
+    """A stream as given, or the UTF-8 file at a path (``newline=""``, as csv needs) open for the block."""
+    if not isinstance(target, (str, os.PathLike)):
+        yield target
+        return
+    with open(target, mode, encoding="utf-8", newline="") as fh:
+        yield fh
+
+
 def save_json(payload: dict, target: str | TextIO) -> None:
     text = dump_text(payload)
-    if hasattr(target, "write"):
-        target.write(text)
-        return
-    with open(target, "w", encoding="utf-8") as fh:
+    with _opened(target, "w") as fh:
         fh.write(text)
 
 
-def load_json(source: str | TextIO) -> dict:
-    if hasattr(source, "read"):
-        return json.load(source)
-    with open(source, "r", encoding="utf-8") as fh:
+def load_json(source: str | TextIO) -> object:
+    with _opened(source, "r") as fh:
         return json.load(fh)
 
 
-def sniff_kind(raw: dict) -> str:
+def sniff_kind(raw: object) -> str:
     """Which of the four value kinds a JSON document looks like."""
-    if "nodeTypes" in raw or "edgeTypes" in raw:
-        return "graphoid"
-    if "cells" in raw:
-        return "cube"
-    if "members" in raw or "parents" in raw:
-        return "instance"
-    if "levels" in raw and "edges" in raw:
-        return "schema"
+    if isinstance(raw, dict):
+        if "nodeTypes" in raw or "edgeTypes" in raw:
+            return "graphoid"
+        if "cells" in raw:
+            return "cube"
+        if "members" in raw or "parents" in raw:
+            return "instance"
+        if "levels" in raw and "edges" in raw:
+            return "schema"
     raise StoreError("unrecognized document shape")
+
+
+# what a caller may expect of a document, and the kinds that meet it
+EXPECTED = {"dimension file": ("instance", "schema"), "graphoid": ("graphoid",)}
+
+
+def decode(raw: object, catalog: DimensionCatalog | None = None, expect: str | None = None) -> tuple[str, object]:
+    """A parsed document's kind and value; graphoids and cubes are checked against ``catalog``.
+
+    ``expect`` (a key of ``EXPECTED``) refuses other kinds.  Any Python error a
+    malformed shape causes becomes a ``StoreError`` naming the kind;
+    ``GraphoidError`` and ``DimensionError`` pass through unchanged.
+    """
+    kind = sniff_kind(raw)
+    if expect is not None and kind not in EXPECTED[expect]:
+        raise StoreError(f"expected a {expect}, found a document of kind {kind}")
+    try:
+        if kind == "schema":
+            return kind, schema_from_json(raw)
+        if kind == "instance":
+            return kind, instance_from_json(raw)
+        if kind == "graphoid":
+            return kind, graphoid_from_json(raw, catalog)
+        return kind, cube_from_json(raw, catalog)
+    except (GraphoidError, DimensionError):
+        raise
+    except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise StoreError(f"malformed {kind} document: {detail}") from exc
 
 
 def load_dimension(source: str | TextIO) -> DimensionInstance:
     """A dimension file: an instance with embedded schema, or a bare schema."""
-    raw = load_json(source)
-    kind = sniff_kind(raw)
-    if kind == "instance":
-        return instance_from_json(raw)
-    if kind == "schema":
-        return DimensionInstance.build(schema_from_json(raw), {})
-    raise StoreError(f"expected a dimension file, found a {kind}")
+    kind, value = decode(load_json(source), expect="dimension file")
+    return DimensionInstance.build(value, {}) if kind == "schema" else value
 
 
 # ---------------------------------------------------------------------------
@@ -378,14 +412,10 @@ def ingest_calls(source: str | TextIO, catalog: DimensionCatalog) -> Graphoid:
     Rows sharing a CallId must agree on caller, times and duration; the edge
     label is the call's day and duration.
     """
-    if hasattr(source, "read"):
-        reader = csv.reader(source)
-    else:
-        fh = open(source, "r", encoding="utf-8", newline="")
-        reader = csv.reader(fh)
     problems: list[str] = []
     calls: dict[str, dict] = {}
-    try:
+    with _opened(source, "r") as fh:
+        reader = csv.reader(fh)
         header = next(reader, None)
         if header != CALL_COLUMNS:
             raise StoreError(f"expected columns {','.join(CALL_COLUMNS)}, got {header}")
@@ -411,7 +441,7 @@ def ingest_calls(source: str | TextIO, catalog: DimensionCatalog) -> Graphoid:
             entry = calls.setdefault(
                 call_id,
                 {"caller": caller, "start": start, "end": end, "duration": duration,
-                 "participants": [], "rows": [], "first": lineno},
+                 "participants": [], "first": lineno},
             )
             if (entry["caller"], entry["start"], entry["end"], entry["duration"]) != (
                 caller, start, end, duration,
@@ -424,9 +454,6 @@ def ingest_calls(source: str | TextIO, catalog: DimensionCatalog) -> Graphoid:
                 problems.append(f"line {lineno}: duplicate participant {participant} in call {call_id}")
                 continue
             entry["participants"].append(participant)
-    finally:
-        if not hasattr(source, "read"):
-            fh.close()
     if problems:
         raise StoreError("; ".join(problems))
 
@@ -660,9 +687,7 @@ def generate(config: GeneratorConfig) -> GeneratedData:
 
 def write_calls_csv(calls: Iterable[CallRecord], target: str | TextIO) -> None:
     """One row per participant, matching the ingest column layout."""
-    own = not hasattr(target, "write")
-    fh = open(target, "w", encoding="utf-8", newline="") if own else target
-    try:
+    with _opened(target, "w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CALL_COLUMNS)
         for call in calls:
@@ -677,6 +702,3 @@ def write_calls_csv(calls: Iterable[CallRecord], target: str | TextIO) -> None:
                         call.duration,
                     ]
                 )
-    finally:
-        if own:
-            fh.close()

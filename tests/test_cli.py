@@ -229,6 +229,97 @@ class TestDimsNotJson:
         assert err.startswith(f"{path}: not valid JSON (") and err.count("\n") == 1
 
 
+def workspace_doc(name: str, **changes):
+    """A file builder: the workspace's ``name`` document with some keys replaced."""
+
+    def build(workspace) -> dict:
+        return {**store.load_json(str(workspace / name)), **changes}
+
+    return build
+
+
+BAD_CELL_CUBE = {
+    "dims": [{"dim": "Phone", "level": "Phone"}],
+    "measures": [{"name": "M", "agg": "SUM"}],
+    "cells": [[["x"]]],
+}
+NO_DIMS_GRAPH = {"nodeTypes": [{"name": "#P"}]}
+LIST_LEVEL_MAP_GRAPH = {"nodeTypes": [], "levelMap": [1]}
+SHORT_FOLD_GRAPH = workspace_doc("graph.json", folds=[["#Call", 1]])
+
+
+def load_program(name: str) -> str:
+    return f'G = LOAD "{name}";\nOUTPUT G;\n'
+
+
+# (files to write, argv, stdin, exit code, the one line printed); DIMS stands
+# for the workspace's --dims arguments and WS for the workspace directory
+MALFORMED_INPUTS = [
+    pytest.param({}, ["validate", "-"], "{", 1, "-: not valid JSON (", id="validate-stdin-not-json"),
+    pytest.param(
+        {"c.json": BAD_CELL_CUBE}, ["validate", "c.json"], None, 1,
+        "FAIL c.json: malformed cube document: not enough values to unpack", id="cube-cell-not-a-pair",
+    ),
+    pytest.param(
+        {"f.json": SHORT_FOLD_GRAPH}, ["validate", "f.json", "DIMS"], None, 1,
+        "FAIL f.json: malformed graphoid document: not enough values to unpack", id="validate-short-fold",
+    ),
+    pytest.param(
+        {"f.json": SHORT_FOLD_GRAPH, "q.gql": load_program("f.json")}, ["query", "q.gql", "DIMS"], None, 1,
+        "malformed graphoid document: not enough values to unpack", id="load-short-fold",
+    ),
+    pytest.param(
+        {"m.json": workspace_doc("time.dimension.json", members=["Day"])}, ["validate", "m.json"], None, 1,
+        "FAIL m.json: malformed instance document: ", id="instance-members-a-list",
+    ),
+    pytest.param(
+        {"g.json": NO_DIMS_GRAPH, "q.gql": load_program("g.json")}, ["query", "q.gql", "DIMS"], None, 1,
+        "evaluation error: line 1, col 1: malformed graphoid document: missing key 'dims'", id="load-node-type-without-dims",
+    ),
+    pytest.param(
+        {"g.json": LIST_LEVEL_MAP_GRAPH, "q.gql": load_program("g.json")}, ["query", "q.gql", "DIMS"], None, 1,
+        "evaluation error: line 1, col 1: malformed graphoid document: ", id="load-level-map-a-list",
+    ),
+    pytest.param({}, ["ingest", "WS", "DIMS"], None, 2, "cannot read ", id="ingest-a-directory"),
+    pytest.param(
+        {"taken": "x"}, ["generate", "--out", "taken/x"], None, 2, "cannot write taken/x: ", id="generate-under-a-file",
+    ),
+    pytest.param(
+        {"bad.json": NO_DIMS_GRAPH}, ["validate", "bad.json"], None, 1,
+        "FAIL bad.json: malformed graphoid document: missing key 'dims'", id="validate-node-type-without-dims",
+    ),
+    pytest.param(
+        {"s.json": {"name": "S", "levels": [{"type": "string"}], "edges": []}},
+        ["validate", "WS/graph.json", "--dims", "s.json"], None, 1,
+        "s.json: malformed schema document: missing key 'name'", id="dims-level-without-name",
+    ),
+    pytest.param(
+        {"n.json": 5}, ["validate", "n.json"], None, 1, "FAIL n.json: unrecognized document shape", id="validate-a-number",
+    ),
+]
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("files, argv, stdin, code, line", MALFORMED_INPUTS)
+    def test_one_line_report(self, workspace, tmp_path, monkeypatch, capsys, files, argv, stdin, code, line):
+        monkeypatch.chdir(tmp_path)
+        for name, content in files.items():
+            if callable(content):
+                content = content(workspace)
+            pathlib.Path(name).write_text(content if isinstance(content, str) else json.dumps(content))
+        if stdin is not None:
+            monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        args = []
+        for arg in argv:
+            args += dim_args(workspace) if arg == "DIMS" else [arg.replace("WS", str(workspace))]
+        rc = cli.main(args)
+        captured = capsys.readouterr()
+        printed = captured.out + captured.err
+        assert rc == code
+        assert line in printed and printed.count("\n") == 1
+        assert "Traceback" not in printed
+
+
 class TestIngest:
     def test_round_trips_the_generated_calls(self, workspace, tmp_path, capsys):
         out_path = tmp_path / "ingested.json"

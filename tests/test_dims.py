@@ -85,6 +85,46 @@ class TestValidateSchema:
         assert any("open level" in p for p in problems)
 
 
+def random_lattice_instance(rng: random.Random) -> DimensionInstance:
+    """A chain of levels with random shortcut edges, each member wired to a
+    random parent at every parent level: a complete, functional instance that
+    may or may not be path independent."""
+    names = [f"N{k}" for k in range(rng.randint(2, 6))]
+    edges = list(zip(names, names[1:] + ["All"]))
+    for i in range(len(names)):
+        for j in range(i + 2, len(names)):
+            if rng.random() < 0.3:
+                edges.append((names[i], names[j]))
+    schema = DimensionSchema("D", tuple(Level(n) for n in names) + (Level("All", ordered=False),), tuple(edges))
+    members = {n: {f"{n}_m{i}" for i in range(rng.randint(1, 2))} for n in names}
+    parents = [
+        (m, child, rng.choice(sorted(members[parent])), parent)
+        for child, parent in edges
+        if parent != "All"
+        for m in sorted(members[child])
+    ]
+    return DimensionInstance.build(schema, members, parents)
+
+
+def reference_unsound(instance: DimensionInstance) -> bool:
+    """Does some member roll up to some level differently along two paths?"""
+    schema = instance.schema
+    names = [lv.name for lv in schema.levels]
+    for start in names:
+        for end in names:
+            paths = schema.paths_between(start, end) if start != end else ()
+            for member in instance.members.get(start, frozenset()):
+                results = set()
+                for path in paths:
+                    value = member
+                    for a, b in zip(path, path[1:]):
+                        value = instance.rollup_maps[(a, b)][value]
+                    results.add(value)
+                if len(results) > 1:
+                    return True
+    return False
+
+
 class TestValidateInstance:
     def test_figure_phone_instance_is_valid(self, phone_dimension):
         assert validate_instance(phone_dimension) == []
@@ -117,6 +157,36 @@ class TestValidateInstance:
         )
         problems = validate_instance(instance)
         assert any("unsound" in p for p in problems)
+
+    def test_stacked_diamonds_disagreeing_two_levels_up_are_unsound(self):
+        # Bot -> {L, R} -> Mid agrees; Mid -> {L2, R2} -> Top does not, so only
+        # the paths from Bot that reach two levels past Mid disagree
+        schema = DimensionSchema(
+            "D",
+            tuple(Level(n) for n in ("Bot", "L", "R", "Mid", "L2", "R2", "Top")) + (Level("All", ordered=False),),
+            (("Bot", "L"), ("Bot", "R"), ("L", "Mid"), ("R", "Mid"),
+             ("Mid", "L2"), ("Mid", "R2"), ("L2", "Top"), ("R2", "Top"), ("Top", "All")),
+        )
+        members = {"Bot": {"a"}, "L": {"l"}, "R": {"r"}, "Mid": {"m"}, "L2": {"l2"}, "R2": {"r2"}, "Top": {"t1", "t2"}}
+        parents = [
+            ("a", "Bot", "l", "L"), ("a", "Bot", "r", "R"), ("l", "L", "m", "Mid"), ("r", "R", "m", "Mid"),
+            ("m", "Mid", "l2", "L2"), ("m", "Mid", "r2", "R2"), ("l2", "L2", "t1", "Top"),
+        ]
+        sound = DimensionInstance.build(schema, members, parents + [("r2", "R2", "t1", "Top")])
+        assert validate_instance(sound) == []
+        unsound = DimensionInstance.build(schema, members, parents + [("r2", "R2", "t2", "Top")])
+        problems = validate_instance(unsound)
+        assert problems and all("unsound" in p and "to Top ambiguously ['t1', 't2']" in p for p in problems)
+
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=60, deadline=None)
+    def test_unsound_exactly_when_two_paths_disagree(self, seed):
+        rng = random.Random(seed)
+        instance = random_lattice_instance(rng)
+        assert validate_schema(instance.schema) == []
+        unsound = [p for p in validate_instance(instance) if "unsound" in p]
+        assert bool(unsound) == reference_unsound(instance)
+        assert len(unsound) == len(validate_instance(instance))
 
     def test_missing_parent_is_reported(self):
         schema = linear_schema("D", "Bottom", "Mid")

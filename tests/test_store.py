@@ -1,8 +1,10 @@
 """Serialization, call-record ingest, and the synthetic data generator."""
 from __future__ import annotations
 
+import copy
 import dataclasses
 import datetime
+import functools
 import io
 import json
 import random
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphoid.cubes import build_cube, random_catalog, random_cube
-from graphoid.dims import validate_instance, validate_schema
+from graphoid.dims import DimensionError, validate_instance, validate_schema
 from graphoid.dims import RollupStep
 from graphoid.hypergraph import GraphoidBuildError, GraphoidError, HyperEdge, build_graphoid
 from graphoid.olap import OlapError, group, roll_up, slice_out
@@ -22,6 +24,7 @@ from graphoid.store import (
     StoreError,
     cube_from_json,
     cube_to_json,
+    decode,
     dump_text,
     generate,
     graphoid_from_json,
@@ -486,3 +489,62 @@ class TestEncodePlan:
         assert folded.folds
         assert_round_trip(folded)
         assert_round_trip(slice_out(folded, "Time", [("Duration", fn)]))
+
+
+# ---------------------------------------------------------------------------
+# the decode entry on malformed documents
+
+@functools.cache
+def saved_documents() -> tuple[tuple[dict, object], ...]:
+    """A saved schema, instance, graph and cube as plain JSON, each with its catalog."""
+    data = generate(GeneratorConfig(phone_count=4, user_count=2, call_count=5, max_group_size=3, seed=1))
+    rng = random.Random(2)
+    cube_catalog = random_catalog(rng)
+    documents = (
+        (schema_to_json(time_schema()), None),
+        (instance_to_json(data.catalog.instance("Time")), None),
+        (graphoid_to_json(data.graphoid), data.catalog),
+        (cube_to_json(random_cube(rng, cube_catalog)), cube_catalog),
+    )
+    return tuple((json.loads(dump_text(doc)), catalog) for doc, catalog in documents)
+
+
+def locations(value, path=()) -> list[tuple]:
+    """The path of every dict entry and list item below ``value``."""
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        return []
+    out = []
+    for key, child in children:
+        out.append(path + (key,))
+        out += locations(child, path + (key,))
+    return out
+
+
+MUTATIONS = ("delete", 7, [1], "x")
+
+
+class TestDecodeMalformed:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_reports_or_decodes(self, data):
+        original, catalog = data.draw(st.sampled_from(saved_documents()))
+        doc = copy.deepcopy(original)
+        path = data.draw(st.sampled_from(locations(doc)))
+        mutation = data.draw(st.sampled_from(MUTATIONS))
+        holder = functools.reduce(lambda value, key: value[key], path[:-1], doc)
+        if mutation == "delete":
+            del holder[path[-1]]
+        else:
+            holder[path[-1]] = copy.deepcopy(mutation)
+        try:
+            kind, value = decode(doc, catalog)
+            if kind == "schema":
+                validate_schema(value)
+            elif kind == "instance":
+                validate_instance(value)
+        except (GraphoidError, DimensionError):
+            pass
