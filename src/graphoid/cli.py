@@ -74,9 +74,14 @@ def _catalog_from_dims(paths: list[str]) -> DimensionCatalog:
 
 def cmd_validate(args) -> int:
     catalog = _catalog_from_dims(args.dims)
-    failed = False
+    code = 0
     for path in args.files:
-        raw = _read(path, store.load_json)
+        try:
+            raw = _read(path, store.load_json)
+        except CliFailure as exc:  # reported like a lone file's, and the next file is still checked
+            print(str(exc), file=sys.stderr)
+            code = max(code, exc.code)
+            continue
         try:
             kind, value = store.decode(raw, catalog)
             checks = {"schema": validate_schema, "instance": validate_instance}
@@ -86,12 +91,12 @@ def cmd_validate(args) -> int:
         except (GraphoidError, DimensionError) as exc:
             problems = [str(exc)]
         if problems:
-            failed = True
+            code = max(code, 1)
             for problem in problems:
                 print(f"FAIL {path}: {problem}")
         else:
             print(f"OK {path}: valid {kind}")
-    return 1 if failed else 0
+    return code
 
 
 def cmd_ingest(args) -> int:

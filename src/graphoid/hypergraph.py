@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .dims import ALL_LEVEL, ALL_MEMBER, DimensionCatalog, ID_DIMENSION, ID_LEVEL
 
@@ -110,6 +110,8 @@ class Graphoid:
     base: Graphoid | None = field(default=None, repr=False)
     tainted: bool = False
     folds: Mapping[tuple[str, int], str] = field(default_factory=dict)
+    # indexes built from this value by ``indexed``; ``derive`` starts a child with none
+    _indexes: dict[object, object] = field(init=False, compare=False, repr=False, default_factory=dict)
 
     @property
     def node_count(self) -> int:
@@ -167,6 +169,14 @@ class Graphoid:
         return self.bag_equal(other)
 
     __hash__ = None  # type: ignore[assignment]
+
+    def indexed(self, key: object, build: Callable[[Graphoid], object]) -> object:
+        """The index kept under ``key``: ``build(self)`` on first use, the same
+        object on every later call.  Sound because the value never changes."""
+        index = self._indexes.get(key)
+        if index is None:
+            index = self._indexes[key] = build(self)
+        return index
 
     def derive(self, **changes) -> Graphoid:
         """A child value: same lineage root, taint preserved unless overridden."""

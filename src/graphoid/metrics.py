@@ -6,6 +6,14 @@ paths are unweighted hop counts over that projection.  The witness reported
 per endpoint pair is the lexicographically smallest shortest path; an
 unreachable pair gets hops -1 and an empty path.
 
+The projection is an index of the graph value: it is built on the first path
+query that needs it, once per set of edge types, and kept with that value
+(``Graphoid.indexed``).  ``*``, an omitted type list and the full list of
+declared types select the same set and share one index.  A value derived
+from this one (by a dice, a roll-up, a node deletion, ...) starts with no
+index and builds its own.  Only the neighbour sets are kept; distances and
+paths are computed on every call.
+
 Paths are computed one target at a time.  A layered BFS from the target
 grows each distance layer as a set, from the frontier (top-down) or from the
 unvisited nodes (bottom-up), whichever is smaller.  A node's next hop is its
@@ -44,25 +52,43 @@ class PathResult:
         return self.hops >= 0
 
 
-def _selected_edges(g: Graphoid, via) -> list:
+def _edge_types(g: Graphoid, via) -> frozenset[str]:
+    """The edge types ``via`` selects; unknown names are refused."""
     via = TargetSet.coerce(via)
     if via.is_wildcard:
-        return list(g.edges)
-    for name in via.names or ():
+        return frozenset(g.edge_types)
+    for name in via.names:
         g.edge_type(name)
-    chosen = set(via.names or ())
-    return [e for e in g.edges if e.etype in chosen]
+    return frozenset(via.names)
+
+
+def _selected_edges(g: Graphoid, types: frozenset[str]) -> list:
+    return [e for e in g.edges if e.etype in types]
+
+
+def _build_projection(g: Graphoid, types: frozenset[str]) -> dict[int, frozenset[int]]:
+    """Each node's neighbours over the edges of ``types``, from each distinct adjacency set."""
+    near: dict[int, set[int]] = {ident: set() for ident in g.nodes}
+    for adjacency in {e.adjacency for e in _selected_edges(g, types)}:
+        for v in adjacency:
+            near[v] |= adjacency
+    for v, ns in near.items():
+        ns.discard(v)
+    return {v: frozenset(ns) for v, ns in near.items()}
+
+
+def _projection(g: Graphoid, via) -> dict[int, frozenset[int]]:
+    """The projection index of ``g`` for the edge types ``via`` selects, built on first use."""
+    types = _edge_types(g, via)
+    return g.indexed(("projection", types), lambda g: _build_projection(g, types))
 
 
 def adjacency_projection(g: Graphoid, via="*") -> dict[int, tuple[int, ...]]:
-    """Undirected simple graph over node ids; isolated nodes map to ()."""
-    neighbors: dict[int, set[int]] = {ident: set() for ident in g.nodes}
-    for e in _selected_edges(g, via):
-        touched = sorted(e.adjacency)
-        for u, v in itertools.combinations(touched, 2):
-            neighbors[u].add(v)
-            neighbors[v].add(u)
-    return {ident: tuple(sorted(ns)) for ident, ns in sorted(neighbors.items())}
+    """Undirected simple graph over node ids; isolated nodes map to ().
+
+    A fresh dict read from the projection index on every call."""
+    near = _projection(g, via)
+    return {ident: tuple(sorted(near[ident])) for ident in sorted(near)}
 
 
 def filter_problems(catalog: DimensionCatalog, flt: NodeFilter) -> list[str]:
@@ -131,10 +157,10 @@ def shortest_paths(
     path: ``v``'s path is ``(v,)`` plus the path of its smallest neighbour one
     layer closer, memoized per target, so witnesses to one target share their
     suffix tuples.  Each target's results go straight into their slot, so
-    only one target's layers and memo are alive at a time.
+    only one target's layers and memo are alive at a time.  The neighbour
+    sets come from ``g``'s projection index, built by the first call.
     """
-    adj = adjacency_projection(g, via)
-    near = {v: frozenset(ns) for v, ns in adj.items()}
+    near = _projection(g, via)
     sources = _matching_nodes(g, source_filter)
     targets = _matching_nodes(g, target_filter)
     width = len(targets)
@@ -193,7 +219,7 @@ def group_average(
     """
     if size < 1:
         raise GraphoidError("group size must be at least 1")
-    edges = _selected_edges(g, via)
+    edges = _selected_edges(g, _edge_types(g, via))
     slots: dict[str, int] = {}
     for e in edges:
         if e.etype not in slots:

@@ -119,8 +119,15 @@ def _level_order(schema: DimensionSchema) -> list[str]:
     return order
 
 
-def random_graphoid_input(rng: random.Random, catalog: DimensionCatalog | None = None):
-    """Raw build input (catalog, decls, node rows, edge rows) for a small graphoid."""
+def random_graphoid_input(
+    rng: random.Random,
+    catalog: DimensionCatalog | None = None,
+    *,
+    max_edge_types: int = 2,
+    max_endpoints: int = 3,
+):
+    """Raw build input (catalog, decls, node rows, edge rows) for a small graphoid:
+    1..``max_edge_types`` edge types, each edge touching 1..``max_endpoints`` nodes."""
     catalog = catalog or random_catalog(rng)
     hier = [n for n in catalog.names if n not in ("Id", "M1", "M2")]
     node_types = []
@@ -128,7 +135,7 @@ def random_graphoid_input(rng: random.Random, catalog: DimensionCatalog | None =
         take = rng.sample(hier, k=rng.randint(0, min(2, len(hier))))
         node_types.append(NodeTypeDecl(f"#N{i}", ("Id", *take)))
     edge_types = []
-    for j in range(rng.randint(1, 2)):
+    for j in range(rng.randint(1, max_edge_types)):
         take = rng.sample(hier, k=rng.randint(0, min(1, len(hier))))
         measure_dims = ["M1"] + (["M2"] if rng.random() < 0.4 else [])
         dims = tuple(take) + tuple(measure_dims)
@@ -150,7 +157,7 @@ def random_graphoid_input(rng: random.Random, catalog: DimensionCatalog | None =
     edges = []
     for decl in edge_types:
         for _ in range(rng.randint(0, 6)):
-            adj = rng.sample(ids, k=min(len(ids), rng.randint(1, 3)))
+            adj = rng.sample(ids, k=min(len(ids), rng.randint(1, max_endpoints)))
             cut = rng.randint(0, len(adj))
             source, target = adj[:cut], adj[cut:]
             label = []
@@ -165,8 +172,8 @@ def random_graphoid_input(rng: random.Random, catalog: DimensionCatalog | None =
     return catalog, node_types, edge_types, nodes, edges
 
 
-def random_graphoid(rng: random.Random, catalog: DimensionCatalog | None = None) -> Graphoid:
-    catalog, ntypes, etypes, nodes, edges = random_graphoid_input(rng, catalog)
+def random_graphoid(rng: random.Random, catalog: DimensionCatalog | None = None, **shape) -> Graphoid:
+    catalog, ntypes, etypes, nodes, edges = random_graphoid_input(rng, catalog, **shape)
     return build_graphoid(catalog, ntypes, etypes, nodes, edges)
 
 

@@ -123,6 +123,29 @@ class TestValidate:
         assert rc == 1
         assert "not valid JSON" in capsys.readouterr().err
 
+    def test_broken_json_does_not_stop_later_files(self, workspace, tmp_path, capsys):
+        broken = tmp_path / "broken.json"
+        broken.write_text("{")
+        good = workspace / "phone.dimension.json"
+        rc = cli.main(["validate", str(broken), str(good)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.count("\n") == 1 and f"{broken}: not valid JSON (" in captured.err
+        assert captured.out == f"OK {good}: valid instance\n"
+
+    def test_unreadable_file_outranks_an_invalid_one(self, workspace, tmp_path, capsys):
+        missing = tmp_path / "nope.json"
+        good = workspace / "phone.dimension.json"
+        rc = cli.main(["validate", str(missing), str(good)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.count("\n") == 1 and f"cannot read {missing}: " in captured.err
+        assert captured.out == f"OK {good}: valid instance\n"
+        odd = tmp_path / "odd.json"
+        odd.write_text('{"rows": []}\n')
+        assert cli.main(["validate", str(odd), str(missing)]) == 2
+        assert cli.main(["validate", str(odd), str(good)]) == 1
+
     def test_unrecognized_shape_fails(self, tmp_path, capsys):
         path = tmp_path / "odd.json"
         path.write_text('{"rows": []}\n')

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BASE_CALLS
-from graphoid import store
+from conftest import BASE_CALLS, BASE_LEVELS, BASE_NODES, CALL_DECL, DAY, PHONE_DECL
+from graphoid import metrics, store
 from graphoid.cubes import random_catalog
+from graphoid.dims import RollupStep
 from graphoid.hypergraph import EdgeTypeDecl, GraphoidError, NodeTypeDecl, build_graphoid
 from graphoid.metrics import (
     NodeFilter,
@@ -24,7 +25,7 @@ from graphoid.metrics import (
     path_results_to_rows,
     shortest_paths,
 )
-from graphoid.olap import Atom, Condition, dice
+from graphoid.olap import Atom, Condition, dice, n_delete, roll_up
 from helpers import cooccurrence_pairs, floyd_warshall, random_graphoid
 
 PHONES = NodeFilter("#Phone")
@@ -143,6 +144,135 @@ class TestShortestPaths:
         flt = NodeFilter(ntype)
         hops = {(r.source, r.target): r.hops for r in shortest_paths(g, flt, flt)}
         assert all(hops[(t, s)] == h for (s, t), h in hops.items())
+
+
+USER_DECL = NodeTypeDecl("#User", ("Id",))
+TEXT_DECL = EdgeTypeDecl("#Text", ("Time", "Duration"), measures=((1, "SUM"),))
+
+# (user, phone, day, length): users 21 and 22 text phones, so 11 and 14 are two hops apart over #Text
+TEXTS = [(21, 11, DAY(2016, 10, 10), 1), (21, 14, DAY(2016, 10, 12), 1), (22, 13, DAY(2016, 11, 1), 1)]
+
+
+def texting_graph(catalog):
+    """The base call graph plus two users texting phones; a new value on every call."""
+    return build_graphoid(
+        catalog,
+        [PHONE_DECL, USER_DECL],
+        [CALL_DECL, TEXT_DECL],
+        BASE_NODES + [("#User", 21), ("#User", 22)],
+        [("#Call", s, t, d, dur) for s, t, d, dur in BASE_CALLS]
+        + [("#Text", [u], [p], d, n) for u, p, d, n in TEXTS],
+        levels=BASE_LEVELS,
+    )
+
+
+def count_builds(monkeypatch) -> list[frozenset[str]]:
+    """The edge-type sets of every projection built from now on."""
+    builds: list[frozenset[str]] = []
+    build = metrics._build_projection
+
+    def counted(g, types):
+        builds.append(types)
+        return build(g, types)
+
+    monkeypatch.setattr(metrics, "_build_projection", counted)
+    return builds
+
+
+def flat_hops(g) -> dict[tuple[int, int], int]:
+    return floyd_warshall(sorted(g.nodes), cooccurrence_pairs(e.adjacency for e in g.edges))
+
+
+DERIVATIONS = {
+    "dice": lambda g: dice(g, Condition.of(Atom("Duration", None, ">", 8))),
+    "n_delete": lambda g: n_delete(g, "#User"),
+    "roll_up": lambda g: roll_up(
+        g, ["#Phone"], RollupStep("Phone", "Phone", "Operator"), "#Call", [("Duration", "SUM")]
+    ),
+}
+
+
+class TestProjectionIndex:
+    def test_two_path_queries_build_it_once(self, figures_catalog, monkeypatch):
+        builds = count_builds(monkeypatch)
+        g = texting_graph(figures_catalog)
+        first = shortest_paths(g, PHONES, PHONES)
+        assert shortest_paths(g, PHONES, PHONES) == first
+        assert adjacency_projection(g)[11] == (12, 21)
+        assert builds == [frozenset({"#Call", "#Text"})]
+
+    def test_wildcard_omitted_and_full_list_share_one_entry(self, figures_catalog, monkeypatch):
+        builds = count_builds(monkeypatch)
+        g = texting_graph(figures_catalog)
+        every = [shortest_paths(g, PHONES, PHONES, via) for via in ("*", None, ["#Text", "#Call"])]
+        every.append(shortest_paths(g, PHONES, PHONES))
+        assert all(rows == every[0] for rows in every)
+        calls_only = shortest_paths(g, PHONES, PHONES, ["#Call"])
+        assert shortest_paths(g, PHONES, PHONES, "#Call") == calls_only
+        assert builds == [frozenset({"#Call", "#Text"}), frozenset({"#Call"})]
+        hops = {(r.source, r.target): r.hops for r in every[0]}
+        assert hops[(11, 14)] == 2
+        assert next(r for r in calls_only if (r.source, r.target) == (11, 14)).hops == 3
+
+    @pytest.mark.parametrize("derivation", sorted(DERIVATIONS))
+    def test_derived_value_answers_for_its_own_edges(self, figures_catalog, derivation):
+        derive = DERIVATIONS[derivation]
+        parent = texting_graph(figures_catalog)
+        before = shortest_paths(parent, PHONES, PHONES)
+        adjacency_projection(parent, ["#Call"])
+        child = derive(parent)
+        rows = shortest_paths(child, PHONES, PHONES)
+        assert rows != before
+        assert rows == shortest_paths(derive(texting_graph(figures_catalog)), PHONES, PHONES)
+        hops = flat_hops(child)
+        assert all(r.hops == hops[(r.source, r.target)] for r in rows)
+        assert adjacency_projection(child, ["#Call"]) == adjacency_projection(
+            derive(texting_graph(figures_catalog)), ["#Call"]
+        )
+
+    def test_unknown_edge_type_refused_when_warm(self, figures_catalog):
+        g = texting_graph(figures_catalog)
+        shortest_paths(g, PHONES, PHONES)
+        adjacency_projection(g, ["#Call"])
+        for call in (
+            lambda: shortest_paths(g, PHONES, PHONES, ["#Call", "#Fax"]),
+            lambda: adjacency_projection(g, ["#Fax"]),
+            lambda: group_average(g, ["#Fax"], 2, "Duration"),
+        ):
+            with pytest.raises(GraphoidError, match="unknown edge type '#Fax'"):
+                call()
+
+    def test_mutating_a_returned_projection_changes_nothing(self, figures_catalog):
+        g = texting_graph(figures_catalog)
+        adj = adjacency_projection(g)
+        expected = dict(adj)
+        before = shortest_paths(g, PHONES, PHONES)
+        adj[11] = (12, 13, 14, 15)
+        del adj[12]
+        adj.clear()
+        assert adjacency_projection(g) == expected
+        assert shortest_paths(g, PHONES, PHONES) == before
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_matches_flat_pairs_for_every_type_subset(self, seed):
+        def build():
+            return random_graphoid(random.Random(seed), max_edge_types=3, max_endpoints=4)
+
+        g = build()
+        names = sorted(g.edge_types)
+        subsets = [list(c) for r in range(1, len(names) + 1) for c in itertools.combinations(names, r)]
+        flt = NodeFilter(g.nodes[min(g.nodes)].ntype)
+        cold = {tuple(via): shortest_paths(build(), flt, flt, via) for via in subsets}
+        for via in subsets:
+            adj = adjacency_projection(g, via)
+            pairs = cooccurrence_pairs(e.adjacency for e in g.edges if e.etype in via)
+            assert {(u, v) for u, ns in adj.items() for v in ns if u < v} == pairs
+            assert list(adj) == sorted(g.nodes)
+            hops = floyd_warshall(sorted(g.nodes), pairs)
+            warm = shortest_paths(g, flt, flt, via)
+            assert warm == cold[tuple(via)]
+            assert all(r.hops == hops[(r.source, r.target)] for r in warm)
 
 
 def smallest_shortest_paths(nodes: list[int], pairs: set[tuple[int, int]]) -> dict:
