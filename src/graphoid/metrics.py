@@ -6,18 +6,22 @@ paths are unweighted hop counts over that projection.  The witness reported
 per endpoint pair is the lexicographically smallest shortest path; an
 unreachable pair gets hops -1 and an empty path.
 
-The projection is an index of the graph value: it is built on the first path
+Two indexes of the graph value serve path queries, each built on the first
 query that needs it, once per set of edge types, and kept with that value
-(``Graphoid.indexed``).  ``*``, an omitted type list and the full list of
-declared types select the same set and share one index.  A value derived
-from this one (by a dice, a roll-up, a node deletion, ...) starts with no
-index and builds its own.  Only the neighbour sets are kept; distances and
-paths are computed on every call.
+(``Graphoid.indexed``): the projection (each node's neighbour set) and the
+bitsets (each node's neighbours as one Python int, bit ``i`` standing for the
+``i``-th node id in sorted order).  ``*``, an omitted type list and the full
+list of declared types select the same set and share one entry of each.  A
+value derived from this one (by a dice, a roll-up, a node deletion, ...)
+starts with no index and builds its own.  Distances and paths are computed
+on every call.
 
 Paths are computed one target at a time.  A layered BFS from the target
 grows each distance layer as a set, from the frontier (top-down) or from the
-unvisited nodes (bottom-up), whichever is smaller.  A node's next hop is its
-smallest neighbour in the layer below, and its path is memoized per target.
+unvisited nodes (bottom-up), whichever is smaller; each layer a step can land
+in is then turned into a bitset.  A node's next hop is the lowest set bit of its neighbour
+bitset AND the layer below: bit order is sorted id order, so that is its
+smallest neighbour one hop closer.  Its path is memoized per target.
 """
 from __future__ import annotations
 
@@ -25,7 +29,7 @@ import csv
 import io
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .dims import DimensionCatalog
 from .hypergraph import Graphoid, GraphoidError
@@ -77,17 +81,35 @@ def _build_projection(g: Graphoid, types: frozenset[str]) -> dict[int, frozenset
     return {v: frozenset(ns) for v, ns in near.items()}
 
 
-def _projection(g: Graphoid, via) -> dict[int, frozenset[int]]:
-    """The projection index of ``g`` for the edge types ``via`` selects, built on first use."""
-    types = _edge_types(g, via)
+def _projection(g: Graphoid, types: frozenset[str]) -> dict[int, frozenset[int]]:
+    """The projection index of ``g`` for the edge types ``types``, built on first use."""
     return g.indexed(("projection", types), lambda g: _build_projection(g, types))
+
+
+class _Bitsets(NamedTuple):
+    order: tuple[int, ...]  # bit position -> node id, in sorted id order
+    bit: dict[int, int]  # node id -> its own bit
+    near: dict[int, int]  # node id -> the bits of its neighbours
+
+
+def _build_bitsets(g: Graphoid, types: frozenset[str]) -> _Bitsets:
+    """Each node's neighbours as a bitset over the sorted node order."""
+    near = _projection(g, types)
+    order = tuple(sorted(near))
+    bit = {v: 1 << i for i, v in enumerate(order)}
+    return _Bitsets(order, bit, {v: sum(map(bit.__getitem__, ns)) for v, ns in near.items()})
+
+
+def _bitsets(g: Graphoid, types: frozenset[str]) -> _Bitsets:
+    """The bitset index of ``g`` for the edge types ``types``, built on first use."""
+    return g.indexed(("bitsets", types), lambda g: _build_bitsets(g, types))
 
 
 def adjacency_projection(g: Graphoid, via="*") -> dict[int, tuple[int, ...]]:
     """Undirected simple graph over node ids; isolated nodes map to ().
 
     A fresh dict read from the projection index on every call."""
-    near = _projection(g, via)
+    near = _projection(g, _edge_types(g, via))
     return {ident: tuple(sorted(near[ident])) for ident in sorted(near)}
 
 
@@ -156,11 +178,15 @@ def shortest_paths(
     (source, target).  The witness is the lexicographically smallest shortest
     path: ``v``'s path is ``(v,)`` plus the path of its smallest neighbour one
     layer closer, memoized per target, so witnesses to one target share their
-    suffix tuples.  Each target's results go straight into their slot, so
-    only one target's layers and memo are alive at a time.  The neighbour
-    sets come from ``g``'s projection index, built by the first call.
+    suffix tuples.  That neighbour is the lowest set bit of ``v``'s neighbour
+    bitset AND the layer's bitset.  Distances come from a BFS per target on
+    every call.  Each target's results go straight into their slot, so only
+    one target's layers and memo are alive at a time.  The neighbour sets and
+    bitsets come from ``g``'s indexes, built by the first call.
     """
-    near = _projection(g, via)
+    types = _edge_types(g, via)
+    near = _projection(g, types)
+    order, bit, near_bits = _bitsets(g, types)
     sources = _matching_nodes(g, source_filter)
     targets = _matching_nodes(g, target_filter)
     width = len(targets)
@@ -168,24 +194,30 @@ def shortest_paths(
     for j, target in enumerate(targets):
         layers = _distance_layers(near, target)
         hops_to = {v: hops for hops, layer in enumerate(layers) for v in layer}
-        memo = {target: (target,)}
+        # the farthest layer is never a step's destination, so it needs no bitset
+        layer_bits = [sum(map(bit.__getitem__, layer)) for layer in layers[:-1]]
+        memo: dict[int, tuple[int, ...]] = {target: (target,)}
         for i, source in enumerate(sources):
             if source == target:
                 continue
-            hops = hops_to.get(source, -1)
-            path = ()
-            if hops > 0:
-                chain = []
-                cur, below = source, hops
-                while cur not in memo:
-                    chain.append(cur)
-                    below -= 1
-                    cur = min(near[cur] & layers[below])
-                path = memo[cur]
-                for v in reversed(chain):
-                    path = (v,) + path
-                    memo[v] = path
-            slots[i * width + j] = PathResult(source, target, hops, path)
+            path = memo.get(source)
+            if path is None:
+                below = hops_to.get(source)
+                if below is None:
+                    path = memo[source] = ()
+                else:
+                    chain = []
+                    cur = source
+                    while cur not in memo:
+                        chain.append(cur)
+                        below -= 1
+                        step = near_bits[cur] & layer_bits[below]
+                        cur = order[(step & -step).bit_length() - 1]
+                    path = memo[cur]
+                    for v in reversed(chain):
+                        path = (v,) + path
+                        memo[v] = path
+            slots[i * width + j] = PathResult(source, target, len(path) - 1, path)
     return tuple(r for r in slots if r is not None)
 
 

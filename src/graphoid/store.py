@@ -630,6 +630,7 @@ def generate(config: GeneratorConfig) -> GeneratedData:
             country=city_country[city],
             operator=rng.choice(config.operators),
         )
+    phone_ids = sorted(phones)
 
     phone_members = {
         PHONE_BOTTOM: frozenset(phones),
@@ -640,7 +641,7 @@ def generate(config: GeneratorConfig) -> GeneratedData:
         "Operator": frozenset(config.operators),
     }
     phone_parents = []
-    for pid in sorted(phones):
+    for pid in phone_ids:
         info = phones[pid]
         phone_parents.append((pid, PHONE_BOTTOM, info.number, "Number"))
         phone_parents.append((info.number, "Number", info.customer, "Customer"))
@@ -655,7 +656,7 @@ def generate(config: GeneratorConfig) -> GeneratedData:
     calls = []
     for k in range(config.call_count):
         size = rng.randint(2, config.max_group_size)
-        group = rng.sample(sorted(phones), size)
+        group = rng.sample(phone_ids, size)
         day = config.start_date + datetime.timedelta(days=rng.randrange(day_count))
         start = datetime.datetime.combine(day, datetime.time()) + datetime.timedelta(
             seconds=rng.randrange(86400)
@@ -676,7 +677,7 @@ def generate(config: GeneratorConfig) -> GeneratedData:
     catalog = DimensionCatalog.of(phone_dim, time_dim, duration_dim)
 
     node_types, edge_types = call_decls()
-    nodes = [(PHONE_TYPE, pid, pid) for pid in sorted(phones)]
+    nodes = [(PHONE_TYPE, pid, pid) for pid in phone_ids]
     edges = [
         (CALL_TYPE, frozenset({c.caller}), frozenset(c.participants), c.start.date(), c.duration)
         for c in calls

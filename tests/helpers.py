@@ -247,6 +247,31 @@ def cooccurrence_pairs(adjacencies) -> set[tuple[int, int]]:
     return pairs
 
 
+def smallest_shortest_paths(nodes: list[int], pairs: set[tuple[int, int]]) -> dict:
+    """(source, target) -> (hops, smallest path) over every shortest path, enumerated."""
+    dist = floyd_warshall(nodes, pairs)
+    near: dict[int, set[int]] = {u: set() for u in nodes}
+    for u, v in pairs:
+        near[u].add(v)
+        near[v].add(u)
+
+    def every_shortest(path: tuple[int, ...], target: int):
+        last = path[-1]
+        if last == target:
+            yield path
+            return
+        for nxt in near[last]:
+            if dist[(nxt, target)] == dist[(last, target)] - 1:
+                yield from every_shortest(path + (nxt,), target)
+
+    return {
+        (s, t): (dist[(s, t)], min(every_shortest((s,), t)) if dist[(s, t)] > 0 else ())
+        for s in nodes
+        for t in nodes
+        if s != t
+    }
+
+
 # ---------------------------------------------------------------------------
 # random query programs (parse/print round trips need no catalog)
 

@@ -26,7 +26,7 @@ from graphoid.metrics import (
     shortest_paths,
 )
 from graphoid.olap import Atom, Condition, dice, n_delete, roll_up
-from helpers import cooccurrence_pairs, floyd_warshall, random_graphoid
+from helpers import cooccurrence_pairs, floyd_warshall, random_graphoid, smallest_shortest_paths
 
 PHONES = NodeFilter("#Phone")
 
@@ -166,16 +166,16 @@ def texting_graph(catalog):
     )
 
 
-def count_builds(monkeypatch) -> list[frozenset[str]]:
-    """The edge-type sets of every projection built from now on."""
+def count_builds(monkeypatch, builder: str = "_build_projection") -> list[frozenset[str]]:
+    """The edge-type sets of every index ``metrics.<builder>`` builds from now on."""
     builds: list[frozenset[str]] = []
-    build = metrics._build_projection
+    build = getattr(metrics, builder)
 
     def counted(g, types):
         builds.append(types)
         return build(g, types)
 
-    monkeypatch.setattr(metrics, "_build_projection", counted)
+    monkeypatch.setattr(metrics, builder, counted)
     return builds
 
 
@@ -275,31 +275,6 @@ class TestProjectionIndex:
             assert all(r.hops == hops[(r.source, r.target)] for r in warm)
 
 
-def smallest_shortest_paths(nodes: list[int], pairs: set[tuple[int, int]]) -> dict:
-    """(source, target) -> (hops, smallest path) over every shortest path, enumerated."""
-    dist = floyd_warshall(nodes, pairs)
-    near: dict[int, set[int]] = {u: set() for u in nodes}
-    for u, v in pairs:
-        near[u].add(v)
-        near[v].add(u)
-
-    def every_shortest(path: tuple[int, ...], target: int):
-        last = path[-1]
-        if last == target:
-            yield path
-            return
-        for nxt in near[last]:
-            if dist[(nxt, target)] == dist[(last, target)] - 1:
-                yield from every_shortest(path + (nxt,), target)
-
-    return {
-        (s, t): (dist[(s, t)], min(every_shortest((s,), t)) if dist[(s, t)] > 0 else ())
-        for s in nodes
-        for t in nodes
-        if s != t
-    }
-
-
 def dense_store_graph(rng: random.Random):
     """A generated call graph of at most 16 phones with up to five calls per phone."""
     phones = rng.randint(4, 16)
@@ -349,6 +324,112 @@ class TestWitnessOracle:
         results = shortest_paths(g, flt, flt)
         assert [(r.source, r.target) for r in results] == [(s, t) for s in ends for t in ends if s != t]
         assert all((r.hops, r.path) == expected[(r.source, r.target)] for r in results)
+
+
+def expected_witnesses(g, sources: list[int], targets: list[int]) -> list[tuple[int, int, int, tuple[int, ...]]]:
+    """(source, target, hops, path) rows from the enumerating oracle, in result order."""
+    oracle = smallest_shortest_paths(sorted(g.nodes), cooccurrence_pairs(e.adjacency for e in g.edges))
+    return [(s, t) + oracle[(s, t)] for s in sources for t in targets if s != t]
+
+
+def as_rows(results) -> list[tuple[int, int, int, tuple[int, ...]]]:
+    return [(r.source, r.target, r.hops, r.path) for r in results]
+
+
+class TestBitsetIndex:
+    def test_two_path_queries_build_it_once(self, figures_catalog, monkeypatch):
+        builds = count_builds(monkeypatch, "_build_bitsets")
+        g = texting_graph(figures_catalog)
+        first = shortest_paths(g, PHONES, PHONES)
+        assert shortest_paths(g, PHONES, PHONES) == first
+        adjacency_projection(g)
+        assert builds == [frozenset({"#Call", "#Text"})]
+
+    def test_wildcard_omitted_and_full_list_share_one_entry(self, figures_catalog, monkeypatch):
+        builds = count_builds(monkeypatch, "_build_bitsets")
+        g = texting_graph(figures_catalog)
+        every = [shortest_paths(g, PHONES, PHONES, via) for via in ("*", None, ["#Text", "#Call"])]
+        assert all(rows == every[0] for rows in every)
+        calls_only = shortest_paths(g, PHONES, PHONES, ["#Call"])
+        assert shortest_paths(g, PHONES, PHONES, "#Call") == calls_only
+        assert builds == [frozenset({"#Call", "#Text"}), frozenset({"#Call"})]
+        # 11 and 14 meet through user 21 over #Text; over #Call alone they are three hops apart
+        assert next(r for r in every[0] if (r.source, r.target) == (11, 14)).path == (11, 21, 14)
+        assert next(r for r in calls_only if (r.source, r.target) == (11, 14)).path == (11, 12, 13, 14)
+
+    @pytest.mark.parametrize("derivation", ["dice", "n_delete"])
+    def test_derived_value_answers_for_its_own_edges(self, figures_catalog, monkeypatch, derivation):
+        derive = DERIVATIONS[derivation]
+        parent = texting_graph(figures_catalog)
+        before = shortest_paths(parent, PHONES, PHONES)
+        shortest_paths(parent, PHONES, PHONES, ["#Call"])
+        builds = count_builds(monkeypatch, "_build_bitsets")
+        child = derive(parent)
+        rows = shortest_paths(child, PHONES, PHONES)
+        assert rows != before
+        phones = sorted(i for i in child.nodes if child.nodes[i].ntype == "#Phone")
+        assert as_rows(rows) == expected_witnesses(child, phones, phones)
+        assert builds == [frozenset(child.edge_types)]
+        assert rows == shortest_paths(derive(texting_graph(figures_catalog)), PHONES, PHONES)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_dice_of_a_warm_parent_matches_the_oracle(self, seed):
+        rng = random.Random(seed)
+        parent = scattered_components(rng)
+        every = NodeFilter("#N0")
+        shortest_paths(parent, every, every)
+        child = dice(parent, Condition.of(Atom("M1", None, ">", rng.randint(1, 8))))
+        nodes = sorted(child.nodes)
+        assert as_rows(shortest_paths(child, every, every)) == expected_witnesses(child, nodes, nodes)
+
+
+def scattered_components(rng: random.Random):
+    """Two components over sparse, partly negative node ids, inserted out of numeric order.
+
+    Bit positions follow sorted id order, so they differ from the id values
+    and from the input order.  ``build_graphoid`` keeps nodes in id order, so
+    the value's node table is then rebuilt in input order.  Edges have up to
+    four endpoints.
+    """
+    ids = rng.sample(range(-10**6, 10**6), rng.randint(4, 14))
+    ids[0] = -abs(ids[0]) - 1
+    if ids == sorted(ids):
+        ids.reverse()
+    cut = rng.randint(2, len(ids) - 2)
+    edges = []
+    for part in (ids[:cut], ids[cut:]):
+        for _ in range(rng.randint(1, 2 * len(part))):
+            ends = rng.sample(part, rng.randint(2, min(4, len(part))))
+            edges.append(("#E0", ends[:1], ends[1:], rng.randint(1, 9)))
+    g = build_graphoid(
+        random_catalog(rng),
+        [NodeTypeDecl("#N0", ("Id",))],
+        [EdgeTypeDecl("#E0", ("M1",), measures=((0, "SUM"),))],
+        [("#N0", i) for i in ids],
+        edges,
+    )
+    return g.derive(nodes={i: g.nodes[i] for i in ids})
+
+
+class TestBitOrder:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_witnesses_do_not_depend_on_id_values_or_insertion(self, seed):
+        rng = random.Random(seed)
+        g = scattered_components(rng)
+        nodes = sorted(g.nodes)
+        assert list(g.nodes) != nodes and nodes[0] < 0
+        pivot = rng.choice(nodes[1:])
+        below = NodeFilter("#N0", Condition.of(Atom("Id", "Id", "<", pivot)))
+        every = NodeFilter("#N0")
+        sources = [i for i in nodes if i < pivot]
+        warm = [shortest_paths(g, flt, every) for flt in (below, every, below)]
+        assert as_rows(warm[0]) == expected_witnesses(g, sources, nodes)
+        assert as_rows(warm[1]) == expected_witnesses(g, nodes, nodes)
+        assert warm[2] == warm[0]
+        assert any(r.hops == -1 and r.path == () for r in warm[0])
+        assert as_rows(shortest_paths(g, every, below)) == expected_witnesses(g, nodes, sources)
 
 
 class TestPathResult:
