@@ -251,6 +251,8 @@ def cmd_query(args) -> int:
 
 
 def cmd_theorem1(args) -> int:
+    if args.trials < 1:
+        raise CliFailure("theorem1: trials must be at least 1", 2)
     results = cubes.run_equivalence_trials(args.trials, args.seed)
     ok = sum(1 for r in results if r.ok)
     if args.format == "json":

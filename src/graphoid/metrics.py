@@ -6,22 +6,21 @@ paths are unweighted hop counts over that projection.  The witness reported
 per endpoint pair is the lexicographically smallest shortest path; an
 unreachable pair gets hops -1 and an empty path.
 
-Two indexes of the graph value serve path queries, each built on the first
-query that needs it, once per set of edge types, and kept with that value
-(``Graphoid.indexed``): the projection (each node's neighbour set) and the
-bitsets (each node's neighbours as one Python int, bit ``i`` standing for the
-``i``-th node id in sorted order).  ``*``, an omitted type list and the full
-list of declared types select the same set and share one entry of each.  A
-value derived from this one (by a dice, a roll-up, a node deletion, ...)
-starts with no index and builds its own.  Distances and paths are computed
-on every call.
+One index of the graph value serves path queries, built on the first query
+that needs it, once per set of edge types, and kept with that value
+(``Graphoid.indexed``): each node's neighbours as one Python int, bit ``i``
+standing for the ``i``-th node id in sorted order, and as an ascending tuple
+of ids.  ``*``, an omitted type list and the full list of declared types
+select the same set and share one entry.  A value derived from this one (by
+a dice, a roll-up, a node deletion, ...) starts with no index and builds its
+own.  Distances and paths are computed on every call.
 
-Paths are computed one target at a time.  A layered BFS from the target
-grows each distance layer as a set, from the frontier (top-down) or from the
-unvisited nodes (bottom-up), whichever is smaller; each layer a step can land
-in is then turned into a bitset.  A node's next hop is the lowest set bit of its neighbour
-bitset AND the layer below: bit order is sorted id order, so that is its
-smallest neighbour one hop closer.  Its path is memoized per target.
+Paths are computed one target at a time.  A top-down BFS from the target
+grows each distance layer as a bitset: the OR of the frontier's neighbour
+bits minus the nodes already seen.  A node's next hop is the lowest set bit
+of its neighbour bitset AND the layer below: bit order is sorted id order,
+so that is its smallest neighbour one hop closer.  Its path is memoized per
+target.
 """
 from __future__ import annotations
 
@@ -29,7 +28,7 @@ import csv
 import io
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .dims import DimensionCatalog
 from .hypergraph import Graphoid, GraphoidError
@@ -66,38 +65,28 @@ def _edge_types(g: Graphoid, via) -> frozenset[str]:
     return frozenset(via.names)
 
 
-def _selected_edges(g: Graphoid, types: frozenset[str]) -> list:
-    return [e for e in g.edges if e.etype in types]
-
-
-def _build_projection(g: Graphoid, types: frozenset[str]) -> dict[int, frozenset[int]]:
-    """Each node's neighbours over the edges of ``types``, from each distinct adjacency set."""
-    near: dict[int, set[int]] = {ident: set() for ident in g.nodes}
-    for adjacency in {e.adjacency for e in _selected_edges(g, types)}:
-        for v in adjacency:
-            near[v] |= adjacency
-    for v, ns in near.items():
-        ns.discard(v)
-    return {v: frozenset(ns) for v, ns in near.items()}
-
-
-def _projection(g: Graphoid, types: frozenset[str]) -> dict[int, frozenset[int]]:
-    """The projection index of ``g`` for the edge types ``types``, built on first use."""
-    return g.indexed(("projection", types), lambda g: _build_projection(g, types))
-
-
 class _Bitsets(NamedTuple):
     order: tuple[int, ...]  # bit position -> node id, in sorted id order
     bit: dict[int, int]  # node id -> its own bit
-    near: dict[int, int]  # node id -> the bits of its neighbours
+    near: dict[int, int]  # node id -> the bits of its neighbours, its own bit clear
+    ids: dict[int, tuple[int, ...]]  # node id -> its neighbours' ids, ascending
+
+
+def _members(order: tuple[int, ...], bits: int) -> Iterator[int]:
+    """The ids of the set bits of ``bits``, ascending, read lazily."""
+    return (order[i] for i, c in enumerate(bin(bits)[:1:-1]) if c == "1")
 
 
 def _build_bitsets(g: Graphoid, types: frozenset[str]) -> _Bitsets:
-    """Each node's neighbours as a bitset over the sorted node order."""
-    near = _projection(g, types)
-    order = tuple(sorted(near))
+    """Each node's neighbours over the edges of ``types``, from each distinct adjacency set."""
+    order = tuple(sorted(g.nodes))
     bit = {v: 1 << i for i, v in enumerate(order)}
-    return _Bitsets(order, bit, {v: sum(map(bit.__getitem__, ns)) for v, ns in near.items()})
+    sets: dict[int, set[int]] = {v: set() for v in order}
+    for adjacency in {e.adjacency for e in g.edges if e.etype in types}:
+        for v in adjacency:
+            sets[v] |= adjacency
+    ids = {v: tuple(sorted(ns - {v})) for v, ns in sets.items()}
+    return _Bitsets(order, bit, {v: sum(map(bit.__getitem__, ns)) for v, ns in ids.items()}, ids)
 
 
 def _bitsets(g: Graphoid, types: frozenset[str]) -> _Bitsets:
@@ -108,9 +97,8 @@ def _bitsets(g: Graphoid, types: frozenset[str]) -> _Bitsets:
 def adjacency_projection(g: Graphoid, via="*") -> dict[int, tuple[int, ...]]:
     """Undirected simple graph over node ids; isolated nodes map to ().
 
-    A fresh dict read from the projection index on every call."""
-    near = _projection(g, _edge_types(g, via))
-    return {ident: tuple(sorted(near[ident])) for ident in sorted(near)}
+    A fresh dict of the bitset index's neighbour tuples on every call."""
+    return dict(_bitsets(g, _edge_types(g, via)).ids)
 
 
 def filter_problems(catalog: DimensionCatalog, flt: NodeFilter) -> list[str]:
@@ -144,28 +132,6 @@ def _matching_nodes(g: Graphoid, flt: NodeFilter) -> list[int]:
     ]
 
 
-def _distance_layers(near: dict[int, frozenset[int]], target: int) -> list[set[int]]:
-    """Nodes at 0, 1, 2, ... hops from ``target``, each step grown from the smaller side.
-
-    Top-down while the frontier is smaller than the unvisited set: the union
-    of the frontier's neighbour sets.  Bottom-up otherwise: the unvisited
-    nodes with a neighbour in the frontier.
-    """
-    layers = [{target}]
-    unvisited = set(near) - {target}
-    frontier = layers[0]
-    while frontier and unvisited:
-        if len(frontier) < len(unvisited):
-            frontier = set().union(*[near[v] for v in frontier])
-            frontier &= unvisited
-        else:
-            frontier = {v for v in unvisited if not near[v].isdisjoint(frontier)}
-        if frontier:
-            layers.append(frontier)
-            unvisited -= frontier
-    return layers
-
-
 def shortest_paths(
     g: Graphoid,
     source_filter: NodeFilter,
@@ -179,39 +145,51 @@ def shortest_paths(
     path: ``v``'s path is ``(v,)`` plus the path of its smallest neighbour one
     layer closer, memoized per target, so witnesses to one target share their
     suffix tuples.  That neighbour is the lowest set bit of ``v``'s neighbour
-    bitset AND the layer's bitset.  Distances come from a BFS per target on
-    every call.  Each target's results go straight into their slot, so only
-    one target's layers and memo are alive at a time.  The neighbour sets and
-    bitsets come from ``g``'s indexes, built by the first call.
+    bitset AND the layer's bitset.  Distances come from a top-down bitset BFS
+    per target on every call; it stops once every node is seen or a layer
+    adds none.  Each target's results go straight into their slot, so only
+    one target's layers and memo are alive at a time.  The neighbour bitsets
+    and id tuples come from ``g``'s index, built by the first call.
     """
-    types = _edge_types(g, via)
-    near = _projection(g, types)
-    order, bit, near_bits = _bitsets(g, types)
+    order, bit, near, ids = _bitsets(g, _edge_types(g, via))
+    everyone = (1 << len(order)) - 1
     sources = _matching_nodes(g, source_filter)
     targets = _matching_nodes(g, target_filter)
     width = len(targets)
     slots: list[PathResult | None] = [None] * (len(sources) * width)
     for j, target in enumerate(targets):
-        layers = _distance_layers(near, target)
-        hops_to = {v: hops for hops, layer in enumerate(layers) for v in layer}
-        # the farthest layer is never a step's destination, so it needs no bitset
-        layer_bits = [sum(map(bit.__getitem__, layer)) for layer in layers[:-1]]
+        layers = [bit[target], near[target]]
+        seen = layers[0] | layers[1]
+        frontier = ids[target]
+        while seen != everyone:
+            reach = 0
+            for v in frontier:
+                reach |= near[v]
+            layer = reach & ~seen
+            if not layer:
+                break
+            layers.append(layer)
+            seen |= layer
+            frontier = _members(order, layer)  # read only if this layer is expanded
         memo: dict[int, tuple[int, ...]] = {target: (target,)}
         for i, source in enumerate(sources):
             if source == target:
                 continue
             path = memo.get(source)
             if path is None:
-                below = hops_to.get(source)
-                if below is None:
+                own = bit[source]
+                if not own & seen:
                     path = memo[source] = ()
                 else:
+                    below = 1
+                    while not own & layers[below]:
+                        below += 1
                     chain = []
                     cur = source
                     while cur not in memo:
                         chain.append(cur)
                         below -= 1
-                        step = near_bits[cur] & layer_bits[below]
+                        step = near[cur] & layers[below]
                         cur = order[(step & -step).bit_length() - 1]
                     path = memo[cur]
                     for v in reversed(chain):
@@ -247,17 +225,25 @@ def group_average(
     """Average of an edge measure over every ``size``-subset of co-participants.
 
     Every selected edge contributes its measure value to each subset of that
-    many distinct adjacent nodes; groups are keyed by sorted node ids.
+    many distinct adjacent nodes; groups are keyed by sorted node ids.  A
+    measure rolled up above its bottom level is refused.
     """
     if size < 1:
         raise GraphoidError("group size must be at least 1")
-    edges = _selected_edges(g, _edge_types(g, via))
+    types = _edge_types(g, via)
+    edges = [e for e in g.edges if e.etype in types]
     slots: dict[str, int] = {}
     for e in edges:
         if e.etype not in slots:
             slot = g.edge_types[e.etype].measure_slot_of(measure)
             if slot is None:
                 raise GraphoidError(f"edge type {e.etype} has no measure {measure}")
+            level = g.levels[(e.etype, slot)]
+            if level != g.catalog.schema(measure).bottom:
+                raise GraphoidError(
+                    f"measure {measure} of {e.etype} sits at level {level}; "
+                    "a group average needs its bottom-level values"
+                )
             slots[e.etype] = slot
 
     sums: dict[tuple[int, ...], float] = {}

@@ -238,7 +238,7 @@ def graphoid_from_json(raw: dict, catalog: DimensionCatalog) -> Graphoid:
     folds = {}
     for name, slot, fn in raw.get("folds", ()):
         decl = g.edge_types.get(name)
-        if decl is None or not isinstance(slot, int) or not 0 <= slot < decl.arity or fn not in AGGREGATES:
+        if decl is None or type(slot) is not int or slot not in dict(decl.measures) or fn not in AGGREGATES:
             raise StoreError(f"fold record [{name!r}, {slot!r}, {fn!r}] names no measure slot and aggregate")
         folds[(name, slot)] = fn
     return replace(g, folds=folds) if folds else g
@@ -611,6 +611,10 @@ def generate(config: GeneratorConfig) -> GeneratedData:
         raise StoreError("max_group_size must be at least 2")
     if config.phone_count < config.max_group_size:
         raise StoreError("phone_count must not be below max_group_size")
+    if config.user_count < 1:
+        raise StoreError("user_count must be at least 1")
+    if config.call_count < 0:
+        raise StoreError("call_count must not be negative")
     rng = random.Random(config.seed)
 
     customers = [f"Customer{k + 1:03d}" for k in range(config.user_count)]

@@ -319,6 +319,21 @@ MALFORMED_INPUTS = [
     pytest.param(
         {"n.json": 5}, ["validate", "n.json"], None, 1, "FAIL n.json: unrecognized document shape", id="validate-a-number",
     ),
+    pytest.param(
+        {}, ["generate", "--out", "w", "--users", "0"], None, 1,
+        "generate failed: user_count must be at least 1", id="generate-no-users",
+    ),
+    pytest.param(
+        {}, ["generate", "--out", "w", "--calls", "-3"], None, 1,
+        "generate failed: call_count must not be negative", id="generate-negative-calls",
+    ),
+    pytest.param(
+        {}, ["bench", "--users", "0"], None, 1, "bench failed: user_count must be at least 1", id="bench-no-users",
+    ),
+    pytest.param(
+        {}, ["theorem1", "--trials", "-2"], None, 2, "theorem1: trials must be at least 1", id="theorem1-negative-trials",
+    ),
+    pytest.param({}, ["theorem1", "--trials", "0"], None, 2, "theorem1: trials must be at least 1", id="theorem1-no-trials"),
 ]
 
 

@@ -25,7 +25,7 @@ from graphoid.metrics import (
     path_results_to_rows,
     shortest_paths,
 )
-from graphoid.olap import Atom, Condition, dice, n_delete, roll_up
+from graphoid.olap import Atom, Condition, climb, dice, n_delete, roll_up
 from helpers import cooccurrence_pairs, floyd_warshall, random_graphoid, smallest_shortest_paths
 
 PHONES = NodeFilter("#Phone")
@@ -166,16 +166,16 @@ def texting_graph(catalog):
     )
 
 
-def count_builds(monkeypatch, builder: str = "_build_projection") -> list[frozenset[str]]:
-    """The edge-type sets of every index ``metrics.<builder>`` builds from now on."""
+def count_builds(monkeypatch) -> list[frozenset[str]]:
+    """The edge-type sets of every index ``metrics._build_bitsets`` builds from now on."""
     builds: list[frozenset[str]] = []
-    build = getattr(metrics, builder)
+    build = metrics._build_bitsets
 
     def counted(g, types):
         builds.append(types)
         return build(g, types)
 
-    monkeypatch.setattr(metrics, builder, counted)
+    monkeypatch.setattr(metrics, "_build_bitsets", counted)
     return builds
 
 
@@ -338,7 +338,7 @@ def as_rows(results) -> list[tuple[int, int, int, tuple[int, ...]]]:
 
 class TestBitsetIndex:
     def test_two_path_queries_build_it_once(self, figures_catalog, monkeypatch):
-        builds = count_builds(monkeypatch, "_build_bitsets")
+        builds = count_builds(monkeypatch)
         g = texting_graph(figures_catalog)
         first = shortest_paths(g, PHONES, PHONES)
         assert shortest_paths(g, PHONES, PHONES) == first
@@ -346,7 +346,7 @@ class TestBitsetIndex:
         assert builds == [frozenset({"#Call", "#Text"})]
 
     def test_wildcard_omitted_and_full_list_share_one_entry(self, figures_catalog, monkeypatch):
-        builds = count_builds(monkeypatch, "_build_bitsets")
+        builds = count_builds(monkeypatch)
         g = texting_graph(figures_catalog)
         every = [shortest_paths(g, PHONES, PHONES, via) for via in ("*", None, ["#Text", "#Call"])]
         assert all(rows == every[0] for rows in every)
@@ -363,7 +363,7 @@ class TestBitsetIndex:
         parent = texting_graph(figures_catalog)
         before = shortest_paths(parent, PHONES, PHONES)
         shortest_paths(parent, PHONES, PHONES, ["#Call"])
-        builds = count_builds(monkeypatch, "_build_bitsets")
+        builds = count_builds(monkeypatch)
         child = derive(parent)
         rows = shortest_paths(child, PHONES, PHONES)
         assert rows != before
@@ -488,6 +488,11 @@ class TestGroupAverage:
     def test_unknown_measure_refused(self, base_graph):
         with pytest.raises(GraphoidError, match="has no measure"):
             group_average(base_graph, "#Call", 2, "Latency")
+
+    def test_measure_above_its_bottom_level_refused(self, base_graph):
+        topped = climb(base_graph, ["#Call"], RollupStep("Duration", "Duration", "All"))
+        with pytest.raises(GraphoidError, match="measure Duration of #Call sits at level All"):
+            group_average(topped, "#Call", 2, "Duration")
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**9))

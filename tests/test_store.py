@@ -140,7 +140,11 @@ class TestFoldRecord:
         assert "folds" not in graphoid_to_json(base_graph)
         assert graphoid_from_json(graphoid_to_json(base_graph), base_graph.catalog).folds == {}
 
-    @pytest.mark.parametrize("record", [["#Nope", 1, "SUM"], ["#Call", 9, "SUM"], ["#Call", 1, "MEDIAN"]])
+    # the last two: slot 0 of #Call holds Time, not a measure; true would be read as slot 1
+    @pytest.mark.parametrize(
+        "record",
+        [["#Nope", 1, "SUM"], ["#Call", 9, "SUM"], ["#Call", 1, "MEDIAN"], ["#Call", 0, "SUM"], ["#Call", True, "SUM"]],
+    )
     def test_bad_record_refused(self, base_graph, record):
         doc = {**graphoid_to_json(base_graph), "folds": [record]}
         with pytest.raises(StoreError, match="fold record"):
