@@ -226,7 +226,10 @@ def group_average(
 
     Every selected edge contributes its measure value to each subset of that
     many distinct adjacent nodes; groups are keyed by sorted node ids.  A
-    measure rolled up above its bottom level is refused.
+    measure rolled up above its bottom level is refused, and so is one that
+    holds folded aggregates (a ``roll_up`` or ``slice_out`` with any
+    aggregate), since an average of sums, counts or averages is not the
+    average of the raw values.
     """
     if size < 1:
         raise GraphoidError("group size must be at least 1")
@@ -243,6 +246,12 @@ def group_average(
                 raise GraphoidError(
                     f"measure {measure} of {e.etype} sits at level {level}; "
                     "a group average needs its bottom-level values"
+                )
+            fold = g.folds.get((e.etype, slot))
+            if fold is not None:
+                raise GraphoidError(
+                    f"measure {measure} of {e.etype} holds {fold} aggregates; "
+                    "a group average needs the raw values"
                 )
             slots[e.etype] = slot
 

@@ -301,9 +301,13 @@ def cube_from_json(raw: dict, catalog: DimensionCatalog) -> Cube:
 # files
 
 def dump_text(payload: object) -> str:
-    """The saved text of a document: its indented JSON dump and a newline."""
-    # one dumps call: json.dump writes chunk by chunk through the pure-Python encoder
-    return json.dumps(payload, indent=2) + "\n"
+    """The saved text of a document: its compact JSON dump on one line and a newline.
+
+    Every JSON writer goes through here. Compact separators and no ``indent``
+    keep CPython on its C encoder; ``json.load`` reads any layout, so files
+    saved indented still load.
+    """
+    return json.dumps(payload, separators=(",", ":")) + "\n"
 
 
 @contextlib.contextmanager

@@ -71,6 +71,9 @@ class TestGenerate:
             "graph.json",
         ):
             assert (workspace / name).exists()
+        generated = store.generate(store.GeneratorConfig(phone_count=10, user_count=4, call_count=20, max_group_size=3, seed=5))
+        loaded = store.graphoid_from_json(store.load_json(str(workspace / "graph.json")), load_catalog(workspace))
+        assert loaded.bag_equal(generated.graphoid)
 
     def test_mentions_the_sizes(self, tmp_path, capsys):
         rc = cli.main(
@@ -402,9 +405,10 @@ class TestQuery:
     def test_batch_json_output(self, workspace, capsys):
         qfile = workspace / "rollup.gql"
         qfile.write_text(PIPELINE)
-        rc = cli.main(["query", str(qfile), *dim_args(workspace)])
+        rc = cli.main(["query", str(qfile), *dim_args(workspace), "--out", "-"])
         out = capsys.readouterr().out
         assert rc == 0
+        assert out.count("\n") == 1 and out.endswith("\n")
         got = store.graphoid_from_json(json.loads(out), load_catalog(workspace))
         assert got == self.expected_rollup(workspace)
 

@@ -25,7 +25,7 @@ from graphoid.metrics import (
     path_results_to_rows,
     shortest_paths,
 )
-from graphoid.olap import Atom, Condition, climb, dice, n_delete, roll_up
+from graphoid.olap import Atom, Condition, climb, dice, n_delete, roll_up, slice_out
 from helpers import cooccurrence_pairs, floyd_warshall, random_graphoid, smallest_shortest_paths
 
 PHONES = NodeFilter("#Phone")
@@ -493,6 +493,19 @@ class TestGroupAverage:
         topped = climb(base_graph, ["#Call"], RollupStep("Duration", "Duration", "All"))
         with pytest.raises(GraphoidError, match="measure Duration of #Call sits at level All"):
             group_average(topped, "#Call", 2, "Duration")
+
+    # averaging monthly sums, counts or averages is not the average of the calls
+    @pytest.mark.parametrize("fn", ["SUM", "COUNT", "AVG"])
+    def test_folded_measure_refused(self, base_graph, fn):
+        monthly = roll_up(base_graph, ["#Call"], RollupStep("Time", "Day", "Month"), "#Call", [("Duration", fn)])
+        assert monthly.levels[("#Call", 1)] == "Duration"
+        with pytest.raises(GraphoidError, match=f"measure Duration of #Call holds {fn} aggregates"):
+            group_average(monthly, "#Call", 1, "Duration")
+
+    def test_sliced_measure_refused(self, base_graph):
+        sliced = slice_out(base_graph, "Time", [("Duration", "SUM")])
+        with pytest.raises(GraphoidError, match="measure Duration of #Call holds SUM aggregates"):
+            group_average(sliced, "#Call", 1, "Duration")
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**9))

@@ -110,15 +110,22 @@ class TestJsonRoundTrips:
         buffer.seek(0)
         assert instance_from_json(load_json(buffer)) == phone_dimension
 
-    def test_saved_text_is_indented_dump_plus_newline(self, tmp_path):
+    def test_saved_text_is_compact_dump_plus_newline(self, tmp_path):
         payload = graphoid_to_json(generate(GeneratorConfig(phone_count=10, user_count=5, call_count=40, seed=2)).graphoid)
-        expected = json.dumps(payload, indent=2) + "\n"
+        expected = json.dumps(payload, separators=(",", ":")) + "\n"
         path = tmp_path / "graph.json"
         save_json(payload, str(path))
         assert path.read_text(encoding="utf-8") == expected
         buffer = io.StringIO()
         save_json(payload, buffer)
         assert buffer.getvalue() == expected
+
+    def test_documents_saved_indented_still_load(self):
+        for value, doc, catalog in saved_values():
+            indented = json.dumps(doc, indent=2) + "\n"
+            assert indented != dump_text(doc)
+            assert json.loads(indented) == json.loads(dump_text(doc))
+            assert decode(load_json(io.StringIO(indented)), catalog)[1] == value
 
 
 class TestFoldRecord:
@@ -499,18 +506,23 @@ class TestEncodePlan:
 # the decode entry on malformed documents
 
 @functools.cache
-def saved_documents() -> tuple[tuple[dict, object], ...]:
-    """A saved schema, instance, graph and cube as plain JSON, each with its catalog."""
+def saved_values() -> tuple[tuple[object, dict, object], ...]:
+    """A schema, instance, graph and cube, each with its saved text parsed back and its catalog."""
     data = generate(GeneratorConfig(phone_count=4, user_count=2, call_count=5, max_group_size=3, seed=1))
     rng = random.Random(2)
     cube_catalog = random_catalog(rng)
-    documents = (
-        (schema_to_json(time_schema()), None),
-        (instance_to_json(data.catalog.instance("Time")), None),
-        (graphoid_to_json(data.graphoid), data.catalog),
-        (cube_to_json(random_cube(rng, cube_catalog)), cube_catalog),
+    values = (
+        (time_schema(), schema_to_json, None),
+        (data.catalog.instance("Time"), instance_to_json, None),
+        (data.graphoid, graphoid_to_json, data.catalog),
+        (random_cube(rng, cube_catalog), cube_to_json, cube_catalog),
     )
-    return tuple((json.loads(dump_text(doc)), catalog) for doc, catalog in documents)
+    return tuple((value, json.loads(dump_text(to_json(value))), catalog) for value, to_json, catalog in values)
+
+
+def saved_documents() -> tuple[tuple[dict, object], ...]:
+    """A saved schema, instance, graph and cube as plain JSON, each with its catalog."""
+    return tuple((doc, catalog) for _, doc, catalog in saved_values())
 
 
 def locations(value, path=()) -> list[tuple]:
