@@ -15,6 +15,11 @@ import os
 import sys
 import time
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 from . import cubes, gql, metrics, olap, store
 from .dims import DimensionCatalog, DimensionError, RollupStep, validate_instance, validate_schema
 from .hypergraph import Graphoid, GraphoidBuildError, GraphoidError
@@ -287,7 +292,7 @@ BENCH_SCALES = {
 
 
 def cmd_bench(args) -> int:
-    """Time the case-study queries Q1-Q7 on one generated call graph."""
+    """Time the case-study queries Q1-Q7 on one generated call graph, then print the peak RSS."""
     if min(args.sizes) < 1:
         raise CliFailure("bench: group sizes must be at least 1", 2)
     flags = (("seed", args.seed), ("phone_count", args.phones), ("user_count", args.users), ("call_count", args.calls))
@@ -338,6 +343,10 @@ def cmd_bench(args) -> int:
     )
     for label, elapsed, size in rows:
         print(f"{label:45s} {elapsed * 1000:10.1f} ms   {size} rows")
+    if resource is not None:
+        # the process's peak resident set; ru_maxrss counts KiB, bytes on macOS
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+        print(f"peak RSS {peak:.1f} MiB")
     return 0
 
 

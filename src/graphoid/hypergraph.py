@@ -5,6 +5,13 @@ integer identifier.  Hyperedges connect a set of source node ids to a set of
 target node ids and form a bag: two edges with identical type, endpoints and
 label are distinct occurrences.  Each (type, slot) pair tracks the dimension
 level its values currently live at.
+
+Edges are slotted values, and within one graph value every distinct endpoint
+set is one shared frozenset: ``build_graphoid``, ``edgify``,
+``olap.minimize`` and ``olap.n_delete`` intern the sets they make, and the
+other operators pass the sets through.  Many edges share their endpoints once nodes are contracted
+(a call graph rolled up to operators has a handful of distinct sets), so this
+keeps a value's memory close to its number of distinct sets.
 """
 from __future__ import annotations
 
@@ -73,9 +80,13 @@ class Node:
         return self.label[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HyperEdge:
-    """One edge occurrence; ``surrogate`` is internal bookkeeping, never compared."""
+    """One edge occurrence; ``surrogate`` is internal bookkeeping, never compared.
+
+    Slotted, so an edge holds no ``__dict__``.  Edges of one graph value with
+    equal endpoint sets hold the same frozenset objects.
+    """
 
     etype: str
     source: frozenset[int]
@@ -184,6 +195,28 @@ class Graphoid:
         return replace(self, **changes)
 
 
+def shared_endpoint_map(fn: Callable[[frozenset[int]], frozenset[int]]) -> Callable[[frozenset[int]], frozenset[int]]:
+    """``fn`` over endpoint sets, run once per distinct set, with one shared
+    object per distinct result; a result equal to its input is the input.
+
+    ``fn`` must map each of its results to an equal set (contracting or
+    deleting nodes twice changes nothing), so one dict serves both as the
+    memo and as the table of shared results.
+    """
+    table: dict[frozenset[int], frozenset[int]] = {}
+
+    def mapped(ends: frozenset[int]) -> frozenset[int]:
+        new = table.get(ends)
+        if new is None:
+            new = fn(ends)
+            if new == ends:
+                new = ends
+            new = table[ends] = table.setdefault(new, new)
+        return new
+
+    return mapped
+
+
 def _validate_node_decl(decl: NodeTypeDecl, catalog: DimensionCatalog, problems: list[str]) -> None:
     if not decl.name.startswith("#"):
         problems.append(f"node type {decl.name!r}: type names start with '#'")
@@ -241,7 +274,8 @@ def build_graphoid(
     """Validate and assemble a graph value.
 
     ``nodes`` accepts Node objects or (type, label...) rows; ``edges`` accepts
-    (type, sources, targets, label...) rows.  Raises GraphoidBuildError with
+    HyperEdges or (type, sources, targets, label...) rows, whose sources and
+    targets are collections of node ids.  Raises GraphoidBuildError with
     the full report when anything is off.
     """
     problems: list[str] = []
@@ -326,32 +360,42 @@ def build_graphoid(
         raise GraphoidBuildError(problems)
 
     node_ids = node_table.keys()
+    # each distinct endpoint set whose ids are all nodes -> the one frozenset
+    # every edge with that set holds
+    shared: dict[frozenset[int], frozenset[int]] = {}
     edge_list: list[HyperEdge] = []
     for row in edges:
-        if isinstance(row, HyperEdge):
-            etype, source, target, label = row.etype, frozenset(row.source), frozenset(row.target), row.label
-        else:
-            try:
-                etype, source, target = str(row[0]), frozenset(row[1]), frozenset(row[2])
-            except (LookupError, TypeError):
-                problems.append(f"edge row {row!r}: expected a type, source ids and target ids")
-                continue
-            label = tuple(row[3:])
+        try:
+            if isinstance(row, HyperEdge):
+                etype, source, target, label = row.etype, row.source, row.target, row.label
+            else:
+                etype, source, target, label = str(row[0]), row[1], row[2], tuple(row[3:])
+            ids = (*source, *target)
+            source, target = frozenset(source), frozenset(target)
+        except (LookupError, TypeError):
+            problems.append(f"edge row {row!r}: expected a type, source ids and target ids")
+            continue
         # fast path: a row that passes every check below is kept after these tests alone
         tests = edge_tests.get(etype)
-        if (
-            tests is not None
-            and len(label) == len(tests)
-            and (source or target)
-            and node_ids >= source
-            and node_ids >= target
-        ):
-            for value, member in zip(label, tests):
-                if not member(value):
+        if tests is not None and len(label) == len(tests) and ids:
+            # checked per row: 5.0 and True equal ints, so ``shared`` cannot tell them apart
+            for ident in ids:
+                if type(ident) is not int:
                     break
             else:
-                edge_list.append(HyperEdge(etype, source, target, label, surrogate=len(edge_list)))
-                continue
+                kept_source = shared.get(source)
+                if kept_source is None and node_ids >= source:
+                    kept_source = shared[source] = source
+                kept_target = shared.get(target)
+                if kept_target is None and node_ids >= target:
+                    kept_target = shared[target] = target
+                if kept_source is not None and kept_target is not None:
+                    for value, member in zip(label, tests):
+                        if not member(value):
+                            break
+                    else:
+                        edge_list.append(HyperEdge(etype, kept_source, kept_target, label, len(edge_list)))
+                        continue
         # a failing row: report each of its problems, in this order
         if etype not in etypes:
             problems.append(f"edge {label!r}: unknown edge type {etype}")
@@ -360,12 +404,14 @@ def build_graphoid(
         if len(label) != decl.arity:
             problems.append(f"edge {etype} {label!r}: expected {decl.arity} label slots")
             continue
-        if not source and not target:
+        if not ids:
             problems.append(f"edge {etype} {label!r}: source and target sets are both empty")
             continue
-        for ident in sorted(source | target):
-            if ident not in node_table:
-                problems.append(f"edge {etype} {label!r}: endpoint {ident} is not a node")
+        for ident in ids:
+            if type(ident) is not int:
+                problems.append(f"edge {etype} {label!r}: endpoint {ident!r} is not an integer")
+        for ident in sorted({ident for ident in ids if type(ident) is int and ident not in node_table}):
+            problems.append(f"edge {etype} {label!r}: endpoint {ident} is not a node")
         for slot, (value, member) in enumerate(zip(label, edge_tests[etype])):
             if not member(value):
                 problems.append(
@@ -408,6 +454,8 @@ def edgify(g: Graphoid, ntype: str, slot: int) -> Graphoid:
     nodes = dict(g.nodes)
     new_edges = list(g.edges)
     surrogate = max((e.surrogate for e in g.edges), default=-1) + 1
+    share = {ids: ids for e in g.edges for ids in (e.source, e.target)}.setdefault
+    no_source = share(frozenset(), frozenset())
     for ident in sorted(nodes):
         node = nodes[ident]
         if node.ntype != ntype:
@@ -416,7 +464,8 @@ def edgify(g: Graphoid, ntype: str, slot: int) -> Graphoid:
         value = label[slot]
         label[slot] = ALL_MEMBER
         nodes[ident] = Node(ntype, tuple(label))
-        new_edges.append(HyperEdge(new_type, frozenset(), frozenset({ident}), (value,), surrogate))
+        target = frozenset({ident})
+        new_edges.append(HyperEdge(new_type, no_source, share(target, target), (value,), surrogate))
         surrogate += 1
     levels[(ntype, slot)] = ALL_LEVEL
     return g.derive(edge_types=etypes, nodes=nodes, edges=tuple(new_edges), levels=levels)

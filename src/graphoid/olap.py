@@ -38,6 +38,7 @@ from .hypergraph import (
     HyperEdge,
     Node,
     NodeTypeDecl,
+    shared_endpoint_map,
 )
 
 
@@ -380,16 +381,8 @@ def minimize(g: Graphoid) -> Graphoid:
     if all(k == v for k, v in rep.items()):
         return g.derive()
     nodes = {ident: g.nodes[ident] for ident in sorted(chosen.values())}
-    edges = tuple(
-        HyperEdge(
-            e.etype,
-            frozenset(rep[i] for i in e.source),
-            frozenset(rep[i] for i in e.target),
-            e.label,
-            e.surrogate,
-        )
-        for e in g.edges
-    )
+    contract = shared_endpoint_map(lambda ends: frozenset(rep[i] for i in ends))
+    edges = tuple(HyperEdge(e.etype, contract(e.source), contract(e.target), e.label, e.surrogate) for e in g.edges)
     return g.derive(nodes=nodes, edges=edges)
 
 
@@ -611,10 +604,11 @@ def n_delete(g: Graphoid, node_type: str) -> Graphoid:
     g.node_type(node_type)
     dead = {ident for ident, node in g.nodes.items() if node.ntype == node_type}
     nodes = {ident: node for ident, node in g.nodes.items() if ident not in dead}
+    survivors = shared_endpoint_map(lambda ends: ends - dead)
     edges: list[HyperEdge] = []
     for e in g.edges:
-        source = e.source - dead
-        target = e.target - dead
+        source = survivors(e.source)
+        target = survivors(e.target)
         if source or target:
             edges.append(HyperEdge(e.etype, source, target, e.label, e.surrogate))
     return g.derive(nodes=nodes, edges=tuple(edges), tainted=True)

@@ -177,6 +177,12 @@ def random_graphoid(rng: random.Random, catalog: DimensionCatalog | None = None,
     return build_graphoid(catalog, ntypes, etypes, nodes, edges)
 
 
+def ends_are_shared(g: Graphoid) -> bool:
+    """Every distinct endpoint set of ``g`` is one frozenset object."""
+    ends = [ids for e in g.edges for ids in (e.source, e.target)]
+    return len({id(ids) for ids in ends}) == len(set(ends))
+
+
 def shuffled_build(rng: random.Random, catalog, ntypes, etypes, nodes, edges) -> Graphoid:
     """Rebuild the same graphoid from permuted input rows."""
     nodes = list(nodes)

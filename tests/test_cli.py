@@ -544,6 +544,8 @@ class TestBench:
         assert "benchmark over 60 calls, 12 phones" in out
         for label in ("Q1", "Q2", "Q3", "Q4", "Q5", "Q6", "Q7"):
             assert label in out
+        last = out.splitlines()[-1]
+        assert re.fullmatch(r"peak RSS \d+\.\d MiB", last), last
 
     def test_script_forwards_to_bench(self, capsys):
         spec = importlib.util.spec_from_file_location("run_case_study", CASE_STUDY_SCRIPT)

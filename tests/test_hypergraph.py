@@ -1,6 +1,8 @@
 """Graph values: construction validation, bag equality, adjacency, edgify."""
 from __future__ import annotations
 
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -18,7 +20,7 @@ from graphoid.hypergraph import (
     edgify,
 )
 from conftest import BASE_CALLS, BASE_LEVELS, BASE_NODES, CALL_DECL, PHONE_DECL
-from helpers import random_graphoid_input, shuffled_build
+from helpers import ends_are_shared, random_graphoid_input, shuffled_build
 
 
 class TestBuildGraphoid:
@@ -84,6 +86,39 @@ class TestBuildGraphoid:
                 levels=BASE_LEVELS,
             )
 
+    def test_equal_endpoint_sets_share_one_object(self, base_graph):
+        assert ends_are_shared(base_graph)
+
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=30, deadline=None)
+    def test_random_builds_share_endpoint_sets(self, seed):
+        rng = random.Random(seed)
+        catalog, ntypes, etypes, nodes, edges = random_graphoid_input(rng, max_endpoints=2)
+        g = build_graphoid(catalog, ntypes, etypes, nodes, edges)
+        assert ends_are_shared(g)
+        # edges given with a fresh copy of every set come out shared too
+        copies = [HyperEdge(e.etype, frozenset([*e.source]), frozenset([*e.target]), e.label) for e in g.edges]
+        again = build_graphoid(catalog, ntypes, etypes, g.nodes.values(), copies)
+        assert ends_are_shared(again) and again == g
+
+    @pytest.mark.parametrize("ident", [11.0, 12.0, True, 1.0])
+    def test_non_int_endpoint_refused(self, figures_catalog, ident):
+        # node 1 makes True and 1.0 equal to a node id, as 11.0 and 12.0 are
+        nodes = [*BASE_NODES, ("#Phone", 1, "Ph5")]
+        day = BASE_CALLS[0][2]
+        for rows in (
+            [("#Call", [ident], [13], day, 4)],
+            [("#Call", [13], [ident, 14], day, 4)],
+            # an equal int set first: the refusal does not depend on row order
+            [("#Call", [int(ident)], [13], day, 4), ("#Call", [ident], [13], day, 4)],
+            [("#Call", frozenset({int(ident)}), [13], day, 4), ("#Call", frozenset({ident}), [13], day, 4)],
+        ):
+            with pytest.raises(GraphoidBuildError) as err:
+                build_graphoid(figures_catalog, [PHONE_DECL], [CALL_DECL], nodes, rows, levels=BASE_LEVELS)
+            assert err.value.problems == [
+                f"edge #Call ({day!r}, 4): endpoint {ident!r} is not an integer"
+            ]
+
     def test_default_levels_are_bottoms(self, figures_catalog):
         g = build_graphoid(
             figures_catalog, [PHONE_DECL], [CALL_DECL], BASE_NODES,
@@ -93,6 +128,20 @@ class TestBuildGraphoid:
         assert g.levels[("#Phone", 1)] == "Phone"
         assert g.levels[("#Call", 0)] == "Day"
         assert g.levels[("#Call", 1)] == "Duration"
+
+
+class TestHyperEdge:
+    def test_value_semantics(self):
+        e = HyperEdge("#E", frozenset({1}), frozenset({2, 3}), (4, "x"), surrogate=7)
+        assert [f.name for f in dataclasses.fields(e)] == ["etype", "source", "target", "label", "surrogate"]
+        same = HyperEdge("#E", frozenset({1}), frozenset({3, 2}), (4, "x"), surrogate=8)
+        assert e == same and hash(e) == hash(same)
+        assert e != HyperEdge("#E", frozenset({1}), frozenset({2}), (4, "x"), surrogate=7)
+        copied = pickle.loads(pickle.dumps(e))
+        assert copied == e and copied.surrogate == 7
+        assert not hasattr(e, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            e.label = (5, "x")
 
 
 class TestAdjacency:
@@ -171,6 +220,12 @@ class TestEdgify:
         ]
         assert all(e.source == frozenset() for e in bill_edges)
         assert out.levels[("#HasExpectedBill", 0)] == "ExpectedBill"
+
+    def test_new_edges_share_endpoint_sets(self, base_graph):
+        _, _, g = billing_graph()
+        assert ends_are_shared(edgify(g, "#Phone", 2))
+        # the new single-target sets are the ones the calls already hold
+        assert ends_are_shared(edgify(base_graph, "#Phone", 1))
 
     def test_preserves_node_count_and_adds_one_edge_per_node(self):
         _, _, g = billing_graph()

@@ -51,7 +51,13 @@ from graphoid.olap import (
     validate_condition,
 )
 from graphoid.store import GeneratorConfig, generate
-from helpers import climbable_step, random_graphoid, random_graphoid_input, shuffled_build
+from helpers import (
+    climbable_step,
+    ends_are_shared,
+    random_graphoid,
+    random_graphoid_input,
+    shuffled_build,
+)
 
 
 def edge_bag(g, etype: str | None = None) -> Counter:
@@ -173,6 +179,15 @@ class TestMinimize:
         assert minimize(m1) == m1
 
 
+    def test_endpoint_sets_are_shared(self, operator_graph):
+        out = minimize(operator_graph)
+        assert ends_are_shared(out)
+        # {12}, {13}, {15} and {12, 15}, {12, 13} become three objects; sets that do not move stay the input's
+        assert len({id(e.target) for e in out.edges}) == 3
+        moved = {id(ids) for e in operator_graph.edges for ids in (e.source, e.target)}
+        assert {id(e.source) for e in out.edges if e.source == {11}} <= moved
+
+
 class TestGroup:
     def test_node_group_from_base(self, base_graph, minimal_operator_graph):
         out = group(base_graph, "#Phone", RollupStep("Phone", "Phone", "Operator"))
@@ -189,6 +204,12 @@ class TestGroup:
     def test_unknown_type(self, base_graph):
         with pytest.raises(OlapError, match="unknown type"):
             group(base_graph, "#User", RollupStep("Phone", "Phone", "Operator"))
+
+    def test_endpoint_sets_are_shared(self):
+        data = generate(GeneratorConfig(phone_count=30, user_count=10, call_count=300, seed=4))
+        out = group(data.graphoid, "#Phone", RollupStep("Phone", "PhoneId", "Operator"))
+        assert ends_are_shared(data.graphoid) and ends_are_shared(out)
+        assert len({id(e.source) for e in out.edges}) < 10
 
 
 def flat_aggregate(calls, key_of, fold):
@@ -581,6 +602,14 @@ class TestNDelete:
         with pytest.raises(GraphoidError, match="unknown node type"):
             n_delete(base_graph, "#User")
 
+    def test_endpoint_sets_are_shared(self, base_graph):
+        out = n_delete(base_graph.derive(nodes={**base_graph.nodes}), "#Phone")
+        assert out.edges == ()
+        g = sales_star_graph()
+        twice = g.derive(edges=g.edges + (HyperEdge("#Sales", frozenset(), frozenset({11, 12, 13}), (3,)),))
+        out = n_delete(twice, "#Location")
+        assert ends_are_shared(out) and out.edges[0].target is out.edges[1].target
+
     def test_drill_down_after_delete_refused(self):
         data = generate(GeneratorConfig(phone_count=8, user_count=4, call_count=400, seed=3))
         pairs = [("Duration", "SUM")]
@@ -589,6 +618,58 @@ class TestNDelete:
         assert emptied.node_count == 0 and emptied.tainted
         with pytest.raises(LineageError, match="node deletion"):
             drill_down(emptied, ["#Call"], "Time", "Month", "#Call", pairs)
+
+
+def flat_minimize(g):
+    """``minimize`` recomputed edge by edge: each id goes to the smallest id
+    of its type with the same non-identifier label."""
+    rep = {}
+    for ident, node in sorted(g.nodes.items()):
+        rep[ident] = min(i for i, n in g.nodes.items() if n.ntype == node.ntype and n.label[1:] == node.label[1:])
+    edges = tuple(
+        HyperEdge(e.etype, frozenset(rep[i] for i in e.source), frozenset(rep[i] for i in e.target), e.label)
+        for e in g.edges
+    )
+    return g.derive(nodes={i: g.nodes[i] for i in set(rep.values())}, edges=edges)
+
+
+def flat_n_delete(g, node_type: str):
+    """``n_delete`` recomputed edge by edge."""
+    dead = {i for i, n in g.nodes.items() if n.ntype == node_type}
+    nodes = {i: n for i, n in g.nodes.items() if i not in dead}
+    edges = []
+    for e in g.edges:
+        source, target = e.source - dead, e.target - dead
+        if source or target:
+            edges.append(HyperEdge(e.etype, source, target, e.label))
+    return g.derive(nodes=nodes, edges=tuple(edges))
+
+
+class TestFlatEndpointRewrites:
+    """``minimize`` and ``n_delete`` rewrite each distinct endpoint set once;
+    the result is the per-edge rewrite, with its sets shared."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_minimize(self, seed):
+        rng = random.Random(seed)
+        g = random_graphoid(rng, max_endpoints=4)
+        step = climbable_step(rng, g)
+        if step is not None:
+            g = climb(g, "*", step)
+        out = minimize(g)
+        assert out.bag_equal(flat_minimize(g))
+        assert ends_are_shared(out)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_n_delete(self, seed):
+        rng = random.Random(seed)
+        g = minimize(random_graphoid(rng, max_endpoints=4))
+        node_type = rng.choice(sorted(g.node_types))
+        out = n_delete(g, node_type)
+        assert out.bag_equal(flat_n_delete(g, node_type))
+        assert ends_are_shared(out)
 
 
 class TestOneEdgeClasses:

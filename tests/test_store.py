@@ -43,7 +43,7 @@ from graphoid.store import (
     time_schema,
     write_calls_csv,
 )
-from helpers import random_graphoid
+from helpers import ends_are_shared, random_graphoid
 
 SMALL = GeneratorConfig(
     phone_count=12, user_count=5, call_count=40, max_group_size=4, seed=3
@@ -75,6 +75,19 @@ class TestJsonRoundTrips:
     def test_graphoid(self, base_graph, year_rollup_graph):
         for g in (base_graph, year_rollup_graph):
             assert graphoid_from_json(graphoid_to_json(g), g.catalog) == g
+
+    def test_loaded_graph_shares_endpoint_sets(self):
+        data = generate(GeneratorConfig(phone_count=30, user_count=10, call_count=300, seed=4))
+        doc = json.loads(dump_text(graphoid_to_json(data.graphoid)))
+        loaded = graphoid_from_json(doc, data.catalog)
+        assert loaded.bag_equal(data.graphoid) and ends_are_shared(loaded)
+        assert len({id(e.source) for e in loaded.edges}) <= 30
+
+    def test_graph_document_rows_are_not_aliased(self, base_graph):
+        rows = graphoid_to_json(base_graph)["edges"]
+        lists = [part for row in rows for part in (row, row[1], row[2])]
+        assert len({id(part) for part in lists}) == len(lists) == 3 * len(base_graph.edges)
+        assert rows[0] == rows[1] == ["#Call", [11], [12], "2016-10-10", 4]
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**9))
@@ -409,6 +422,25 @@ class TestBuildReports:
                 figures_catalog, decls.node_types.values(), decls.edge_types.values(), GOOD_NODES, edges, decls.levels
             )
         assert info.value.problems == self.EDGE_PROBLEMS
+
+
+    def test_non_int_endpoints(self, figures_catalog):
+        # each equals a node id; the float row comes after an int row with the same sets
+        doc = fault_document(
+            GOOD_NODES,
+            [
+                ["#Call", [11], [12, 13], "2016-10-10", 4],
+                ["#Call", [11.0], [12, 13.0], "2016-10-10", 4],
+                ["#Call", [11], [True], "2016-10-10", 4],
+            ],
+        )
+        with pytest.raises(GraphoidBuildError) as info:
+            graphoid_from_json(doc, figures_catalog)
+        assert info.value.problems == [
+            "edge #Call (datetime.date(2016, 10, 10), 4): endpoint 11.0 is not an integer",
+            "edge #Call (datetime.date(2016, 10, 10), 4): endpoint 13.0 is not an integer",
+            "edge #Call (datetime.date(2016, 10, 10), 4): endpoint True is not an integer",
+        ]
 
 
 class TestMalformedDates:
