@@ -12,6 +12,11 @@ set is one shared frozenset: ``build_graphoid``, ``edgify``,
 other operators pass the sets through.  Many edges share their endpoints once nodes are contracted
 (a call graph rolled up to operators has a handful of distinct sets), so this
 keeps a value's memory close to its number of distinct sets.
+
+``HyperEdge(...)`` is the public constructor.  The engine builds its edges
+with ``make_edge``, which fills the same slots without the frozen
+dataclass ``__init__`` (one ``object.__setattr__`` per field) and costs
+about a third as much; what it returns is an ordinary ``HyperEdge``.
 """
 from __future__ import annotations
 
@@ -85,7 +90,8 @@ class HyperEdge:
     """One edge occurrence; ``surrogate`` is internal bookkeeping, never compared.
 
     Slotted, so an edge holds no ``__dict__``.  Edges of one graph value with
-    equal endpoint sets hold the same frozenset objects.
+    equal endpoint sets hold the same frozenset objects.  The engine's own
+    edges come from ``make_edge``, which builds the same value more cheaply.
     """
 
     etype: str
@@ -97,6 +103,27 @@ class HyperEdge:
     @property
     def adjacency(self) -> frozenset[int]:
         return self.source | self.target
+
+
+class _EdgeDraft:
+    """``HyperEdge``'s slot layout, unfrozen: its ``__init__`` stores the
+    fields with plain slot writes and then turns the object into a
+    ``HyperEdge``, which the equal layout allows."""
+
+    __slots__ = HyperEdge.__slots__
+
+    def __init__(self, etype: str, source: frozenset[int], target: frozenset[int], label: tuple, surrogate: int):
+        self.etype = etype
+        self.source = source
+        self.target = target
+        self.label = label
+        self.surrogate = surrogate
+        self.__class__ = HyperEdge
+
+
+# make_edge(etype, source, target, label, surrogate) is a HyperEdge built for the
+# engine's per-edge loops, which pass fields that are already of the right types
+make_edge: Callable[[str, frozenset[int], frozenset[int], tuple, int], HyperEdge] = _EdgeDraft  # type: ignore[assignment]
 
 
 @dataclass(frozen=True, eq=False)
@@ -394,7 +421,7 @@ def build_graphoid(
                         if not member(value):
                             break
                     else:
-                        edge_list.append(HyperEdge(etype, kept_source, kept_target, label, len(edge_list)))
+                        edge_list.append(make_edge(etype, kept_source, kept_target, label, len(edge_list)))
                         continue
         # a failing row: report each of its problems, in this order
         if etype not in etypes:
@@ -465,7 +492,7 @@ def edgify(g: Graphoid, ntype: str, slot: int) -> Graphoid:
         label[slot] = ALL_MEMBER
         nodes[ident] = Node(ntype, tuple(label))
         target = frozenset({ident})
-        new_edges.append(HyperEdge(new_type, no_source, share(target, target), (value,), surrogate))
+        new_edges.append(make_edge(new_type, no_source, share(target, target), (value,), surrogate))
         surrogate += 1
     levels[(ntype, slot)] = ALL_LEVEL
     return g.derive(edge_types=etypes, nodes=nodes, edges=tuple(new_edges), levels=levels)

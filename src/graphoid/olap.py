@@ -19,7 +19,7 @@ import datetime
 import math
 from dataclasses import dataclass
 from decimal import Decimal
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .dims import (
@@ -38,6 +38,7 @@ from .hypergraph import (
     HyperEdge,
     Node,
     NodeTypeDecl,
+    make_edge,
     shared_endpoint_map,
 )
 
@@ -258,7 +259,7 @@ def edge_filter(g: Graphoid, cond: Condition) -> Callable[[HyperEdge], bool]:
                 if test is not None and not test(edge.label):
                     break
                 if adjacent is None:
-                    adjacent = sorted(edge.adjacency)
+                    adjacent = sorted(edge.source | edge.target)
                 for ident in adjacent:
                     verdict = verdicts.get(ident)
                     if verdict is None:
@@ -337,26 +338,28 @@ def climb(g: Graphoid, targets, step: RollupStep) -> Graphoid:
 
     node_slots = {name: slot for name, slot in found if name in g.node_types}
     edge_slots = {name: slot for name, slot in found if name in g.edge_types}
+    # the catalog resolves the step on the first value and keeps it
     roll, dim, lo, hi = g.catalog.roll, step.dimension, step.from_level, step.to_level
-
-    def moved(label: tuple, slot: int) -> tuple:
-        # the catalog resolves the step on the first value and keeps it
-        return label[:slot] + (roll(dim, lo, hi, label[slot]),) + label[slot + 1:]
 
     nodes = dict(g.nodes)
     if node_slots:
         for ident, node in g.nodes.items():
             slot = node_slots.get(node.ntype)
             if slot is not None:
-                nodes[ident] = Node(node.ntype, moved(node.label, slot))
+                label = node.label
+                nodes[ident] = Node(node.ntype, label[:slot] + (roll(dim, lo, hi, label[slot]),) + label[slot + 1:])
     edges = g.edges
     if edge_slots:
-        edges = tuple(
-            HyperEdge(e.etype, e.source, e.target, moved(e.label, edge_slots[e.etype]), e.surrogate)
-            if e.etype in edge_slots
-            else e
-            for e in g.edges
-        )
+        rewritten: list[HyperEdge] = []
+        for e in edges:
+            slot = edge_slots.get(e.etype)
+            if slot is None:
+                rewritten.append(e)
+            else:
+                label = e.label
+                label = label[:slot] + (roll(dim, lo, hi, label[slot]),) + label[slot + 1:]
+                rewritten.append(make_edge(e.etype, e.source, e.target, label, e.surrogate))
+        edges = tuple(rewritten)
     levels = dict(g.levels)
     for name, slot in found:
         levels[(name, slot)] = step.to_level
@@ -382,7 +385,7 @@ def minimize(g: Graphoid) -> Graphoid:
         return g.derive()
     nodes = {ident: g.nodes[ident] for ident in sorted(chosen.values())}
     contract = shared_endpoint_map(lambda ends: frozenset(rep[i] for i in ends))
-    edges = tuple(HyperEdge(e.etype, contract(e.source), contract(e.target), e.label, e.surrogate) for e in g.edges)
+    edges = tuple(make_edge(e.etype, contract(e.source), contract(e.target), e.label, e.surrogate) for e in g.edges)
     return g.derive(nodes=nodes, edges=edges)
 
 
@@ -444,19 +447,10 @@ def _aggregation_plan(g: Graphoid, edge_type: str, pairs) -> tuple[dict[str, dic
     return plan, folds
 
 
-_surrogate = attrgetter("surrogate")
-
-
 def _key_getter(slots: tuple[int, ...]) -> Callable[[tuple], object]:
     if not slots:
         return lambda label: ()
     return itemgetter(*slots)
-
-
-def _same_value(value: object, stored: object) -> bool:
-    """Can a folded value stand in for the stored one?  Equal ints can; any
-    other value only when it is the stored object (0 + -0.0 is 0.0)."""
-    return value is stored or (type(value) is int and type(stored) is int and value == stored)
 
 
 def aggr(g: Graphoid, edge_type: str, measures: MeasurePairs) -> Graphoid:
@@ -464,10 +458,13 @@ def aggr(g: Graphoid, edge_type: str, measures: MeasurePairs) -> Graphoid:
 
     Two edges of a targeted type fall in one class when they share endpoints
     and agree on every label slot apart from the folded measures and an
-    identifier slot.  The class keeps the edge with the smallest internal
-    surrogate (and its identifier value) and its measure slots receive the
-    aggregate over the whole class.  Input is contracted first so endpoint
-    sets are canonical.
+    identifier slot.  A class is represented by its member with the smallest
+    internal surrogate, the first in edge order on a tie.  The representative
+    keeps its identifier value and its position in the edge order, and its
+    measure slots receive the aggregate over the whole class, folded in edge
+    order.  One pass over the edges finds the classes, each kept by its
+    members' positions, so edges that share a surrogate never mix classes.
+    Input is contracted first so endpoint sets are canonical.
     """
     g = minimize(g)
     pairs = _coerce_measures(measures)
@@ -481,31 +478,36 @@ def aggr(g: Graphoid, edge_type: str, measures: MeasurePairs) -> Graphoid:
         ))
         for name, slots in plan.items()
     }
-    classes: dict[tuple, list[HyperEdge]] = {}
-    for e in g.edges:
+    edges = g.edges
+    # the output edge at each position: an untargeted edge, or a class's folded representative
+    kept: list[HyperEdge | None] = [None] * len(edges)
+    first_at: dict[tuple, int] = {}  # class key -> its first member's position
+    later: dict[int, list[int]] = {}  # a first position -> its class's positions, when it has several
+    for i, e in enumerate(edges):
         key_of = class_slots.get(e.etype)
-        if key_of is not None:
-            classes.setdefault((e.etype, e.source, e.target, key_of(e.label)), []).append(e)
-    by_rep = {min(members, key=_surrogate).surrogate: members for members in classes.values()}
+        if key_of is None:
+            kept[i] = e
+            continue
+        first = first_at.setdefault((e.etype, e.source, e.target, key_of(e.label)), i)
+        if first != i:
+            later.setdefault(first, [first]).append(i)
 
     fold_slots = {name: tuple((slot, _FOLDS[fn]) for slot, fn in slots.items()) for name, slots in plan.items()}
-    edges: list[HyperEdge] = []
-    for e in g.edges:
-        folding = fold_slots.get(e.etype)
-        if folding is None:
-            edges.append(e)
-            continue
-        members = by_rep.get(e.surrogate)
-        if members is None:
-            continue
+    for first in first_at.values():
+        positions = later.get(first)
+        rep = first if positions is None else min(positions, key=lambda i: edges[i].surrogate)
+        e = edges[rep]
         label = e.label
-        for slot, fold in folding:
-            value = fold([m.label[slot] for m in members])
-            if not _same_value(value, label[slot]):
+        for slot, fold in fold_slots[e.etype]:
+            stored = label[slot]
+            value = fold([stored] if positions is None else [edges[i].label[slot] for i in positions])
+            # a folded value stands in for the stored one when it is an equal
+            # int or the stored object itself (0 + -0.0 is 0.0)
+            if value is not stored and not (type(value) is int and type(stored) is int and value == stored):
                 label = label[:slot] + (value,) + label[slot + 1:]
         # most one-edge classes fold to their own values and keep their edge
-        edges.append(e if label is e.label else HyperEdge(e.etype, e.source, e.target, label, e.surrogate))
-    return g.derive(edges=tuple(edges), folds=folds)
+        kept[rep] = e if label is e.label else make_edge(e.etype, e.source, e.target, label, e.surrogate)
+    return g.derive(edges=tuple(e for e in kept if e is not None), folds=folds)
 
 
 def roll_up(g: Graphoid, targets, step: RollupStep, edge_type: str, measures: MeasurePairs) -> Graphoid:
@@ -570,12 +572,13 @@ def s_dice(g: Graphoid, cond: Condition) -> Graphoid:
     satisfies = edge_filter(g, cond)
     kept: list[HyperEdge] = []
     removed_adjacency: set[frozenset[int]] = set()
+    # each edge's adjacency as an inline union: the property would add a call per edge
     for e in g.edges:
         if satisfies(e):
             kept.append(e)
         else:
-            removed_adjacency.add(e.adjacency)
-    edges = tuple(e for e in kept if e.adjacency not in removed_adjacency)
+            removed_adjacency.add(e.source | e.target)
+    edges = tuple(e for e in kept if e.source | e.target not in removed_adjacency)
     return g.derive(edges=edges, tainted=True)
 
 
@@ -610,5 +613,5 @@ def n_delete(g: Graphoid, node_type: str) -> Graphoid:
         source = survivors(e.source)
         target = survivors(e.target)
         if source or target:
-            edges.append(HyperEdge(e.etype, source, target, e.label, e.surrogate))
+            edges.append(make_edge(e.etype, source, target, e.label, e.surrogate))
     return g.derive(nodes=nodes, edges=tuple(edges), tainted=True)

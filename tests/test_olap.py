@@ -5,7 +5,9 @@ Golden expectations are recomputed inside each test from the flat call list
 """
 from __future__ import annotations
 
+import dataclasses
 import datetime
+import pickle
 import random
 from collections import Counter
 
@@ -50,7 +52,7 @@ from graphoid.olap import (
     slice_out,
     validate_condition,
 )
-from graphoid.store import GeneratorConfig, generate
+from graphoid.store import GeneratorConfig, generate, graphoid_from_json, graphoid_to_json
 from helpers import (
     climbable_step,
     ends_are_shared,
@@ -293,6 +295,20 @@ class TestAggr:
         out = aggr(g, "#E0", [("M1", "SUM")])
         assert edge_bag(out) == expected + passthrough
         assert out.nodes == g.nodes
+
+    def test_shared_surrogates_keep_classes_apart(self):
+        # a hand-built edge carries the default surrogate 0, like the generator's first edge
+        g = generate(GeneratorConfig(phone_count=10, user_count=5, call_count=20, seed=5)).graphoid
+        first = g.edges[0]
+        stray = HyperEdge("#Call", first.target, first.source, (first.label[0], 1000))
+        assert stray.surrogate == first.surrogate == 0
+        g = g.derive(edges=g.edges + (stray,))
+        out = aggr(g, "#Call", [("Duration", "SUM")])
+        expected = flat_aggregate(
+            [(e.source, e.target, *e.label) for e in g.edges], lambda s, t, d: (s, t, d), sum
+        )
+        assert edge_bag(out) == Counter(("#Call", s, t, (d, total)) for (s, t, d), total in expected.items())
+        assert sum(e.label[1] for e in out.edges) == sum(e.label[1] for e in g.edges)
 
 
 class TestRollUp:
@@ -670,6 +686,108 @@ class TestFlatEndpointRewrites:
         out = n_delete(g, node_type)
         assert out.bag_equal(flat_n_delete(g, node_type))
         assert ends_are_shared(out)
+
+
+FLAT_FOLDS = {"SUM": sum, "MIN": min, "MAX": max, "COUNT": len, "AVG": lambda values: sum(values) / len(values)}
+
+
+def flat_aggr(g, types, measure: str, fn: str) -> list[tuple]:
+    """``aggr`` recomputed edge by edge on a contracted graph: an edge of a
+    targeted type scans every edge for its class, is kept only when it is the
+    member with the smallest (surrogate, position), and then holds the fold
+    over its class.  Rows are (type, source, target, label, surrogate)."""
+    edges = g.edges
+
+    def slot_of(e) -> int:
+        return g.edge_types[e.etype].measure_slot_of(measure)
+
+    def class_of(e) -> tuple:
+        slot = slot_of(e)
+        return (e.etype, e.source, e.target, e.label[:slot] + e.label[slot + 1:])
+
+    rows = []
+    for i, e in enumerate(edges):
+        if e.etype not in types:
+            rows.append((e.etype, e.source, e.target, e.label, e.surrogate))
+            continue
+        members = [j for j, other in enumerate(edges) if other.etype in types and class_of(other) == class_of(e)]
+        if min(members, key=lambda j: (edges[j].surrogate, j)) != i:
+            continue
+        slot = slot_of(e)
+        value = FLAT_FOLDS[fn]([edges[j].label[slot] for j in members])
+        rows.append((e.etype, e.source, e.target, e.label[:slot] + (value,) + e.label[slot + 1:], e.surrogate))
+    return rows
+
+
+class TestAggrFlatOracle:
+    """After a random climb, and over shuffled and repeated surrogates,
+    ``aggr`` keeps the flat oracle's edges, representatives and order."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_matches_per_class_fold(self, seed):
+        rng = random.Random(seed)
+        g = random_graphoid(rng, max_endpoints=2)
+        step = climbable_step(rng, g)
+        if step is not None:
+            g = climb(g, "*", step)
+        g = minimize(g)
+        # copies of some edges with fresh measures grow multi-member classes
+        edges = list(g.edges)
+        for e in rng.sample(edges, k=len(edges) // 2):
+            slot = g.edge_types[e.etype].measure_slot_of("M1")
+            edges.insert(rng.randint(0, len(edges)), HyperEdge(
+                e.etype, e.source, e.target, e.label[:slot] + (rng.randint(0, 50),) + e.label[slot + 1:]
+            ))
+        if rng.random() < 0.5:
+            surrogates = rng.sample(range(len(edges)), k=len(edges))
+        else:
+            surrogates = [rng.randint(0, 3) for _ in edges]
+        g = g.derive(edges=tuple(
+            HyperEdge(e.etype, e.source, e.target, e.label, s) for e, s in zip(edges, surrogates)
+        ))
+        edge_type = rng.choice(["#E0", "*"])
+        fn = rng.choice(["SUM", "MIN", "MAX", "COUNT", "AVG"])
+        types = set(g.edge_types) if edge_type == "*" else {"#E0"}
+        out = aggr(g, edge_type, [("M1", fn)])
+        assert [(e.etype, e.source, e.target, e.label, e.surrogate) for e in out.edges] == flat_aggr(
+            g, types, "M1", fn
+        )
+
+
+class TestEngineEdgeValues:
+    """The engine builds its edges without ``HyperEdge.__init__``; what it
+    returns must still be frozen, slotted ``HyperEdge`` values."""
+
+    def results(self, base_graph, figures_catalog):
+        sums = [("Duration", "SUM")]
+        month = RollupStep("Time", "Day", "Month")
+        operator = RollupStep("Phone", "Phone", "Operator")
+        built = build_graphoid(
+            figures_catalog, [PHONE_DECL], [CALL_DECL], base_graph.nodes.values(), base_graph.edges,
+            levels=base_graph.levels,
+        )
+        return {
+            "build_graphoid": built,
+            "graphoid_from_json": graphoid_from_json(graphoid_to_json(base_graph), figures_catalog),
+            "climb": climb(base_graph, ["#Call"], month),
+            "minimize": minimize(climb(base_graph, ["#Phone"], operator)),
+            "aggr": aggr(climb(base_graph, ["#Call"], month), "#Call", sums),
+            "n_delete": n_delete(sales_star_graph(), "#Location"),
+            "edgify": edgify(base_graph, "#Phone", 1),
+        }
+
+    def test_every_edge_is_a_frozen_slotted_hyperedge(self, base_graph, figures_catalog):
+        for name, g in self.results(base_graph, figures_catalog).items():
+            assert g.edges, name
+            for e in g.edges:
+                assert type(e) is HyperEdge, name
+                assert not hasattr(e, "__dict__"), name
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    e.label = ()
+                copied = pickle.loads(pickle.dumps(e))
+                assert type(copied) is HyperEdge and copied == e and copied.surrogate == e.surrogate, name
+                assert hash(copied) == hash(e), name
 
 
 class TestOneEdgeClasses:
