@@ -116,13 +116,19 @@ def cmd_ingest(args) -> int:
     return 0
 
 
+def _configured(base: store.GeneratorConfig, **flags) -> store.GeneratorConfig:
+    """``base`` with each flag that was given on the command line."""
+    return dataclasses.replace(base, **{name: value for name, value in flags.items() if value is not None})
+
+
 def cmd_generate(args) -> int:
-    config = store.GeneratorConfig(
+    config = _configured(
+        store.GeneratorConfig(),
+        seed=args.seed,
         phone_count=args.phones,
         user_count=args.users,
         call_count=args.calls,
         max_group_size=args.max_group,
-        seed=args.seed,
     )
     try:
         data = store.generate(config)
@@ -295,8 +301,9 @@ def cmd_bench(args) -> int:
     """Time the case-study queries Q1-Q7 on one generated call graph, then print the peak RSS."""
     if min(args.sizes) < 1:
         raise CliFailure("bench: group sizes must be at least 1", 2)
-    flags = (("seed", args.seed), ("phone_count", args.phones), ("user_count", args.users), ("call_count", args.calls))
-    config = dataclasses.replace(BENCH_SCALES[args.scale], **{name: value for name, value in flags if value is not None})
+    config = _configured(
+        BENCH_SCALES[args.scale], seed=args.seed, phone_count=args.phones, user_count=args.users, call_count=args.calls
+    )
     t0 = time.perf_counter()
     try:
         data = store.generate(config)
@@ -372,11 +379,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write synthetic dimensions, calls and graph")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--calls", type=int, default=1000)
-    p.add_argument("--phones", type=int, default=100)
-    p.add_argument("--users", type=int, default=50)
-    p.add_argument("--max-group", type=int, default=4, dest="max_group")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--calls", type=int)
+    p.add_argument("--phones", type=int)
+    p.add_argument("--users", type=int)
+    p.add_argument("--max-group", type=int, dest="max_group")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("query", help="run a query program (batch file or REPL)")

@@ -113,6 +113,7 @@ def build_cube(
     if problems:
         raise CubeError("; ".join(problems))
 
+    member_tests = [catalog.instance(dim).member_test(level) for dim, level in dims]
     table: dict[tuple, tuple] = {}
     items = cells.items() if isinstance(cells, dict) else cells
     for coord, values in items:
@@ -124,8 +125,8 @@ def build_cube(
         if len(values) != len(ms):
             problems.append(f"cell {coord!r}: expected {len(ms)} measure values")
             continue
-        for dim, level, member in zip(dim_names, level_names, coord):
-            if not catalog.instance(dim).contains(level, member):
+        for dim, level, is_member, member in zip(dim_names, level_names, member_tests, coord):
+            if not is_member(member):
                 problems.append(f"cell {coord!r}: {member!r} outside dom({dim}.{level})")
         for m, value in zip(ms, values):
             if not isinstance(value, (int, float)) or isinstance(value, bool):

@@ -6,7 +6,7 @@ connects adjacent levels with functional parent mappings.  Roll-up is the
 transitive composition of those mappings, materialized per level pair when
 the instance is built.  ``DimensionInstance.roller`` checks one roll-up
 step once and returns a lookup over those maps; every roll-up, the
-per-value ``rollup``/``DimensionCatalog.roll`` included, goes through it.
+per-value ``DimensionCatalog.roll`` included, goes through it.
 ``DimensionCatalog.roll`` keeps each step it resolved, so rolling value by
 value costs a lookup per value, not a check of the step.
 """
@@ -59,11 +59,6 @@ def value_test(vtype: str) -> Callable[[object], bool]:
         return _VALUE_TESTS[vtype]
     except KeyError:
         raise DimensionError(f"unknown value type {vtype!r}") from None
-
-
-def value_matches(vtype: str, value: object) -> bool:
-    """Does a scalar belong to a level's value type?"""
-    return value_test(vtype)(value)
 
 
 def comparator(cmp: str) -> Callable[[object, object], bool]:
@@ -313,9 +308,6 @@ class DimensionInstance:
             return lambda value: value == ALL_MEMBER
         return self.members.get(level, frozenset()).__contains__
 
-    def contains(self, level: str, value: object) -> bool:
-        return self.member_test(level)(value)
-
     def roller(self, from_level: str, to_level: str) -> Callable[[object], object]:
         """Resolve the roll-up from one level to another to a function of the member.
 
@@ -438,11 +430,6 @@ def validate_instance(instance: DimensionInstance) -> list[str]:
                         f"dimension {dim}: unsound: {member!r} rolls up from {child} to {end} ambiguously {sorted(results, key=repr)}"
                     )
     return problems
-
-
-def rollup(instance: DimensionInstance, step: RollupStep, member: object):
-    """Roll one member from step.from_level to step.to_level."""
-    return instance.roller(step.from_level, step.to_level)(member)
 
 
 ID_DIMENSION = "Id"

@@ -28,7 +28,7 @@ from .dims import (
     DimensionCatalog,
     RollupStep,
     comparator,
-    value_matches,
+    value_test,
 )
 from .hypergraph import (
     AGGREGATES,
@@ -179,7 +179,7 @@ def condition_problems(catalog: DimensionCatalog, cond: Condition) -> list[str]:
             problems.extend(found)
             continue
         level = catalog.level(atom.dim, name)
-        if not value_matches(level.vtype, atom.value):
+        if not value_test(level.vtype)(atom.value):
             spelled = format_constant(atom.value) or repr(atom.value)
             problems.append(f"constant {spelled} is not a {level.vtype} ({atom.dim}.{name})")
         if atom.cmp in ("<", ">") and not level.ordered:
@@ -219,12 +219,6 @@ def atom_test(atom: Atom, decl, levels, catalog) -> Callable[[tuple], bool] | No
     return test
 
 
-def validate_condition(g: Graphoid, cond: Condition) -> None:
-    """Refuse a condition with a catalog-level problem, or with an atom below
-    the stored level of a slot it reads on some type of the graph."""
-    edge_filter(g, cond)
-
-
 def edge_filter(g: Graphoid, cond: Condition) -> Callable[[HyperEdge], bool]:
     """Resolve a condition on a graph to a predicate on its edges.
 
@@ -232,11 +226,17 @@ def edge_filter(g: Graphoid, cond: Condition) -> Callable[[HyperEdge], bool]:
     every adjacent node; clauses and the disjunction lift pointwise.  Each
     atom is resolved per declared type once, and each node's verdict on an
     atom is computed at most once, on the first edge that needs it.  Raises
-    OlapError for a condition that ``condition_problems`` or ``atom_test`` refuses.
+    OlapError for a condition that ``condition_problems`` or ``atom_test``
+    refuses, and for a measure atom (no level) whose dimension no edge type
+    of the graph holds as a measure: it could read no slot, and would hold
+    on every edge.
     """
     problems = condition_problems(g.catalog, cond)
     if problems:
         raise OlapError(problems[0])
+    for atom in cond.atoms():
+        if atom.level is None and all(decl.measure_slot_of(atom.dim) is None for decl in g.edge_types.values()):
+            raise OlapError(f"measure {atom.dim} is not declared by any edge type")
     nodes = g.nodes
     clauses = []
     for clause in cond.clauses:
@@ -458,13 +458,13 @@ def aggr(g: Graphoid, edge_type: str, measures: MeasurePairs) -> Graphoid:
 
     Two edges of a targeted type fall in one class when they share endpoints
     and agree on every label slot apart from the folded measures and an
-    identifier slot.  A class is represented by its member with the smallest
-    internal surrogate, the first in edge order on a tie.  The representative
-    keeps its identifier value and its position in the edge order, and its
-    measure slots receive the aggregate over the whole class, folded in edge
-    order.  One pass over the edges finds the classes, each kept by its
-    members' positions, so edges that share a surrogate never mix classes.
-    Input is contracted first so endpoint sets are canonical.
+    identifier slot.  A class is represented by its first member in edge
+    order, never by its surrogate: equal graph values ignore surrogates, and
+    saving drops them.  The representative keeps its identifier value, its
+    surrogate and its position in the edge order, and its measure slots
+    receive the aggregate over the whole class, folded in edge order.  One
+    pass over the edges finds the classes, each kept by its members'
+    positions.  Input is contracted first so endpoint sets are canonical.
     """
     g = minimize(g)
     pairs = _coerce_measures(measures)
@@ -495,8 +495,7 @@ def aggr(g: Graphoid, edge_type: str, measures: MeasurePairs) -> Graphoid:
     fold_slots = {name: tuple((slot, _FOLDS[fn]) for slot, fn in slots.items()) for name, slots in plan.items()}
     for first in first_at.values():
         positions = later.get(first)
-        rep = first if positions is None else min(positions, key=lambda i: edges[i].surrogate)
-        e = edges[rep]
+        e = edges[first]
         label = e.label
         for slot, fold in fold_slots[e.etype]:
             stored = label[slot]
@@ -506,7 +505,7 @@ def aggr(g: Graphoid, edge_type: str, measures: MeasurePairs) -> Graphoid:
             if value is not stored and not (type(value) is int and type(stored) is int and value == stored):
                 label = label[:slot] + (value,) + label[slot + 1:]
         # most one-edge classes fold to their own values and keep their edge
-        kept[rep] = e if label is e.label else make_edge(e.etype, e.source, e.target, label, e.surrogate)
+        kept[first] = e if label is e.label else make_edge(e.etype, e.source, e.target, label, e.surrogate)
     return g.derive(edges=tuple(e for e in kept if e is not None), folds=folds)
 
 

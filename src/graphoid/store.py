@@ -465,20 +465,26 @@ def ingest_calls(source: str | TextIO, catalog: DimensionCatalog) -> Graphoid:
         {entry["caller"] for entry in calls.values()}
         | {p for entry in calls.values() for p in entry["participants"]}
     )
+    return _call_graph(
+        catalog,
+        phone_ids,
+        ((entry["caller"], entry["participants"], entry["start"].date(), entry["duration"]) for entry in calls.values()),
+    )
+
+
+def _call_graph(catalog: DimensionCatalog, phone_ids: Iterable[int], calls: Iterable[tuple]) -> Graphoid:
+    """One node per phone and one hyperedge per (caller, participants, day, duration) call.
+
+    The Time slot is declared at Day rather than at the Time dimension's
+    bottom, so a Time file with a finer level below Day still serves.
+    """
     node_types, edge_types = call_decls()
     nodes = [(PHONE_TYPE, pid, pid) for pid in phone_ids]
     edges = [
-        (
-            CALL_TYPE,
-            frozenset({entry["caller"]}),
-            frozenset(entry["participants"]),
-            entry["start"].date(),
-            entry["duration"],
-        )
-        for entry in calls.values()
+        (CALL_TYPE, frozenset({caller}), frozenset(participants), day, duration)
+        for caller, participants, day, duration in calls
     ]
-    levels = {(CALL_TYPE, 0): DAY_LEVEL}
-    return build_graphoid(catalog, node_types, edge_types, nodes, edges, levels)
+    return build_graphoid(catalog, node_types, edge_types, nodes, edges, {(CALL_TYPE, 0): DAY_LEVEL})
 
 
 # ---------------------------------------------------------------------------
@@ -568,14 +574,12 @@ def time_schema() -> DimensionSchema:
     return DimensionSchema(
         TIME_DIMENSION,
         (
-            Level("Timestamp", "string"),
             Level(DAY_LEVEL, "date"),
             Level("Month", "string"),
             Level("Year", "int"),
             all_level(),
         ),
         (
-            ("Timestamp", DAY_LEVEL),
             (DAY_LEVEL, "Month"),
             ("Month", "Year"),
             ("Year", ALL_LEVEL),
@@ -587,21 +591,13 @@ def _month_of(day: datetime.date) -> str:
     return f"{day.year:04d}-{day.month:02d}"
 
 
-def time_instance(days: Iterable[datetime.date], timestamps: Iterable[datetime.datetime] = ()) -> DimensionInstance:
-    """A calendar over the given days, with optional second-resolution members."""
+def time_instance(days: Iterable[datetime.date]) -> DimensionInstance:
+    """A calendar over the given days: Day -> Month -> Year -> All."""
     day_set = frozenset(days)
-    ts_set = frozenset(timestamps)
     months = frozenset(_month_of(d) for d in day_set)
     years = frozenset(d.year for d in day_set)
-    members = {
-        "Timestamp": frozenset(t.isoformat() for t in ts_set),
-        DAY_LEVEL: day_set,
-        "Month": months,
-        "Year": years,
-    }
+    members = {DAY_LEVEL: day_set, "Month": months, "Year": years}
     parents = []
-    for ts in sorted(ts_set):
-        parents.append((ts.isoformat(), "Timestamp", ts.date(), DAY_LEVEL))
     for day in sorted(day_set):
         parents.append((day, DAY_LEVEL, _month_of(day), "Month"))
     for month in sorted(months):
@@ -680,17 +676,9 @@ def generate(config: GeneratorConfig) -> GeneratedData:
         )
 
     all_days = [config.start_date + datetime.timedelta(days=i) for i in range(day_count)]
-    time_dim = time_instance(all_days, (c.start for c in calls))
     duration_dim = open_dimension(DURATION_DIMENSION, "decimal")
-    catalog = DimensionCatalog.of(phone_dim, time_dim, duration_dim)
-
-    node_types, edge_types = call_decls()
-    nodes = [(PHONE_TYPE, pid, pid) for pid in phone_ids]
-    edges = [
-        (CALL_TYPE, frozenset({c.caller}), frozenset(c.participants), c.start.date(), c.duration)
-        for c in calls
-    ]
-    g = build_graphoid(catalog, node_types, edge_types, nodes, edges, {(CALL_TYPE, 0): DAY_LEVEL})
+    catalog = DimensionCatalog.of(phone_dim, time_instance(all_days), duration_dim)
+    g = _call_graph(catalog, phone_ids, ((c.caller, c.participants, c.start.date(), c.duration) for c in calls))
     return GeneratedData(config, catalog, g, tuple(calls), phones)
 
 

@@ -394,6 +394,12 @@ class TestEval:
         assert seen == ["calls/base.json"]
         assert outcome.outputs == [base_graph]
 
+    def test_bare_atom_without_a_measure_fails_at_eval(self, base_graph, figures_catalog):
+        program = parse("OUTPUT DICE(G, Time = 2016-10-10);")
+        assert check(program, figures_catalog, {"G"}) == []
+        with pytest.raises(GqlEvalError, match="measure Time is not declared by any edge type"):
+            eval_program(program, figures_catalog, bindings={"G": base_graph})
+
     def test_load_without_loader_fails(self, figures_catalog):
         with pytest.raises(GqlEvalError, match="LOAD is not available"):
             eval_program(parse('G0 = LOAD "x.json";'), figures_catalog)

@@ -14,8 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphoid.cubes import build_cube, random_catalog, random_cube
-from graphoid.dims import DimensionError, validate_instance, validate_schema
-from graphoid.dims import RollupStep
+from graphoid.dims import (
+    DimensionError,
+    DimensionInstance,
+    DimensionSchema,
+    Level,
+    RollupStep,
+    validate_instance,
+    validate_schema,
+)
 from graphoid.hypergraph import GraphoidBuildError, GraphoidError, HyperEdge, build_graphoid
 from graphoid.olap import OlapError, group, roll_up, slice_out
 from graphoid.store import (
@@ -66,11 +73,21 @@ class TestJsonRoundTrips:
         for instance in (phone_dimension, time_dimension):
             assert instance_from_json(instance_to_json(instance)) == instance
 
-    def test_instance_with_timestamps(self):
-        instance = time_instance(
-            [datetime.date(2016, 1, 1)], [datetime.datetime(2016, 1, 1, 10, 30)]
+    def test_instance_with_date_parents(self):
+        schema = DimensionSchema(
+            "Shift",
+            (Level("Shift"), Level("Day", "date"), Level("All", ordered=False)),
+            (("Shift", "Day"), ("Day", "All")),
         )
-        assert instance_from_json(instance_to_json(instance)) == instance
+        days = [datetime.date(2016, 1, 1), datetime.date(2016, 1, 2)]
+        instance = DimensionInstance.build(
+            schema,
+            {"Shift": {"early", "late"}, "Day": set(days)},
+            [("early", "Shift", days[0], "Day"), ("late", "Shift", days[1], "Day")],
+        )
+        doc = instance_to_json(instance)
+        assert ["early", "Shift", "2016-01-01", "Day"] in doc["parents"]
+        assert instance_from_json(doc) == instance
 
     def test_graphoid(self, base_graph, year_rollup_graph):
         for g in (base_graph, year_rollup_graph):
@@ -205,7 +222,32 @@ class TestLoadDimension:
             load_dimension(str(path))
 
 
+def timestamped_time_document(days, starts) -> dict:
+    """A Time file in the layout ``generate`` once wrote: below Day, a
+    Timestamp level holding one ISO string per call start."""
+    doc = instance_to_json(time_instance(days))
+    doc["schema"]["levels"].insert(0, {"name": "Timestamp", "type": "string", "ordered": True, "open": False})
+    doc["schema"]["edges"].insert(0, ["Timestamp", "Day"])
+    doc["members"]["Timestamp"] = sorted(t.isoformat() for t in starts)
+    doc["parents"][:0] = [[t.isoformat(), "Timestamp", t.date().isoformat(), "Day"] for t in sorted(starts)]
+    return doc
+
+
 class TestIngest:
+    def test_time_file_with_a_timestamp_level_still_serves(self, tmp_path):
+        data = generate(SMALL)
+        days = data.catalog.instance("Time").domain("Day")
+        path = tmp_path / "time.dimension.json"
+        save_json(timestamped_time_document(days, {c.start for c in data.calls}), str(path))
+        old = load_dimension(str(path))
+        assert old.schema.bottom == "Timestamp"
+        assert validate_instance(old) == []
+        csv_path = tmp_path / "calls.csv"
+        write_calls_csv(data.calls, str(csv_path))
+        g = ingest_calls(str(csv_path), data.catalog.with_dimension(old))
+        assert g.levels[("#Call", 0)] == "Day"
+        assert g == data.graphoid
+
     def test_one_call_three_phones(self):
         data = generate(SMALL)
         source = csv_source(
@@ -307,6 +349,14 @@ class TestGenerator:
         assert validate_instance(phone) == []
         time = data.catalog.instance("Time")
         assert validate_instance(time) == []
+
+    def test_time_file_does_not_grow_with_the_calls(self):
+        texts = [
+            dump_text(instance_to_json(generate(dataclasses.replace(SMALL, call_count=n)).catalog.instance("Time")))
+            for n in (100, 1000)
+        ]
+        assert texts[0] == texts[1]
+        assert [lv["name"] for lv in json.loads(texts[0])["schema"]["levels"]] == ["Day", "Month", "Year", "All"]
 
     def test_group_size_validation(self):
         with pytest.raises(StoreError, match="at least 2"):
