@@ -247,9 +247,9 @@ def _agg_functions(cube: Cube, measures: Sequence[tuple[str, str]] | None) -> li
         raise CubeError(
             f"measure list must cover the cube's measures exactly (missing {missing}, extra {extra})"
         )
-    for name, fn in given.items():
-        if fn not in AGGREGATES:
-            raise CubeError(f"unknown aggregate {fn!r}")
+    problems = olap.measure_problems(measures)
+    if problems:
+        raise CubeError(problems[0])
     return [given[m.name] for m in cube.measures]
 
 

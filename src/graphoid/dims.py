@@ -170,22 +170,8 @@ def validate_schema(schema: DimensionSchema) -> list[str]:
     if problems:
         return problems
 
-    # cycle check by repeated source elimination
-    remaining = dict.fromkeys(names, 0)
-    for _, parent in schema.edges:
-        remaining[parent] += 1
-    queue = [n for n, deg in remaining.items() if deg == 0]
-    seen = 0
-    active = dict(remaining)
-    while queue:
-        cur = queue.pop()
-        seen += 1
-        for child, parent in schema.edges:
-            if child == cur:
-                active[parent] -= 1
-                if active[parent] == 0:
-                    queue.append(parent)
-    if seen != len(names):
+    # an edge closes a cycle when its child is reachable from its parent
+    if any(child in schema.reachable_from(parent) for child, parent in schema.edges):
         problems.append(f"dimension {schema.name}: level graph has a cycle")
         return problems
 

@@ -22,7 +22,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .dims import DimensionCatalog, DimensionError, RollupStep
-from .hypergraph import AGGREGATES, Graphoid, GraphoidError, edgify
+from .hypergraph import Graphoid, GraphoidError, edgify
 from .metrics import NodeFilter
 from . import metrics, olap
 from .olap import Atom, Condition, TargetSet
@@ -598,7 +598,7 @@ def _level_problems(catalog: DimensionCatalog, level: str, dim: str) -> Iterable
 
 
 def _measure_problems(catalog: DimensionCatalog, measures, previous) -> Iterable[str]:
-    return (f"unknown aggregate {fn!r}" for _, fn in measures if fn not in AGGREGATES)
+    return olap.measure_problems(measures)
 
 
 def check(program: Program, catalog: DimensionCatalog, defined: set[str] | None = None) -> list[str]:

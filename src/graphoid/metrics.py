@@ -9,18 +9,18 @@ unreachable pair gets hops -1 and an empty path.
 One index of the graph value serves path queries, built on the first query
 that needs it, once per set of edge types, and kept with that value
 (``Graphoid.indexed``): each node's neighbours as one Python int, bit ``i``
-standing for the ``i``-th node id in sorted order, and as an ascending tuple
-of ids.  ``*``, an omitted type list and the full list of declared types
-select the same set and share one entry.  A value derived from this one (by
-a dice, a roll-up, a node deletion, ...) starts with no index and builds its
-own.  Distances and paths are computed on every call.
+standing for the ``i``-th node id in sorted order.  ``*``, an omitted type
+list and the full list of declared types select the same set and share one
+entry.  A value derived from this one (by a dice, a roll-up, a node
+deletion, ...) starts with no index and builds its own.  Distances and
+paths are computed on every call.
 
 Paths are computed one target at a time.  A top-down BFS from the target
 grows each distance layer as a bitset: the OR of the frontier's neighbour
 bits minus the nodes already seen.  A node's next hop is the lowest set bit
 of its neighbour bitset AND the layer below: bit order is sorted id order,
-so that is its smallest neighbour one hop closer.  Its path is memoized per
-target.
+so that is its smallest neighbour one hop closer, and a witness path is the
+chain of next hops from its source down to the target.
 """
 from __future__ import annotations
 
@@ -69,7 +69,6 @@ class _Bitsets(NamedTuple):
     order: tuple[int, ...]  # bit position -> node id, in sorted id order
     bit: dict[int, int]  # node id -> its own bit
     near: dict[int, int]  # node id -> the bits of its neighbours, its own bit clear
-    ids: dict[int, tuple[int, ...]]  # node id -> its neighbours' ids, ascending
 
 
 def _members(order: tuple[int, ...], bits: int) -> Iterator[int]:
@@ -81,12 +80,12 @@ def _build_bitsets(g: Graphoid, types: frozenset[str]) -> _Bitsets:
     """Each node's neighbours over the edges of ``types``, from each distinct adjacency set."""
     order = tuple(sorted(g.nodes))
     bit = {v: 1 << i for i, v in enumerate(order)}
-    sets: dict[int, set[int]] = {v: set() for v in order}
+    near = dict.fromkeys(order, 0)
     for adjacency in {e.adjacency for e in g.edges if e.etype in types}:
+        mask = sum(map(bit.__getitem__, adjacency))
         for v in adjacency:
-            sets[v] |= adjacency
-    ids = {v: tuple(sorted(ns - {v})) for v, ns in sets.items()}
-    return _Bitsets(order, bit, {v: sum(map(bit.__getitem__, ns)) for v, ns in ids.items()}, ids)
+            near[v] |= mask
+    return _Bitsets(order, bit, {v: mask & ~bit[v] for v, mask in near.items()})
 
 
 def _bitsets(g: Graphoid, types: frozenset[str]) -> _Bitsets:
@@ -97,8 +96,9 @@ def _bitsets(g: Graphoid, types: frozenset[str]) -> _Bitsets:
 def adjacency_projection(g: Graphoid, via="*") -> dict[int, tuple[int, ...]]:
     """Undirected simple graph over node ids; isolated nodes map to ().
 
-    A fresh dict of the bitset index's neighbour tuples on every call."""
-    return dict(_bitsets(g, _edge_types(g, via)).ids)
+    Each node's neighbour bitset in the index, decoded to ascending ids."""
+    order, _, near = _bitsets(g, _edge_types(g, via))
+    return {v: tuple(_members(order, bits)) for v, bits in near.items()}
 
 
 def filter_problems(catalog: DimensionCatalog, flt: NodeFilter) -> list[str]:
@@ -142,16 +142,16 @@ def shortest_paths(
 
     Unreachable pairs get hops -1 and an empty path.  Results are ordered by
     (source, target).  The witness is the lexicographically smallest shortest
-    path: ``v``'s path is ``(v,)`` plus the path of its smallest neighbour one
-    layer closer, memoized per target, so witnesses to one target share their
-    suffix tuples.  That neighbour is the lowest set bit of ``v``'s neighbour
-    bitset AND the layer's bitset.  Distances come from a top-down bitset BFS
-    per target on every call; it stops once every node is seen or a layer
-    adds none.  Each target's results go straight into their slot, so only
-    one target's layers and memo are alive at a time.  The neighbour bitsets
-    and id tuples come from ``g``'s index, built by the first call.
+    path: from ``v`` the next hop is ``v``'s smallest neighbour one layer
+    closer, the lowest set bit of ``v``'s neighbour bitset AND that layer's
+    bitset, and each pair's path is that chain walked down to the target.
+    Distances come from a top-down bitset BFS per target on every call; it
+    stops once every node is seen or a layer adds none.  Each target's
+    results go straight into their slot, so only one target's layers are
+    alive at a time.  The neighbour bitsets come from ``g``'s index, built by
+    the first call.
     """
-    order, bit, near, ids = _bitsets(g, _edge_types(g, via))
+    order, bit, near = _bitsets(g, _edge_types(g, via))
     everyone = (1 << len(order)) - 1
     sources = _matching_nodes(g, source_filter)
     targets = _matching_nodes(g, target_filter)
@@ -160,7 +160,7 @@ def shortest_paths(
     for j, target in enumerate(targets):
         layers = [bit[target], near[target]]
         seen = layers[0] | layers[1]
-        frontier = ids[target]
+        frontier = _members(order, layers[1])
         while seen != everyone:
             reach = 0
             for v in frontier:
@@ -171,31 +171,24 @@ def shortest_paths(
             layers.append(layer)
             seen |= layer
             frontier = _members(order, layer)  # read only if this layer is expanded
-        memo: dict[int, tuple[int, ...]] = {target: (target,)}
         for i, source in enumerate(sources):
             if source == target:
                 continue
-            path = memo.get(source)
-            if path is None:
-                own = bit[source]
-                if not own & seen:
-                    path = memo[source] = ()
-                else:
-                    below = 1
-                    while not own & layers[below]:
-                        below += 1
-                    chain = []
-                    cur = source
-                    while cur not in memo:
-                        chain.append(cur)
-                        below -= 1
-                        step = near[cur] & layers[below]
-                        cur = order[(step & -step).bit_length() - 1]
-                    path = memo[cur]
-                    for v in reversed(chain):
-                        path = (v,) + path
-                        memo[v] = path
-            slots[i * width + j] = PathResult(source, target, len(path) - 1, path)
+            own = bit[source]
+            if not own & seen:
+                slots[i * width + j] = PathResult(source, target, -1, ())
+                continue
+            hops = 1
+            while not own & layers[hops]:
+                hops += 1
+            path = [source]
+            cur = source
+            for below in range(hops - 1, 0, -1):  # layer 0 holds only the target
+                step = near[cur] & layers[below]
+                cur = order[(step & -step).bit_length() - 1]
+                path.append(cur)
+            path.append(target)
+            slots[i * width + j] = PathResult(source, target, hops, tuple(path))
     return tuple(r for r in slots if r is not None)
 
 

@@ -9,9 +9,11 @@ rolls a dimension out entirely, and n-delete removes a node type.
 
 Each operation resolves its roll-up steps, class keys and condition atoms
 once, to the dimension instances' roll-up tables and to per-type slot
-tuples, and then makes one lookup per label value.  A folded measure slot
-remembers its aggregate, so a second fold is either exact (SUM, MIN and MAX
-over themselves; COUNT re-folds its counts with SUM) or refused.
+tuples, and then makes one lookup per label value.  Dice reads each node
+once per clause, into the set of nodes the clause is false on, and tests an
+edge's endpoints against that set.  A folded measure slot remembers its
+aggregate, so a second fold is either exact (SUM, MIN and MAX over
+themselves; COUNT re-folds its counts with SUM) or refused.
 """
 from __future__ import annotations
 
@@ -91,13 +93,22 @@ class TargetSet:
 MeasurePairs = Sequence[tuple[str, str]]
 
 
+def measure_problems(measures: MeasurePairs) -> list[str]:
+    """Why a measure/aggregate list is illegal: an unknown aggregate, or a
+    measure listed twice (one slot can hold only one aggregate)."""
+    problems = [f"unknown aggregate {fn!r}" for _, fn in measures if fn not in AGGREGATES]
+    names = [dim for dim, _ in measures]
+    repeated = sorted({dim for dim in names if names.count(dim) > 1})
+    return problems + [f"measure {dim} is listed more than once" for dim in repeated]
+
+
 def _coerce_measures(measures: MeasurePairs) -> tuple[tuple[str, str], ...]:
     pairs = tuple((str(dim), str(fn)) for dim, fn in measures)
     if not pairs:
         raise OlapError("at least one measure/aggregate pair is required")
-    for dim, fn in pairs:
-        if fn not in AGGREGATES:
-            raise OlapError(f"unknown aggregate {fn!r}")
+    problems = measure_problems(pairs)
+    if problems:
+        raise OlapError(problems[0])
     return pairs
 
 
@@ -224,12 +235,13 @@ def edge_filter(g: Graphoid, cond: Condition) -> Callable[[HyperEdge], bool]:
 
     An edge satisfies an atom when it is not false on the edge itself and on
     every adjacent node; clauses and the disjunction lift pointwise.  Each
-    atom is resolved per declared type once, and each node's verdict on an
-    atom is computed at most once, on the first edge that needs it.  Raises
-    OlapError for a condition that ``condition_problems`` or ``atom_test``
-    refuses, and for a measure atom (no level) whose dimension no edge type
-    of the graph holds as a measure: it could read no slot, and would hold
-    on every edge.
+    atom is resolved per declared type once.  Node labels are then read in
+    one pass per clause, into the set of nodes some atom of the clause is
+    false on, so an edge passes a clause when the clause's edge tests hold on
+    it and that set is disjoint from its endpoints.  Raises OlapError for a
+    condition that ``condition_problems`` or ``atom_test`` refuses, and for a
+    measure atom (no level) whose dimension no edge type of the graph holds
+    as a measure: it could read no slot, and would hold on every edge.
     """
     problems = condition_problems(g.catalog, cond)
     if problems:
@@ -237,45 +249,40 @@ def edge_filter(g: Graphoid, cond: Condition) -> Callable[[HyperEdge], bool]:
     for atom in cond.atoms():
         if atom.level is None and all(decl.measure_slot_of(atom.dim) is None for decl in g.edge_types.values()):
             raise OlapError(f"measure {atom.dim} is not declared by any edge type")
-    nodes = g.nodes
     clauses = []
     for clause in cond.clauses:
-        compiled = []
+        edge_tests: dict[str, list] = {name: [] for name in g.edge_types}
+        node_tests: dict[str, list] = {name: [] for name in g.node_types}
         for atom in clause:
-            edge_tests = {
-                name: atom_test(atom, decl, g.levels, g.catalog) for name, decl in g.edge_types.items()
-            }
-            node_tests = {
-                name: atom_test(atom, decl, g.levels, g.catalog) for name, decl in g.node_types.items()
-            }
-            compiled.append((edge_tests, node_tests, {}))
-        clauses.append(compiled)
+            for tests, decls in ((edge_tests, g.edge_types), (node_tests, g.node_types)):
+                for name, decl in decls.items():
+                    test = atom_test(atom, decl, g.levels, g.catalog)
+                    if test is not None:
+                        tests[name].append(test)
+        false_nodes = frozenset(
+            ident for ident, node in g.nodes.items() if not all(test(node.label) for test in node_tests[node.ntype])
+        )
+        clauses.append(({name: _all_of(tests) for name, tests in edge_tests.items()}, false_nodes))
 
     def satisfies(edge: HyperEdge) -> bool:
-        adjacent = None
-        for clause in clauses:
-            for edge_tests, node_tests, verdicts in clause:
-                test = edge_tests[edge.etype]
-                if test is not None and not test(edge.label):
-                    break
-                if adjacent is None:
-                    adjacent = sorted(edge.source | edge.target)
-                for ident in adjacent:
-                    verdict = verdicts.get(ident)
-                    if verdict is None:
-                        node = nodes[ident]
-                        node_test = node_tests[node.ntype]
-                        verdict = verdicts[ident] = node_test is None or bool(node_test(node.label))
-                    if not verdict:
-                        break
-                else:
-                    continue
-                break
-            else:
+        for edge_tests, false_nodes in clauses:
+            test = edge_tests[edge.etype]
+            if (
+                (test is None or test(edge.label))
+                and false_nodes.isdisjoint(edge.source)
+                and false_nodes.isdisjoint(edge.target)
+            ):
                 return True
         return False
 
     return satisfies
+
+
+def _all_of(tests: list[Callable[[tuple], bool]]) -> Callable[[tuple], bool] | None:
+    """One test for a conjunction of label tests; None when there are none."""
+    if len(tests) <= 1:
+        return tests[0] if tests else None
+    return lambda label: all(test(label) for test in tests)
 
 
 def edge_satisfies(g: Graphoid, edge: HyperEdge, cond: Condition) -> bool:

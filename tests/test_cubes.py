@@ -257,6 +257,10 @@ class TestClassicalOps:
         with pytest.raises(CubeError, match="cover the cube's measures exactly"):
             cube_roll_up(sales_cube, "Geo", "Country", measures=[("Revenue", "SUM")])
 
+    def test_measure_override_must_not_repeat(self, sales_cube):
+        with pytest.raises(CubeError, match="^measure Sales is listed more than once$"):
+            cube_roll_up(sales_cube, "Geo", "Country", measures=[("Sales", "SUM"), ("Sales", "MAX")])
+
     def test_slice_drops_the_dimension(self, sales_cube):
         sliced = cube_slice(sales_cube, "Geo")
         expected: dict[tuple, int] = {}

@@ -65,6 +65,14 @@ class TestValidateSchema:
         )
         assert validate_schema(schema)
 
+    def test_longer_cycle_is_reported(self):
+        schema = DimensionSchema(
+            "D",
+            (Level("A"), Level("B"), Level("C"), Level("All", ordered=False)),
+            (("A", "B"), ("B", "C"), ("C", "A"), ("C", "All")),
+        )
+        assert validate_schema(schema) == ["dimension D: level graph has a cycle"]
+
     def test_self_edge_is_reported(self):
         schema = DimensionSchema(
             "D",

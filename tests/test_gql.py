@@ -363,6 +363,10 @@ class TestCheck:
         report = check(parse("B = AGGR(G, #Call, Duration, MEDIAN);"), figures_catalog, {"G"})
         assert report == ["line 1: unknown aggregate 'MEDIAN'"]
 
+    def test_repeated_measure(self, figures_catalog):
+        report = check(parse("B = AGGR(G, #Call, Duration, SUM, Duration, MAX);"), figures_catalog, {"G"})
+        assert report == ["line 1: measure Duration is listed more than once"]
+
     def test_problems_accumulate(self, figures_catalog):
         text = "B = CLIMB(G, *, Size: Small -> Big);\nC = AGGR(B, #Call, Duration, MEDIAN);\n"
         report = check(parse(text), figures_catalog, {"G"})

@@ -29,6 +29,7 @@ from graphoid.hypergraph import (
     EdgeTypeDecl,
     GraphoidError,
     HyperEdge,
+    Node,
     NodeTypeDecl,
     build_graphoid,
     edgify,
@@ -351,6 +352,14 @@ class TestRollUp:
             [("Duration", "SUM")],
         )
         assert sum(e.label[1] for e in out.edges) == sum(dur for *_, dur in BASE_CALLS)
+
+    @pytest.mark.parametrize("target", ["#Call", "*"])
+    def test_repeated_measure_refused(self, target):
+        # a measure slot holds one aggregate, so a measure may be listed once
+        g = generate(GeneratorConfig(phone_count=6, user_count=3, call_count=30, seed=3)).graphoid
+        measures = [("Duration", "SUM"), ("Duration", "MAX")]
+        with pytest.raises(OlapError, match="^measure Duration is listed more than once$"):
+            roll_up(g, ["#Call"], RollupStep("Time", "Day", "Year"), target, measures)
 
     def test_whole_pipeline_from_base(self, base_graph, year_rollup_graph):
         grouped = group(base_graph, "#Phone", RollupStep("Phone", "Phone", "Operator"))
@@ -946,6 +955,15 @@ class TestOutOfDomainValues:
         with pytest.raises(UnknownMember) as err:
             dice(out_of_domain_graph(base_graph), cond)
         assert str(err.value) == self.MESSAGE
+
+    @pytest.mark.parametrize("op", [dice, s_dice])
+    def test_dice_reports_a_node_member(self, base_graph, op):
+        # phone 16 holds a Phone value the dimension lacks, and no call touches it
+        stray = Node("#Phone", (16, "Ph9"))
+        g = base_graph.derive(nodes={**base_graph.nodes, 16: stray})
+        with pytest.raises(UnknownMember) as err:
+            op(g, Condition.of(Atom("Phone", "City", "=", "Salta")))
+        assert str(err.value) == "dimension Phone: 'Ph9' is not a member of level Phone"
 
 
 def reference_satisfies(g, edge, cond) -> bool:
