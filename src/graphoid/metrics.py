@@ -15,12 +15,13 @@ entry.  A value derived from this one (by a dice, a roll-up, a node
 deletion, ...) starts with no index and builds its own.  Distances and
 paths are computed on every call.
 
-Paths are computed one target at a time.  A top-down BFS from the target
-grows each distance layer as a bitset: the OR of the frontier's neighbour
-bits minus the nodes already seen.  A node's next hop is the lowest set bit
-of its neighbour bitset AND the layer below: bit order is sorted id order,
-so that is its smallest neighbour one hop closer, and a witness path is the
-chain of next hops from its source down to the target.
+Each target gets one top-down BFS, which grows each distance layer as a
+bitset: the OR of the frontier's neighbour bits minus the nodes already
+seen.  Every target's layers are computed first; rows are then emitted in
+one pass, sources outer and targets inner.  A node's next hop is the lowest
+set bit of its neighbour bitset AND the layer below: bit order is sorted id
+order, so that is its smallest neighbour one hop closer, and a witness path
+is the chain of next hops from its source down to the target.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ import csv
 import io
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .dims import DimensionCatalog
 from .hypergraph import Graphoid, GraphoidError
@@ -53,6 +54,27 @@ class PathResult:
     @property
     def reachable(self) -> bool:
         return self.hops >= 0
+
+
+class _PathDraft:
+    """``PathResult``'s slot layout, unfrozen: its ``__init__`` stores the
+    fields with plain slot writes and then turns the object into a
+    ``PathResult``, which the equal layout allows (as ``hypergraph._EdgeDraft``
+    does for edges)."""
+
+    __slots__ = PathResult.__slots__
+
+    def __init__(self, source: int, target: int, hops: int, path: tuple[int, ...]):
+        self.source = source
+        self.target = target
+        self.hops = hops
+        self.path = path
+        self.__class__ = PathResult
+
+
+# _path_row(source, target, hops, path) is a PathResult built for the row loop of
+# shortest_paths, which passes fields that are already of the right types
+_path_row: Callable[[int, int, int, tuple[int, ...]], PathResult] = _PathDraft  # type: ignore[assignment]
 
 
 def _edge_types(g: Graphoid, via) -> frozenset[str]:
@@ -146,18 +168,17 @@ def shortest_paths(
     closer, the lowest set bit of ``v``'s neighbour bitset AND that layer's
     bitset, and each pair's path is that chain walked down to the target.
     Distances come from a top-down bitset BFS per target on every call; it
-    stops once every node is seen or a layer adds none.  Each target's
-    results go straight into their slot, so only one target's layers are
-    alive at a time.  The neighbour bitsets come from ``g``'s index, built by
-    the first call.
+    stops once every node is seen or a layer adds none.  Every target's
+    layers are kept, then rows are built in one pass, sources outer and
+    targets inner, so the layers of all targets are alive until the call
+    returns.  The neighbour bitsets come from ``g``'s index, built by the
+    first call.
     """
     order, bit, near = _bitsets(g, _edge_types(g, via))
     everyone = (1 << len(order)) - 1
     sources = _matching_nodes(g, source_filter)
-    targets = _matching_nodes(g, target_filter)
-    width = len(targets)
-    slots: list[PathResult | None] = [None] * (len(sources) * width)
-    for j, target in enumerate(targets):
+    searches: list[tuple[int, list[int], int]] = []
+    for target in _matching_nodes(g, target_filter):
         layers = [bit[target], near[target]]
         seen = layers[0] | layers[1]
         frontier = _members(order, layers[1])
@@ -171,12 +192,16 @@ def shortest_paths(
             layers.append(layer)
             seen |= layer
             frontier = _members(order, layer)  # read only if this layer is expanded
-        for i, source in enumerate(sources):
+        searches.append((target, layers, seen))
+    rows: list[PathResult] = []
+    append = rows.append
+    for source in sources:
+        own = bit[source]
+        for target, layers, seen in searches:
             if source == target:
                 continue
-            own = bit[source]
             if not own & seen:
-                slots[i * width + j] = PathResult(source, target, -1, ())
+                append(_path_row(source, target, -1, ()))
                 continue
             hops = 1
             while not own & layers[hops]:
@@ -188,8 +213,8 @@ def shortest_paths(
                 cur = order[(step & -step).bit_length() - 1]
                 path.append(cur)
             path.append(target)
-            slots[i * width + j] = PathResult(source, target, hops, tuple(path))
-    return tuple(r for r in slots if r is not None)
+            append(_path_row(source, target, hops, tuple(path)))
+    return tuple(rows)
 
 
 def path_results_to_csv(results: Iterable[PathResult]) -> str:
@@ -198,7 +223,7 @@ def path_results_to_csv(results: Iterable[PathResult]) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["source", "target", "hops", "path"])
     for r in results:
-        writer.writerow([r.source, r.target, r.hops, "/".join(str(i) for i in r.path)])
+        writer.writerow([r.source, r.target, r.hops, "/".join(map(str, r.path))])
     return out.getvalue()
 
 

@@ -325,6 +325,36 @@ class TestWitnessOracle:
         assert [(r.source, r.target) for r in results] == [(s, t) for s in ends for t in ends if s != t]
         assert all((r.hops, r.path) == expected[(r.source, r.target)] for r in results)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(sorted(GRAPH_KINDS)),
+        st.sampled_from(["overlapping", "disjoint", "no sources", "no targets"]),
+        st.integers(0, 10**9),
+    )
+    def test_source_and_target_subsets_pair_like_the_oracle(self, kind, shape, seed):
+        rng = random.Random(seed)
+        g = GRAPH_KINDS[kind](rng)
+        nodes = sorted(g.nodes)
+        ntype = g.nodes[nodes[0]].ntype
+        ends = [i for i in nodes if g.nodes[i].ntype == ntype]
+        shuffled = rng.sample(ends, len(ends))
+        cut = rng.randint(0, len(ends))
+        some = rng.sample(ends, rng.randint(1, len(ends)))
+        sources, targets = {
+            "overlapping": (shuffled[:cut] + some, shuffled[cut:] + some),
+            "disjoint": (shuffled[:cut], shuffled[cut:]),
+            "no sources": ([], some),
+            "no targets": (some, []),
+        }[shape]
+        sources, targets = sorted(set(sources)), sorted(set(targets))
+        rows = shortest_paths(g, id_filter(ntype, sources), id_filter(ntype, targets))
+        assert as_rows(rows) == expected_witnesses(g, sources, targets)
+
+
+def id_filter(ntype: str, ids: list[int]) -> NodeFilter:
+    """Selects exactly the nodes ``ids`` of ``ntype``, one clause per id; no ids select none."""
+    return NodeFilter(ntype, Condition(tuple((Atom("Id", "Id", "=", i),) for i in ids)))
+
 
 def expected_witnesses(g, sources: list[int], targets: list[int]) -> list[tuple[int, int, int, tuple[int, ...]]]:
     """(source, target, hops, path) rows from the enumerating oracle, in result order."""
@@ -442,6 +472,91 @@ class TestPathResult:
         assert not hasattr(r, "__dict__")
         with pytest.raises(dataclasses.FrozenInstanceError):
             r.hops = 2
+
+
+class TestEngineRows:
+    def test_every_row_is_a_frozen_slotted_path_result(self, base_graph):
+        graphs = {
+            "base": base_graph,
+            "diced": dice(base_graph, Condition.of(Atom("Duration", None, ">", 8))),
+            "two components": two_dense_components(random.Random(5)),
+        }
+        for name, g in graphs.items():
+            flt = NodeFilter(g.nodes[min(g.nodes)].ntype)
+            rows = shortest_paths(g, flt, flt)
+            assert rows, name
+            if name != "base":
+                assert any(r.hops == -1 for r in rows), name
+            for r in rows:
+                assert type(r) is PathResult, name
+                assert not hasattr(r, "__dict__"), name
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    r.hops = 0
+                public = PathResult(r.source, r.target, r.hops, r.path)
+                assert r == public and hash(r) == hash(public), name
+                copied = pickle.loads(pickle.dumps(r))
+                assert type(copied) is PathResult and copied == r and hash(copied) == hash(r), name
+
+
+def flat_witnesses(
+    near: dict[int, set[int]], sources: list[int], targets: list[int]
+) -> list[tuple[int, int, int, tuple[int, ...]]]:
+    """(source, target, hops, path) rows from a plain BFS per target and a walk that
+    takes the smallest neighbour one hop closer to the target, in result order."""
+    dist: dict[int, dict[int, int]] = {}
+    for t in targets:
+        hops, frontier = {t: 0}, [t]
+        while frontier:
+            reached = []
+            for v in frontier:
+                for w in near[v]:
+                    if w not in hops:
+                        hops[w] = hops[v] + 1
+                        reached.append(w)
+            frontier = reached
+        dist[t] = hops
+    rows = []
+    for s in sources:
+        for t in targets:
+            if s == t:
+                continue
+            to_t = dist[t]
+            if s not in to_t:
+                rows.append((s, t, -1, ()))
+                continue
+            path = [s]
+            while path[-1] != t:
+                path.append(min(v for v in near[path[-1]] if to_t.get(v) == to_t[path[-1]] - 1))
+            rows.append((s, t, to_t[s], tuple(path)))
+    return rows
+
+
+class TestDeskScale:
+    def test_case_study_paths_match_a_flat_bfs(self):
+        data = store.generate(store.GeneratorConfig())
+        near: dict[int, set[int]] = {number: set() for number in data.phones}
+        for call in data.calls:
+            ends = {call.caller, *call.participants}
+            for v in ends:
+                near[v] |= ends - {v}
+
+        def phones_where(level: str, value: str) -> tuple[NodeFilter, list[int]]:
+            field = level.lower()
+            numbers = sorted(n for n, info in data.phones.items() if getattr(info, field) == value)
+            return NodeFilter("#Phone", Condition.of(Atom("Phone", level, "=", value))), numbers
+
+        everyone = PHONES, sorted(data.phones)
+        buenos_aires = phones_where("City", "Buenos Aires")
+        pairs = {
+            "Q4": (everyone, everyone),
+            "Q5": (phones_where("Operator", "Claro"), phones_where("Operator", "Movistar")),
+            "Q6": (buenos_aires, phones_where("City", "Salta")),
+            "Q7": (buenos_aires, everyone),
+        }
+        for query, ((source, sources), (target, targets)) in pairs.items():
+            assert sources and targets, query
+            rows = shortest_paths(data.graphoid, source, target, ["#Call"])
+            assert as_rows(rows) == flat_witnesses(near, sources, targets), query
 
 
 class TestPathRendering:
