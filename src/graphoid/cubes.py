@@ -30,6 +30,7 @@ from .hypergraph import (
     EdgeTypeDecl,
     Graphoid,
     GraphoidError,
+    Node,
     NodeTypeDecl,
     build_graphoid,
 )
@@ -180,7 +181,10 @@ def unstar(g: Graphoid) -> Cube:
     dimension loses all of them); measures are every declared edge type.
     Raises StarShapeError when the value does not look like an embedded cube.
     """
-    dim_decls = [decl for decl in g.node_types.values() if g.nodes_of_type(decl.name)]
+    nodes_by_type: dict[str, list[Node]] = {}
+    for node in g.nodes.values():
+        nodes_by_type.setdefault(node.ntype, []).append(node)
+    dim_decls = [decl for decl in g.node_types.values() if decl.name in nodes_by_type]
     for decl in dim_decls:
         if decl.arity != 2:
             raise StarShapeError(f"malformed star shape: node type {decl.name} is not (Id, dim)")
@@ -197,7 +201,7 @@ def unstar(g: Graphoid) -> Cube:
 
     dim_of_node: dict[int, tuple[int, object]] = {}
     for di, decl in enumerate(dim_decls):
-        for node in g.nodes_of_type(decl.name):
+        for node in nodes_by_type[decl.name]:
             dim_of_node[node.ident] = (di, node.label[1])
 
     measure_index = {f"#{m.name}": j for j, m in enumerate(measures)}

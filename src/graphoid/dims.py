@@ -9,6 +9,14 @@ step once and returns a lookup over those maps; every roll-up, the
 per-value ``DimensionCatalog.roll`` included, goes through it.
 ``DimensionCatalog.roll`` keeps each step it resolved, so rolling value by
 value costs a lookup per value, not a check of the step.
+
+Each ``DimensionSchema`` resolves its levels and edges once, at
+construction, into a table (level by name, parents per level, the bottom),
+and its lookups read that table instead of rescanning the declarations.
+Levels and schemas are frozen and slotted, and the values every dimension
+holds alike are shared: ``all_level()`` returns one All level, every All
+domain is the one ``ALL_DOMAIN``, and every ``DimensionCatalog.of`` holds the
+same Id dimension instance.
 """
 from __future__ import annotations
 
@@ -69,7 +77,7 @@ def comparator(cmp: str) -> Callable[[object, object], bool]:
         raise DimensionError(f"unknown comparator {cmp!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Level:
     """One granularity level of a dimension."""
 
@@ -79,8 +87,14 @@ class Level:
     open: bool = False
 
 
+_ALL_LEVEL = Level(ALL_LEVEL, "string", ordered=False)
+# the domain of every All level
+ALL_DOMAIN = frozenset({ALL_MEMBER})
+
+
 def all_level() -> Level:
-    return Level(ALL_LEVEL, "string", ordered=False)
+    """The top level every schema ends in; one shared value, since levels are frozen."""
+    return _ALL_LEVEL
 
 
 @dataclass(frozen=True)
@@ -92,57 +106,78 @@ class RollupStep:
     to_level: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DimensionSchema:
-    """Level DAG of one dimension.  ``edges`` point child level -> parent level."""
+    """Level DAG of one dimension.  ``edges`` point child level -> parent level.
+
+    Construction resolves ``levels`` and ``edges`` once into a table: each
+    level by name (the first of equal names wins), the parents of each child
+    level in edge order, and the bottom level, or None when no single level
+    lacks a child.  ``level``, ``has_level``, ``parents_of``, ``bottom`` and
+    ``reachable_from`` read that table; a malformed schema (duplicate names,
+    dangling edges, self-edges, cycles, two bottoms) builds a table all the
+    same, and ``validate_schema`` reports it.  Reachable sets are walked per
+    call, not kept.
+    """
 
     name: str
     levels: tuple[Level, ...]
     edges: tuple[tuple[str, str], ...]
+    _level_of: dict[str, Level] = field(init=False, compare=False, repr=False)
+    _parents: dict[str, tuple[str, ...]] = field(init=False, compare=False, repr=False)
+    _bottom: str | None = field(init=False, compare=False, repr=False)
 
-    def level(self, name: str) -> Level:
+    def __post_init__(self) -> None:
+        level_of: dict[str, Level] = {}
         for lv in self.levels:
-            if lv.name == name:
-                return lv
-        raise DimensionError(f"dimension {self.name}: unknown level {name!r}")
+            level_of.setdefault(lv.name, lv)
+        parents: dict[str, tuple[str, ...]] = {}
+        for child, parent in self.edges:
+            parents[child] = parents.get(child, ()) + (parent,)
+        targets = {p for _, p in self.edges}
+        sources = [lv.name for lv in self.levels if lv.name not in targets]
+        object.__setattr__(self, "_level_of", level_of)
+        object.__setattr__(self, "_parents", parents)
+        object.__setattr__(self, "_bottom", sources[0] if len(sources) == 1 else None)
+
+    # a name that cannot be hashed (a JSON list, say) names no level and no child
+    def level(self, name: str) -> Level:
+        try:
+            return self._level_of[name]
+        except (KeyError, TypeError):
+            raise DimensionError(f"dimension {self.name}: unknown level {name!r}") from None
 
     def has_level(self, name: str) -> bool:
-        return any(lv.name == name for lv in self.levels)
+        try:
+            return name in self._level_of
+        except TypeError:
+            return False
 
     def parents_of(self, level: str) -> tuple[str, ...]:
-        return tuple(p for c, p in self.edges if c == level)
+        try:
+            return self._parents.get(level, ())
+        except TypeError:
+            return ()
 
     def children_of(self, level: str) -> tuple[str, ...]:
         return tuple(c for c, p in self.edges if p == level)
 
     @property
     def bottom(self) -> str:
-        targets = {p for _, p in self.edges}
-        sources = [lv.name for lv in self.levels if lv.name not in targets]
-        if len(sources) != 1:
+        if self._bottom is None:
             raise DimensionError(f"dimension {self.name}: no unique bottom level")
-        return sources[0]
+        return self._bottom
 
     def reachable_from(self, level: str) -> frozenset[str]:
+        parents = self._parents
         seen = {level}
         frontier = [level]
         while frontier:
-            cur = frontier.pop()
-            for parent in self.parents_of(cur):
+            for parent in parents.get(frontier.pop(), ()):
                 if parent not in seen:
                     seen.add(parent)
                     frontier.append(parent)
         return frozenset(seen)
-
-    def paths_between(self, start: str, end: str) -> tuple[tuple[str, ...], ...]:
-        """All simple level paths start -> end following child->parent edges."""
-        if start == end:
-            return ((start,),)
-        out: list[tuple[str, ...]] = []
-        for parent in sorted(self.parents_of(start)):
-            for tail in self.paths_between(parent, end):
-                out.append((start,) + tail)
-        return tuple(out)
 
 
 def validate_schema(schema: DimensionSchema) -> list[str]:
@@ -260,7 +295,7 @@ class DimensionInstance:
     ) -> DimensionInstance:
         """Normalize raw member/parent data, auto-completing the All level."""
         normalized = {lv: frozenset(ms) for lv, ms in members.items()}
-        normalized.setdefault(ALL_LEVEL, frozenset({ALL_MEMBER}))
+        normalized.setdefault(ALL_LEVEL, ALL_DOMAIN)
         quads = list(parents)
         present = {(c, cl, p, pl) for c, cl, p, pl in quads}
         for child_level, parent_level in schema.edges:
@@ -282,7 +317,7 @@ class DimensionInstance:
         if lv.open:
             raise DimensionError(f"dimension {self.name}: level {level} has an open domain")
         if level == ALL_LEVEL:
-            return frozenset({ALL_MEMBER})
+            return ALL_DOMAIN
         return self.members.get(level, frozenset())
 
     def member_test(self, level: str) -> Callable[[object], bool]:
@@ -359,7 +394,7 @@ def validate_instance(instance: DimensionInstance) -> list[str]:
         for member in members:
             if not is_typed(member):
                 problems.append(f"dimension {dim}: member {member!r} is not a {lv.vtype} at level {level}")
-    if instance.members.get(ALL_LEVEL, frozenset({ALL_MEMBER})) != frozenset({ALL_MEMBER}):
+    if instance.members.get(ALL_LEVEL, ALL_DOMAIN) != ALL_DOMAIN:
         problems.append(f"dimension {dim}: domain of {ALL_LEVEL} must be exactly {{{ALL_MEMBER!r}}}")
 
     edges = set(schema.edges)
@@ -432,6 +467,10 @@ def id_dimension() -> DimensionInstance:
     return DimensionInstance.build(schema, {})
 
 
+# the Id dimension every catalog from ``DimensionCatalog.of`` holds; instances never change
+_ID_INSTANCE = id_dimension()
+
+
 def open_dimension(name: str, vtype: str = "decimal") -> DimensionInstance:
     """A two-level dimension with an open bottom, used for measures."""
     schema = DimensionSchema(
@@ -454,7 +493,7 @@ class DimensionCatalog:
 
     @classmethod
     def of(cls, *dims: DimensionInstance) -> DimensionCatalog:
-        table = {ID_DIMENSION: id_dimension()}
+        table = {ID_DIMENSION: _ID_INSTANCE}
         for inst in dims:
             table[inst.name] = inst
         return cls(table)

@@ -13,15 +13,21 @@ other operators pass the sets through.  Many edges share their endpoints once no
 (a call graph rolled up to operators has a handful of distinct sets), so this
 keeps a value's memory close to its number of distinct sets.
 
-``HyperEdge(...)`` is the public constructor.  The engine builds its edges
-with ``make_edge``, which fills the same slots without the frozen
-dataclass ``__init__`` (one ``object.__setattr__`` per field) and costs
-about a third as much; what it returns is an ordinary ``HyperEdge``.
+``HyperEdge(...)``, ``Node(...)`` and ``Graphoid(...)`` are the public
+constructors; the engine skips their frozen dataclass ``__init__`` (one
+``object.__setattr__`` per field).  Edges come from ``make_edge`` and
+nodes from ``make_node``, which fill the same slots with plain writes and
+return an ordinary ``HyperEdge`` or ``Node``.  Graph values come from one
+internal constructor, ``_graphoid``, which sets a value's field dict in one
+step: ``build_graphoid`` returns its value, and ``Graphoid.derive`` and
+``replaced`` (``dataclasses.replace`` for graph values) copy the parent's
+fields and start an empty index table.
 """
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
+from operator import call
 from typing import Callable, Iterable, Mapping
 
 from .dims import ALL_LEVEL, ALL_MEMBER, DimensionCatalog, ID_DIMENSION, ID_LEVEL
@@ -75,14 +81,32 @@ class EdgeTypeDecl(_TypeDecl):
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
+    """One node; slotted, so it holds no ``__dict__``.  The engine's own
+    nodes come from ``make_node``, which builds the same value more cheaply."""
+
     ntype: str
     label: tuple
 
     @property
     def ident(self) -> int:
         return self.label[0]
+
+
+class _NodeDraft:
+    """``Node``'s slot layout, unfrozen; see ``_EdgeDraft``."""
+
+    __slots__ = Node.__slots__
+
+    def __init__(self, ntype: str, label: tuple):
+        self.ntype = ntype
+        self.label = label
+        self.__class__ = Node
+
+
+# make_node(ntype, label) is a Node for callers whose label is already a tuple
+make_node: Callable[[str, tuple], Node] = _NodeDraft  # type: ignore[assignment]
 
 
 @dataclass(frozen=True, slots=True)
@@ -186,9 +210,6 @@ class Graphoid:
             if (slot := decl.slot_of(dim)) is not None
         ]
 
-    def nodes_of_type(self, name: str) -> tuple[Node, ...]:
-        return tuple(n for n in self.nodes.values() if n.ntype == name)
-
     def edge_multiset(self) -> Counter:
         return Counter((e.etype, e.source, e.target, e.label) for e in self.edges)
 
@@ -219,7 +240,33 @@ class Graphoid:
     def derive(self, **changes) -> Graphoid:
         """A child value: same lineage root, taint preserved unless overridden."""
         changes.setdefault("base", self.base if self.base is not None else self)
-        return replace(self, **changes)
+        return replaced(self, **changes)
+
+
+# the fields a graph value is built from: ``Graphoid.__init__``'s parameters
+_GRAPHOID_FIELDS = frozenset(f.name for f in fields(Graphoid) if f.init)
+
+
+def _graphoid(state: dict[str, object]) -> Graphoid:
+    """The graph value whose fields are ``state``, one entry per name in
+    ``_GRAPHOID_FIELDS``, with an empty index table: what ``Graphoid(**state)``
+    returns, without one ``object.__setattr__`` per field."""
+    state["_indexes"] = {}
+    g = object.__new__(Graphoid)
+    object.__setattr__(g, "__dict__", state)
+    return g
+
+
+def replaced(g: Graphoid, **changes) -> Graphoid:
+    """``dataclasses.replace(g, **changes)`` through ``_graphoid``: the other
+    fields are ``g``'s, the index table is new, and a name that is not a
+    field is refused with ``TypeError``."""
+    unknown = changes.keys() - _GRAPHOID_FIELDS
+    if unknown:
+        raise TypeError(f"graph values have no field {sorted(unknown)[0]!r}")
+    state = g.__dict__.copy()
+    state.update(changes)
+    return _graphoid(state)
 
 
 def shared_endpoint_map(fn: Callable[[frozenset[int]], frozenset[int]]) -> Callable[[frozenset[int]], frozenset[int]]:
@@ -353,7 +400,7 @@ def build_graphoid(
     node_table: dict[int, Node] = {}
     for row in nodes:
         try:
-            node = row if isinstance(row, Node) else Node(str(row[0]), tuple(row[1:]))
+            node = row if isinstance(row, Node) else make_node(str(row[0]), tuple(row[1:]))
         except (LookupError, TypeError):
             problems.append(f"node row {row!r}: expected a type and a label")
             continue
@@ -371,16 +418,16 @@ def build_graphoid(
         if ident in node_table:
             problems.append(f"node id {ident}: duplicate identifier")
             continue
-        bad = False
-        for slot, (value, member) in enumerate(zip(node.label, node_tests[node.ntype])):
+        tests = node_tests[node.ntype]
+        if all(map(call, tests, node.label)):
+            node_table[ident] = node
+            continue
+        for slot, (value, member) in enumerate(zip(node.label, tests)):
             if not member(value):
                 problems.append(
                     f"node {node.label!r}: slot {slot} value {value!r} outside "
                     f"dom({decl.dims[slot]}.{level_map[(node.ntype, slot)]})"
                 )
-                bad = True
-        if not bad:
-            node_table[ident] = node
     if not node_table and not problems:
         problems.append("non-empty node set required")
     if problems:
@@ -416,13 +463,9 @@ def build_graphoid(
                 kept_target = shared.get(target)
                 if kept_target is None and node_ids >= target:
                     kept_target = shared[target] = target
-                if kept_source is not None and kept_target is not None:
-                    for value, member in zip(label, tests):
-                        if not member(value):
-                            break
-                    else:
-                        edge_list.append(make_edge(etype, kept_source, kept_target, label, len(edge_list)))
-                        continue
+                if kept_source is not None and kept_target is not None and all(map(call, tests, label)):
+                    edge_list.append(make_edge(etype, kept_source, kept_target, label, len(edge_list)))
+                    continue
         # a failing row: report each of its problems, in this order
         if etype not in etypes:
             problems.append(f"edge {label!r}: unknown edge type {etype}")
@@ -449,7 +492,17 @@ def build_graphoid(
         raise GraphoidBuildError(problems)
 
     ordered_nodes = {ident: node_table[ident] for ident in sorted(node_table)}
-    return Graphoid(catalog, ntypes, etypes, ordered_nodes, tuple(edge_list), level_map)
+    return _graphoid({
+        "catalog": catalog,
+        "node_types": ntypes,
+        "edge_types": etypes,
+        "nodes": ordered_nodes,
+        "edges": tuple(edge_list),
+        "levels": level_map,
+        "base": None,
+        "tainted": False,
+        "folds": {},
+    })
 
 
 def edgify(g: Graphoid, ntype: str, slot: int) -> Graphoid:
@@ -490,7 +543,7 @@ def edgify(g: Graphoid, ntype: str, slot: int) -> Graphoid:
         label = list(node.label)
         value = label[slot]
         label[slot] = ALL_MEMBER
-        nodes[ident] = Node(ntype, tuple(label))
+        nodes[ident] = make_node(ntype, tuple(label))
         target = frozenset({ident})
         new_edges.append(make_edge(new_type, no_source, share(target, target), (value,), surrogate))
         surrogate += 1

@@ -38,9 +38,9 @@ from .hypergraph import (
     Graphoid,
     GraphoidError,
     HyperEdge,
-    Node,
     NodeTypeDecl,
     make_edge,
+    make_node,
     shared_endpoint_map,
 )
 
@@ -354,7 +354,7 @@ def climb(g: Graphoid, targets, step: RollupStep) -> Graphoid:
             slot = node_slots.get(node.ntype)
             if slot is not None:
                 label = node.label
-                nodes[ident] = Node(node.ntype, label[:slot] + (roll(dim, lo, hi, label[slot]),) + label[slot + 1:])
+                nodes[ident] = make_node(node.ntype, label[:slot] + (roll(dim, lo, hi, label[slot]),) + label[slot + 1:])
     edges = g.edges
     if edge_slots:
         rewritten: list[HyperEdge] = []

@@ -12,7 +12,7 @@ import datetime
 import json
 import os
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, TextIO
 
 from .cubes import Cube, CubeMeasure, build_cube
@@ -33,6 +33,7 @@ from .hypergraph import (
     GraphoidError,
     NodeTypeDecl,
     build_graphoid,
+    replaced,
 )
 
 
@@ -104,10 +105,9 @@ def schema_from_json(raw: dict) -> DimensionSchema:
                     entry.get("open", False),
                 )
             )
-    edges = tuple((child, parent) for child, parent in raw["edges"])
-    schema = DimensionSchema(raw["name"], tuple(levels), edges)
-    hash(schema)  # a name, level or edge end that is a JSON list or object is refused here
-    return schema
+    parts = (raw["name"], tuple(levels), tuple((child, parent) for child, parent in raw["edges"]))
+    hash(parts)  # a name, level or edge end that is a JSON list or object is refused here, as the schema's hash would
+    return DimensionSchema(*parts)
 
 
 def instance_to_json(instance: DimensionInstance) -> dict:
@@ -241,7 +241,7 @@ def graphoid_from_json(raw: dict, catalog: DimensionCatalog) -> Graphoid:
         if decl is None or type(slot) is not int or slot not in dict(decl.measures) or fn not in AGGREGATES:
             raise StoreError(f"fold record [{name!r}, {slot!r}, {fn!r}] names no measure slot and aggregate")
         folds[(name, slot)] = fn
-    return replace(g, folds=folds) if folds else g
+    return replaced(g, folds=folds) if folds else g
 
 
 def _decode_rows(rows: list, section: str, offset: int, dated: dict[str, tuple[int, tuple[int, ...]]]) -> None:

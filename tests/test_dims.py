@@ -1,7 +1,9 @@
 """Dimension schemas, instances, validation, and the roll-up mapping."""
 from __future__ import annotations
 
+import dataclasses
 import datetime
+import pickle
 import random
 
 import pytest
@@ -10,11 +12,13 @@ from hypothesis import strategies as st
 
 from graphoid.dims import (
     DimensionCatalog,
+    DimensionError,
     DimensionInstance,
     DimensionSchema,
     Level,
     UnknownMember,
     UnreachableLevel,
+    all_level,
     id_dimension,
     open_dimension,
     validate_instance,
@@ -91,6 +95,22 @@ class TestValidateSchema:
         assert any("open level" in p for p in problems)
 
 
+def flat_parents(schema: DimensionSchema, level: str) -> tuple[str, ...]:
+    return tuple(p for c, p in schema.edges if c == level)
+
+
+def paths_between(schema: DimensionSchema, start: str, end: str) -> tuple[tuple[str, ...], ...]:
+    """All level paths start -> end following child->parent edges, read off
+    ``schema.edges`` (the schema must be acyclic)."""
+    if start == end:
+        return ((start,),)
+    out: list[tuple[str, ...]] = []
+    for parent in sorted(flat_parents(schema, start)):
+        for tail in paths_between(schema, parent, end):
+            out.append((start,) + tail)
+    return tuple(out)
+
+
 def random_lattice_instance(rng: random.Random) -> DimensionInstance:
     """A chain of levels with random shortcut edges, each member wired to a
     random parent at every parent level: a complete, functional instance that
@@ -118,7 +138,7 @@ def reference_unsound(instance: DimensionInstance) -> bool:
     names = [lv.name for lv in schema.levels]
     for start in names:
         for end in names:
-            paths = schema.paths_between(start, end) if start != end else ()
+            paths = paths_between(schema, start, end) if start != end else ()
             for member in instance.members.get(start, frozenset()):
                 results = set()
                 for path in paths:
@@ -290,6 +310,112 @@ class TestOpenDimensions:
         assert duration.roller("Duration", "All")(42) == "all"
 
 
+# level names a drawn schema may use; "Gone" is never declared, so edges to or from it dangle
+SCHEMA_NAMES = ("A", "B", "C", "All", "Gone")
+
+drawn_levels = st.lists(
+    st.builds(Level, st.sampled_from(SCHEMA_NAMES[:4]), st.sampled_from(("string", "int")), st.booleans(), st.booleans()),
+    max_size=6,
+)
+drawn_edges = st.lists(st.tuples(st.sampled_from(SCHEMA_NAMES), st.sampled_from(SCHEMA_NAMES)), max_size=8)
+# malformed schemas by construction: duplicate names, dangling edges,
+# self-edges, cycles and several bottoms all come up
+drawn_schemas = st.builds(lambda levels, edges: DimensionSchema("D", tuple(levels), tuple(edges)), drawn_levels, drawn_edges)
+valid_schemas = st.builds(lambda seed, name: random_schema(random.Random(seed), name), st.integers(0, 10**9), st.just("D"))
+
+
+def flat_level(schema: DimensionSchema, name: str) -> Level:
+    for lv in schema.levels:
+        if lv.name == name:
+            return lv
+    raise DimensionError(f"dimension {schema.name}: unknown level {name!r}")
+
+
+def flat_bottom(schema: DimensionSchema) -> str:
+    targets = [p for _, p in schema.edges]
+    sources = [lv.name for lv in schema.levels if lv.name not in targets]
+    if len(sources) != 1:
+        raise DimensionError(f"dimension {schema.name}: no unique bottom level")
+    return sources[0]
+
+
+def flat_reachable(schema: DimensionSchema, level: str) -> frozenset[str]:
+    """The closure of ``{level}`` under the edges, grown until it stops changing."""
+    seen = {level}
+    while True:
+        grown = seen | {p for c, p in schema.edges if c in seen}
+        if grown == seen:
+            return frozenset(seen)
+        seen = grown
+
+
+class TestResolvedSchemaTable:
+    """The table a schema resolves at construction answers like a scan of
+    ``levels`` and ``edges``, on malformed schemas too."""
+
+    @given(st.one_of(drawn_schemas, valid_schemas))
+    @settings(max_examples=200, deadline=None)
+    def test_lookups_match_a_flat_scan(self, schema):
+        names = {lv.name for lv in schema.levels} | {end for edge in schema.edges for end in edge}
+        for name in sorted(names | set(SCHEMA_NAMES) | {"Nowhere"}):
+            level = outcome(schema.level, name)
+            assert level == outcome(flat_level, schema, name), name
+            if level[0] == "value":
+                assert level[1] is flat_level(schema, name), name
+            assert schema.has_level(name) == any(lv.name == name for lv in schema.levels), name
+            assert schema.parents_of(name) == flat_parents(schema, name), name
+            assert schema.children_of(name) == tuple(c for c, p in schema.edges if p == name), name
+            assert schema.reachable_from(name) == flat_reachable(schema, name), name
+        assert outcome(lambda: schema.bottom) == outcome(flat_bottom, schema)
+
+    def test_first_of_equal_names_wins(self):
+        first, second = Level("A", "string"), Level("A", "int")
+        schema = DimensionSchema("D", (first, second, all_level()), (("A", "All"),))
+        assert schema.level("A") is first
+        with pytest.raises(DimensionError, match="no unique bottom level"):
+            schema.bottom
+
+    def test_unhashable_name_is_no_level(self):
+        schema = linear_schema("D", "Bottom")
+        assert not schema.has_level(["Bottom"])
+        assert schema.parents_of(["Bottom"]) == ()
+        with pytest.raises(DimensionError, match=r"unknown level \['Bottom'\]"):
+            schema.level(["Bottom"])
+
+
+class TestSlottedRecords:
+    @pytest.mark.parametrize("value", [
+        Level("Day", "date"),
+        all_level(),
+        linear_schema("D", "Bottom", "Mid"),
+        DimensionSchema("D", (Level("A"), Level("A"), all_level()), (("A", "A"), ("Gone", "All"))),
+    ], ids=["level", "all-level", "schema", "malformed-schema"])
+    def test_frozen_slotted_and_pickled(self, value):
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            value.name = "Other"
+        copied = pickle.loads(pickle.dumps(value))
+        assert type(copied) is type(value) and copied == value and hash(copied) == hash(value)
+        if isinstance(value, DimensionSchema):
+            for name in ("A", "Bottom", "Mid", "All", "Gone"):
+                assert outcome(copied.level, name) == outcome(value.level, name)
+                assert copied.parents_of(name) == value.parents_of(name)
+            assert outcome(lambda: copied.bottom) == outcome(lambda: value.bottom)
+
+    def test_equal_and_hash_read_only_the_declared_fields(self):
+        a = linear_schema("D", "Bottom", "Mid")
+        b = DimensionSchema("D", a.levels, a.edges)
+        assert a == b and hash(a) == hash(b) == hash(("D", a.levels, a.edges))
+        assert a != linear_schema("D", "Bottom")
+        assert repr(a).startswith("DimensionSchema(name='D', levels=(Level(name='Bottom'")
+        assert "_parents" not in repr(a)
+        assert Level("X") == Level("X") and hash(Level("X")) == hash(("X", "string", True, False))
+
+    def test_all_level_is_one_shared_value(self):
+        assert all_level() is all_level()
+        assert all_level() == Level("All", "string", ordered=False)
+
+
 class TestCatalog:
     def test_id_dimension_is_implicit(self, phone_dimension):
         catalog = DimensionCatalog.of(phone_dimension)
@@ -307,6 +433,13 @@ class TestCatalog:
         is_member = ident.member_test("Id")
         assert is_member(7)
         assert not is_member("7")
+
+    def test_catalogs_share_one_id_instance(self, phone_dimension, time_dimension):
+        a = DimensionCatalog.of(phone_dimension)
+        b = DimensionCatalog.of(time_dimension)
+        assert a.instance("Id") is b.instance("Id")
+        assert a.instance("Id") == id_dimension()
+        assert a.with_dimension(time_dimension).instance("Id") is a.instance("Id")
 
     def test_roll_lookup(self, figures_catalog):
         assert figures_catalog.roll("Phone", "Phone", "Customer", "Ph4") == "C3"
@@ -326,7 +459,7 @@ def reference_roll(instance: DimensionInstance, from_level: str, to_level: str, 
         return "all"
     if to_level not in schema.reachable_from(from_level):
         raise UnreachableLevel(f"dimension {schema.name}: level {to_level} not reachable from {from_level}")
-    path = schema.paths_between(from_level, to_level)[0]
+    path = paths_between(schema, from_level, to_level)[0]
     value = member
     for a, b in zip(path, path[1:]):
         step = instance.rollup_maps[(a, b)]

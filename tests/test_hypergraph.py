@@ -12,13 +12,17 @@ from hypothesis import strategies as st
 from graphoid.dims import DimensionCatalog, RollupStep, open_dimension
 from graphoid.hypergraph import (
     EdgeTypeDecl,
+    Graphoid,
     GraphoidBuildError,
     HyperEdge,
     Node,
     NodeTypeDecl,
     build_graphoid,
     edgify,
+    make_node,
+    replaced,
 )
+from graphoid.olap import climb
 from conftest import BASE_CALLS, BASE_LEVELS, BASE_NODES, CALL_DECL, PHONE_DECL
 from helpers import ends_are_shared, random_graphoid_input, shuffled_build
 
@@ -142,6 +146,101 @@ class TestHyperEdge:
         assert not hasattr(e, "__dict__")
         with pytest.raises(dataclasses.FrozenInstanceError):
             e.label = (5, "x")
+
+
+def fresh_graph(catalog):
+    return build_graphoid(
+        catalog, [PHONE_DECL], [CALL_DECL], BASE_NODES,
+        [("#Call", s, t, d, dur) for s, t, d, dur in BASE_CALLS], levels=BASE_LEVELS,
+    )
+
+
+INIT_FIELDS = [f.name for f in dataclasses.fields(Graphoid) if f.init]
+
+
+def assert_same_fields(got: Graphoid, expected: Graphoid) -> None:
+    assert type(got) is Graphoid
+    for name in INIT_FIELDS:
+        if name in ("catalog", "base"):
+            assert getattr(got, name) is getattr(expected, name), name
+        else:
+            assert getattr(got, name) == getattr(expected, name), name
+            assert type(getattr(got, name)) is type(getattr(expected, name)), name
+    assert got._indexes == {}
+
+
+class TestGraphValueConstructors:
+    """``derive``, ``replaced`` and ``build_graphoid`` build graph values
+    without the frozen ``__init__``; each must equal what it replaces."""
+
+    CHANGES = [
+        {},
+        {"tainted": True},
+        {"folds": {("#Call", 1): "SUM"}},
+        {"edges": ()},
+        {"nodes": {}, "levels": {("#Phone", 0): "Id"}},
+        {"base": None},
+    ]
+
+    @pytest.mark.parametrize("changes", CHANGES, ids=lambda c: ",".join(c) or "none")
+    def test_derive_equals_replace(self, figures_catalog, changes):
+        root = fresh_graph(figures_catalog)
+        child = dataclasses.replace(root, base=root, tainted=True, folds={("#Call", 1): "MAX"})
+        for g in (root, child):
+            g.indexed("probe", lambda value: object())
+            lineage = g.base if g.base is not None else g
+            got = g.derive(**changes)
+            assert_same_fields(got, dataclasses.replace(g, **{"base": lineage, **changes}))
+            assert got._indexes is not g._indexes and "probe" in g._indexes
+            assert got.indexed("probe", lambda value: "own") == "own"
+
+    def test_replaced_equals_dataclasses_replace(self, figures_catalog):
+        g = fresh_graph(figures_catalog)
+        for changes in self.CHANGES:
+            assert_same_fields(replaced(g, **changes), dataclasses.replace(g, **changes))
+        assert replaced(g).base is None
+
+    def test_unknown_field_refused(self, figures_catalog):
+        g = fresh_graph(figures_catalog)
+        for call in (lambda: g.derive(colour="red"), lambda: replaced(g, colour="red"), lambda: g.derive(_indexes={})):
+            with pytest.raises(TypeError):
+                call()
+
+    def test_built_value_equals_the_public_constructor(self, figures_catalog):
+        g = fresh_graph(figures_catalog)
+        public = Graphoid(figures_catalog, g.node_types, g.edge_types, g.nodes, g.edges, g.levels)
+        assert_same_fields(g, public)
+        assert g.folds == {} and g.folds is not fresh_graph(figures_catalog).folds
+        assert g == public and repr(g) == repr(public)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.tainted = True
+
+
+class TestNode:
+    def test_value_semantics(self):
+        n = Node("#Phone", (11, "Ph1"))
+        assert [f.name for f in dataclasses.fields(n)] == ["ntype", "label"]
+        assert n.ident == 11
+        assert n == Node("#Phone", (11, "Ph1")) and hash(n) == hash(("#Phone", (11, "Ph1")))
+        assert n != Node("#Phone", (11, "Ph2"))
+        assert repr(n) == "Node(ntype='#Phone', label=(11, 'Ph1'))"
+        assert not hasattr(n, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            n.label = (11, "Ph2")
+        copied = pickle.loads(pickle.dumps(n))
+        assert type(copied) is Node and copied == n and hash(copied) == hash(n)
+
+    def test_engine_nodes_are_plain_nodes(self, figures_catalog):
+        drafted = make_node("#Phone", (11, "Ph1"))
+        assert type(drafted) is Node and drafted == Node("#Phone", (11, "Ph1"))
+        g = fresh_graph(figures_catalog)
+        rolled = climb(g, ["#Phone"], RollupStep("Phone", "Phone", "Customer"))
+        for node in (drafted, *g.nodes.values(), *rolled.nodes.values(), *edgify(g, "#Phone", 1).nodes.values()):
+            assert type(node) is Node and not hasattr(node, "__dict__")
+            copied = pickle.loads(pickle.dumps(node))
+            assert copied == node and hash(copied) == hash(Node(node.ntype, node.label))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                node.ntype = "#Other"
 
 
 class TestAdjacency:

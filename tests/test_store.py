@@ -439,6 +439,8 @@ class TestBuildReports:
         ["#Call", [11], [12], 20161010, 4],
         ["#Call", [11], [12], "2016-10-12", "long"],
         ["#Call", [97], [13], "2016-10-11", 4.5],
+        # fails at both label slots: every failing slot is reported, not just the first
+        ["#Call", [11], [12], "2016-10-11", "long"],
     ]
     EDGE_PROBLEMS = [
         "edge ('2016-10-10', 4): unknown edge type #Text",
@@ -452,6 +454,8 @@ class TestBuildReports:
         "edge #Call (datetime.date(2016, 10, 12), 'long'): slot 1 value 'long' outside dom(Duration.Duration)",
         "edge #Call (datetime.date(2016, 10, 11), 4.5): endpoint 97 is not a node",
         "edge #Call (datetime.date(2016, 10, 11), 4.5): slot 0 value datetime.date(2016, 10, 11) outside dom(Time.Day)",
+        "edge #Call (datetime.date(2016, 10, 11), 'long'): slot 0 value datetime.date(2016, 10, 11) outside dom(Time.Day)",
+        "edge #Call (datetime.date(2016, 10, 11), 'long'): slot 1 value 'long' outside dom(Duration.Duration)",
     ]
 
     def test_edge_faults(self, figures_catalog):
