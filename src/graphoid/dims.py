@@ -112,9 +112,11 @@ class DimensionSchema:
 
     Construction resolves ``levels`` and ``edges`` once into a table: each
     level by name (the first of equal names wins), the parents of each child
-    level in edge order, and the bottom level, or None when no single level
-    lacks a child.  ``level``, ``has_level``, ``parents_of``, ``bottom`` and
-    ``reachable_from`` read that table; a malformed schema (duplicate names,
+    level in edge order, and the bottom ``Level``, or None when no single
+    level lacks a child (the table keeps the level, not its name, because a
+    name read from JSON may itself be None).  ``level``, ``has_level``,
+    ``parents_of``, ``bottom`` and ``reachable_from`` read that table; a
+    malformed schema (duplicate names,
     dangling edges, self-edges, cycles, two bottoms) builds a table all the
     same, and ``validate_schema`` reports it.  Reachable sets are walked per
     call, not kept.
@@ -125,7 +127,7 @@ class DimensionSchema:
     edges: tuple[tuple[str, str], ...]
     _level_of: dict[str, Level] = field(init=False, compare=False, repr=False)
     _parents: dict[str, tuple[str, ...]] = field(init=False, compare=False, repr=False)
-    _bottom: str | None = field(init=False, compare=False, repr=False)
+    _bottom: Level | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         level_of: dict[str, Level] = {}
@@ -135,7 +137,7 @@ class DimensionSchema:
         for child, parent in self.edges:
             parents[child] = parents.get(child, ()) + (parent,)
         targets = {p for _, p in self.edges}
-        sources = [lv.name for lv in self.levels if lv.name not in targets]
+        sources = [lv for lv in self.levels if lv.name not in targets]
         object.__setattr__(self, "_level_of", level_of)
         object.__setattr__(self, "_parents", parents)
         object.__setattr__(self, "_bottom", sources[0] if len(sources) == 1 else None)
@@ -166,7 +168,7 @@ class DimensionSchema:
     def bottom(self) -> str:
         if self._bottom is None:
             raise DimensionError(f"dimension {self.name}: no unique bottom level")
-        return self._bottom
+        return self._bottom.name
 
     def reachable_from(self, level: str) -> frozenset[str]:
         parents = self._parents

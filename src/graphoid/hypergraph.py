@@ -27,8 +27,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from operator import call
 from typing import Callable, Iterable, Mapping
+
+try:
+    from operator import call
+except ImportError:  # Python 3.10: operator.call is new in 3.11
+    def call(test: Callable[[object], bool], value: object) -> bool:
+        return test(value)
 
 from .dims import ALL_LEVEL, ALL_MEMBER, DimensionCatalog, ID_DIMENSION, ID_LEVEL
 

@@ -4,9 +4,12 @@ from __future__ import annotations
 import importlib.util
 import io
 import json
+import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 
 import pytest
 
@@ -525,6 +528,24 @@ class TestTheorem1:
         lines = [json.loads(line) for line in out.strip().splitlines()]
         assert all(row["ok"] for row in lines[:-1])
         assert lines[-1] == {"trials": 8, "equivalent": 8}
+
+    def test_same_report_without_operator_call(self, capsys):
+        """Python 3.10 has no ``operator.call``; the label tests then run
+        through a plain function and the report is the same."""
+        args = ["theorem1", "--trials", "8", "--seed", "5", "--format", "json"]
+        assert cli.main(args) == 0
+        expected = capsys.readouterr().out
+        code = (
+            "import operator, sys; del operator.call\n"
+            "from graphoid import cli, hypergraph\n"
+            "assert hypergraph.call.__module__ == 'graphoid.hypergraph'\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == expected
 
 
 SMALL_BENCH = ["--phones", "12", "--users", "5", "--calls", "60", "--seed", "2"]

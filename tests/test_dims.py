@@ -310,11 +310,12 @@ class TestOpenDimensions:
         assert duration.roller("Duration", "All")(42) == "all"
 
 
-# level names a drawn schema may use; "Gone" is never declared, so edges to or from it dangle
-SCHEMA_NAMES = ("A", "B", "C", "All", "Gone")
+# level names a drawn schema may use; None is a name a JSON dimension file can
+# hold, and "Gone" is never declared, so edges to or from it dangle
+SCHEMA_NAMES = ("A", "B", "C", "All", None, "Gone")
 
 drawn_levels = st.lists(
-    st.builds(Level, st.sampled_from(SCHEMA_NAMES[:4]), st.sampled_from(("string", "int")), st.booleans(), st.booleans()),
+    st.builds(Level, st.sampled_from(SCHEMA_NAMES[:5]), st.sampled_from(("string", "int")), st.booleans(), st.booleans()),
     max_size=6,
 )
 drawn_edges = st.lists(st.tuples(st.sampled_from(SCHEMA_NAMES), st.sampled_from(SCHEMA_NAMES)), max_size=8)
@@ -357,7 +358,7 @@ class TestResolvedSchemaTable:
     @settings(max_examples=200, deadline=None)
     def test_lookups_match_a_flat_scan(self, schema):
         names = {lv.name for lv in schema.levels} | {end for edge in schema.edges for end in edge}
-        for name in sorted(names | set(SCHEMA_NAMES) | {"Nowhere"}):
+        for name in sorted(names | set(SCHEMA_NAMES) | {"Nowhere"}, key=repr):
             level = outcome(schema.level, name)
             assert level == outcome(flat_level, schema, name), name
             if level[0] == "value":
@@ -374,6 +375,12 @@ class TestResolvedSchemaTable:
         assert schema.level("A") is first
         with pytest.raises(DimensionError, match="no unique bottom level"):
             schema.bottom
+
+    def test_bottom_level_named_none(self):
+        schema = DimensionSchema("D", (Level(None), all_level()), ((None, "All"),))
+        assert schema.bottom is None
+        assert schema.level(None) is schema.levels[0]
+        assert schema.reachable_from(None) == frozenset({None, "All"})
 
     def test_unhashable_name_is_no_level(self):
         schema = linear_schema("D", "Bottom")

@@ -69,6 +69,12 @@ class TestJsonRoundTrips:
         for schema in (phone_schema(), time_schema()):
             assert schema_from_json(schema_to_json(schema)) == schema
 
+    def test_schema_with_a_bottom_level_named_null(self):
+        raw = {"name": "D", "levels": [{"name": None}, "All"], "edges": [[None, "All"]]}
+        schema = schema_from_json(raw)
+        assert validate_schema(schema) == []
+        assert schema.bottom is None
+
     def test_instance(self, phone_dimension, time_dimension):
         for instance in (phone_dimension, time_dimension):
             assert instance_from_json(instance_to_json(instance)) == instance
