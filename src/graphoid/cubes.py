@@ -425,6 +425,8 @@ def check_equivalence(cube: Cube, op: CubeOp) -> list[str]:
 # random trials
 
 MAX_DIMS, MAX_MEMBERS, MAX_CELLS = 4, 5, 60  # hierarchies per catalog, members per level, cells per cube
+# the measure dimensions M1 and M2 every random catalog holds; instances never change
+_MEASURE_INSTANCES = tuple(open_dimension(f"M{j + 1}", "decimal") for j in range(2))
 
 
 def random_catalog(rng: random.Random) -> DimensionCatalog:
@@ -447,8 +449,7 @@ def random_catalog(rng: random.Random) -> DimensionCatalog:
             for child in sorted(members[lower]):
                 parents.append((child, lower, rng.choice(uppers), upper))
         dims.append(DimensionInstance.build(schema, members, parents))
-    measures = [open_dimension(f"M{j + 1}", "decimal") for j in range(2)]
-    return DimensionCatalog.of(*dims, *measures)
+    return DimensionCatalog.of(*dims, *_MEASURE_INSTANCES)
 
 
 def random_cube(rng: random.Random, catalog: DimensionCatalog) -> Cube:

@@ -84,7 +84,11 @@ def tokenize(text: str) -> list[Token]:
         if kind == "WS":
             pass
         elif kind == "DATE":
-            tokens.append(Token("DATE", raw, datetime.date.fromisoformat(raw), line, col))
+            try:
+                day = datetime.date.fromisoformat(raw)
+            except ValueError:
+                raise GqlSyntaxError(f"no such date {raw}", line, col) from None
+            tokens.append(Token("DATE", raw, day, line, col))
         elif kind == "NUMBER":
             value = float(raw) if "." in raw else int(raw)
             tokens.append(Token("NUMBER", raw, value, line, col))

@@ -15,19 +15,24 @@ keeps a value's memory close to its number of distinct sets.
 
 ``HyperEdge(...)``, ``Node(...)`` and ``Graphoid(...)`` are the public
 constructors; the engine skips their frozen dataclass ``__init__`` (one
-``object.__setattr__`` per field).  Edges come from ``make_edge`` and
-nodes from ``make_node``, which fill the same slots with plain writes and
-return an ordinary ``HyperEdge`` or ``Node``.  Graph values come from one
-internal constructor, ``_graphoid``, which sets a value's field dict in one
-step: ``build_graphoid`` returns its value, and ``Graphoid.derive`` and
+``object.__setattr__`` per field).  Edges come from ``make_edge``, nodes
+from ``make_node`` and path rows from ``metrics._path_row``, each made by
+``slot_writer`` from its record: an unfrozen twin derived from the record's
+own fields, so it has the same slot layout.  The twin's ``__init__`` takes
+every field positionally (``surrogate`` too), converts nothing, fills the
+slots with plain writes and then turns the object into the record, which
+the equal layout allows; what it returns is an ordinary ``HyperEdge``,
+``Node`` or ``PathResult``.  Graph values come from one internal
+constructor, ``_graphoid``, which sets a value's field dict in one step:
+``build_graphoid`` returns its value, and ``Graphoid.derive`` and
 ``replaced`` (``dataclasses.replace`` for graph values) copy the parent's
 fields and start an empty index table.
 """
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, fields
-from typing import Callable, Iterable, Mapping
+from dataclasses import dataclass, field, fields, make_dataclass
+from typing import Callable, Iterable, Mapping, TypeVar
 
 try:
     from operator import call
@@ -86,6 +91,29 @@ class EdgeTypeDecl(_TypeDecl):
         return None
 
 
+_R = TypeVar("_R")
+
+
+def slot_writer(cls: type[_R]) -> Callable[..., _R]:
+    """A constructor of the frozen, slotted dataclass ``cls`` that writes its
+    slots directly: ``slot_writer(cls)(*values)`` equals ``cls(*values)``
+    and is of type ``cls``.  Every field is a positional argument, in field
+    order, with no default."""
+
+    def __post_init__(self) -> None:
+        self.__class__ = cls
+
+    return make_dataclass(
+        f"_{cls.__name__}Writer",
+        [(f.name, f.type) for f in fields(cls)],
+        namespace={"__post_init__": __post_init__},
+        slots=True,
+        eq=False,
+        repr=False,
+        match_args=False,
+    )
+
+
 @dataclass(frozen=True, slots=True)
 class Node:
     """One node; slotted, so it holds no ``__dict__``.  The engine's own
@@ -99,19 +127,7 @@ class Node:
         return self.label[0]
 
 
-class _NodeDraft:
-    """``Node``'s slot layout, unfrozen; see ``_EdgeDraft``."""
-
-    __slots__ = Node.__slots__
-
-    def __init__(self, ntype: str, label: tuple):
-        self.ntype = ntype
-        self.label = label
-        self.__class__ = Node
-
-
-# make_node(ntype, label) is a Node for callers whose label is already a tuple
-make_node: Callable[[str, tuple], Node] = _NodeDraft  # type: ignore[assignment]
+make_node: Callable[[str, tuple], Node] = slot_writer(Node)
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,25 +150,7 @@ class HyperEdge:
         return self.source | self.target
 
 
-class _EdgeDraft:
-    """``HyperEdge``'s slot layout, unfrozen: its ``__init__`` stores the
-    fields with plain slot writes and then turns the object into a
-    ``HyperEdge``, which the equal layout allows."""
-
-    __slots__ = HyperEdge.__slots__
-
-    def __init__(self, etype: str, source: frozenset[int], target: frozenset[int], label: tuple, surrogate: int):
-        self.etype = etype
-        self.source = source
-        self.target = target
-        self.label = label
-        self.surrogate = surrogate
-        self.__class__ = HyperEdge
-
-
-# make_edge(etype, source, target, label, surrogate) is a HyperEdge built for the
-# engine's per-edge loops, which pass fields that are already of the right types
-make_edge: Callable[[str, frozenset[int], frozenset[int], tuple, int], HyperEdge] = _EdgeDraft  # type: ignore[assignment]
+make_edge: Callable[[str, frozenset[int], frozenset[int], tuple, int], HyperEdge] = slot_writer(HyperEdge)
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,7 +21,9 @@ seen.  Every target's layers are computed first; rows are then emitted in
 one pass, sources outer and targets inner.  A node's next hop is the lowest
 set bit of its neighbour bitset AND the layer below: bit order is sorted id
 order, so that is its smallest neighbour one hop closer, and a witness path
-is the chain of next hops from its source down to the target.
+is the chain of next hops from its source down to the target.  Each row
+is a ``PathResult`` from ``_path_row``, the record's ``slot_writer`` twin,
+which skips the frozen dataclass ``__init__``.
 """
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .dims import DimensionCatalog
-from .hypergraph import Graphoid, GraphoidError
+from .hypergraph import Graphoid, GraphoidError, slot_writer
 from .olap import Condition, TargetSet, atom_test, condition_problems
 
 
@@ -56,25 +58,7 @@ class PathResult:
         return self.hops >= 0
 
 
-class _PathDraft:
-    """``PathResult``'s slot layout, unfrozen: its ``__init__`` stores the
-    fields with plain slot writes and then turns the object into a
-    ``PathResult``, which the equal layout allows (as ``hypergraph._EdgeDraft``
-    does for edges)."""
-
-    __slots__ = PathResult.__slots__
-
-    def __init__(self, source: int, target: int, hops: int, path: tuple[int, ...]):
-        self.source = source
-        self.target = target
-        self.hops = hops
-        self.path = path
-        self.__class__ = PathResult
-
-
-# _path_row(source, target, hops, path) is a PathResult built for the row loop of
-# shortest_paths, which passes fields that are already of the right types
-_path_row: Callable[[int, int, int, tuple[int, ...]], PathResult] = _PathDraft  # type: ignore[assignment]
+_path_row: Callable[[int, int, int, tuple[int, ...]], PathResult] = slot_writer(PathResult)
 
 
 def _edge_types(g: Graphoid, via) -> frozenset[str]:

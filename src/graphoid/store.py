@@ -490,19 +490,22 @@ def _call_graph(catalog: DimensionCatalog, phone_ids: Iterable[int], calls: Iter
 # ---------------------------------------------------------------------------
 # synthetic call data
 
+# what every generated data set draws from: the calendar its calls fall in,
+# the range of a call's duration in seconds, and the phones' members
+START_DATE = datetime.date(2016, 1, 1)
+END_DATE = datetime.date(2016, 12, 31)
+MIN_DURATION, MAX_DURATION = 1, 3600
+OPERATORS = ("ATT", "Claro", "Movistar", "Vodafone")
+CITIES = ("Buenos Aires", "Cordoba", "Rosario", "Salta")
+COUNTRIES = ("Argentina",)
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
     phone_count: int = 100
     user_count: int = 50
     call_count: int = 1000
     max_group_size: int = 4
-    start_date: datetime.date = datetime.date(2016, 1, 1)
-    end_date: datetime.date = datetime.date(2016, 12, 31)
-    min_duration: int = 1
-    max_duration: int = 3600
-    operators: tuple[str, ...] = ("ATT", "Claro", "Movistar", "Vodafone")
-    cities: tuple[str, ...] = ("Buenos Aires", "Cordoba", "Rosario", "Salta")
-    countries: tuple[str, ...] = ("Argentina",)
     seed: int = 7
 
 
@@ -619,11 +622,11 @@ def generate(config: GeneratorConfig) -> GeneratedData:
 
     customers = [f"Customer{k + 1:03d}" for k in range(config.user_count)]
     city_country = {
-        city: config.countries[i % len(config.countries)]
-        for i, city in enumerate(config.cities)
+        city: COUNTRIES[i % len(COUNTRIES)]
+        for i, city in enumerate(CITIES)
     }
     phones: dict[int, PhoneInfo] = {}
-    customer_city = {c: rng.choice(config.cities) for c in customers}
+    customer_city = {c: rng.choice(CITIES) for c in customers}
     for pid in range(1, config.phone_count + 1):
         customer = rng.choice(customers)
         city = customer_city[customer]
@@ -632,7 +635,7 @@ def generate(config: GeneratorConfig) -> GeneratedData:
             customer=customer,
             city=city,
             country=city_country[city],
-            operator=rng.choice(config.operators),
+            operator=rng.choice(OPERATORS),
         )
     phone_ids = sorted(phones)
 
@@ -640,9 +643,9 @@ def generate(config: GeneratorConfig) -> GeneratedData:
         PHONE_BOTTOM: frozenset(phones),
         "Number": frozenset(info.number for info in phones.values()),
         "Customer": frozenset(customers),
-        "City": frozenset(config.cities),
-        "Country": frozenset(config.countries),
-        "Operator": frozenset(config.operators),
+        "City": frozenset(CITIES),
+        "Country": frozenset(COUNTRIES),
+        "Operator": frozenset(OPERATORS),
     }
     phone_parents = []
     for pid in phone_ids:
@@ -652,16 +655,16 @@ def generate(config: GeneratorConfig) -> GeneratedData:
         phone_parents.append((info.number, "Number", info.operator, "Operator"))
     for customer in customers:
         phone_parents.append((customer, "Customer", customer_city[customer], "City"))
-    for city in config.cities:
+    for city in CITIES:
         phone_parents.append((city, "City", city_country[city], "Country"))
     phone_dim = DimensionInstance.build(phone_schema(), phone_members, phone_parents)
 
-    day_count = (config.end_date - config.start_date).days + 1
+    day_count = (END_DATE - START_DATE).days + 1
     calls = []
     for k in range(config.call_count):
         size = rng.randint(2, config.max_group_size)
         group = rng.sample(phone_ids, size)
-        day = config.start_date + datetime.timedelta(days=rng.randrange(day_count))
+        day = START_DATE + datetime.timedelta(days=rng.randrange(day_count))
         start = datetime.datetime.combine(day, datetime.time()) + datetime.timedelta(
             seconds=rng.randrange(86400)
         )
@@ -671,11 +674,11 @@ def generate(config: GeneratorConfig) -> GeneratedData:
                 caller=group[0],
                 participants=tuple(group[1:]),
                 start=start,
-                duration=rng.randint(config.min_duration, config.max_duration),
+                duration=rng.randint(MIN_DURATION, MAX_DURATION),
             )
         )
 
-    all_days = [config.start_date + datetime.timedelta(days=i) for i in range(day_count)]
+    all_days = [START_DATE + datetime.timedelta(days=i) for i in range(day_count)]
     duration_dim = open_dimension(DURATION_DIMENSION, "decimal")
     catalog = DimensionCatalog.of(phone_dim, time_instance(all_days), duration_dim)
     g = _call_graph(catalog, phone_ids, ((c.caller, c.participants, c.start.date(), c.duration) for c in calls))

@@ -452,6 +452,15 @@ class TestQuery:
         assert rc == 1
         assert "syntax error: line 1" in capsys.readouterr().err
 
+    def test_date_literal_that_is_no_day(self, workspace, tmp_path, capsys):
+        qfile = tmp_path / "baddate.gql"
+        qfile.write_text("OUTPUT DICE(G, Time.Day = 2016-13-45);\n")
+        rc = cli.main(["query", str(qfile), *dim_args(workspace)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "syntax error: line 1, col 27: no such date 2016-13-45" in err
+        assert "Traceback" not in err
+
     def test_check_error(self, workspace, tmp_path, capsys):
         qfile = tmp_path / "unbound.gql"
         qfile.write_text("OUTPUT MINIMIZE(G);\n")
@@ -503,6 +512,13 @@ class TestRepl:
         assert rc == 0
         assert "error: line 1, col 5: unknown operation 'FOO'" in out
         assert "error: line 1: name 'H' used before definition" in out
+        assert "N = graphoid:" in out
+
+    def test_date_literal_that_is_no_day_does_not_kill_the_loop(self, workspace, monkeypatch, capsys):
+        script = 'G = LOAD "graph.json";\nOUTPUT DICE(G, Time.Day = 2016-13-45);\nN = MINIMIZE(G);\n'
+        rc, out = self.run_repl(workspace, script, monkeypatch, capsys)
+        assert rc == 0
+        assert "error: line 1, col 27: no such date 2016-13-45" in out
         assert "N = graphoid:" in out
 
     def test_quit_stops_reading(self, workspace, monkeypatch, capsys):

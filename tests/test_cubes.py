@@ -349,3 +349,9 @@ class TestEquivalence:
         a = run_equivalence_trials(10, seed=7)
         b = run_equivalence_trials(10, seed=7)
         assert a == b
+
+    def test_random_catalogs_share_their_measure_dimensions(self):
+        rng = random.Random(3)
+        first, second = random_catalog(rng), random_catalog(rng)
+        assert first.instance("M1") is second.instance("M1")
+        assert first.instance("M2") is second.instance("M2")

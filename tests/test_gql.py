@@ -180,6 +180,12 @@ class TestSyntaxErrors:
             parse("OUTPUT FOO(G);")
         assert info.value.line == 1 and info.value.col == 8
 
+    def test_date_literal_that_is_no_day(self):
+        for day in ("2016-13-45", "2015-02-29"):
+            with pytest.raises(GqlSyntaxError, match=f"no such date {day}") as info:
+                parse(f"OUTPUT DICE(G,\n  Time.Day = {day});")
+            assert (info.value.line, info.value.col) == (2, 14)
+
     def test_missing_semicolon(self):
         with pytest.raises(GqlSyntaxError, match="expected ';'"):
             parse("X = MINIMIZE(G)")

@@ -19,9 +19,12 @@ from graphoid.hypergraph import (
     NodeTypeDecl,
     build_graphoid,
     edgify,
+    make_edge,
     make_node,
     replaced,
+    slot_writer,
 )
+from graphoid.metrics import PathResult, _path_row
 from graphoid.olap import climb
 from conftest import BASE_CALLS, BASE_LEVELS, BASE_NODES, CALL_DECL, PHONE_DECL
 from helpers import ends_are_shared, random_graphoid_input, shuffled_build
@@ -241,6 +244,47 @@ class TestNode:
             assert copied == node and hash(copied) == hash(Node(node.ntype, node.label))
             with pytest.raises(dataclasses.FrozenInstanceError):
                 node.ntype = "#Other"
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class WeightedEdge:
+    """A toy record: ``HyperEdge``'s fields and one more."""
+
+    etype: str
+    source: frozenset[int]
+    target: frozenset[int]
+    label: tuple
+    surrogate: int = dataclasses.field(compare=False, default=0)
+    weight: float = 1.0
+
+
+class TestSlotWriter:
+    @pytest.mark.parametrize(
+        "record, writer, values",
+        [
+            (Node, make_node, ("#Phone", (11, "Ph1"))),
+            (HyperEdge, make_edge, ("#Call", frozenset({11}), frozenset({12, 13}), ("d", 30), 4)),
+            (PathResult, _path_row, (11, 13, 2, (11, 12, 13))),
+            (WeightedEdge, slot_writer(WeightedEdge), ("#Call", frozenset(), frozenset({12}), (), 4, 2.5)),
+        ],
+        ids=["Node", "HyperEdge", "PathResult", "toy"],
+    )
+    def test_writes_the_public_value(self, record, writer, values):
+        written, public = writer(*values), record(*values)
+        assert type(written) is record
+        assert written == public and hash(written) == hash(public)
+        assert [getattr(written, f.name) for f in dataclasses.fields(record)] == list(values)
+        assert not hasattr(written, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(written, dataclasses.fields(record)[0].name, None)
+        copied = pickle.loads(pickle.dumps(written))
+        assert type(copied) is record and copied == public and hash(copied) == hash(public)
+
+    def test_twin_follows_the_record_fields(self):
+        writer = slot_writer(WeightedEdge)
+        assert [f.name for f in dataclasses.fields(writer)] == [f.name for f in dataclasses.fields(WeightedEdge)]
+        with pytest.raises(TypeError):  # every field is positional, with no default
+            writer("#Call", frozenset(), frozenset({12}), (), 4)
 
 
 class TestAdjacency:

@@ -27,6 +27,13 @@ from graphoid.hypergraph import GraphoidBuildError, GraphoidError, HyperEdge, bu
 from graphoid.olap import OlapError, group, roll_up, slice_out
 from graphoid.store import (
     CALL_COLUMNS,
+    CITIES,
+    COUNTRIES,
+    END_DATE,
+    MAX_DURATION,
+    MIN_DURATION,
+    OPERATORS,
+    START_DATE,
     GeneratorConfig,
     StoreError,
     cube_from_json,
@@ -332,8 +339,8 @@ class TestGenerator:
         for call in data.calls:
             assert 2 <= len(call.group) <= SMALL.max_group_size
             assert call.caller not in call.participants
-            assert SMALL.min_duration <= call.duration <= SMALL.max_duration
-            assert SMALL.start_date <= call.start.date() <= SMALL.end_date
+            assert MIN_DURATION <= call.duration <= MAX_DURATION
+            assert START_DATE <= call.start.date() <= END_DATE
 
     def test_pairs_only_when_group_size_is_two(self):
         data = generate(GeneratorConfig(phone_count=8, user_count=3, call_count=25,
@@ -344,9 +351,9 @@ class TestGenerator:
         data = generate(SMALL)
         assert sorted(data.phones) == sorted(data.graphoid.nodes)
         for info in data.phones.values():
-            assert info.operator in SMALL.operators
-            assert info.city in SMALL.cities
-            assert info.country in SMALL.countries
+            assert info.operator in OPERATORS
+            assert info.city in CITIES
+            assert info.country in COUNTRIES
 
     def test_dimension_data_is_sound(self):
         data = generate(SMALL)
