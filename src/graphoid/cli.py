@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import gc
 import io
 import json
 import os
@@ -154,14 +155,12 @@ def _graphoid_edge_csv(g: Graphoid) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["type", "source", "target"] + [f"v{i}" for i in range(width)])
-    for e in g.edges:
-        row = [
-            e.etype,
-            "/".join(str(i) for i in sorted(e.source)),
-            "/".join(str(i) for i in sorted(e.target)),
-        ]
-        row += [str(v) for v in e.label]
-        row += [""] * (width - len(e.label))
+    etypes, sources, targets, labels, _, sets = g.edge_table
+    ends = ["/".join(str(i) for i in sorted(ids)) for ids in sets]
+    for etype, source, target, label in zip(etypes, sources, targets, labels):
+        row = [etype, ends[source], ends[target]]
+        row += [str(v) for v in label]
+        row += [""] * (width - len(label))
         writer.writerow(row)
     return out.getvalue()
 
@@ -297,10 +296,44 @@ BENCH_SCALES = {
 }
 
 
+class _CollectorClock:
+    """The wall time and the number of the cyclic collector's runs while it
+    is in ``gc.callbacks``."""
+
+    def __init__(self) -> None:
+        self.seconds = 0.0
+        self.collections = 0
+        self._started = 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+        else:
+            self.seconds += time.perf_counter() - self._started
+            self.collections += 1
+
+
 def cmd_bench(args) -> int:
-    """Time the case-study queries Q1-Q7 on one generated call graph, then print the peak RSS."""
+    """Time the case-study queries Q1-Q7 on one generated call graph, then
+    print the cyclic collector's total time and the peak RSS."""
     if min(args.sizes) < 1:
         raise CliFailure("bench: group sizes must be at least 1", 2)
+    collector = _CollectorClock()
+    gc.callbacks.append(collector)
+    try:
+        code = _bench(args)
+    finally:
+        gc.callbacks.remove(collector)
+    if code == 0:
+        print(f"cyclic collector {collector.seconds * 1000:.1f} ms in {collector.collections} collections")
+        if resource is not None:
+            # the process's peak resident set; ru_maxrss counts KiB, bytes on macOS
+            peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+            print(f"peak RSS {peak:.1f} MiB")
+    return code
+
+
+def _bench(args) -> int:
     config = _configured(
         BENCH_SCALES[args.scale], seed=args.seed, phone_count=args.phones, user_count=args.users, call_count=args.calls
     )
@@ -350,10 +383,6 @@ def cmd_bench(args) -> int:
     )
     for label, elapsed, size in rows:
         print(f"{label:45s} {elapsed * 1000:10.1f} ms   {size} rows")
-    if resource is not None:
-        # the process's peak resident set; ru_maxrss counts KiB, bytes on macOS
-        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (1 << 20 if sys.platform == "darwin" else 1 << 10)
-        print(f"peak RSS {peak:.1f} MiB")
     return 0
 
 

@@ -207,25 +207,26 @@ def unstar(g: Graphoid) -> Cube:
     measure_index = {f"#{m.name}": j for j, m in enumerate(measures)}
     cells: dict[tuple, list] = {}
     seen: set[tuple[tuple, int]] = set()
-    for e in g.edges:
-        if e.source:
-            raise StarShapeError(f"malformed star shape: edge {e.etype} has a non-empty source")
+    etypes, sources, targets, labels, _, sets = g.edge_table
+    for etype, source, target, label in zip(etypes, sources, targets, labels):
+        if sets[source]:
+            raise StarShapeError(f"malformed star shape: edge {etype} has a non-empty source")
         parts: dict[int, object] = {}
-        for ident in e.target:
+        for ident in sets[target]:
             if ident not in dim_of_node:
-                raise StarShapeError(f"malformed star shape: edge {e.etype} targets a stray node")
+                raise StarShapeError(f"malformed star shape: edge {etype} targets a stray node")
             di, member = dim_of_node[ident]
             if di in parts:
-                raise StarShapeError(f"malformed star shape: edge {e.etype} hits {dims[di]} twice")
+                raise StarShapeError(f"malformed star shape: edge {etype} hits {dims[di]} twice")
             parts[di] = member
         if len(parts) != len(dims):
-            raise StarShapeError(f"malformed star shape: edge {e.etype} misses a dimension")
+            raise StarShapeError(f"malformed star shape: edge {etype} misses a dimension")
         coord = tuple(parts[di] for di in range(len(dims)))
-        j = measure_index[e.etype]
+        j = measure_index[etype]
         if (coord, j) in seen:
-            raise StarShapeError(f"malformed star shape: duplicate cell {coord!r} for {e.etype}")
+            raise StarShapeError(f"malformed star shape: duplicate cell {coord!r} for {etype}")
         seen.add((coord, j))
-        cells.setdefault(coord, [None] * len(measures))[j] = e.label[0]
+        cells.setdefault(coord, [None] * len(measures))[j] = label[0]
     for coord, values in cells.items():
         if any(v is None for v in values):
             raise StarShapeError(f"malformed star shape: cell {coord!r} misses a measure value")

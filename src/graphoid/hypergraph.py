@@ -6,17 +6,32 @@ target node ids and form a bag: two edges with identical type, endpoints and
 label are distinct occurrences.  Each (type, slot) pair tracks the dimension
 level its values currently live at.
 
-Edges are slotted values, and within one graph value every distinct endpoint
-set is one shared frozenset: ``build_graphoid``, ``edgify``,
-``olap.minimize`` and ``olap.n_delete`` intern the sets they make, and the
-other operators pass the sets through.  Many edges share their endpoints once nodes are contracted
-(a call graph rolled up to operators has a handful of distinct sets), so this
-keeps a value's memory close to its number of distinct sets.
+A graph value holds its edge bag in one of two forms, or both.  The engine's
+form is the ``EdgeTable``: parallel columns of edge type, source-set id,
+target-set id, label and surrogate, one row per edge in edge order, plus one
+list of the value's distinct endpoint sets, each a frozenset held once, that
+the two id columns index.  ``build_graphoid`` (and so a JSON load,
+``store.generate``, ``store.ingest_calls`` and ``cubes.star``) writes a
+table, and every operator of ``olap`` (climb, minimize, aggr, dice, strong
+dice and node deletion, and so group, roll-up, slice and drill-down) reads
+and writes tables, and ``metrics``, ``store.graphoid_to_json``, the CLI's
+CSV output and ``cubes.unstar`` read them: none of them builds a per-edge
+object.  ``Graphoid.edges`` is the public form, an ordered tuple of
+``HyperEdge``s in which every distinct endpoint set is one shared frozenset.
+A table-backed value builds it on first read and keeps it; a value made from edges (the public ``Graphoid(...)``, or
+``derive(edges=...)`` as in ``edgify``) builds its table on first use the
+same way.  Setting one form on a derived value drops the other, so a stale
+form is never read.  A value that holds both pays for both: on 64-bit
+CPython 3.11 the table costs about 40 bytes per edge (four list slots and a
+share of the set list; built surrogates are a ``range``) and the edges about
+110 more (a slotted object and its tuple slot); labels and endpoint sets are
+shared between the two.
 
 ``HyperEdge(...)``, ``Node(...)`` and ``Graphoid(...)`` are the public
 constructors; the engine skips their frozen dataclass ``__init__`` (one
-``object.__setattr__`` per field).  Edges come from ``make_edge``, nodes
-from ``make_node`` and path rows from ``metrics._path_row``, each made by
+``object.__setattr__`` per field).  Edges come from ``make_edge`` (when
+``.edges`` is built from a table, and in ``edgify``), nodes from
+``make_node`` and path rows from ``metrics._path_row``, each made by
 ``slot_writer`` from its record: an unfrozen twin derived from the record's
 own fields, so it has the same slot layout.  The twin's ``__init__`` takes
 every field positionally (``surrogate`` too), converts nothing, fills the
@@ -32,7 +47,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, fields, make_dataclass
-from typing import Callable, Iterable, Mapping, TypeVar
+from itertools import chain, compress
+from operator import itemgetter
+from typing import AbstractSet, Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 try:
     from operator import call
@@ -153,6 +170,51 @@ class HyperEdge:
 make_edge: Callable[[str, frozenset[int], frozenset[int], tuple, int], HyperEdge] = slot_writer(HyperEdge)
 
 
+class EdgeTable(NamedTuple):
+    """An edge bag as parallel columns, one row per edge in edge order.
+
+    ``sets`` holds each distinct endpoint set once; ``sources`` and
+    ``targets`` are indexes into it, so two rows have equal endpoint sets
+    exactly when they have equal ids.  Columns are never changed once a table
+    is built, so an operator hands the columns it does not rewrite on to its
+    result, and ``surrogates`` may be a ``range``.
+    """
+
+    etypes: Sequence[str]
+    sources: Sequence[int]
+    targets: Sequence[int]
+    labels: Sequence[tuple]
+    surrogates: Sequence[int]
+    sets: Sequence[frozenset[int]]
+
+    @classmethod
+    def of(cls, edges: Sequence[HyperEdge]) -> EdgeTable:
+        """The table of ``edges``; each distinct set is the first object found for it."""
+        ids: dict[frozenset[int], int] = {}
+        sources = [ids.setdefault(e.source, len(ids)) for e in edges]
+        targets = [ids.setdefault(e.target, len(ids)) for e in edges]
+        return cls(
+            [e.etype for e in edges], sources, targets, [e.label for e in edges], [e.surrogate for e in edges], list(ids)
+        )
+
+    def edges(self) -> tuple[HyperEdge, ...]:
+        """The rows as edges; rows with equal set ids share their frozensets."""
+        at = self.sets.__getitem__
+        return tuple(map(make_edge, self.etypes, map(at, self.sources), map(at, self.targets), self.labels, self.surrogates))
+
+    def where(self, mask: Sequence[bool], labels: Sequence[tuple] | None = None) -> EdgeTable:
+        """The rows whose ``mask`` entry is true, in order; ``labels``, when
+        given, are those rows' new labels.  Keeping every row keeps the
+        columns."""
+        etypes, sources, targets, old_labels, surrogates, sets = self
+        if all(mask):
+            return self if labels is None else EdgeTable(etypes, sources, targets, labels, surrogates, sets)
+        return EdgeTable(
+            list(compress(etypes, mask)), list(compress(sources, mask)), list(compress(targets, mask)),
+            list(compress(old_labels, mask)) if labels is None else labels, list(compress(surrogates, mask)), sets,
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class Graphoid:
     """An immutable graph value bound to a dimension catalog.
@@ -163,7 +225,10 @@ class Graphoid:
     ``tainted`` records that a dice, slice or node deletion happened along
     the way.
     ``folds`` maps each measure slot an aggregation folded to the aggregate
-    its values now hold; unfolded slots hold raw values.
+    its values now hold; unfolded slots hold raw values.  ``edges`` and
+    ``edge_table`` are the two forms of the edge bag: a value is made with
+    one of them and builds the other on first read (see the module
+    docstring).
     """
 
     catalog: DimensionCatalog = field(repr=False)
@@ -184,7 +249,21 @@ class Graphoid:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        table = self.__dict__.get("edge_table")
+        return len(self.edges) if table is None else len(table.labels)
+
+    def __getattr__(self, name: str) -> object:
+        # called only for a name the value does not hold: the edge-bag form it
+        # lacks is built from the one it has, and kept
+        state = self.__dict__
+        if name == "edges" and "edge_table" in state:
+            value = state["edge_table"].edges()
+        elif name == "edge_table" and "edges" in state:
+            value = EdgeTable.of(state["edges"])
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        state[name] = value
+        return value
 
     def node_type(self, name: str) -> NodeTypeDecl:
         try:
@@ -214,7 +293,9 @@ class Graphoid:
         ]
 
     def edge_multiset(self) -> Counter:
-        return Counter((e.etype, e.source, e.target, e.label) for e in self.edges)
+        etypes, sources, targets, labels, _, sets = self.edge_table
+        at = sets.__getitem__
+        return Counter(zip(etypes, map(at, sources), map(at, targets), labels))
 
     def bag_equal(self, other: Graphoid) -> bool:
         return (
@@ -246,14 +327,16 @@ class Graphoid:
         return replaced(self, **changes)
 
 
-# the fields a graph value is built from: ``Graphoid.__init__``'s parameters
-_GRAPHOID_FIELDS = frozenset(f.name for f in fields(Graphoid) if f.init)
+# the fields a graph value is built from: ``Graphoid.__init__``'s parameters,
+# and ``edge_table``, the engine's form of ``edges``
+_GRAPHOID_FIELDS = frozenset(f.name for f in fields(Graphoid) if f.init) | {"edge_table"}
 
 
 def _graphoid(state: dict[str, object]) -> Graphoid:
     """The graph value whose fields are ``state``, one entry per name in
-    ``_GRAPHOID_FIELDS``, with an empty index table: what ``Graphoid(**state)``
-    returns, without one ``object.__setattr__`` per field."""
+    ``_GRAPHOID_FIELDS`` (``edges``, ``edge_table`` or both), with an empty
+    index table: what ``Graphoid(**state)`` returns, without one
+    ``object.__setattr__`` per field."""
     state["_indexes"] = {}
     g = object.__new__(Graphoid)
     object.__setattr__(g, "__dict__", state)
@@ -263,35 +346,17 @@ def _graphoid(state: dict[str, object]) -> Graphoid:
 def replaced(g: Graphoid, **changes) -> Graphoid:
     """``dataclasses.replace(g, **changes)`` through ``_graphoid``: the other
     fields are ``g``'s, the index table is new, and a name that is not a
-    field is refused with ``TypeError``."""
+    field is refused with ``TypeError``.  A new ``edges`` or ``edge_table``
+    replaces both forms of the edge bag."""
     unknown = changes.keys() - _GRAPHOID_FIELDS
     if unknown:
         raise TypeError(f"graph values have no field {sorted(unknown)[0]!r}")
     state = g.__dict__.copy()
+    if "edges" in changes or "edge_table" in changes:
+        state.pop("edges", None)
+        state.pop("edge_table", None)
     state.update(changes)
     return _graphoid(state)
-
-
-def shared_endpoint_map(fn: Callable[[frozenset[int]], frozenset[int]]) -> Callable[[frozenset[int]], frozenset[int]]:
-    """``fn`` over endpoint sets, run once per distinct set, with one shared
-    object per distinct result; a result equal to its input is the input.
-
-    ``fn`` must map each of its results to an equal set (contracting or
-    deleting nodes twice changes nothing), so one dict serves both as the
-    memo and as the table of shared results.
-    """
-    table: dict[frozenset[int], frozenset[int]] = {}
-
-    def mapped(ends: frozenset[int]) -> frozenset[int]:
-        new = table.get(ends)
-        if new is None:
-            new = fn(ends)
-            if new == ends:
-                new = ends
-            new = table[ends] = table.setdefault(new, new)
-        return new
-
-    return mapped
 
 
 def _validate_node_decl(decl: NodeTypeDecl, catalog: DimensionCatalog, problems: list[str]) -> None:
@@ -436,40 +501,78 @@ def build_graphoid(
     if problems:
         raise GraphoidBuildError(problems)
 
-    node_ids = node_table.keys()
-    # each distinct endpoint set whose ids are all nodes -> the one frozenset
-    # every edge with that set holds
-    shared: dict[frozenset[int], frozenset[int]] = {}
-    edge_list: list[HyperEdge] = []
-    for row in edges:
+    # a HyperEdge row is read as the row (type, sources, targets, label...)
+    rows = [(e.etype, e.source, e.target, *e.label) if isinstance(e, HyperEdge) else e for e in edges]
+    table = _checked_table(rows, edge_tests, node_table.keys())
+    if table is None:
+        _report_edge_rows(rows, etypes, edge_tests, node_table, level_map, problems)
+        raise GraphoidBuildError(problems)
+    ordered_nodes = {ident: node_table[ident] for ident in sorted(node_table)}
+    return _graphoid({
+        "catalog": catalog,
+        "node_types": ntypes,
+        "edge_types": etypes,
+        "nodes": ordered_nodes,
+        "edge_table": table,
+        "levels": level_map,
+        "base": None,
+        "tainted": False,
+        "folds": {},
+    })
+
+
+def _checked_table(rows: list, edge_tests: Mapping[str, tuple], node_ids: AbstractSet[int]) -> EdgeTable | None:
+    """The edge table of ``rows`` when every row passes every check, else None.
+
+    The checks run a column at a time: known edge types, label widths, a
+    non-empty endpoint set per row, integer endpoint ids (by type: 5.0 and
+    True equal ints, so a set cannot tell them apart), endpoint sets of
+    nodes (once per distinct set) and each slot's membership test.  A
+    built edge's surrogate is its position.
+    """
+    try:
+        etypes = [str(row[0]) for row in rows]
+        ends = [(*row[1], *row[2]) for row in rows]
+        labels = [tuple(row[3:]) for row in rows]
+        if not (
+            edge_tests.keys() >= set(etypes)
+            and all(len(label) == len(edge_tests[etype]) for etype, label in zip(etypes, labels))
+            and all(ends)
+            and {int}.issuperset(map(type, chain.from_iterable(ends)))
+        ):
+            return None
+        set_ids: dict[frozenset[int], int] = {}
+        sources = [set_ids.setdefault(frozenset(row[1]), len(set_ids)) for row in rows]
+        targets = [set_ids.setdefault(frozenset(row[2]), len(set_ids)) for row in rows]
+        if not node_ids >= frozenset().union(*set_ids):
+            return None
+        for name, tests in edge_tests.items():
+            typed = labels if len(edge_tests) == 1 else [label for etype, label in zip(etypes, labels) if etype == name]
+            for slot, test in enumerate(tests):
+                if not all(map(test, map(itemgetter(slot), typed))):
+                    return None
+    except (LookupError, TypeError):
+        return None
+    return EdgeTable(etypes, sources, targets, labels, range(len(labels)), list(set_ids))
+
+
+def _report_edge_rows(
+    rows: list,
+    etypes: Mapping[str, EdgeTypeDecl],
+    edge_tests: Mapping[str, tuple],
+    node_table: Mapping[int, Node],
+    level_map: Mapping[tuple[str, int], str],
+    problems: list[str],
+) -> None:
+    """Append each problem of each row to ``problems``, in row order."""
+    for row in rows:
         try:
-            if isinstance(row, HyperEdge):
-                etype, source, target, label = row.etype, row.source, row.target, row.label
-            else:
-                etype, source, target, label = str(row[0]), row[1], row[2], tuple(row[3:])
+            etype, source, target, label = str(row[0]), row[1], row[2], tuple(row[3:])
             ids = (*source, *target)
-            source, target = frozenset(source), frozenset(target)
+            frozenset(source), frozenset(target)
         except (LookupError, TypeError):
             problems.append(f"edge row {row!r}: expected a type, source ids and target ids")
             continue
-        # fast path: a row that passes every check below is kept after these tests alone
-        tests = edge_tests.get(etype)
-        if tests is not None and len(label) == len(tests) and ids:
-            # checked per row: 5.0 and True equal ints, so ``shared`` cannot tell them apart
-            for ident in ids:
-                if type(ident) is not int:
-                    break
-            else:
-                kept_source = shared.get(source)
-                if kept_source is None and node_ids >= source:
-                    kept_source = shared[source] = source
-                kept_target = shared.get(target)
-                if kept_target is None and node_ids >= target:
-                    kept_target = shared[target] = target
-                if kept_source is not None and kept_target is not None and all(map(call, tests, label)):
-                    edge_list.append(make_edge(etype, kept_source, kept_target, label, len(edge_list)))
-                    continue
-        # a failing row: report each of its problems, in this order
         if etype not in etypes:
             problems.append(f"edge {label!r}: unknown edge type {etype}")
             continue
@@ -491,21 +594,6 @@ def build_graphoid(
                     f"edge {etype} {label!r}: slot {slot} value {value!r} outside "
                     f"dom({decl.dims[slot]}.{level_map[(etype, slot)]})"
                 )
-    if problems:
-        raise GraphoidBuildError(problems)
-
-    ordered_nodes = {ident: node_table[ident] for ident in sorted(node_table)}
-    return _graphoid({
-        "catalog": catalog,
-        "node_types": ntypes,
-        "edge_types": etypes,
-        "nodes": ordered_nodes,
-        "edges": tuple(edge_list),
-        "levels": level_map,
-        "base": None,
-        "tainted": False,
-        "folds": {},
-    })
 
 
 def edgify(g: Graphoid, ntype: str, slot: int) -> Graphoid:

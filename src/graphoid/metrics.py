@@ -6,8 +6,10 @@ paths are unweighted hop counts over that projection.  The witness reported
 per endpoint pair is the lexicographically smallest shortest path; an
 unreachable pair gets hops -1 and an empty path.
 
-One index of the graph value serves path queries, built on the first query
-that needs it, once per set of edge types, and kept with that value
+The projection and the group averages read the value's edge table
+(``hypergraph.EdgeTable``), not its edge objects.  One index of the graph
+value serves path queries, built on the first query that needs it, once per
+set of edge types, and kept with that value
 (``Graphoid.indexed``): each node's neighbours as one Python int, bit ``i``
 standing for the ``i``-th node id in sorted order.  ``*``, an omitted type
 list and the full list of declared types select the same set and share one
@@ -87,7 +89,9 @@ def _build_bitsets(g: Graphoid, types: frozenset[str]) -> _Bitsets:
     order = tuple(sorted(g.nodes))
     bit = {v: 1 << i for i, v in enumerate(order)}
     near = dict.fromkeys(order, 0)
-    for adjacency in {e.adjacency for e in g.edges if e.etype in types}:
+    etypes, sources, targets, _, _, sets = g.edge_table
+    pairs = {(source, target) for etype, source, target in zip(etypes, sources, targets) if etype in types}
+    for adjacency in {sets[source] | sets[target] for source, target in pairs}:
         mask = sum(map(bit.__getitem__, adjacency))
         for v in adjacency:
             near[v] |= mask
@@ -236,32 +240,36 @@ def group_average(
     if size < 1:
         raise GraphoidError("group size must be at least 1")
     types = _edge_types(g, via)
-    edges = [e for e in g.edges if e.etype in types]
+    etypes, sources, targets, labels, _, sets = g.edge_table
     slots: dict[str, int] = {}
-    for e in edges:
-        if e.etype not in slots:
-            slot = g.edge_types[e.etype].measure_slot_of(measure)
-            if slot is None:
-                raise GraphoidError(f"edge type {e.etype} has no measure {measure}")
-            level = g.levels[(e.etype, slot)]
-            if level != g.catalog.schema(measure).bottom:
-                raise GraphoidError(
-                    f"measure {measure} of {e.etype} sits at level {level}; "
-                    "a group average needs its bottom-level values"
-                )
-            fold = g.folds.get((e.etype, slot))
-            if fold is not None:
-                raise GraphoidError(
-                    f"measure {measure} of {e.etype} holds {fold} aggregates; "
-                    "a group average needs the raw values"
-                )
-            slots[e.etype] = slot
+    for etype in dict.fromkeys(etypes):  # each type once, in edge order
+        if etype not in types:
+            continue
+        slot = g.edge_types[etype].measure_slot_of(measure)
+        if slot is None:
+            raise GraphoidError(f"edge type {etype} has no measure {measure}")
+        level = g.levels[(etype, slot)]
+        if level != g.catalog.schema(measure).bottom:
+            raise GraphoidError(
+                f"measure {measure} of {etype} sits at level {level}; "
+                "a group average needs its bottom-level values"
+            )
+        fold = g.folds.get((etype, slot))
+        if fold is not None:
+            raise GraphoidError(
+                f"measure {measure} of {etype} holds {fold} aggregates; "
+                "a group average needs the raw values"
+            )
+        slots[etype] = slot
 
     sums: dict[tuple[int, ...], float] = {}
     counts: dict[tuple[int, ...], int] = {}
-    for e in edges:
-        value = e.label[slots[e.etype]]
-        for combo in itertools.combinations(sorted(e.adjacency), size):
+    for etype, source, target, label in zip(etypes, sources, targets, labels):
+        slot = slots.get(etype)
+        if slot is None:
+            continue
+        value = label[slot]
+        for combo in itertools.combinations(sorted(sets[source] | sets[target]), size):
             sums[combo] = sums.get(combo, 0) + value
             counts[combo] = counts.get(combo, 0) + 1
     return {combo: sums[combo] / counts[combo] for combo in sorted(sums)}

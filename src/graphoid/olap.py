@@ -7,13 +7,22 @@ their measures, and roll-up is the composition of the three.  Dice and its
 strong variant filter edges under a three-valued reading of conditions, slice
 rolls a dimension out entirely, and n-delete removes a node type.
 
+Every operation reads and writes the graph value's edge table
+(``hypergraph.EdgeTable``) and builds no edge objects.  Climb rewrites the
+climbed slot of each label in the label column (one catalog roll per rolled
+value); minimize and n-delete rewrite the endpoint-set list once per
+distinct set and remap the two id columns through it; aggr groups rows on
+their zipped type, set-id and label-key columns; dice and strong dice keep
+the rows their condition passes.  Columns an operation does not rewrite are
+handed on to its result unchanged.
+
 Each operation resolves its roll-up steps, class keys and condition atoms
 once, to the dimension instances' roll-up tables and to per-type slot
 tuples, and then makes one lookup per label value.  Dice reads each node
-once per clause, into the set of nodes the clause is false on, and tests an
-edge's endpoints against that set.  A folded measure slot remembers its
-aggregate, so a second fold is either exact (SUM, MIN and MAX over
-themselves; COUNT re-folds its counts with SUM) or refused.
+once per clause, into the set of nodes the clause is false on, and tests
+each distinct endpoint set against that set once.  A folded measure slot
+remembers its aggregate, so a second fold is either exact (SUM, MIN and MAX
+over themselves; COUNT re-folds its counts with SUM) or refused.
 """
 from __future__ import annotations
 
@@ -21,6 +30,7 @@ import datetime
 import math
 from dataclasses import dataclass
 from decimal import Decimal
+from itertools import compress, count
 from operator import itemgetter
 from typing import Callable, Sequence
 
@@ -34,14 +44,13 @@ from .dims import (
 )
 from .hypergraph import (
     AGGREGATES,
+    EdgeTable,
     EdgeTypeDecl,
     Graphoid,
     GraphoidError,
     HyperEdge,
     NodeTypeDecl,
-    make_edge,
     make_node,
-    shared_endpoint_map,
 )
 
 
@@ -230,15 +239,18 @@ def atom_test(atom: Atom, decl, levels, catalog) -> Callable[[tuple], bool] | No
     return test
 
 
-def edge_filter(g: Graphoid, cond: Condition) -> Callable[[HyperEdge], bool]:
-    """Resolve a condition on a graph to a predicate on its edges.
+def edge_filter(g: Graphoid, cond: Condition) -> Callable[[EdgeTable], list[bool]]:
+    """Resolve a condition on a graph to a test of edge tables:
+    ``edge_filter(g, cond)(table)`` says, row by row, whether each edge
+    satisfies the condition.
 
     An edge satisfies an atom when it is not false on the edge itself and on
     every adjacent node; clauses and the disjunction lift pointwise.  Each
     atom is resolved per declared type once.  Node labels are then read in
     one pass per clause, into the set of nodes some atom of the clause is
-    false on, so an edge passes a clause when the clause's edge tests hold on
-    it and that set is disjoint from its endpoints.  Raises OlapError for a
+    false on, and each distinct endpoint set of the table is tested against
+    that set once, so an edge passes a clause when the clause's edge tests
+    hold on it and both its sets are clear.  Raises OlapError for a
     condition that ``condition_problems`` or ``atom_test`` refuses, and for a
     measure atom (no level) whose dimension no edge type of the graph holds
     as a measure: it could read no slot, and would hold on every edge.
@@ -264,18 +276,19 @@ def edge_filter(g: Graphoid, cond: Condition) -> Callable[[HyperEdge], bool]:
         )
         clauses.append(({name: _all_of(tests) for name, tests in edge_tests.items()}, false_nodes))
 
-    def satisfies(edge: HyperEdge) -> bool:
+    def satisfied(table: EdgeTable) -> list[bool]:
+        etypes, sources, targets, labels, _, sets = table
+        passed = [False] * len(labels)
         for edge_tests, false_nodes in clauses:
-            test = edge_tests[edge.etype]
-            if (
-                (test is None or test(edge.label))
-                and false_nodes.isdisjoint(edge.source)
-                and false_nodes.isdisjoint(edge.target)
-            ):
-                return True
-        return False
+            clear = [false_nodes.isdisjoint(ends) for ends in sets]
+            # a row that passed an earlier clause is not tested again
+            passed = [
+                ok or (((test := edge_tests[etype]) is None or test(label)) and clear[source] and clear[target])
+                for ok, etype, source, target, label in zip(passed, etypes, sources, targets, labels)
+            ]
+        return passed
 
-    return satisfies
+    return satisfied
 
 
 def _all_of(tests: list[Callable[[tuple], bool]]) -> Callable[[tuple], bool] | None:
@@ -287,7 +300,7 @@ def _all_of(tests: list[Callable[[tuple], bool]]) -> Callable[[tuple], bool] | N
 
 def edge_satisfies(g: Graphoid, edge: HyperEdge, cond: Condition) -> bool:
     """Does one edge satisfy the condition?  See ``edge_filter``."""
-    return edge_filter(g, cond)(edge)
+    return edge_filter(g, cond)(EdgeTable.of((edge,)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -355,22 +368,18 @@ def climb(g: Graphoid, targets, step: RollupStep) -> Graphoid:
             if slot is not None:
                 label = node.label
                 nodes[ident] = make_node(node.ntype, label[:slot] + (roll(dim, lo, hi, label[slot]),) + label[slot + 1:])
-    edges = g.edges
-    if edge_slots:
-        rewritten: list[HyperEdge] = []
-        for e in edges:
-            slot = edge_slots.get(e.etype)
-            if slot is None:
-                rewritten.append(e)
-            else:
-                label = e.label
-                label = label[:slot] + (roll(dim, lo, hi, label[slot]),) + label[slot + 1:]
-                rewritten.append(make_edge(e.etype, e.source, e.target, label, e.surrogate))
-        edges = tuple(rewritten)
     levels = dict(g.levels)
     for name, slot in found:
         levels[(name, slot)] = step.to_level
-    return g.derive(nodes=nodes, edges=edges, levels=levels)
+    if not edge_slots:
+        return g.derive(nodes=nodes, levels=levels)
+    etypes, sources, targets, labels, surrogates, sets = g.edge_table
+    labels = [
+        label if (slot := edge_slots.get(etype)) is None
+        else label[:slot] + (roll(dim, lo, hi, label[slot]),) + label[slot + 1:]
+        for etype, label in zip(etypes, labels)
+    ]
+    return g.derive(nodes=nodes, edge_table=EdgeTable(etypes, sources, targets, labels, surrogates, sets), levels=levels)
 
 
 def minimize(g: Graphoid) -> Graphoid:
@@ -391,9 +400,21 @@ def minimize(g: Graphoid) -> Graphoid:
     if all(k == v for k, v in rep.items()):
         return g.derive()
     nodes = {ident: g.nodes[ident] for ident in sorted(chosen.values())}
-    contract = shared_endpoint_map(lambda ends: frozenset(rep[i] for i in ends))
-    edges = tuple(make_edge(e.etype, contract(e.source), contract(e.target), e.label, e.surrogate) for e in g.edges)
-    return g.derive(nodes=nodes, edges=edges)
+    table = _rewrite_sets(g.edge_table, lambda ends: frozenset(map(rep.__getitem__, ends)))
+    return g.derive(nodes=nodes, edge_table=table)
+
+
+def _rewrite_sets(table: EdgeTable, fn: Callable[[frozenset[int]], frozenset[int]]) -> EdgeTable:
+    """``table`` with ``fn`` applied to each of its endpoint sets, once per
+    set; equal results share one id, and a result equal to its input is the
+    input's object."""
+    etypes, sources, targets, labels, surrogates, sets = table
+    ids: dict[frozenset[int], int] = {}
+    remap = []
+    for ends in sets:
+        new = fn(ends)
+        remap.append(ids.setdefault(ends if new == ends else new, len(ids)))
+    return EdgeTable(etypes, [remap[i] for i in sources], [remap[i] for i in targets], labels, surrogates, list(ids))
 
 
 def group(g: Graphoid, type_name: str, step: RollupStep) -> Graphoid:
@@ -470,8 +491,9 @@ def aggr(g: Graphoid, edge_type: str, measures: MeasurePairs) -> Graphoid:
     saving drops them.  The representative keeps its identifier value, its
     surrogate and its position in the edge order, and its measure slots
     receive the aggregate over the whole class, folded in edge order.  One
-    pass over the edges finds the classes, each kept by its members'
-    positions.  Input is contracted first so endpoint sets are canonical.
+    pass over the edge table's zipped type, endpoint-set id and label
+    columns finds the classes.  Input is contracted first, so equal endpoint
+    sets have equal ids.
     """
     g = minimize(g)
     pairs = _coerce_measures(measures)
@@ -485,35 +507,36 @@ def aggr(g: Graphoid, edge_type: str, measures: MeasurePairs) -> Graphoid:
         ))
         for name, slots in plan.items()
     }
-    edges = g.edges
-    # the output edge at each position: an untargeted edge, or a class's folded representative
-    kept: list[HyperEdge | None] = [None] * len(edges)
+    table = g.edge_table
+    etypes, labels = table.etypes, table.labels
+    keep: list[bool] = []  # per row: an untargeted edge, or its class's first member
     first_at: dict[tuple, int] = {}  # class key -> its first member's position
     later: dict[int, list[int]] = {}  # a first position -> its class's positions, when it has several
-    for i, e in enumerate(edges):
-        key_of = class_slots.get(e.etype)
+    for i, (etype, source, target, label) in enumerate(zip(etypes, table.sources, table.targets, labels)):
+        key_of = class_slots.get(etype)
         if key_of is None:
-            kept[i] = e
+            keep.append(True)
             continue
-        first = first_at.setdefault((e.etype, e.source, e.target, key_of(e.label)), i)
+        first = first_at.setdefault((etype, source, target, key_of(label)), i)
+        keep.append(first == i)
         if first != i:
             later.setdefault(first, [first]).append(i)
 
     fold_slots = {name: tuple((slot, _FOLDS[fn]) for slot, fn in slots.items()) for name, slots in plan.items()}
-    for first in first_at.values():
-        positions = later.get(first)
-        e = edges[first]
-        label = e.label
-        for slot, fold in fold_slots[e.etype]:
+    folded = []
+    for i in compress(count(), keep):
+        label = labels[i]
+        positions = later.get(i, (i,))
+        for slot, fold in fold_slots.get(etypes[i], ()):
             stored = label[slot]
-            value = fold([stored] if positions is None else [edges[i].label[slot] for i in positions])
+            value = fold([labels[j][slot] for j in positions])
             # a folded value stands in for the stored one when it is an equal
-            # int or the stored object itself (0 + -0.0 is 0.0)
+            # int or the stored object itself (0 + -0.0 is 0.0); a one-edge
+            # class mostly keeps its own label
             if value is not stored and not (type(value) is int and type(stored) is int and value == stored):
                 label = label[:slot] + (value,) + label[slot + 1:]
-        # most one-edge classes fold to their own values and keep their edge
-        kept[first] = e if label is e.label else make_edge(e.etype, e.source, e.target, label, e.surrogate)
-    return g.derive(edges=tuple(e for e in kept if e is not None), folds=folds)
+        folded.append(label)
+    return g.derive(edge_table=table.where(keep, folded), folds=folds)
 
 
 def roll_up(g: Graphoid, targets, step: RollupStep, edge_type: str, measures: MeasurePairs) -> Graphoid:
@@ -568,24 +591,19 @@ def dice(g: Graphoid, cond: Condition) -> Graphoid:
     adjacent node, where "not false" means either it cannot be evaluated
     there or it evaluates to true.
     """
-    satisfies = edge_filter(g, cond)
-    edges = tuple(e for e in g.edges if satisfies(e))
-    return g.derive(edges=edges, tainted=True)
+    table = g.edge_table
+    return g.derive(edge_table=table.where(edge_filter(g, cond)(table)), tainted=True)
 
 
 def s_dice(g: Graphoid, cond: Condition) -> Graphoid:
     """Dice, then also drop survivors sharing an adjacency set with a removed edge."""
-    satisfies = edge_filter(g, cond)
-    kept: list[HyperEdge] = []
-    removed_adjacency: set[frozenset[int]] = set()
-    # each edge's adjacency as an inline union: the property would add a call per edge
-    for e in g.edges:
-        if satisfies(e):
-            kept.append(e)
-        else:
-            removed_adjacency.add(e.source | e.target)
-    edges = tuple(e for e in kept if e.source | e.target not in removed_adjacency)
-    return g.derive(edges=edges, tainted=True)
+    table = g.edge_table
+    sets, sources, targets = table.sets, table.sources, table.targets
+    passed = edge_filter(g, cond)(table)
+    # each row's adjacency as an inline union of its two sets
+    removed = {sets[s] | sets[t] for ok, s, t in zip(passed, sources, targets) if not ok}
+    keep = [ok and sets[s] | sets[t] not in removed for ok, s, t in zip(passed, sources, targets)]
+    return g.derive(edge_table=table.where(keep), tainted=True)
 
 
 def slice_out(g: Graphoid, dimension: str, measures: MeasurePairs) -> Graphoid:
@@ -613,11 +631,7 @@ def n_delete(g: Graphoid, node_type: str) -> Graphoid:
     g.node_type(node_type)
     dead = {ident for ident, node in g.nodes.items() if node.ntype == node_type}
     nodes = {ident: node for ident, node in g.nodes.items() if ident not in dead}
-    survivors = shared_endpoint_map(lambda ends: ends - dead)
-    edges: list[HyperEdge] = []
-    for e in g.edges:
-        source = survivors(e.source)
-        target = survivors(e.target)
-        if source or target:
-            edges.append(make_edge(e.etype, source, target, e.label, e.surrogate))
-    return g.derive(nodes=nodes, edges=tuple(edges), tainted=True)
+    table = _rewrite_sets(g.edge_table, lambda ends: ends - dead)
+    touches = [bool(ends) for ends in table.sets]
+    keep = [touches[source] or touches[target] for source, target in zip(table.sources, table.targets)]
+    return g.derive(nodes=nodes, edge_table=table.where(keep), tainted=True)

@@ -3,6 +3,12 @@
 Scalars are typed by the level they sit at, so dates travel as ISO strings and
 come back as date objects.  Dimension instance files embed their schema to
 stay self-contained.
+
+Graph values are read into and written from their edge table
+(``hypergraph.EdgeTable``): loading, ingesting and generating go through
+``build_graphoid``, which writes the table, and ``graphoid_to_json`` writes
+each edge row from the table's columns, sorting each distinct endpoint set
+once.  Neither builds an edge object.
 """
 from __future__ import annotations
 
@@ -172,10 +178,13 @@ def graphoid_to_json(g: Graphoid) -> dict:
         for slot in encoded[node.ntype]:
             row[1 + slot] = _value_to_json(row[1 + slot])
         nodes.append(row)
+    etypes, sources, targets, labels, _, sets = g.edge_table
+    # each distinct endpoint set sorted once; each row gets its own copies
+    ordered = [sorted(ends) for ends in sets]
     edges = []
-    for e in g.edges:
-        row = [e.etype, sorted(e.source), sorted(e.target), *e.label]
-        for slot in encoded[e.etype]:
+    for etype, source, target, label in zip(etypes, sources, targets, labels):
+        row = [etype, ordered[source][:], ordered[target][:], *label]
+        for slot in encoded[etype]:
             row[3 + slot] = _value_to_json(row[3 + slot])
         edges.append(row)
     doc = {

@@ -211,6 +211,24 @@ def climbable_step(rng: random.Random, g: Graphoid) -> RollupStep | None:
     return rng.choice(options)
 
 
+def random_graph_condition(rng: random.Random, g: Graphoid) -> Condition:
+    """A random DNF condition over the hierarchy levels and the M1 measure of ``g``'s catalog."""
+    dims = [n for n in g.catalog.names if n not in ("Id", "M1", "M2")]
+    clauses = []
+    for _ in range(rng.randint(1, 3)):
+        atoms = []
+        for _ in range(rng.randint(1, 3)):
+            if not dims or rng.random() < 0.3:
+                atoms.append(Atom("M1", None, rng.choice("<>="), rng.randint(0, 100), rng.random() < 0.3))
+                continue
+            inst = g.catalog.instance(rng.choice(dims))
+            level = rng.choice([lv.name for lv in inst.schema.levels if lv.name != "All"])
+            value = rng.choice(sorted(inst.domain(level)))
+            atoms.append(Atom(inst.name, level, rng.choice("<>="), value, rng.random() < 0.3))
+        clauses.append(tuple(atoms))
+    return Condition(tuple(clauses))
+
+
 def random_cube_values(rng: random.Random):
     """(catalog, cube) pair for persistence round trips."""
     from graphoid.cubes import random_cube

@@ -1,6 +1,7 @@
 """The command line: exit codes, output formats, and the statement loop."""
 from __future__ import annotations
 
+import gc
 import importlib.util
 import io
 import json
@@ -583,6 +584,13 @@ class TestBench:
             assert label in out
         last = out.splitlines()[-1]
         assert re.fullmatch(r"peak RSS \d+\.\d MiB", last), last
+
+    def test_collector_line_before_the_peak(self, capsys):
+        callbacks = list(gc.callbacks)
+        assert cli.main(["bench", *SMALL_BENCH, "--sizes", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert re.fullmatch(r"cyclic collector \d+\.\d ms in \d+ collections", lines[-2]), lines[-2]
+        assert gc.callbacks == callbacks
 
     def test_script_forwards_to_bench(self, capsys):
         spec = importlib.util.spec_from_file_location("run_case_study", CASE_STUDY_SCRIPT)

@@ -57,6 +57,7 @@ from graphoid.store import GeneratorConfig, generate, graphoid_from_json, grapho
 from helpers import (
     climbable_step,
     ends_are_shared,
+    random_graph_condition,
     random_graphoid,
     random_graphoid_input,
     shuffled_build,
@@ -989,23 +990,6 @@ def reference_satisfies(g, edge, cond) -> bool:
         )
         for clause in cond.clauses
     )
-
-
-def random_graph_condition(rng: random.Random, g) -> Condition:
-    dims = [n for n in g.catalog.names if n not in ("Id", "M1", "M2")]
-    clauses = []
-    for _ in range(rng.randint(1, 3)):
-        atoms = []
-        for _ in range(rng.randint(1, 3)):
-            if not dims or rng.random() < 0.3:
-                atoms.append(Atom("M1", None, rng.choice("<>="), rng.randint(0, 100), rng.random() < 0.3))
-                continue
-            inst = g.catalog.instance(rng.choice(dims))
-            level = rng.choice([lv.name for lv in inst.schema.levels if lv.name != "All"])
-            value = rng.choice(sorted(inst.domain(level)))
-            atoms.append(Atom(inst.name, level, rng.choice("<>="), value, rng.random() < 0.3))
-        clauses.append(tuple(atoms))
-    return Condition(tuple(clauses))
 
 
 class TestCompiledConditions:
