@@ -7,7 +7,10 @@ run it (Python 3.10 up):
 
 It imports ``graphoid`` from ``src/``, runs a group and a roll-up on a
 generated call graph whose edges stay in their edge table, checks the totals
-against the raw calls, saves and reloads the result as JSON, and compares
+against the raw calls, rolls up the calls of a graph that also holds a
+second edge type (the phone slot moved onto ``#HasPhone`` edges by
+``edgify``) and checks that those edges' rows pass through, saves and
+reloads the result as JSON, and compares
 the output of ``graphoid theorem1 --trials 50 --seed 7 --format json`` with
 the digest of the same run under Python 3.11.  It prints one ``ok`` line per
 check and exits non-zero at the first failure.
@@ -25,6 +28,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 from graphoid import cli, olap, store  # noqa: E402
 from graphoid.dims import RollupStep  # noqa: E402
+from graphoid.hypergraph import edgify  # noqa: E402
 
 # sha256 of `graphoid theorem1 --trials 50 --seed 7 --format json` under CPython 3.11.7
 THEOREM1_SHA256 = "ac78308458e84bf49559aaca6209eccb0e37c8d8996d0d698c2ad0522d5e7454"
@@ -47,6 +51,18 @@ def main() -> int:
     check("group and roll-up build no edge objects", all("edges" not in vars(v) for v in (g, grouped, yearly)))
     total = sum(label[1] for label in yearly.edge_table.labels)
     check("roll-up keeps the total duration", total == sum(call.duration for call in data.calls))
+
+    mixed = edgify(g, store.PHONE_TYPE, 1)
+    monthly = olap.roll_up(
+        mixed, [store.CALL_TYPE], RollupStep(store.TIME_DIMENSION, "Day", "Month"), store.CALL_TYPE, [("Duration", "SUM")]
+    )
+    rows = {etype: [] for etype in mixed.edge_types}
+    for etype, label, surrogate in zip(monthly.edge_table.etypes, monthly.edge_table.labels, monthly.edge_table.surrogates):
+        rows[etype].append((label, surrogate))
+    total = sum(label[1] for label, _ in rows[store.CALL_TYPE])
+    check("mixed-type roll-up keeps the total duration", total == sum(call.duration for call in data.calls))
+    has_phone = [(e.label, e.surrogate) for e in mixed.edges if e.etype == "#HasPhone"]
+    check("mixed-type roll-up keeps the #HasPhone rows", len(has_phone) == len(data.phones) and rows["#HasPhone"] == has_phone)
 
     text = store.dump_text(store.graphoid_to_json(yearly))
     reloaded = store.graphoid_from_json(json.loads(text), data.catalog)

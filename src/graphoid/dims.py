@@ -7,8 +7,10 @@ transitive composition of those mappings, materialized per level pair when
 the instance is built.  ``DimensionInstance.roller`` checks one roll-up
 step once and returns a lookup over those maps; every roll-up, the
 per-value ``DimensionCatalog.roll`` included, goes through it.
-``DimensionCatalog.roll`` keeps each step it resolved, so rolling value by
-value costs a lookup per value, not a check of the step.
+``DimensionCatalog.roll`` keeps each step it resolved as a ``RollupTable``:
+for a closed level, a member -> parent dict filled once from the roll-up
+map, so rolling value by value costs one Python frame and two dict lookups
+per value; open levels and refused values go to the step's function.
 
 Each ``DimensionSchema`` resolves its levels and edges once, at
 construction, into a table (level by name, parents per level, the bottom),
@@ -374,6 +376,33 @@ class DimensionInstance:
                 raise refusal(member)
         return roll
 
+    def rollup_table(self, from_level: str, to_level: str) -> RollupTable:
+        """The roll-up from one level to a higher one as a ``RollupTable``:
+        filled from the roll-up map when the from-level is a closed level
+        below the to-level, empty otherwise."""
+        table = RollupTable()
+        table.roll = self.roller(from_level, to_level)
+        if from_level not in (to_level, ALL_LEVEL) and not self.schema.level(from_level).open:
+            members = self.members.get(from_level, frozenset())
+            if to_level == ALL_LEVEL:
+                table.update(dict.fromkeys(members, ALL_MEMBER))
+            else:
+                mapping = self.rollup_maps.get((from_level, to_level), {})
+                table.update((member, mapping[member]) for member in members if member in mapping)
+        return table
+
+
+class RollupTable(dict):
+    """One resolved roll-up step as a member -> parent dict.  A member it
+    lacks (every member of an open level, and any value the step refuses) is
+    handed to ``roll``, the step's ``DimensionInstance.roller`` function,
+    which returns the parent or raises its refusal; the answer is not kept."""
+
+    __slots__ = ("roll",)
+
+    def __missing__(self, member: object) -> object:
+        return self.roll(member)
+
 
 def validate_instance(instance: DimensionInstance) -> list[str]:
     """Membership, typing, functionality, and path-independence checks."""
@@ -489,7 +518,7 @@ class DimensionCatalog:
 
     instances: dict[str, DimensionInstance]
     # roll-up steps resolved by ``roll``, one per (dimension, from, to)
-    _rollers: dict[tuple[str, str, str], Callable[[object], object]] = field(
+    _rollers: dict[tuple[str, str, str], RollupTable] = field(
         init=False, compare=False, repr=False, default_factory=dict
     )
 
@@ -543,11 +572,14 @@ class DimensionCatalog:
         return self.instance(dim).roller(from_level, to_level)
 
     def roll(self, dim: str, from_level: str, to_level: str, member: object):
-        """Roll one member.  The step is resolved on first use and kept, so a
-        per-value call costs one lookup in this catalog and one in the step's
-        roll-up map."""
+        """Roll one member.  The step is resolved on first use and kept as a
+        ``RollupTable``, so a per-value call on a closed level is one lookup
+        in this catalog and one in the step's member -> parent dict."""
         key = (dim, from_level, to_level)
-        roll = self._rollers.get(key)
-        if roll is None:
-            roll = self._rollers[key] = self.roller(dim, from_level, to_level)
-        return roll(member)
+        step = self._rollers.get(key)
+        if step is None:
+            step = self._rollers[key] = self.instance(dim).rollup_table(from_level, to_level)
+        try:
+            return step[member]
+        except TypeError:  # an unhashable member: the step's function gives the refusal
+            return step.roll(member)

@@ -8,13 +8,18 @@ strong variant filter edges under a three-valued reading of conditions, slice
 rolls a dimension out entirely, and n-delete removes a node type.
 
 Every operation reads and writes the graph value's edge table
-(``hypergraph.EdgeTable``) and builds no edge objects.  Climb rewrites the
-climbed slot of each label in the label column (one catalog roll per rolled
-value); minimize and n-delete rewrite the endpoint-set list once per
-distinct set and remap the two id columns through it; aggr groups rows on
-their zipped type, set-id and label-key columns; dice and strong dice keep
-the rows their condition passes.  Columns an operation does not rewrite are
-handed on to its result unchanged.
+(``hypergraph.EdgeTable``) and builds no edge objects.  Climb and aggr run
+column at a time, over one edge type's rows at once: they gather the type's
+rows (all of them when the table holds that type only), transpose the
+labels into slot columns with ``zip(*labels)``, rewrite or fold whole
+columns with ``map``/``zip``/``compress`` passes, and scatter the rebuilt
+labels back to the rows' positions.  Climb maps the catalog's roll over the
+climbed column (one call per rolled value); aggr finds each row's class
+from the zipped source, target and key columns.  Minimize and n-delete
+rewrite the endpoint-set list once per distinct set and remap the two id
+columns through it; dice and strong dice keep the rows their condition
+passes.  Columns an operation does not rewrite are handed on to its result
+unchanged.
 
 Each operation resolves its roll-up steps, class keys and condition atoms
 once, to the dimension instances' roll-up tables and to per-type slot
@@ -30,9 +35,10 @@ import datetime
 import math
 from dataclasses import dataclass
 from decimal import Decimal
-from itertools import compress, count
-from operator import itemgetter
-from typing import Callable, Sequence
+from collections import defaultdict, deque
+from itertools import compress, count, repeat
+from operator import eq, is_not, not_, or_
+from typing import Callable, Collection, Iterable, Sequence
 
 from .dims import (
     ALL_LEVEL,
@@ -345,7 +351,13 @@ def _resolve_climb_targets(g: Graphoid, targets: TargetSet, step: RollupStep) ->
 
 
 def climb(g: Graphoid, targets, step: RollupStep) -> Graphoid:
-    """Rewrite one dimension's slot values from one level to a higher one."""
+    """Rewrite one dimension's slot values from one level to a higher one.
+
+    Each targeted edge type's labels are transposed into slot columns, the
+    climbed column becomes the catalog's roll mapped over it (one
+    ``DimensionCatalog.roll`` call per row), and the columns are zipped back
+    into labels at the type's rows; rows of other types keep their labels.
+    """
     if step.dimension == ID_DIMENSION:
         raise OlapError("the Id dimension cannot be climbed")
     targets = TargetSet.coerce(targets)
@@ -374,12 +386,41 @@ def climb(g: Graphoid, targets, step: RollupStep) -> Graphoid:
     if not edge_slots:
         return g.derive(nodes=nodes, levels=levels)
     etypes, sources, targets, labels, surrogates, sets = g.edge_table
-    labels = [
-        label if (slot := edge_slots.get(etype)) is None
-        else label[:slot] + (roll(dim, lo, hi, label[slot]),) + label[slot + 1:]
-        for etype, label in zip(etypes, labels)
-    ]
-    return g.derive(nodes=nodes, edge_table=EdgeTable(etypes, sources, targets, labels, surrogates, sets), levels=levels)
+    climbed = list(labels)
+    for name, slot in edge_slots.items():
+        rows = _rows_of(etypes, name)
+        if rows:
+            columns = list(zip(*_take(labels, rows)))
+            columns[slot] = map(roll, repeat(dim), repeat(lo), repeat(hi), columns[slot])
+            _scatter(climbed, rows, zip(*columns))
+    table = EdgeTable(etypes, sources, targets, climbed, surrogates, sets)
+    return g.derive(nodes=nodes, edge_table=table, levels=levels)
+
+
+def _rows_of(etypes: Sequence[str], name: str) -> Sequence[int]:
+    """The positions of one edge type's rows, in edge order; every position
+    when the table holds that type only."""
+    if etypes.count(name) == len(etypes):
+        return range(len(etypes))
+    return [row for row, etype in enumerate(etypes) if etype == name]
+
+
+def _take(column: Sequence, rows: Sequence[int]) -> Sequence:
+    """The entries of ``column`` at ``rows``; the column itself when ``rows`` is all of it."""
+    return column if len(rows) == len(column) else list(map(column.__getitem__, rows))
+
+
+# drains an iterator at C speed, keeping nothing
+_consume = deque(maxlen=0).extend
+
+
+def _scatter(column: list, rows: Iterable[int], values: Iterable) -> None:
+    """Write ``values`` into ``column`` at ``rows``: one slice assignment for a
+    range of rows, else one C-level pass."""
+    if isinstance(rows, range):
+        column[rows.start:rows.stop:rows.step] = values
+    else:
+        _consume(map(column.__setitem__, rows, values))
 
 
 def minimize(g: Graphoid) -> Graphoid:
@@ -475,12 +516,6 @@ def _aggregation_plan(g: Graphoid, edge_type: str, pairs) -> tuple[dict[str, dic
     return plan, folds
 
 
-def _key_getter(slots: tuple[int, ...]) -> Callable[[tuple], object]:
-    if not slots:
-        return lambda label: ()
-    return itemgetter(*slots)
-
-
 def aggr(g: Graphoid, edge_type: str, measures: MeasurePairs) -> Graphoid:
     """Merge same-class parallel edges and fold the listed measures.
 
@@ -490,53 +525,85 @@ def aggr(g: Graphoid, edge_type: str, measures: MeasurePairs) -> Graphoid:
     order, never by its surrogate: equal graph values ignore surrogates, and
     saving drops them.  The representative keeps its identifier value, its
     surrogate and its position in the edge order, and its measure slots
-    receive the aggregate over the whole class, folded in edge order.  One
-    pass over the edge table's zipped type, endpoint-set id and label
-    columns finds the classes.  Input is contracted first, so equal endpoint
-    sets have equal ids.
+    receive the aggregate over the whole class, folded in edge order.  Input
+    is contracted first, so equal endpoint sets have equal ids.
+
+    Each targeted edge type is folded column at a time.  Its labels are
+    transposed into slot columns; class keys are the zipped source, target
+    and key columns, and ``first_at.setdefault`` mapped over them with the
+    row positions gives each row its class's first member.  One-member
+    classes fold as ``map(fold, zip(column))``; only the members of classes
+    with several members are gathered.  A folded value that is the stored
+    object or an equal int leaves the stored value in place (a float SUM
+    turns -0.0 into 0.0), so only the labels of classes whose slots changed
+    are rebuilt, and those are scattered back to the first members' rows.
+    Rows of untargeted types pass through unchanged, and never share a
+    class with targeted ones.
     """
     g = minimize(g)
     pairs = _coerce_measures(measures)
     plan, folds = _aggregation_plan(g, edge_type, pairs)
 
-    class_slots = {
-        name: _key_getter(tuple(
-            slot
-            for slot, dim in enumerate(g.edge_types[name].dims)
-            if slot not in slots and dim != ID_DIMENSION
-        ))
-        for name, slots in plan.items()
-    }
     table = g.edge_table
-    etypes, labels = table.etypes, table.labels
-    keep: list[bool] = []  # per row: an untargeted edge, or its class's first member
-    first_at: dict[tuple, int] = {}  # class key -> its first member's position
-    later: dict[int, list[int]] = {}  # a first position -> its class's positions, when it has several
-    for i, (etype, source, target, label) in enumerate(zip(etypes, table.sources, table.targets, labels)):
-        key_of = class_slots.get(etype)
-        if key_of is None:
-            keep.append(True)
+    etypes, sources, targets, labels = table.etypes, table.sources, table.targets, table.labels
+    keep = [True] * len(labels)  # per row: an untargeted edge, or its class's first member
+    folded = list(labels)
+    for name, slots in plan.items():
+        rows = _rows_of(etypes, name)
+        if not rows:
             continue
-        first = first_at.setdefault((etype, source, target, key_of(label)), i)
-        keep.append(first == i)
-        if first != i:
-            later.setdefault(first, [first]).append(i)
+        columns = list(zip(*_take(labels, rows)))
+        key_slots = [slot for slot, dim in enumerate(g.edge_types[name].dims) if slot not in slots and dim != ID_DIMENSION]
+        keys = zip(_take(sources, rows), _take(targets, rows), *map(columns.__getitem__, key_slots))
+        first_at: dict[tuple, int] = {}  # class key -> its first member's position among the rows
+        firsts = list(map(first_at.setdefault, keys, count()))
+        kept = list(map(eq, firsts, count()))
+        # classes with several members, by first position
+        merged = set(compress(firsts, map(not_, kept))) if len(first_at) < len(firsts) else ()
+        changed = None  # per class: some folded slot does not hold its stored value
+        for slot, fn in slots.items():
+            stored = list(compress(columns[slot], kept))
+            values = _fold_column(_FOLDS[fn], columns[slot], stored, firsts, kept, merged)
+            flags = map(is_not, values, stored)
+            changed = list(flags) if changed is None else list(map(or_, changed, flags))
+            columns[slot] = values
+        if any(changed):
+            rebuilt = zip(*(
+                compress(columns[slot] if slot in slots else compress(column, kept), changed)
+                for slot, column in enumerate(columns)
+            ))
+            _scatter(folded, compress(compress(rows, kept), changed), rebuilt)
+        _scatter(keep, rows, kept)
+    return g.derive(edge_table=table.where(keep, list(compress(folded, keep))), folds=folds)
 
-    fold_slots = {name: tuple((slot, _FOLDS[fn]) for slot, fn in slots.items()) for name, slots in plan.items()}
-    folded = []
-    for i in compress(count(), keep):
-        label = labels[i]
-        positions = later.get(i, (i,))
-        for slot, fold in fold_slots.get(etypes[i], ()):
-            stored = label[slot]
-            value = fold([labels[j][slot] for j in positions])
-            # a folded value stands in for the stored one when it is an equal
-            # int or the stored object itself (0 + -0.0 is 0.0); a one-edge
-            # class mostly keeps its own label
-            if value is not stored and not (type(value) is int and type(stored) is int and value == stored):
-                label = label[:slot] + (value,) + label[slot + 1:]
-        folded.append(label)
-    return g.derive(edge_table=table.where(keep, folded), folds=folds)
+
+def _fold_column(fold, column: Sequence, stored: list, firsts: list[int], kept: list[bool], merged: Collection[int]) -> list:
+    """One measure slot folded per class, classes in the order of their first
+    members, with the stored value standing in where it can (``_stand_in``).
+
+    ``stored`` holds each class's first value.  Every class is folded as if
+    it had one member; then the members of each class in ``merged`` are
+    gathered, in edge order, and their folds replace those of the classes'
+    first values.
+    """
+    values = list(map(fold, zip(stored)))
+    if merged:
+        in_merged = list(map(merged.__contains__, firsts))
+        members: defaultdict[int, list] = defaultdict(list)
+        for first, value in zip(compress(firsts, in_merged), compress(column, in_merged)):
+            members[first].append(value)
+        # the merged classes' places among all classes, in the same order
+        for at, class_values in zip(compress(count(), compress(in_merged, kept)), members.values()):
+            values[at] = fold(class_values)
+    return list(map(_stand_in, values, stored))
+
+
+def _stand_in(value: object, stored: object) -> object:
+    """A folded value, or the stored one when the fold returned it or an equal
+    int (0 + -0.0 is 0.0, so a float is never an equal stand-in)."""
+    if value is stored or (type(value) is int and type(stored) is int and value == stored):
+        return stored
+    return value
 
 
 def roll_up(g: Graphoid, targets, step: RollupStep, edge_type: str, measures: MeasurePairs) -> Graphoid:

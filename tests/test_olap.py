@@ -797,6 +797,95 @@ class TestAggrFlatOracle:
         assert [(e.etype, e.source, e.target, e.label) for e in reloaded.edges] == [row[:4] for row in expected]
 
 
+def table_rows(edges) -> list[tuple]:
+    """(type, sorted source, sorted target, label, surrogate) per edge, in order."""
+    return [(e.etype, sorted(e.source), sorted(e.target), e.label, e.surrogate) for e in edges]
+
+
+def two_type_graphoid(rng: random.Random):
+    """A random graphoid with exactly two edge types."""
+    while True:
+        catalog, ntypes, etypes, nodes, edges = random_graphoid_input(rng, max_endpoints=2)
+        if len(etypes) == 2:
+            return build_graphoid(catalog, ntypes, etypes, nodes, edges)
+
+
+# -0.0 and ints above the small-int cache: values `==` cannot tell from a fold's
+MEASURE_FLOATS = (-0.0, 0.0, 0.5, -2.25, 1e-9, 3.0)
+
+
+def repr_sensitive_measure(rng: random.Random):
+    return rng.randint(257, 10**6) if rng.random() < 0.5 else rng.choice(MEASURE_FLOATS)
+
+
+class TestAggrReprOracle:
+    """On graphs with a targeted and an untargeted edge type, and measures
+    whose folds differ from them only in type or sign (an int's AVG, a
+    one-member SUM of -0.0), ``aggr`` gives the flat oracle's rows by repr,
+    one-member classes included."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_matches_per_class_fold_by_repr(self, seed):
+        rng = random.Random(seed)
+        g = two_type_graphoid(rng)
+        step = climbable_step(rng, g)
+        if step is not None:
+            g = climb(g, "*", step)
+        g = minimize(g)
+
+        def with_measure(e, surrogate=0):
+            slot = g.edge_types[e.etype].measure_slot_of("M1")
+            label = e.label[:slot] + (repr_sensitive_measure(rng),) + e.label[slot + 1:]
+            return HyperEdge(e.etype, e.source, e.target, label, surrogate)
+
+        edges = [with_measure(e) for e in g.edges]
+        # copies with fresh measures grow multi-member classes
+        for e in rng.sample(edges, k=len(edges) // 2):
+            edges.insert(rng.randint(0, len(edges)), with_measure(e))
+        g = g.derive(edges=tuple(with_measure(e, s) for s, e in enumerate(edges)))
+        target = rng.choice(sorted(g.edge_types))
+        fn = rng.choice(["SUM", "MIN", "MAX", "COUNT", "AVG"])
+        expected = [(t, sorted(s), sorted(d), label, sur) for t, s, d, label, sur in flat_aggr(g, {target}, "M1", fn)]
+        assert repr(table_rows(aggr(g, target, [("M1", fn)]).edges)) == repr(expected)
+
+
+class TestClimbFlatOracle:
+    """``climb`` rewrites exactly the targeted node and edge slots, each value
+    rolled by the catalog's ``roller``, and keeps every other label, the
+    order and the surrogates."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_matches_per_edge_roll(self, seed):
+        rng = random.Random(seed)
+        g = random_graphoid(rng, max_endpoints=2)
+        step = climbable_step(rng, g)
+        if step is None:
+            return
+        at_from = [name for name, slot in g.slots_of(step.dimension) if g.levels[(name, slot)] == step.from_level]
+        if rng.random() < 0.5:
+            targets, chosen = "*", set(at_from)
+        else:
+            chosen = set(rng.sample(at_from, k=rng.randint(1, len(at_from))))
+            targets = sorted(chosen)
+        roll = g.catalog.roller(step.dimension, step.from_level, step.to_level)
+
+        def rolled(name: str, label: tuple) -> tuple:
+            if name not in chosen:
+                return label
+            slot = g.type_decl(name).slot_of(step.dimension)
+            return label[:slot] + (roll(label[slot]),) + label[slot + 1:]
+
+        out = climb(g, targets, step)
+        expected = [(e.etype, sorted(e.source), sorted(e.target), rolled(e.etype, e.label), e.surrogate) for e in g.edges]
+        assert repr(table_rows(out.edges)) == repr(expected)
+        nodes = {ident: (node.ntype, rolled(node.ntype, node.label)) for ident, node in g.nodes.items()}
+        assert repr({ident: (node.ntype, node.label) for ident, node in out.nodes.items()}) == repr(nodes)
+        for name in chosen:
+            assert out.levels[(name, g.type_decl(name).slot_of(step.dimension))] == step.to_level
+
+
 class TestEngineEdgeValues:
     """The engine builds its edges without ``HyperEdge.__init__``; what it
     returns must still be frozen, slotted ``HyperEdge`` values."""
