@@ -24,6 +24,7 @@ from .dims import (
     all_level,
     comparator,
     open_dimension,
+    value_test,
 )
 from .hypergraph import (
     AGGREGATES,
@@ -115,6 +116,7 @@ def build_cube(
         raise CubeError("; ".join(problems))
 
     member_tests = [catalog.instance(dim).member_test(level) for dim, level in dims]
+    is_numeric = value_test("decimal")
     table: dict[tuple, tuple] = {}
     items = cells.items() if isinstance(cells, dict) else cells
     for coord, values in items:
@@ -130,7 +132,7 @@ def build_cube(
             if not is_member(member):
                 problems.append(f"cell {coord!r}: {member!r} outside dom({dim}.{level})")
         for m, value in zip(ms, values):
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
+            if not is_numeric(value):
                 problems.append(f"cell {coord!r}: measure {m.name} value {value!r} not numeric")
         if coord in table:
             problems.append(f"cell {coord!r}: duplicate coordinate")
@@ -263,11 +265,9 @@ def cube_roll_up(
 ) -> Cube:
     """Coarsen one dimension, re-aggregating every measure."""
     i = cube.dim_index(dim)
-    schema = cube.catalog.schema(dim)
-    if not schema.has_level(to_level):
-        raise CubeError(f"dimension {dim} has no level {to_level!r}")
-    if to_level not in schema.reachable_from(cube.levels[i]):
-        raise CubeError(f"level {to_level} not reachable from {cube.levels[i]} in {dim}")
+    problems = cube.catalog.step_problems(RollupStep(dim, cube.levels[i], to_level))
+    if problems:
+        raise CubeError(problems[0])
     fns = _agg_functions(cube, measures)
     roll = cube.catalog.roller(dim, cube.levels[i], to_level)
     grouped: dict[tuple, list[tuple]] = {}

@@ -7,10 +7,9 @@ transitive composition of those mappings, materialized per level pair when
 the instance is built.  ``DimensionInstance.roller`` checks one roll-up
 step once and returns a lookup over those maps; every roll-up, the
 per-value ``DimensionCatalog.roll`` included, goes through it.
-``DimensionCatalog.roll`` keeps each step it resolved as a ``RollupTable``:
-for a closed level, a member -> parent dict filled once from the roll-up
-map, so rolling value by value costs one Python frame and two dict lookups
-per value; open levels and refused values go to the step's function.
+``DimensionCatalog.roll`` keeps each step it resolved as the instance's own
+roll-up map for the level pair, never copied, and the step's function, which
+answers every member the map lacks (open levels and refused values too).
 
 Each ``DimensionSchema`` resolves its levels and edges once, at
 construction, into a table (level by name, parents per level, the bottom),
@@ -376,33 +375,6 @@ class DimensionInstance:
                 raise refusal(member)
         return roll
 
-    def rollup_table(self, from_level: str, to_level: str) -> RollupTable:
-        """The roll-up from one level to a higher one as a ``RollupTable``:
-        filled from the roll-up map when the from-level is a closed level
-        below the to-level, empty otherwise."""
-        table = RollupTable()
-        table.roll = self.roller(from_level, to_level)
-        if from_level not in (to_level, ALL_LEVEL) and not self.schema.level(from_level).open:
-            members = self.members.get(from_level, frozenset())
-            if to_level == ALL_LEVEL:
-                table.update(dict.fromkeys(members, ALL_MEMBER))
-            else:
-                mapping = self.rollup_maps.get((from_level, to_level), {})
-                table.update((member, mapping[member]) for member in members if member in mapping)
-        return table
-
-
-class RollupTable(dict):
-    """One resolved roll-up step as a member -> parent dict.  A member it
-    lacks (every member of an open level, and any value the step refuses) is
-    handed to ``roll``, the step's ``DimensionInstance.roller`` function,
-    which returns the parent or raises its refusal; the answer is not kept."""
-
-    __slots__ = ("roll",)
-
-    def __missing__(self, member: object) -> object:
-        return self.roll(member)
-
 
 def validate_instance(instance: DimensionInstance) -> list[str]:
     """Membership, typing, functionality, and path-independence checks."""
@@ -517,8 +489,8 @@ class DimensionCatalog:
     """Immutable name -> instance lookup; always carries the Id dimension."""
 
     instances: dict[str, DimensionInstance]
-    # roll-up steps resolved by ``roll``, one per (dimension, from, to)
-    _rollers: dict[tuple[str, str, str], RollupTable] = field(
+    # roll-up steps resolved by ``roll``, one (map, function) pair per (dimension, from, to)
+    _steps: dict[tuple[str, str, str], tuple[dict, Callable[[object], object]]] = field(
         init=False, compare=False, repr=False, default_factory=dict
     )
 
@@ -572,14 +544,32 @@ class DimensionCatalog:
         return self.instance(dim).roller(from_level, to_level)
 
     def roll(self, dim: str, from_level: str, to_level: str, member: object):
-        """Roll one member.  The step is resolved on first use and kept as a
-        ``RollupTable``, so a per-value call on a closed level is one lookup
-        in this catalog and one in the step's member -> parent dict."""
+        """Roll one member.  The step is resolved on first use and kept as the
+        instance's roll-up map and the step's ``roller`` function: a hit in
+        the map is one lookup, and every miss (an open level, a level to
+        itself, a refused or unhashable value) goes to the function.  The map
+        is kept only when its keys are members of a closed from-level (and,
+        to All, map to the All member), so a hit is the function's answer
+        even on an instance ``validate_instance`` rejects."""
         key = (dim, from_level, to_level)
-        step = self._rollers.get(key)
+        step = self._steps.get(key)
         if step is None:
-            step = self._rollers[key] = self.instance(dim).rollup_table(from_level, to_level)
+            step = self._steps[key] = self._resolve(dim, from_level, to_level)
+        mapping, roller = step
         try:
-            return step[member]
-        except TypeError:  # an unhashable member: the step's function gives the refusal
-            return step.roll(member)
+            return mapping[member]
+        except (KeyError, TypeError):  # left here, so a refusal carries no lookup error as its context
+            pass
+        return roller(member)
+
+    def _resolve(self, dim: str, from_level: str, to_level: str) -> tuple[dict, Callable[[object], object]]:
+        """The (map, function) pair ``roll`` keeps for one step."""
+        instance = self.instance(dim)
+        roller = instance.roller(from_level, to_level)
+        mapping = instance.rollup_maps.get((from_level, to_level), {})
+        kept = (
+            from_level != to_level and not instance.schema.level(from_level).open
+            and all(map(instance.member_test(from_level), mapping))
+            and (to_level != ALL_LEVEL or all(parent == ALL_MEMBER for parent in mapping.values()))
+        )
+        return (mapping if kept else {}), roller

@@ -6,42 +6,35 @@ target node ids and form a bag: two edges with identical type, endpoints and
 label are distinct occurrences.  Each (type, slot) pair tracks the dimension
 level its values currently live at.
 
-A graph value holds its edge bag in one of two forms, or both.  The engine's
-form is the ``EdgeTable``: parallel columns of edge type, source-set id,
-target-set id, label and surrogate, one row per edge in edge order, plus one
-list of the value's distinct endpoint sets, each a frozenset held once, that
-the two id columns index.  ``build_graphoid`` (and so a JSON load,
-``store.generate``, ``store.ingest_calls`` and ``cubes.star``) writes a
-table, and every operator of ``olap`` (climb, minimize, aggr, dice, strong
-dice and node deletion, and so group, roll-up, slice and drill-down) reads
-and writes tables, and ``metrics``, ``store.graphoid_to_json``, the CLI's
-CSV output and ``cubes.unstar`` read them: none of them builds a per-edge
-object.  ``Graphoid.edges`` is the public form, an ordered tuple of
-``HyperEdge``s in which every distinct endpoint set is one shared frozenset.
-A table-backed value builds it on first read and keeps it; a value made from edges (the public ``Graphoid(...)``, or
-``derive(edges=...)`` as in ``edgify``) builds its table on first use the
-same way.  Setting one form on a derived value drops the other, so a stale
-form is never read.  A value that holds both pays for both: on 64-bit
-CPython 3.11 the table costs about 40 bytes per edge (four list slots and a
-share of the set list; built surrogates are a ``range``) and the edges about
-110 more (a slotted object and its tuple slot); labels and endpoint sets are
-shared between the two.
+A graph value holds its edge bag in one store, an ``EdgeTable``: parallel
+columns of edge type, source-set id, target-set id, label and surrogate,
+one row per edge in edge order, over one list of the value's distinct
+endpoint sets, each a frozenset held once.  ``build_graphoid`` (and so a
+JSON load, ``store.generate``, ``store.ingest_calls`` and ``cubes.star``)
+writes a table, ``edgify`` appends rows to one, the operators of ``olap``
+read and write tables, and ``metrics``, ``store.graphoid_to_json``, the
+CLI's CSV output and ``cubes.unstar`` read them: none builds a per-edge
+object.  Edges given to ``Graphoid(...)``, or as ``edges=`` to ``derive``
+or ``replaced``, are turned into a table once, by ``EdgeTable.of``.
+``Graphoid.edges``, the public view, is a tuple of ``HyperEdge``s built
+from the table on first read and kept, in which each distinct endpoint set
+is the table's one frozenset; on 64-bit CPython 3.11 it costs about 110
+bytes per edge beyond the table's 40.
 
 ``HyperEdge(...)``, ``Node(...)`` and ``Graphoid(...)`` are the public
 constructors; the engine skips their frozen dataclass ``__init__`` (one
 ``object.__setattr__`` per field).  Edges come from ``make_edge`` (when
-``.edges`` is built from a table, and in ``edgify``), nodes from
-``make_node`` and path rows from ``metrics._path_row``, each made by
-``slot_writer`` from its record: an unfrozen twin derived from the record's
-own fields, so it has the same slot layout.  The twin's ``__init__`` takes
-every field positionally (``surrogate`` too), converts nothing, fills the
-slots with plain writes and then turns the object into the record, which
-the equal layout allows; what it returns is an ordinary ``HyperEdge``,
-``Node`` or ``PathResult``.  Graph values come from one internal
-constructor, ``_graphoid``, which sets a value's field dict in one step:
-``build_graphoid`` returns its value, and ``Graphoid.derive`` and
-``replaced`` (``dataclasses.replace`` for graph values) copy the parent's
-fields and start an empty index table.
+``.edges`` is built from a table), nodes from ``make_node`` and path rows
+from ``metrics._path_row``, each made by ``slot_writer`` from its record:
+an unfrozen twin derived from the record's own fields, so it has the same
+slot layout.  The twin's ``__init__`` takes every field positionally
+(``surrogate`` too), converts nothing, fills the slots with plain writes
+and then turns the object into the record, which the equal layout allows;
+what it returns is an ordinary ``HyperEdge``, ``Node`` or ``PathResult``.
+Graph values come from one internal constructor, ``_graphoid``, which sets
+a value's field dict in one step: ``build_graphoid`` returns its value, and
+``Graphoid.derive`` and ``replaced`` (``dataclasses.replace`` for graph
+values) copy the parent's fields and start an empty index table.
 """
 from __future__ import annotations
 
@@ -188,8 +181,9 @@ class EdgeTable(NamedTuple):
     sets: Sequence[frozenset[int]]
 
     @classmethod
-    def of(cls, edges: Sequence[HyperEdge]) -> EdgeTable:
+    def of(cls, edges: Iterable[HyperEdge]) -> EdgeTable:
         """The table of ``edges``; each distinct set is the first object found for it."""
+        edges = tuple(edges)  # read once: each column is one more pass
         ids: dict[frozenset[int], int] = {}
         sources = [ids.setdefault(e.source, len(ids)) for e in edges]
         targets = [ids.setdefault(e.target, len(ids)) for e in edges]
@@ -225,10 +219,9 @@ class Graphoid:
     ``tainted`` records that a dice, slice or node deletion happened along
     the way.
     ``folds`` maps each measure slot an aggregation folded to the aggregate
-    its values now hold; unfolded slots hold raw values.  ``edges`` and
-    ``edge_table`` are the two forms of the edge bag: a value is made with
-    one of them and builds the other on first read (see the module
-    docstring).
+    its values now hold; unfolded slots hold raw values.  ``edge_table`` is
+    the edge bag's one store, made from the ``edges`` the constructor is
+    given; ``edges`` is built from it on first read (see the module docstring).
     """
 
     catalog: DimensionCatalog = field(repr=False)
@@ -247,23 +240,21 @@ class Graphoid:
     def node_count(self) -> int:
         return len(self.nodes)
 
+    def __post_init__(self) -> None:
+        state = self.__dict__
+        state["edge_table"] = EdgeTable.of(state.pop("edges"))
+
     @property
     def edge_count(self) -> int:
-        table = self.__dict__.get("edge_table")
-        return len(self.edges) if table is None else len(table.labels)
+        return len(self.edge_table.labels)
 
     def __getattr__(self, name: str) -> object:
-        # called only for a name the value does not hold: the edge-bag form it
-        # lacks is built from the one it has, and kept
-        state = self.__dict__
-        if name == "edges" and "edge_table" in state:
-            value = state["edge_table"].edges()
-        elif name == "edge_table" and "edges" in state:
-            value = EdgeTable.of(state["edges"])
-        else:
+        # called only for a name the value does not hold: ``edges`` is built
+        # from the table on first read, and kept
+        if name != "edges":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        state[name] = value
-        return value
+        edges = self.__dict__["edges"] = self.edge_table.edges()
+        return edges
 
     def node_type(self, name: str) -> NodeTypeDecl:
         try:
@@ -328,15 +319,15 @@ class Graphoid:
 
 
 # the fields a graph value is built from: ``Graphoid.__init__``'s parameters,
-# and ``edge_table``, the engine's form of ``edges``
+# and ``edge_table``, the store that ``edges`` are turned into
 _GRAPHOID_FIELDS = frozenset(f.name for f in fields(Graphoid) if f.init) | {"edge_table"}
 
 
 def _graphoid(state: dict[str, object]) -> Graphoid:
     """The graph value whose fields are ``state``, one entry per name in
-    ``_GRAPHOID_FIELDS`` (``edges``, ``edge_table`` or both), with an empty
-    index table: what ``Graphoid(**state)`` returns, without one
-    ``object.__setattr__`` per field."""
+    ``_GRAPHOID_FIELDS`` but ``edges``, with an empty index table: what
+    ``Graphoid(**state)`` returns for the edges of ``state["edge_table"]``,
+    without one ``object.__setattr__`` per field."""
     state["_indexes"] = {}
     g = object.__new__(Graphoid)
     object.__setattr__(g, "__dict__", state)
@@ -346,15 +337,16 @@ def _graphoid(state: dict[str, object]) -> Graphoid:
 def replaced(g: Graphoid, **changes) -> Graphoid:
     """``dataclasses.replace(g, **changes)`` through ``_graphoid``: the other
     fields are ``g``'s, the index table is new, and a name that is not a
-    field is refused with ``TypeError``.  A new ``edges`` or ``edge_table``
-    replaces both forms of the edge bag."""
+    field is refused with ``TypeError``.  New ``edges`` are turned into the
+    value's table; a new table drops ``g``'s built ``edges``."""
     unknown = changes.keys() - _GRAPHOID_FIELDS
     if unknown:
         raise TypeError(f"graph values have no field {sorted(unknown)[0]!r}")
     state = g.__dict__.copy()
-    if "edges" in changes or "edge_table" in changes:
+    if "edges" in changes:
+        changes["edge_table"] = EdgeTable.of(changes.pop("edges"))
+    if "edge_table" in changes:
         state.pop("edges", None)
-        state.pop("edge_table", None)
     state.update(changes)
     return _graphoid(state)
 
@@ -487,11 +479,14 @@ def build_graphoid(
             problems.append(f"node id {ident}: duplicate identifier")
             continue
         tests = node_tests[node.ntype]
-        if all(map(call, tests, node.label)):
-            node_table[ident] = node
-            continue
+        try:
+            if all(map(call, tests, node.label)):
+                node_table[ident] = node
+                continue
+        except TypeError:  # an unhashable value at a closed level: reported below
+            pass
         for slot, (value, member) in enumerate(zip(node.label, tests)):
-            if not member(value):
+            if not _holds(member, value):
                 problems.append(
                     f"node {node.label!r}: slot {slot} value {value!r} outside "
                     f"dom({decl.dims[slot]}.{level_map[(node.ntype, slot)]})"
@@ -556,6 +551,14 @@ def _checked_table(rows: list, edge_tests: Mapping[str, tuple], node_ids: Abstra
     return EdgeTable(etypes, sources, targets, labels, range(len(labels)), list(set_ids))
 
 
+def _holds(member: Callable[[object], bool], value: object) -> bool:
+    """``member(value)``, false for a value a closed level cannot hash."""
+    try:
+        return member(value)
+    except TypeError:
+        return False
+
+
 def _report_edge_rows(
     rows: list,
     etypes: Mapping[str, EdgeTypeDecl],
@@ -589,7 +592,7 @@ def _report_edge_rows(
         for ident in sorted({ident for ident in ids if type(ident) is int and ident not in node_table}):
             problems.append(f"edge {etype} {label!r}: endpoint {ident} is not a node")
         for slot, (value, member) in enumerate(zip(label, edge_tests[etype])):
-            if not member(value):
+            if not _holds(member, value):
                 problems.append(
                     f"edge {etype} {label!r}: slot {slot} value {value!r} outside "
                     f"dom({decl.dims[slot]}.{level_map[(etype, slot)]})"
@@ -623,20 +626,23 @@ def edgify(g: Graphoid, ntype: str, slot: int) -> Graphoid:
         return g.derive(edge_types=etypes, levels=levels)
 
     nodes = dict(g.nodes)
-    new_edges = list(g.edges)
-    surrogate = max((e.surrogate for e in g.edges), default=-1) + 1
-    share = {ids: ids for e in g.edges for ids in (e.source, e.target)}.setdefault
-    no_source = share(frozenset(), frozenset())
+    etype_column, sources, targets, labels, surrogates, sets = g.edge_table
+    set_ids = dict(zip(sets, range(len(sets))))  # a table's sets are distinct
+    no_source = set_ids.setdefault(frozenset(), len(set_ids))
+    new_targets, new_labels = [], []
     for ident in sorted(nodes):
         node = nodes[ident]
         if node.ntype != ntype:
             continue
         label = list(node.label)
-        value = label[slot]
+        new_labels.append((label[slot],))
         label[slot] = ALL_MEMBER
         nodes[ident] = make_node(ntype, tuple(label))
-        target = frozenset({ident})
-        new_edges.append(make_edge(new_type, no_source, share(target, target), (value,), surrogate))
-        surrogate += 1
+        new_targets.append(set_ids.setdefault(frozenset({ident}), len(set_ids)))
+    n, first = len(new_labels), max(surrogates, default=-1) + 1
+    table = EdgeTable(
+        [*etype_column, *[new_type] * n], [*sources, *[no_source] * n], [*targets, *new_targets],
+        [*labels, *new_labels], [*surrogates, *range(first, first + n)], list(set_ids),
+    )
     levels[(ntype, slot)] = ALL_LEVEL
-    return g.derive(edge_types=etypes, nodes=nodes, edges=tuple(new_edges), levels=levels)
+    return g.derive(edge_types=etypes, nodes=nodes, edge_table=table, levels=levels)

@@ -22,7 +22,7 @@ passes.  Columns an operation does not rewrite are handed on to its result
 unchanged.
 
 Each operation resolves its roll-up steps, class keys and condition atoms
-once, to the dimension instances' roll-up tables and to per-type slot
+once, to the dimension instances' roll-up maps and to per-type slot
 tuples, and then makes one lookup per label value.  Dice reads each node
 once per clause, into the set of nodes the clause is false on, and tests
 each distinct endpoint set against that set once.  A folded measure slot
@@ -304,6 +304,7 @@ def _all_of(tests: list[Callable[[tuple], bool]]) -> Callable[[tuple], bool] | N
     return lambda label: all(test(label) for test in tests)
 
 
+# the engine filters whole tables with ``edge_filter``; this one-edge form stays because perfbench's tracer wraps it by name
 def edge_satisfies(g: Graphoid, edge: HyperEdge, cond: Condition) -> bool:
     """Does one edge satisfy the condition?  See ``edge_filter``."""
     return edge_filter(g, cond)(EdgeTable.of((edge,)))[0]

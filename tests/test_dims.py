@@ -16,6 +16,7 @@ from graphoid.dims import (
     DimensionInstance,
     DimensionSchema,
     Level,
+    RollupStep,
     UnknownMember,
     UnreachableLevel,
     all_level,
@@ -536,6 +537,33 @@ class TestRoller:
         assert assert_resolver_matches(catalog) > 0
         with pytest.raises(UnknownMember, match="no roll-up for 'b' from Low to High"):
             catalog.roller("D", "Low", "High")("b")
+
+    def test_roll_follows_the_roller_on_a_rejected_instance(self):
+        # 'z' has a parent but is no member of Low, and 'x' rolls to "ALL":
+        # a bare lookup in the roll-up maps would answer 'x' and "ALL"
+        schema = linear_schema("D", "Low", "High")
+        quads = [("a", "Low", "x", "High"), ("z", "Low", "x", "High"), ("x", "High", "ALL", "All")]
+        rejected = DimensionInstance.build(schema, {"Low": {"a"}, "High": {"x"}}, quads)
+        assert validate_instance(rejected)
+        assert rejected.rollup_maps[("Low", "High")]["z"] == "x"
+        assert rejected.rollup_maps[("High", "All")]["x"] == "ALL"
+        catalog = DimensionCatalog.of(rejected)
+        assert assert_resolver_matches(catalog) > 0
+        with pytest.raises(UnknownMember, match="'z' is not a member of level Low"):
+            catalog.roll("D", "Low", "High", "z")
+        assert catalog.roll("D", "Low", "High", "a") == "x"
+        assert catalog.roll("D", "High", "All", "x") == "all"
+
+    def test_a_climb_keeps_the_instance_map(self):
+        from graphoid.olap import climb
+        from graphoid.store import GeneratorConfig, generate
+
+        g = generate(GeneratorConfig(phone_count=8, user_count=4, call_count=20, seed=5)).graphoid
+        climb(g, ["#Call"], RollupStep("Time", "Day", "Month"))
+        mapping, roller = g.catalog._steps[("Time", "Day", "Month")]
+        assert mapping is g.catalog.instance("Time").rollup_maps[("Day", "Month")]
+        day = g.edge_table.labels[0][0]
+        assert g.catalog.roll("Time", "Day", "Month", day) == roller(day) == mapping[day]
 
     def test_open_level_type_checked_on_the_way_to_all(self):
         duration = open_dimension("Duration")

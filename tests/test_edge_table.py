@@ -84,7 +84,7 @@ class TestRepresentationIndependence:
         rng = random.Random(seed)
         table_backed = random_graphoid(rng, max_endpoints=4)
         from_edges = edges_only(table_backed)
-        assert "edges" not in vars(table_backed) and "edge_table" not in vars(from_edges)
+        assert "edges" not in vars(table_backed) and "edges" not in vars(from_edges)
         for _ in range(rng.randint(1, 4)):
             _, run = draw_step(rng, table_backed)
             outcomes = []
@@ -113,7 +113,7 @@ class TestRepresentationIndependence:
     def test_new_edges_drop_the_parent_table(self, base_graph):
         table_backed = climb(base_graph, ["#Call"], RollupStep("Time", "Day", "Month"))
         child = table_backed.derive(edges=table_backed.edges[:1])
-        assert "edge_table" not in vars(child)
+        assert "edges" not in vars(child) and child.edges == table_backed.edges[:1]
         assert child.edge_count == 1 and len(child.edge_table.labels) == 1
         rebuilt = child.derive(edge_table=table_backed.edge_table)
         assert "edges" not in vars(rebuilt) and rebuilt.edge_count == table_backed.edge_count
@@ -162,6 +162,22 @@ class TestNoEdgeObjects:
         assert cli.main(["query", str(query), *dims, "--out", str(out), "--format", fmt]) == 0
         assert built[0] == 0
         assert out.read_text(encoding="utf-8").strip()
+
+    def test_edgify_program_builds_no_hyperedge(self, query_files, tmp_path, monkeypatch):
+        query, dims = query_files
+        program = query.with_name("edgify_rollup.gql")
+        program.write_text(
+            'G = LOAD "../data/graph.json";\n'
+            "H = EDGIFY(G, #Phone, Phone);\n"
+            "Yearly = ROLLUP(H, {#Call}, Time: Day -> Year; #Call, Duration, SUM);\n"
+            "OUTPUT Yearly;\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out.json"
+        built = count_edge_builds(monkeypatch)
+        assert cli.main(["query", str(program), *dims, "--out", str(out)]) == 0
+        assert built[0] == 0
+        assert "#HasPhone" in out.read_text(encoding="utf-8")
 
     def test_the_count_sees_edges_being_built(self, query_files, tmp_path, monkeypatch):
         query, dims = query_files

@@ -30,6 +30,33 @@ from conftest import BASE_CALLS, BASE_LEVELS, BASE_NODES, CALL_DECL, PHONE_DECL
 from helpers import ends_are_shared, random_graphoid_input, shuffled_build
 
 
+# label values and endpoints of every kind a malformed row may hold: members,
+# out-of-domain and mistyped values, and unhashable ones
+ANY_VALUE = st.one_of(
+    st.sampled_from(["Ph1", "Ph2", "Ph99", BASE_CALLS[0][2], 4, 2.5, None, True]),
+    st.integers(-2, 20),
+    st.text(max_size=2),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.integers(0, 2), st.integers(0, 2), max_size=1),
+)
+ENDPOINTS = st.one_of(
+    st.lists(st.one_of(st.integers(9, 16), ANY_VALUE), max_size=3),
+    st.frozensets(st.integers(9, 16), max_size=3),
+    ANY_VALUE,
+)
+MALFORMED_NODE_ROWS = st.one_of(
+    st.tuples(st.sampled_from(["#Phone", "#Call", "#Nope"]), st.one_of(st.integers(9, 20), ANY_VALUE))
+    .flatmap(lambda head: st.lists(ANY_VALUE, max_size=2).map(lambda label: (*head, *label))),
+    ANY_VALUE,
+)
+MALFORMED_EDGE_ROWS = st.one_of(
+    st.tuples(st.sampled_from(["#Call", "#Phone", "#Nope"]), ENDPOINTS, ENDPOINTS)
+    .flatmap(lambda head: st.lists(ANY_VALUE, max_size=3).map(lambda label: (*head, *label))),
+    st.lists(ANY_VALUE, max_size=3).map(tuple),
+    ANY_VALUE,
+)
+
+
 class TestBuildGraphoid:
     def test_figure_base_graph_builds(self, base_graph):
         assert base_graph.node_count == 5
@@ -126,6 +153,30 @@ class TestBuildGraphoid:
                 f"edge #Call ({day!r}, 4): endpoint {ident!r} is not an integer"
             ]
 
+    def test_unhashable_value_at_a_closed_level_is_reported(self, figures_catalog):
+        nodes = [("#Phone", 1, "Ph1"), ("#Phone", 2, "Ph2")]
+        with pytest.raises(GraphoidBuildError) as err:
+            build_graphoid(figures_catalog, [PHONE_DECL], [CALL_DECL], nodes, [("#Call", [1], [2], ["x"], 5)])
+        assert err.value.problems == ["edge #Call (['x'], 5): slot 0 value ['x'] outside dom(Time.Day)"]
+        with pytest.raises(GraphoidBuildError) as err:
+            build_graphoid(figures_catalog, [PHONE_DECL], [CALL_DECL], [*nodes, ("#Phone", 99, [1])], [])
+        assert err.value.problems == ["node (99, [1]): slot 1 value [1] outside dom(Phone.Phone)"]
+
+    @given(
+        keep_base=st.booleans(),
+        nodes=st.lists(MALFORMED_NODE_ROWS, max_size=4),
+        edges=st.lists(MALFORMED_EDGE_ROWS, max_size=4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_malformed_rows_are_reported(self, figures_catalog, keep_base, nodes, edges):
+        nodes = [*BASE_NODES, *nodes] if keep_base else nodes
+        try:
+            g = build_graphoid(figures_catalog, [PHONE_DECL], [CALL_DECL], nodes, edges, levels=BASE_LEVELS)
+        except GraphoidBuildError as err:
+            assert err.problems and all(err.problems)
+        else:
+            assert g.edge_count == len(edges)
+
     def test_default_levels_are_bottoms(self, figures_catalog):
         g = build_graphoid(
             figures_catalog, [PHONE_DECL], [CALL_DECL], BASE_NODES,
@@ -208,6 +259,17 @@ class TestGraphValueConstructors:
         for call in (lambda: g.derive(colour="red"), lambda: replaced(g, colour="red"), lambda: g.derive(_indexes={})):
             with pytest.raises(TypeError):
                 call()
+
+    def test_given_edges_are_kept_as_a_table_with_shared_sets(self, figures_catalog):
+        g = fresh_graph(figures_catalog)
+        # a fresh copy of every endpoint set: equal sets, distinct objects
+        copies = tuple(make_edge(e.etype, frozenset([*e.source]), frozenset([*e.target]), e.label, e.surrogate) for e in g.edges)
+        assert len({id(ids) for e in copies for ids in (e.source, e.target)}) == 2 * len(copies)
+        public = Graphoid(figures_catalog, g.node_types, g.edge_types, g.nodes, copies, g.levels)
+        streamed = Graphoid(figures_catalog, g.node_types, g.edge_types, g.nodes, iter(copies), g.levels)
+        for value in (public, streamed, g.derive(edges=copies), replaced(g, edges=list(copies))):
+            assert "edges" not in vars(value) and value.edge_count == len(copies)
+            assert value.edges == copies and ends_are_shared(value)
 
     def test_built_value_equals_the_public_constructor(self, figures_catalog):
         g = fresh_graph(figures_catalog)
@@ -369,6 +431,17 @@ class TestEdgify:
         assert ends_are_shared(edgify(g, "#Phone", 2))
         # the new single-target sets are the ones the calls already hold
         assert ends_are_shared(edgify(base_graph, "#Phone", 1))
+
+    def test_appends_rows_to_the_table(self, base_graph):
+        out = edgify(base_graph, "#Phone", 1)
+        assert "edges" not in vars(out)
+        table = out.edge_table
+        assert out.edges[: base_graph.edge_count] == base_graph.edges
+        assert list(table.surrogates) == [*base_graph.edge_table.surrogates, *range(6, 11)]
+        assert [(e.etype, e.source, e.target, e.label) for e in out.edges[base_graph.edge_count:]] == [
+            ("#HasPhone", frozenset(), frozenset({ident}), (f"Ph{ident - 10}",)) for ident in range(11, 16)
+        ]
+        assert len(table.sets) == len(set(table.sets))
 
     def test_preserves_node_count_and_adds_one_edge_per_node(self):
         _, _, g = billing_graph()
