@@ -11,11 +11,12 @@ against the raw calls, rolls up the calls of a graph that also holds a
 second edge type (the phone slot moved onto ``#HasPhone`` edges by
 ``edgify``) and checks that those edges' rows pass through and that
 neither value builds edge objects, checks that an unhashable label is
-refused with a ``GraphoidBuildError`` naming its slot, saves and reloads
-the result as JSON, and compares
-the output of ``graphoid theorem1 --trials 50 --seed 7 --format json`` with
-the digest of the same run under Python 3.11.  It prints one ``ok`` line per
-check and exits non-zero at the first failure.
+refused with a ``GraphoidBuildError`` naming its slot, checks the one-,
+two-, three-hop and unreachable rows of shortest paths on a six-phone graph
+against literal witnesses, saves and reloads the result as JSON, and
+compares the output of ``graphoid theorem1 --trials 50 --seed 7 --format
+json`` with the digest of the same run under Python 3.11.  It prints one
+``ok`` line per check and exits non-zero at the first failure.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from graphoid import cli, olap, store  # noqa: E402
+from graphoid import cli, metrics, olap, store  # noqa: E402
 from graphoid.dims import RollupStep  # noqa: E402
 from graphoid.hypergraph import GraphoidBuildError, build_graphoid, edgify  # noqa: E402
 
@@ -74,6 +75,20 @@ def main() -> int:
     except GraphoidBuildError as exc:
         refused = str(exc)
     check("an unhashable label is refused with its slot", "slot 0 value ['x'] outside dom(Time.Day)" in refused)
+
+    # a path 1-2-3-4, phone 5 joined to 1 and 3 (1 and 3 meet through 2 or 5), phone 6 on no call
+    day = g.edge_table.labels[0][0]
+    calls = [(store.CALL_TYPE, [s], [t], day, 1) for s, t in ((1, 2), (2, 3), (3, 4), (5, 1), (3, 5))]
+    nodes = [g.nodes[i] for i in range(1, 7)]
+    tiny = build_graphoid(data.catalog, g.node_types.values(), g.edge_types.values(), nodes, calls)
+    phones = metrics.NodeFilter(store.PHONE_TYPE)
+    paths = {(r.source, r.target): (r.hops, r.path) for r in metrics.shortest_paths(tiny, phones, phones)}
+    check(
+        "shortest paths of every hop class",
+        [paths[(1, t)] for t in range(2, 7)] == [(1, (1, 2)), (2, (1, 2, 3)), (3, (1, 2, 3, 4)), (1, (1, 5)), (-1, ())]
+        and paths[(5, 2)] == (2, (5, 1, 2))
+        and paths[(4, 5)] == (2, (4, 3, 5)),
+    )
 
     text = store.dump_text(store.graphoid_to_json(yearly))
     reloaded = store.graphoid_from_json(json.loads(text), data.catalog)

@@ -11,6 +11,7 @@ import csv
 import dataclasses
 import gc
 import io
+import itertools
 import json
 import os
 import sys
@@ -313,9 +314,27 @@ class _CollectorClock:
             self.collections += 1
 
 
+def _feed_repr(digest, result: tuple | dict) -> None:
+    """Feed ``repr(result).encode()`` to ``digest`` a few thousand items at a
+    time, so a large result's whole repr is never held."""
+    if isinstance(result, dict):
+        opening, closing = "{", "}"
+        items = (f"{key!r}: {value!r}" for key, value in result.items())
+    else:
+        opening, closing = "(", ",)" if len(result) == 1 else ")"
+        items = map(repr, result)
+    digest.update(opening.encode())
+    separator = ""
+    while batch := list(itertools.islice(items, 4096)):
+        digest.update((separator + ", ".join(batch)).encode())
+        separator = ", "
+    digest.update(closing.encode())
+
+
 def cmd_bench(args) -> int:
     """Time the case-study queries Q1-Q7 on one generated call graph, then
-    print the cyclic collector's total time and the peak RSS."""
+    print the digest of their results, the cyclic collector's total time and
+    the peak RSS."""
     if min(args.sizes) < 1:
         raise CliFailure("bench: group sizes must be at least 1", 2)
     collector = _CollectorClock()
@@ -334,6 +353,8 @@ def cmd_bench(args) -> int:
 
 
 def _bench(args) -> int:
+    import hashlib  # not at the top: loading OpenSSL adds about 3 MiB to every process that imports cli
+
     config = _configured(
         BENCH_SCALES[args.scale], seed=args.seed, phone_count=args.phones, user_count=args.users, call_count=args.calls
     )
@@ -347,11 +368,13 @@ def _bench(args) -> int:
     g = data.graphoid
     calls = [store.CALL_TYPE]
     rows: list[tuple[str, float, int]] = []
+    digest = hashlib.sha256()
 
     def run(label: str, fn) -> None:
         t0 = time.perf_counter()
         result = fn()
         rows.append((label, time.perf_counter() - t0, len(result)))
+        _feed_repr(digest, result)
 
     def grouped(level: str) -> Graphoid:
         return olap.group(g, store.PHONE_TYPE, RollupStep(store.PHONE_DIMENSION, store.PHONE_BOTTOM, level))
@@ -383,6 +406,7 @@ def _bench(args) -> int:
     )
     for label, elapsed, size in rows:
         print(f"{label:45s} {elapsed * 1000:10.1f} ms   {size} rows")
+    print(f"results sha256 {digest.hexdigest()}")
     return 0
 
 

@@ -23,9 +23,14 @@ seen.  Every target's layers are computed first; rows are then emitted in
 one pass, sources outer and targets inner.  A node's next hop is the lowest
 set bit of its neighbour bitset AND the layer below: bit order is sorted id
 order, so that is its smallest neighbour one hop closer, and a witness path
-is the chain of next hops from its source down to the target.  Each row
-is a ``PathResult`` from ``_path_row``, the record's ``slot_writer`` twin,
-which skips the frozen dataclass ``__init__``.
+is the chain of next hops from its source down to the target.  The rows the
+case-study graphs hold are written directly: a source in the target's first
+layer gets ``(source, target)``, one in its second layer gets ``(source,
+middle, target)`` with ``middle`` the lowest set bit of the two nodes'
+common neighbours, which is the walk's one next hop.  Only rows three or
+more hops apart walk the layers, and an unreachable pair gets hops -1 and
+``()``.  Each row is a ``PathResult`` from ``_path_row``, the record's
+``slot_writer`` twin, which skips the frozen dataclass ``__init__``.
 """
 from __future__ import annotations
 
@@ -159,13 +164,16 @@ def shortest_paths(
     stops once every node is seen or a layer adds none.  Every target's
     layers are kept, then rows are built in one pass, sources outer and
     targets inner, so the layers of all targets are alive until the call
-    returns.  The neighbour bitsets come from ``g``'s index, built by the
-    first call.
+    returns.  One- and two-hop rows are written without a walk: the path is
+    ``(source, target)``, or ``(source, middle, target)`` with ``middle``
+    the lowest set bit of the source's neighbours AND the target's (its
+    first layer).  Rows three or more hops apart walk the layers.  The
+    neighbour bitsets come from ``g``'s index, built by the first call.
     """
     order, bit, near = _bitsets(g, _edge_types(g, via))
     everyone = (1 << len(order)) - 1
     sources = _matching_nodes(g, source_filter)
-    searches: list[tuple[int, list[int], int]] = []
+    searches: list[tuple[int, int, int, int, list[int]]] = []
     for target in _matching_nodes(g, target_filter):
         layers = [bit[target], near[target]]
         seen = layers[0] | layers[1]
@@ -180,18 +188,26 @@ def shortest_paths(
             layers.append(layer)
             seen |= layer
             frontier = _members(order, layer)  # read only if this layer is expanded
-        searches.append((target, layers, seen))
+        searches.append((target, layers[1], layers[2] if len(layers) > 2 else 0, seen, layers))
     rows: list[PathResult] = []
     append = rows.append
     for source in sources:
         own = bit[source]
-        for target, layers, seen in searches:
+        mine = near[source]
+        for target, one, two, seen, layers in searches:
+            if own & one:
+                append(_path_row(source, target, 1, (source, target)))
+                continue
+            if own & two:
+                step = mine & one
+                append(_path_row(source, target, 2, (source, order[(step & -step).bit_length() - 1], target)))
+                continue
             if source == target:
                 continue
             if not own & seen:
                 append(_path_row(source, target, -1, ()))
                 continue
-            hops = 1
+            hops = 3
             while not own & layers[hops]:
                 hops += 1
             path = [source]

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import importlib.util
 import io
 import json
@@ -14,8 +15,9 @@ import sys
 
 import pytest
 
-from graphoid import cli, store
+from graphoid import cli, metrics, store
 from graphoid.dims import DimensionCatalog, DimensionSchema, Level, RollupStep
+from graphoid.metrics import PathResult
 from graphoid.olap import group, roll_up
 
 PIPELINE = """\
@@ -603,6 +605,27 @@ class TestBench:
         assert [label[:2] for label, _ in from_cli] == ["Q1", "Q2", "Q3", "Q4", "Q5", "Q6", "Q7"]
         assert from_script == from_cli
 
+    def test_results_digest_recomputes_from_the_results(self, capsys, monkeypatch):
+        results = []
+
+        def recording(fn):
+            def wrapper(*args):
+                results.append(fn(*args))
+                return results[-1]
+
+            return wrapper
+
+        for name in ("group_average", "shortest_paths"):
+            monkeypatch.setattr(metrics, name, recording(getattr(metrics, name)))
+        assert cli.main(["bench", *SMALL_BENCH]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [type(r).__name__ for r in results] == ["dict"] * 6 + ["tuple"] * 4
+        assert any(len(r) == 0 for r in results) and any(len(r) > 1 for r in results)
+        whole = hashlib.sha256()
+        for result in results:
+            whole.update(repr(result).encode())
+        assert lines[-3] == f"results sha256 {whole.hexdigest()}"
+
     def test_desk_scale_is_the_default_size(self, capsys):
         rc = cli.main(["bench", "--scale", "desk", "--calls", "60", "--sizes", "2"])
         out = capsys.readouterr().out
@@ -623,6 +646,28 @@ class TestBench:
     def test_bad_config_fails(self, capsys):
         assert cli.main(["bench", "--phones", "1", "--calls", "60"]) == 1
         assert "bench failed" in capsys.readouterr().err
+
+
+class TestFeedRepr:
+    ROW = PathResult(11, 14, 3, (11, 12, 13, 14))
+
+    @pytest.mark.parametrize(
+        "result",
+        [
+            (),
+            (ROW,),
+            (ROW, PathResult(11, 12, 1, (11, 12)), PathResult(11, 16, -1, ())),
+            tuple(PathResult(i, i + 1, 1, (i, i + 1)) for i in range(10_000)),
+            {},
+            {(11, 12): 4.0},
+            {(i, i + 1): i / 3 for i in range(10_000)},
+        ],
+        ids=["empty tuple", "one row", "three rows", "10000 rows", "empty dict", "one entry", "10000 entries"],
+    )
+    def test_equals_the_hash_of_the_whole_repr(self, result):
+        digest = hashlib.sha256()
+        cli._feed_repr(digest, result)
+        assert digest.hexdigest() == hashlib.sha256(repr(result).encode()).hexdigest()
 
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"

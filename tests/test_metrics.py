@@ -559,6 +559,34 @@ class TestDeskScale:
             assert as_rows(rows) == flat_witnesses(near, sources, targets), query
 
 
+# a path 11-12-13-14-15, phone 16 joined to 11 and 13 (so 11 and 13 have two
+# common neighbours, 12 and 16), and phone 17 on no call
+PATH_CALLS = [([11], [12]), ([12], [13]), ([13], [14]), ([14], [15]), ([16], [11]), ([13], [16])]
+
+
+class TestHopClasses:
+    def test_every_hop_class_matches_a_flat_bfs(self, figures_catalog):
+        g = build_graphoid(
+            figures_catalog,
+            [PHONE_DECL],
+            [CALL_DECL],
+            BASE_NODES + [("#Phone", 16, "Ph1"), ("#Phone", 17, "Ph2")],
+            [("#Call", s, t, DAY(2016, 10, 10), 1) for s, t in PATH_CALLS],
+            levels=BASE_LEVELS,
+        )
+        phones = list(range(11, 18))
+        near: dict[int, set[int]] = {v: set() for v in phones}
+        for (s,), (t,) in PATH_CALLS:
+            near[s].add(t)
+            near[t].add(s)
+        rows = shortest_paths(g, PHONES, PHONES)
+        assert as_rows(rows) == flat_witnesses(near, phones, phones)
+        assert Counter(r.hops for r in rows) == {1: 12, 2: 10, 3: 6, 4: 2, -1: 12}
+        by_pair = {(r.source, r.target): r.path for r in rows}
+        assert by_pair[(11, 13)] == (11, 12, 13) and by_pair[(16, 12)] == (16, 11, 12)
+        assert by_pair[(11, 15)] == (11, 12, 13, 14, 15) and by_pair[(17, 11)] == ()
+
+
 class TestPathRendering:
     def test_csv_layout(self):
         results = [PathResult(11, 14, 3, (11, 12, 13, 14)), PathResult(11, 99, -1, ())]
