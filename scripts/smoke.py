@@ -13,7 +13,9 @@ second edge type (the phone slot moved onto ``#HasPhone`` edges by
 neither value builds edge objects, checks that an unhashable label is
 refused with a ``GraphoidBuildError`` naming its slot, checks the one-,
 two-, three-hop and unreachable rows of shortest paths on a six-phone graph
-against literal witnesses, saves and reloads the result as JSON, and
+against literal witnesses, checks that a path row is a ``PathResult`` that
+equals and unpacks as its plain tuple and refuses assignment with
+``FrozenInstanceError``, saves and reloads the result as JSON, and
 compares the output of ``graphoid theorem1 --trials 50 --seed 7 --format
 json`` with the digest of the same run under Python 3.11.  It prints one
 ``ok`` line per check and exits non-zero at the first failure.
@@ -21,6 +23,7 @@ json`` with the digest of the same run under Python 3.11.  It prints one
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -82,12 +85,27 @@ def main() -> int:
     nodes = [g.nodes[i] for i in range(1, 7)]
     tiny = build_graphoid(data.catalog, g.node_types.values(), g.edge_types.values(), nodes, calls)
     phones = metrics.NodeFilter(store.PHONE_TYPE)
-    paths = {(r.source, r.target): (r.hops, r.path) for r in metrics.shortest_paths(tiny, phones, phones)}
+    rows = metrics.shortest_paths(tiny, phones, phones)
+    paths = {(r.source, r.target): (r.hops, r.path) for r in rows}
     check(
         "shortest paths of every hop class",
         [paths[(1, t)] for t in range(2, 7)] == [(1, (1, 2)), (2, (1, 2, 3)), (3, (1, 2, 3, 4)), (1, (1, 5)), (-1, ())]
         and paths[(5, 2)] == (2, (5, 1, 2))
         and paths[(4, 5)] == (2, (4, 3, 5)),
+    )
+    row = rows[1]
+    source, target, hops, path = row
+    try:
+        row.hops = 0
+        refused = False
+    except dataclasses.FrozenInstanceError:
+        refused = True
+    check(
+        "a path row is a PathResult tuple that refuses assignment",
+        type(row) is metrics.PathResult
+        and row == (1, 3, 2, (1, 2, 3)) == (source, target, hops, path)
+        and refused
+        and row.hops == 2,
     )
 
     text = store.dump_text(store.graphoid_to_json(yearly))

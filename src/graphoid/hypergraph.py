@@ -24,13 +24,13 @@ bytes per edge beyond the table's 40.
 ``HyperEdge(...)``, ``Node(...)`` and ``Graphoid(...)`` are the public
 constructors; the engine skips their frozen dataclass ``__init__`` (one
 ``object.__setattr__`` per field).  Edges come from ``make_edge`` (when
-``.edges`` is built from a table), nodes from ``make_node`` and path rows
-from ``metrics._path_row``, each made by ``slot_writer`` from its record:
-an unfrozen twin derived from the record's own fields, so it has the same
-slot layout.  The twin's ``__init__`` takes every field positionally
-(``surrogate`` too), converts nothing, fills the slots with plain writes
-and then turns the object into the record, which the equal layout allows;
-what it returns is an ordinary ``HyperEdge``, ``Node`` or ``PathResult``.
+``.edges`` is built from a table) and nodes from ``make_node``, each made
+by ``slot_writer`` from its record: an unfrozen twin derived from the
+record's own fields, so it has the same slot layout.  The twin's
+``__init__`` takes every field positionally (``surrogate`` too), converts
+nothing, fills the slots with plain writes and then turns the object into
+the record, which the equal layout allows; what it returns is an ordinary
+``HyperEdge`` or ``Node``.
 Graph values come from one internal constructor, ``_graphoid``, which sets
 a value's field dict in one step: ``build_graphoid`` returns its value, and
 ``Graphoid.derive`` and ``replaced`` (``dataclasses.replace`` for graph
@@ -108,7 +108,8 @@ def slot_writer(cls: type[_R]) -> Callable[..., _R]:
     """A constructor of the frozen, slotted dataclass ``cls`` that writes its
     slots directly: ``slot_writer(cls)(*values)`` equals ``cls(*values)``
     and is of type ``cls``.  Every field is a positional argument, in field
-    order, with no default."""
+    order, with no default.  ``make_node`` and ``make_edge`` are its two
+    twins."""
 
     def __post_init__(self) -> None:
         self.__class__ = cls

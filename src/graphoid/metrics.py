@@ -29,19 +29,20 @@ layer gets ``(source, target)``, one in its second layer gets ``(source,
 middle, target)`` with ``middle`` the lowest set bit of the two nodes'
 common neighbours, which is the walk's one next hop.  Only rows three or
 more hops apart walk the layers, and an unreachable pair gets hops -1 and
-``()``.  Each row is a ``PathResult`` from ``_path_row``, the record's
-``slot_writer`` twin, which skips the frozen dataclass ``__init__``.
+``()``.  Each row is a ``PathResult``, a named tuple that refuses
+assignment, written inline by ``tuple.__new__`` from its four fields: one C
+call per row and no Python frame.
 """
 from __future__ import annotations
 
 import csv
 import io
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple
+from dataclasses import FrozenInstanceError, dataclass
+from typing import Iterable, Iterator, NamedTuple
 
 from .dims import DimensionCatalog
-from .hypergraph import Graphoid, GraphoidError, slot_writer
+from .hypergraph import Graphoid, GraphoidError
 from .olap import Condition, TargetSet, atom_test, condition_problems
 
 
@@ -53,8 +54,11 @@ class NodeFilter:
     condition: Condition | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class PathResult:
+class PathResult(NamedTuple):
+    """One row of ``shortest_paths``: a tuple of its four fields, so it
+    equals and unpacks as ``(source, target, hops, path)``; assigning to
+    any attribute raises ``FrozenInstanceError``."""
+
     source: int
     target: int
     hops: int
@@ -64,8 +68,8 @@ class PathResult:
     def reachable(self) -> bool:
         return self.hops >= 0
 
-
-_path_row: Callable[[int, int, int, tuple[int, ...]], PathResult] = slot_writer(PathResult)
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
 
 def _edge_types(g: Graphoid, via) -> frozenset[str]:
@@ -191,21 +195,22 @@ def shortest_paths(
         searches.append((target, layers[1], layers[2] if len(layers) > 2 else 0, seen, layers))
     rows: list[PathResult] = []
     append = rows.append
+    new = tuple.__new__
     for source in sources:
         own = bit[source]
         mine = near[source]
         for target, one, two, seen, layers in searches:
             if own & one:
-                append(_path_row(source, target, 1, (source, target)))
+                append(new(PathResult, (source, target, 1, (source, target))))
                 continue
             if own & two:
                 step = mine & one
-                append(_path_row(source, target, 2, (source, order[(step & -step).bit_length() - 1], target)))
+                append(new(PathResult, (source, target, 2, (source, order[(step & -step).bit_length() - 1], target))))
                 continue
             if source == target:
                 continue
             if not own & seen:
-                append(_path_row(source, target, -1, ()))
+                append(new(PathResult, (source, target, -1, ())))
                 continue
             hops = 3
             while not own & layers[hops]:
@@ -217,7 +222,7 @@ def shortest_paths(
                 cur = order[(step & -step).bit_length() - 1]
                 path.append(cur)
             path.append(target)
-            append(_path_row(source, target, hops, tuple(path)))
+            append(new(PathResult, (source, target, hops, tuple(path))))
     return tuple(rows)
 
 
@@ -226,15 +231,15 @@ def path_results_to_csv(results: Iterable[PathResult]) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["source", "target", "hops", "path"])
-    for r in results:
-        writer.writerow([r.source, r.target, r.hops, "/".join(map(str, r.path))])
+    for source, target, hops, path in results:
+        writer.writerow([source, target, hops, "/".join(map(str, path))])
     return out.getvalue()
 
 
 def path_results_to_rows(results: Iterable[PathResult]) -> list[dict]:
     return [
-        {"source": r.source, "target": r.target, "hops": r.hops, "path": list(r.path)}
-        for r in results
+        {"source": source, "target": target, "hops": hops, "path": list(path)}
+        for source, target, hops, path in results
     ]
 
 

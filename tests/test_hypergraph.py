@@ -24,7 +24,6 @@ from graphoid.hypergraph import (
     replaced,
     slot_writer,
 )
-from graphoid.metrics import PathResult, _path_row
 from graphoid.olap import climb
 from conftest import BASE_CALLS, BASE_LEVELS, BASE_NODES, CALL_DECL, PHONE_DECL
 from helpers import ends_are_shared, random_graphoid_input, shuffled_build
@@ -326,10 +325,9 @@ class TestSlotWriter:
         [
             (Node, make_node, ("#Phone", (11, "Ph1"))),
             (HyperEdge, make_edge, ("#Call", frozenset({11}), frozenset({12, 13}), ("d", 30), 4)),
-            (PathResult, _path_row, (11, 13, 2, (11, 12, 13))),
             (WeightedEdge, slot_writer(WeightedEdge), ("#Call", frozenset(), frozenset({12}), (), 4, 2.5)),
         ],
-        ids=["Node", "HyperEdge", "PathResult", "toy"],
+        ids=["Node", "HyperEdge", "toy"],
     )
     def test_writes_the_public_value(self, record, writer, values):
         written, public = writer(*values), record(*values)

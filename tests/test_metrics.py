@@ -465,13 +465,24 @@ class TestBitOrder:
 class TestPathResult:
     def test_value_semantics(self):
         r = PathResult(11, 14, 3, (11, 12, 13, 14))
-        assert [f.name for f in dataclasses.fields(r)] == ["source", "target", "hops", "path"]
+        assert PathResult._fields == ("source", "target", "hops", "path")
         same = PathResult(11, 14, 3, (11, 12, 13, 14))
         assert r == same and hash(r) == hash(same)
         assert pickle.loads(pickle.dumps(r)) == r
         assert not hasattr(r, "__dict__")
         with pytest.raises(dataclasses.FrozenInstanceError):
             r.hops = 2
+
+    def test_repr_names_every_field(self):
+        # the results digest of ``graphoid bench`` hashes these reprs
+        r = PathResult(11, 14, 3, (11, 12, 13, 14))
+        assert repr(r) == "PathResult(source=11, target=14, hops=3, path=(11, 12, 13, 14))"
+
+    def test_other_names_are_refused(self):
+        r = PathResult(11, 14, 3, (11, 12, 13, 14))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.weight = 1.0
+        assert not hasattr(r, "weight")
 
 
 class TestEngineRows:
@@ -496,6 +507,15 @@ class TestEngineRows:
                 assert r == public and hash(r) == hash(public), name
                 copied = pickle.loads(pickle.dumps(r))
                 assert type(copied) is PathResult and copied == r and hash(copied) == hash(r), name
+
+    def test_rows_equal_and_unpack_as_plain_tuples(self, base_graph):
+        phones = NodeFilter(base_graph.nodes[min(base_graph.nodes)].ntype)
+        rows = shortest_paths(base_graph, phones, phones)
+        assert rows
+        for r in rows:
+            source, target, hops, path = r
+            assert (source, target, hops, path) == (r.source, r.target, r.hops, r.path)
+            assert r == (source, target, hops, path) and hash(r) == hash((source, target, hops, path))
 
 
 def flat_witnesses(
