@@ -15,7 +15,8 @@ refused with a ``GraphoidBuildError`` naming its slot, checks the one-,
 two-, three-hop and unreachable rows of shortest paths on a six-phone graph
 against literal witnesses, checks that a path row is a ``PathResult`` that
 equals and unpacks as its plain tuple and refuses assignment with
-``FrozenInstanceError``, saves and reloads the result as JSON, and
+``FrozenInstanceError``, saves and reloads the roll-up and the two-edge-type
+graph as JSON (each edge type's rows a column at a time), and
 compares the output of ``graphoid theorem1 --trials 50 --seed 7 --format
 json`` with the digest of the same run under Python 3.11.  It prints one
 ``ok`` line per check and exits non-zero at the first failure.
@@ -108,9 +109,11 @@ def main() -> int:
         and row.hops == 2,
     )
 
-    text = store.dump_text(store.graphoid_to_json(yearly))
-    reloaded = store.graphoid_from_json(json.loads(text), data.catalog)
-    check("JSON round trip", reloaded == yearly and store.dump_text(store.graphoid_to_json(reloaded)) == text)
+    # the edgified graph holds two edge types, dates at the #Call rows' slot 0
+    for what, value in (("JSON round trip", yearly), ("two-edge-type JSON round trip", mixed)):
+        text = store.dump_text(store.graphoid_to_json(value))
+        reloaded = store.graphoid_from_json(json.loads(text), data.catalog)
+        check(what, reloaded == value and store.dump_text(store.graphoid_to_json(reloaded)) == text)
 
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

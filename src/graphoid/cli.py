@@ -365,7 +365,10 @@ def _bench(args) -> int:
         print(f"bench failed: {exc}", file=sys.stderr)
         return 1
     generated = time.perf_counter() - t0
-    g = data.graphoid
+    # only the graph is queried: the raw calls, which the collector would
+    # rescan all run long, are released once counted
+    g, call_count, phone_count = data.graphoid, len(data.calls), len(data.phones)
+    del data
     calls = [store.CALL_TYPE]
     rows: list[tuple[str, float, int]] = []
     digest = hashlib.sha256()
@@ -401,7 +404,7 @@ def _bench(args) -> int:
         run(label, lambda source=source, target=target: metrics.shortest_paths(g, source, target, calls))
 
     print(
-        f"benchmark over {len(data.calls)} calls, {len(data.phones)} phones (seed {config.seed}), "
+        f"benchmark over {call_count} calls, {phone_count} phones (seed {config.seed}), "
         f"generated in {generated:.2f} s"
     )
     for label, elapsed, size in rows:

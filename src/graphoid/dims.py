@@ -24,7 +24,8 @@ from __future__ import annotations
 import datetime
 import operator
 from dataclasses import dataclass, field
-from typing import Callable
+from itertools import repeat
+from typing import Callable, Sequence
 
 ALL_LEVEL = "All"
 ALL_MEMBER = "all"
@@ -54,6 +55,23 @@ _VALUE_TESTS: dict[str, Callable[[object], bool]] = {
     "decimal": lambda value: isinstance(value, (int, float)) and not isinstance(value, bool),
     "date": lambda value: isinstance(value, datetime.date) and not isinstance(value, datetime.datetime),
 }
+
+
+def _column_test(test: Callable[[object], bool], exact: frozenset[type]) -> Callable[[Sequence[object]], bool]:
+    return lambda column: exact.issuperset(map(type, column)) or all(map(test, column))
+
+
+# per value type, its test on a column of values: the column's value types
+# first, then each value only when some type is not one whose every value passes
+_COLUMN_TESTS: dict[str, Callable[[Sequence[object]], bool]] = {
+    vtype: _column_test(_VALUE_TESTS[vtype], frozenset(exact))
+    for vtype, exact in (("string", {str}), ("int", {int}), ("decimal", {int, float}), ("date", {datetime.date}))
+}
+
+
+def _all_column(column: Sequence[object]) -> bool:
+    return all(map(operator.eq, column, repeat(ALL_MEMBER)))
+
 
 _COMPARATORS: dict[str, Callable[[object, object], bool]] = {
     "=": operator.eq,
@@ -331,6 +349,20 @@ class DimensionInstance:
         if level == ALL_LEVEL:
             return lambda value: value == ALL_MEMBER
         return self.members.get(level, frozenset()).__contains__
+
+    def column_test(self, level: str) -> Callable[[Sequence[object]], bool]:
+        """Resolve membership in one level to a predicate on a column of values:
+        true exactly when ``member_test(level)`` holds for every value.  A
+        closed level's members are one set, so the column is one ``issuperset``;
+        an open level first tests the column's value types, then each value
+        only when some type is not one its test always accepts."""
+        lv = self.schema.level(level)
+        if lv.open:
+            # value_test refuses an unknown value type
+            return _COLUMN_TESTS.get(lv.vtype) or value_test(lv.vtype)
+        if level == ALL_LEVEL:
+            return _all_column
+        return self.members.get(level, frozenset()).issuperset
 
     def roller(self, from_level: str, to_level: str) -> Callable[[object], object]:
         """Resolve the roll-up from one level to another to a function of the member.

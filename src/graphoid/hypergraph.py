@@ -16,6 +16,13 @@ read and write tables, and ``metrics``, ``store.graphoid_to_json``, the
 CLI's CSV output and ``cubes.unstar`` read them: none builds a per-edge
 object.  Edges given to ``Graphoid(...)``, or as ``edges=`` to ``derive``
 or ``replaced``, are turned into a table once, by ``EdgeTable.of``.
+``build_graphoid`` checks its edge rows and writes their table a column at
+a time (``_checked_table``): each edge type's rows are transposed once with
+``zip(*rows)``, a slot's membership is one test of its column, a parsed
+slot (a JSON document's ISO dates) is parsed once per distinct string, and
+the labels are zipped back once.  Only when some row fails are the rows
+read one at a time, by ``_report_edge_rows``, the one place that words an
+edge row's problems.
 ``Graphoid.edges``, the public view, is a tuple of ``HyperEdge``s built
 from the table on first read and kept, in which each distinct endpoint set
 is the table's one frozenset; on 64-bit CPython 3.11 it costs about 110
@@ -38,10 +45,10 @@ values) copy the parent's fields and start an empty index table.
 """
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field, fields, make_dataclass
-from itertools import chain, compress
-from operator import itemgetter
+from itertools import chain, compress, count, repeat
+from operator import eq, itemgetter
 from typing import AbstractSet, Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 try:
@@ -50,7 +57,7 @@ except ImportError:  # Python 3.10: operator.call is new in 3.11
     def call(test: Callable[[object], bool], value: object) -> bool:
         return test(value)
 
-from .dims import ALL_LEVEL, ALL_MEMBER, DimensionCatalog, ID_DIMENSION, ID_LEVEL
+from .dims import ALL_LEVEL, ALL_MEMBER, DimensionCatalog, DimensionInstance, ID_DIMENSION, ID_LEVEL
 
 AGGREGATES = ("SUM", "MIN", "MAX", "COUNT", "AVG")
 
@@ -405,6 +412,7 @@ def build_graphoid(
     nodes: Iterable[Node | tuple],
     edges: Iterable[tuple],
     levels: Mapping[tuple[str, int], str] | None = None,
+    parse: Mapping[tuple[str, int], Callable[[str], object]] | None = None,
 ) -> Graphoid:
     """Validate and assemble a graph value.
 
@@ -412,6 +420,16 @@ def build_graphoid(
     HyperEdges or (type, sources, targets, label...) rows, whose sources and
     targets are collections of node ids.  Raises GraphoidBuildError with
     the full report when anything is off.
+
+    The edge rows are checked and turned into the value's table a column at
+    a time (``_checked_table``).  ``parse`` maps edge (type, slot)s to the
+    parse of a string held there, as a JSON document's ISO dates need: each
+    distinct string is parsed once, the parsed value is the one checked and
+    kept, and a string the parse refuses (``ValueError``) fails the check.
+    When any row fails, ``_report_edge_rows`` words every problem of every
+    row in row order, reading the rows as given: a caller that parses
+    values decodes the rows itself before asking for that report, as
+    ``store.graphoid_from_json`` does.
     """
     problems: list[str] = []
     ntypes: dict[str, NodeTypeDecl] = {}
@@ -446,17 +464,16 @@ def build_graphoid(
             level_map[(tname, slot)] = level
     if problems:
         raise GraphoidBuildError(problems)
-    # one resolved membership test per (type, slot); a type's arity is the length of its tuple
-    def slot_tests(decls: Mapping[str, NodeTypeDecl | EdgeTypeDecl]) -> dict[str, tuple]:
+    # one resolved membership test per (type, slot) -- a predicate on values for
+    # nodes and on a column of values for edges; a type's arity is the length of its tuple
+    def slot_tests(decls: Mapping[str, NodeTypeDecl | EdgeTypeDecl], resolve: Callable) -> dict[str, tuple]:
         return {
-            name: tuple(
-                catalog.instance(dim).member_test(level_map[(name, slot)]) for slot, dim in enumerate(decl.dims)
-            )
+            name: tuple(resolve(catalog.instance(dim), level_map[(name, slot)]) for slot, dim in enumerate(decl.dims))
             for name, decl in decls.items()
         }
 
-    node_tests = slot_tests(ntypes)
-    edge_tests = slot_tests(etypes)
+    node_tests = slot_tests(ntypes, DimensionInstance.member_test)
+    column_tests = slot_tests(etypes, DimensionInstance.column_test)
 
     node_table: dict[int, Node] = {}
     for row in nodes:
@@ -497,11 +514,12 @@ def build_graphoid(
     if problems:
         raise GraphoidBuildError(problems)
 
-    # a HyperEdge row is read as the row (type, sources, targets, label...)
-    rows = [(e.etype, e.source, e.target, *e.label) if isinstance(e, HyperEdge) else e for e in edges]
-    table = _checked_table(rows, edge_tests, node_table.keys())
+    rows = list(edges)
+    table = _checked_table(rows, column_tests, node_table.keys(), parse or {})
     if table is None:
-        _report_edge_rows(rows, etypes, edge_tests, node_table, level_map, problems)
+        # a HyperEdge row is read as the row (type, sources, targets, label...)
+        rows = [(e.etype, e.source, e.target, *e.label) if isinstance(e, HyperEdge) else e for e in rows]
+        _report_edge_rows(rows, etypes, slot_tests(etypes, DimensionInstance.member_test), node_table, level_map, problems)
         raise GraphoidBuildError(problems)
     ordered_nodes = {ident: node_table[ident] for ident in sorted(node_table)}
     return _graphoid({
@@ -517,39 +535,106 @@ def build_graphoid(
     })
 
 
-def _checked_table(rows: list, edge_tests: Mapping[str, tuple], node_ids: AbstractSet[int]) -> EdgeTable | None:
-    """The edge table of ``rows`` when every row passes every check, else None.
+# an edge row's type, sources and targets; the row types whose iteration reads
+# what indexing reads; the one type of an endpoint id, and of a type name
+_TYPE, _SOURCES, _TARGETS = itemgetter(0), itemgetter(1), itemgetter(2)
+_ROWS, _INT, _STR = frozenset({list, tuple}), frozenset({int}), frozenset({str})
 
-    The checks run a column at a time: known edge types, label widths, a
-    non-empty endpoint set per row, integer endpoint ids (by type: 5.0 and
-    True equal ints, so a set cannot tell them apart), endpoint sets of
-    nodes (once per distinct set) and each slot's membership test.  A
-    built edge's surrogate is its position.
+
+def _checked_table(
+    rows: list,
+    column_tests: Mapping[str, tuple],
+    node_ids: AbstractSet[int],
+    parse: Mapping[tuple[str, int], Callable[[str], object]],
+) -> EdgeTable | None:
+    """The edge table of ``rows`` when every row passes every check, else
+    None, and ``build_graphoid`` falls back to the per-row report.
+
+    The rows are read a column at a time, with no per-row Python step:
+    - the type column: every type declared (a row's type is ``str`` of
+      what it holds);
+    - per edge type, its rows transposed once with ``zip(*rows)``, which
+      checks that they share one width, the type's label width; on those
+      columns each ``parse`` slot's strings are parsed once per distinct
+      string, each slot's column test runs once (see
+      ``DimensionInstance.column_test``), and the labels are zipped back,
+      several types' merged in row order;
+    - the endpoint columns, over all rows: every id an integer by type (5.0
+      and True equal ints, so a set cannot tell them apart), no row with
+      both sets empty, and each distinct set, a frozenset held once and
+      numbered at its first row, sources first, a set of nodes.
+    A built edge's surrogate is its position.  A row that is not a list or
+    tuple is read by position, as ``_report_edge_rows`` reads it.
     """
     try:
-        etypes = [str(row[0]) for row in rows]
-        ends = [(*row[1], *row[2]) for row in rows]
-        labels = [tuple(row[3:]) for row in rows]
+        if not _ROWS.issuperset(map(type, rows)):
+            rows = list(map(_positions, rows))
+        types = list(map(_TYPE, rows))
+        kinds = set(types)
+        if not _STR.issuperset(map(type, kinds)):
+            types = list(map(str, types))
+            kinds = set(types)
+        if not column_tests.keys() >= kinds:
+            return None
+        if len(kinds) == 1:
+            etypes = [*kinds] * len(rows)
+            typed = dict.fromkeys(kinds, rows)
+        else:
+            etypes = types
+            typed = {}
+            for kind in kinds:
+                typed[kind] = list(compress(rows, map(eq, etypes, repeat(kind))))
+        labels_of: dict[str, list[tuple]] = {}
+        for kind, kind_rows in typed.items():
+            tests = column_tests[kind]
+            columns = list(zip(*kind_rows, strict=True))
+            if len(columns) != 3 + len(tests):
+                return None
+            slots = columns[3:]
+            for slot, test in enumerate(tests):
+                if parse and (read := parse.get((kind, slot))) is not None:
+                    column = slots[slot]
+                    parsed = {value: read(value) for value in set(column) if isinstance(value, str)}
+                    slots[slot] = list(map(parsed.get, column, column))
+                if not test(slots[slot]):
+                    return None
+            labels_of[kind] = list(zip(*slots)) if slots else [()] * len(kind_rows)
+        if len(labels_of) == 1:
+            (labels,) = labels_of.values()
+            source_column, target_column = columns[1], columns[2]
+        else:
+            rest = dict(zip(labels_of, map(iter, labels_of.values())))
+            labels = list(map(next, map(rest.__getitem__, etypes)))
+            source_column, target_column = list(map(_SOURCES, rows)), list(map(_TARGETS, rows))
         if not (
-            edge_tests.keys() >= set(etypes)
-            and all(len(label) == len(edge_tests[etype]) for etype, label in zip(etypes, labels))
-            and all(ends)
-            and {int}.issuperset(map(type, chain.from_iterable(ends)))
+            _INT.issuperset(map(type, chain.from_iterable(source_column)))
+            and _INT.issuperset(map(type, chain.from_iterable(target_column)))
         ):
             return None
-        set_ids: dict[frozenset[int], int] = {}
-        sources = [set_ids.setdefault(frozenset(row[1]), len(set_ids)) for row in rows]
-        targets = [set_ids.setdefault(frozenset(row[2]), len(set_ids)) for row in rows]
+        # each distinct set numbered at its first row, sources first; a repeat is dropped at once
+        set_ids: defaultdict[frozenset[int], int] = defaultdict(count().__next__)
+        sources = list(map(set_ids.__getitem__, map(frozenset, source_column)))
+        targets = list(map(set_ids.__getitem__, map(frozenset, target_column)))
+        empty = set_ids.get(frozenset())
+        if empty is not None and (empty, empty) in zip(sources, targets):
+            return None
         if not node_ids >= frozenset().union(*set_ids):
             return None
-        for name, tests in edge_tests.items():
-            typed = labels if len(edge_tests) == 1 else [label for etype, label in zip(etypes, labels) if etype == name]
-            for slot, test in enumerate(tests):
-                if not all(map(test, map(itemgetter(slot), typed))):
-                    return None
-    except (LookupError, TypeError):
+    except (LookupError, TypeError, ValueError):
         return None
     return EdgeTable(etypes, sources, targets, labels, range(len(labels)), list(set_ids))
+
+
+def _positions(row: object) -> tuple | None:
+    """What ``row``'s positions hold, as a tuple: a HyperEdge as (type, sources,
+    targets, label...), any other row by indexing; None when it has no such
+    positions."""
+    if isinstance(row, HyperEdge):
+        return (row.etype, row.source, row.target, *row.label)
+    try:
+        return (row[0], row[1], row[2], *row[3:])
+    except (LookupError, TypeError):
+        return None
 
 
 def _holds(member: Callable[[object], bool], value: object) -> bool:

@@ -6,9 +6,10 @@ stay self-contained.
 
 Graph values are read into and written from their edge table
 (``hypergraph.EdgeTable``): loading, ingesting and generating go through
-``build_graphoid``, which writes the table, and ``graphoid_to_json`` writes
-each edge row from the table's columns, sorting each distinct endpoint set
-once.  Neither builds an edge object.
+``build_graphoid``, which checks the rows and writes the table a column at
+a time, and ``graphoid_to_json`` writes the document's rows from the
+table's columns, sorting each distinct endpoint set once and encoding each
+distinct date once.  Neither builds an edge object.
 """
 from __future__ import annotations
 
@@ -19,7 +20,9 @@ import json
 import os
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, TextIO
+from itertools import compress, repeat
+from operator import eq
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .cubes import Cube, CubeMeasure, build_cube
 from .dims import (
@@ -36,6 +39,7 @@ from .hypergraph import (
     AGGREGATES,
     EdgeTypeDecl,
     Graphoid,
+    GraphoidBuildError,
     GraphoidError,
     NodeTypeDecl,
     build_graphoid,
@@ -161,6 +165,12 @@ def instance_from_json(raw: dict) -> DimensionInstance:
 # graph values
 
 def graphoid_to_json(g: Graphoid) -> dict:
+    """The JSON document of a graph value, rows in node-id and edge order.
+
+    Rows are written a column at a time (``_json_rows``): per type, the
+    labels are transposed once, each slot that may hold dates is encoded
+    once per distinct date, and the rows are zipped from the columns.
+    """
     # the encode plan: per type, the slots whose level's own test does not rule
     # out a date (a closed level is only as typed as its members); the values of
     # an open level of another type, or of All, pass through
@@ -172,21 +182,12 @@ def graphoid_to_json(g: Graphoid) -> dict:
             for slot, lv in enumerate(levels)
             if lv is None or not (lv.name == ALL_LEVEL or (lv.open and lv.vtype != "date"))
         )
-    nodes = []
-    for node in (g.nodes[i] for i in sorted(g.nodes)):
-        row = [node.ntype, *node.label]
-        for slot in encoded[node.ntype]:
-            row[1 + slot] = _value_to_json(row[1 + slot])
-        nodes.append(row)
+    nodes = [g.nodes[i] for i in sorted(g.nodes)]
+    nodes = _json_rows([node.ntype for node in nodes], (), [node.label for node in nodes], encoded)
     etypes, sources, targets, labels, _, sets = g.edge_table
     # each distinct endpoint set sorted once; each row gets its own copies
-    ordered = [sorted(ends) for ends in sets]
-    edges = []
-    for etype, source, target, label in zip(etypes, sources, targets, labels):
-        row = [etype, ordered[source][:], ordered[target][:], *label]
-        for slot in encoded[etype]:
-            row[3 + slot] = _value_to_json(row[3 + slot])
-        edges.append(row)
+    at = [sorted(ends) for ends in sets].__getitem__
+    edges = _json_rows(etypes, (list(map(list, map(at, sources))), list(map(list, map(at, targets)))), labels, encoded)
     doc = {
         "nodeTypes": [{"name": d.name, "dims": list(d.dims)} for d in g.node_types.values()],
         "edgeTypes": [
@@ -209,11 +210,55 @@ def graphoid_to_json(g: Graphoid) -> dict:
     return doc
 
 
+def _json_rows(
+    types: Sequence[str], leads: tuple[Sequence, ...], labels: Sequence[tuple], encoded: dict[str, tuple[int, ...]]
+) -> list[list]:
+    """One document row per entry, in order: its type, its value in each of
+    the ``leads`` columns, then its label, with ``_value_to_json`` applied at
+    the ``encoded`` slots of its type.  Each type's labels are transposed
+    once, each encoded column is encoded once per distinct date in it, and
+    the rows are zipped from the columns; several types are merged back in
+    row order."""
+    kinds = set(types)
+    if len(kinds) == 1:
+        parts = {kind: (types, leads, labels) for kind in kinds}
+    else:
+        parts = {}
+        for kind in kinds:
+            mask = list(map(eq, types, repeat(kind)))
+            parts[kind] = ([kind] * sum(mask), [list(compress(column, mask)) for column in leads], list(compress(labels, mask)))
+    rows = {}
+    for kind, (kind_types, kind_leads, kind_labels) in parts.items():
+        columns = list(zip(*kind_labels))
+        for slot in encoded[kind]:
+            columns[slot] = _encoded_column(columns[slot])
+        rows[kind] = map(list, zip(kind_types, *kind_leads, *columns))
+    if len(rows) == 1:
+        return list(rows.popitem()[1])
+    return list(map(next, map(rows.__getitem__, types)))
+
+
+def _encoded_column(column: Sequence[object]) -> Sequence[object]:
+    """``_value_to_json`` of each value, each distinct date encoded once."""
+    try:
+        text = {value: value.isoformat() for value in set(column) if isinstance(value, datetime.date)}
+    except TypeError:  # an unhashable value: no date shares its encoding
+        return list(map(_value_to_json, column))
+    return list(map(text.get, column, column)) if text else column
+
+
 def graphoid_from_json(raw: dict, catalog: DimensionCatalog) -> Graphoid:
     """Decode a graph document and validate it through ``build_graphoid``.
 
-    The ISO strings at the rows' date slots are replaced by dates in place,
-    so ``raw`` comes back decoded; decoding it again changes nothing.
+    The edge rows go to ``build_graphoid`` as they are, with the edge types'
+    date slots to parse: each distinct ISO string is parsed once, inside
+    the column pass that checks the rows, and ``raw``'s edge rows are left
+    as read.  When that build fails, the per-row path runs: every edge
+    row's date strings are replaced by dates in place (a string that is no
+    ISO date is refused at its first row, before any build problem), and
+    the build runs again, for its report on the decoded rows.  Node rows
+    are always decoded in place, first.  Decoding ``raw`` again changes
+    nothing either way.
     """
     node_types = [NodeTypeDecl(d["name"], tuple(d["dims"])) for d in raw.get("nodeTypes", ())]
     edge_types = [
@@ -242,8 +287,18 @@ def graphoid_from_json(raw: dict, catalog: DimensionCatalog) -> Graphoid:
     edges = raw.get("edges", ())
     if dated:
         _decode_rows(nodes, "nodes", 1, dated)
+    parse_date = datetime.date.fromisoformat
+    parse = {(d.name, slot): parse_date for d in edge_types if d.name in dated for slot in dated[d.name][1]}
+    try:
+        g = build_graphoid(catalog, node_types, edge_types, nodes, edges, levels, parse)
+    except GraphoidBuildError:
+        if not dated:
+            raise
+        # the per-row path: decode every edge row in place, so that a bad
+        # string is refused at its first row before any build problem, then
+        # build again for the report on the decoded rows
         _decode_rows(edges, "edges", 3, dated)
-    g = build_graphoid(catalog, node_types, edge_types, nodes, edges, levels)
+        g = build_graphoid(catalog, node_types, edge_types, nodes, edges, levels)
     folds = {}
     for name, slot, fn in raw.get("folds", ()):
         decl = g.edge_types.get(name)

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import gc
 import hashlib
-import importlib.util
 import io
 import json
 import os
@@ -568,12 +567,6 @@ class TestTheorem1:
 
 
 SMALL_BENCH = ["--phones", "12", "--users", "5", "--calls", "60", "--seed", "2"]
-CASE_STUDY_SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_case_study.py"
-
-
-def bench_rows(out: str) -> list[tuple[str, str]]:
-    """(label, row count) per query line; the timings are dropped."""
-    return [(line[:45].rstrip(), line.split()[-2]) for line in out.splitlines() if line.startswith("Q")]
 
 
 class TestBench:
@@ -593,17 +586,6 @@ class TestBench:
         lines = capsys.readouterr().out.splitlines()
         assert re.fullmatch(r"cyclic collector \d+\.\d ms in \d+ collections", lines[-2]), lines[-2]
         assert gc.callbacks == callbacks
-
-    def test_script_forwards_to_bench(self, capsys):
-        spec = importlib.util.spec_from_file_location("run_case_study", CASE_STUDY_SCRIPT)
-        script = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(script)
-        assert script.main([*SMALL_BENCH, "--sizes", "2"]) == 0
-        from_script = bench_rows(capsys.readouterr().out)
-        assert cli.main(["bench", *SMALL_BENCH, "--sizes", "2"]) == 0
-        from_cli = bench_rows(capsys.readouterr().out)
-        assert [label[:2] for label, _ in from_cli] == ["Q1", "Q2", "Q3", "Q4", "Q5", "Q6", "Q7"]
-        assert from_script == from_cli
 
     def test_results_digest_recomputes_from_the_results(self, capsys, monkeypatch):
         results = []

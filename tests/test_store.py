@@ -23,7 +23,7 @@ from graphoid.dims import (
     validate_instance,
     validate_schema,
 )
-from graphoid.hypergraph import GraphoidBuildError, GraphoidError, HyperEdge, build_graphoid
+from graphoid.hypergraph import GraphoidBuildError, GraphoidError, HyperEdge, build_graphoid, edgify
 from graphoid.olap import OlapError, group, roll_up, slice_out
 from graphoid.store import (
     CALL_COLUMNS,
@@ -663,3 +663,113 @@ class TestDecodeMalformed:
                 validate_instance(value)
         except (GraphoidError, DimensionError):
             pass
+
+
+# ---------------------------------------------------------------------------
+# the column pass against a row-at-a-time reference
+
+COLUMN_DATA = generate(GeneratorConfig(phone_count=8, user_count=3, call_count=4, seed=11))
+# three edge types of arity 2, 3 and 0; #Call holds its date at slot 0, #Visit at slot 1
+COLUMN_HEAD = {
+    "nodeTypes": [{"name": "#Phone", "dims": ["Id", "Phone"]}],
+    "edgeTypes": [
+        {"name": "#Call", "dims": ["Time", "Duration"], "measures": [[1, "SUM"]]},
+        {"name": "#Visit", "dims": ["Phone", "Time", "Duration"], "measures": [[2, "MAX"]]},
+        {"name": "#Ping", "dims": [], "measures": []},
+    ],
+    "levelMap": {
+        "#Phone": ["Id", "PhoneId"],
+        "#Call": ["Day", "Duration"],
+        "#Visit": ["City", "Day", "Duration"],
+        "#Ping": [],
+    },
+}
+COLUMN_DATES = {"#Call": {0}, "#Visit": {1}}
+# endpoint lists as a writer other than graphoid_to_json may give them: unsorted, with repeats
+COLUMN_ENDS = st.lists(st.integers(1, 8), max_size=3)
+COLUMN_DAYS = st.sampled_from(["2016-01-01", "2016-02-29", "2016-07-04", "2016-12-31"]) | st.dates(
+    datetime.date(2016, 1, 1), datetime.date(2016, 12, 31)
+).map(datetime.date.isoformat)
+COLUMN_DURATIONS = st.integers(1, 3600) | st.floats(1, 3600, allow_nan=False)
+COLUMN_ROWS = st.lists(
+    st.one_of(
+        st.tuples(st.just("#Call"), COLUMN_ENDS, COLUMN_ENDS, COLUMN_DAYS, COLUMN_DURATIONS),
+        st.tuples(st.just("#Visit"), COLUMN_ENDS, COLUMN_ENDS, st.sampled_from(CITIES), COLUMN_DAYS, COLUMN_DURATIONS),
+        st.tuples(st.just("#Ping"), COLUMN_ENDS, COLUMN_ENDS),
+    )
+    .filter(lambda row: row[1] or row[2])
+    .map(list),
+    max_size=30,
+).filter(lambda rows: len({row[0] for row in rows}) >= 2)
+
+
+def column_document(rows: list) -> dict:
+    nodes = graphoid_to_json(COLUMN_DATA.graphoid)["nodes"]
+    return json.loads(json.dumps(dict(COLUMN_HEAD, nodes=nodes, edges=rows)))
+
+
+def per_row_table(rows: list) -> tuple[list, list, list, list, list]:
+    """The type, set-id, label and set columns of ``rows``, read one row at a
+    time: each date string parsed where it stands, each distinct endpoint
+    set numbered at its first row, sources first, then targets."""
+    set_ids: dict[frozenset, int] = {}
+    sources = [set_ids.setdefault(frozenset(row[1]), len(set_ids)) for row in rows]
+    targets = [set_ids.setdefault(frozenset(row[2]), len(set_ids)) for row in rows]
+    labels = [
+        tuple(
+            datetime.date.fromisoformat(value) if slot in COLUMN_DATES.get(row[0], ()) else value
+            for slot, value in enumerate(row[3:])
+        )
+        for row in rows
+    ]
+    return [row[0] for row in rows], sources, targets, labels, list(set_ids)
+
+
+class TestColumnPass:
+    @settings(max_examples=150, deadline=None)
+    @given(COLUMN_ROWS)
+    def test_load_equals_the_per_row_reference(self, rows):
+        doc = column_document(rows)
+        table = graphoid_from_json(doc, COLUMN_DATA.catalog).edge_table
+        etypes, sources, targets, labels, sets = per_row_table(rows)
+        assert list(table.etypes) == etypes
+        assert (list(table.sources), list(table.targets), list(table.sets)) == (sources, targets, sets)
+        assert list(table.labels) == labels
+        assert [tuple(map(type, label)) for label in table.labels] == [tuple(map(type, label)) for label in labels]
+        assert list(table.surrogates) == list(range(len(rows)))
+        # a document that loads is read, not rewritten
+        assert doc["edges"] == [list(row) for row in rows]
+
+    @settings(max_examples=150, deadline=None)
+    @given(COLUMN_ROWS)
+    def test_save_of_a_loaded_document_equals_the_reference(self, rows):
+        g = graphoid_from_json(column_document(rows), COLUMN_DATA.catalog)
+        assert dump_text(graphoid_to_json(g)) == dump_text(reference_graphoid_to_json(g))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_save_of_edgified_graphs_equals_the_reference(self, seed):
+        rng = random.Random(seed)
+        config = GeneratorConfig(phone_count=rng.randint(4, 10), user_count=3, call_count=rng.randint(0, 40), seed=seed)
+        g = edgify(generate(config).graphoid, "#Phone", 1)
+        assert {*g.edge_table.etypes} == {"#Call", "#HasPhone"} or not config.call_count
+        assert_round_trip(g)
+        yearly = roll_up(g, ["#Call"], RollupStep("Time", "Day", rng.choice(["Month", "Year"])), "#Call", [("Duration", "SUM")])
+        assert_round_trip(yearly)
+
+    def test_a_repeated_bad_date_is_refused_at_its_first_row(self):
+        rows = [
+            ["#Ping", [1], []],
+            ["#Call", [1], [2], "2016-10-10", 4],
+            ["#Visit", [2], [3, 1], "Salta", "2016-13-45", 5],
+            ["#Call", [3], [2], "2016-13-45", 6],
+            ["#Visit", [2], [3], "Salta", "2016-13-45", 5],
+        ]
+        doc = column_document(rows)
+        with pytest.raises(StoreError, match=r"^edges\[2\] slot 1: '2016-13-45' is not an ISO date"):
+            graphoid_from_json(doc, COLUMN_DATA.catalog)
+        # refused before the build's own problems, here an unknown node type
+        doc = column_document(rows)
+        doc["nodes"].append(["#Pager", 99, 99])
+        with pytest.raises(StoreError, match=r"^edges\[2\] slot 1: '2016-13-45' is not an ISO date"):
+            graphoid_from_json(doc, COLUMN_DATA.catalog)
