@@ -5,7 +5,13 @@
     diff before.txt after.txt                      # no output: same results
 
 A change that must not alter any result prints the same lines on both
-commits.  The lines are:
+commits.  ``scripts/fingerprint.txt`` holds the lines the committed code
+prints, and CI fails when a run differs from it:
+
+    python3 scripts/fingerprint.py | diff scripts/fingerprint.txt -
+
+A change that alters a result on purpose rewrites that file, and says why.
+The lines are:
 
 * ``d1 <query> <n> rows`` for each of Q1-Q7 of ``graphoid bench --scale d1``
   (126 700 calls, 793 phones, seed 1), then ``d1 results sha256 <hex>``,

@@ -34,6 +34,7 @@ from .hypergraph import (
     Node,
     NodeTypeDecl,
     build_graphoid,
+    in_edge_order,
 )
 from .olap import Atom, Condition
 
@@ -209,8 +210,10 @@ def unstar(g: Graphoid) -> Cube:
     measure_index = {f"#{m.name}": j for j, m in enumerate(measures)}
     cells: dict[tuple, list] = {}
     seen: set[tuple[tuple, int]] = set()
-    etypes, sources, targets, labels, _, sets = g.edge_table
-    for etype, source, target, label in zip(etypes, sources, targets, labels):
+    etypes, sources, targets, columns, _, sets = g.edge_table
+    # every edge type holds one slot, its measure
+    values = in_edge_order(etypes, {name: type_columns[0] for name, type_columns in columns.items()})
+    for etype, source, target, value in zip(etypes, sources, targets, values):
         if sets[source]:
             raise StarShapeError(f"malformed star shape: edge {etype} has a non-empty source")
         parts: dict[int, object] = {}
@@ -228,7 +231,7 @@ def unstar(g: Graphoid) -> Cube:
         if (coord, j) in seen:
             raise StarShapeError(f"malformed star shape: duplicate cell {coord!r} for {etype}")
         seen.add((coord, j))
-        cells.setdefault(coord, [None] * len(measures))[j] = label[0]
+        cells.setdefault(coord, [None] * len(measures))[j] = value
     for coord, values in cells.items():
         if any(v is None for v in values):
             raise StarShapeError(f"malformed star shape: cell {coord!r} misses a measure value")

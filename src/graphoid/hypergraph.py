@@ -7,26 +7,32 @@ label are distinct occurrences.  Each (type, slot) pair tracks the dimension
 level its values currently live at.
 
 A graph value holds its edge bag in one store, an ``EdgeTable``: parallel
-columns of edge type, source-set id, target-set id, label and surrogate,
-one row per edge in edge order, over one list of the value's distinct
-endpoint sets, each a frozenset held once.  ``build_graphoid`` (and so a
-JSON load, ``store.generate``, ``store.ingest_calls`` and ``cubes.star``)
-writes a table, ``edgify`` appends rows to one, the operators of ``olap``
-read and write tables, and ``metrics``, ``store.graphoid_to_json``, the
-CLI's CSV output and ``cubes.unstar`` read them: none builds a per-edge
-object.  Edges given to ``Graphoid(...)``, or as ``edges=`` to ``derive``
-or ``replaced``, are turned into a table once, by ``EdgeTable.of``.
+columns of edge type, source-set id, target-set id and surrogate, one entry
+per edge in edge order, over one list of the value's distinct endpoint sets,
+each a frozenset held once; and the labels as slot columns, one tuple of
+columns per edge type, each column holding one slot's values of that type's
+edges in edge order.  An operator rewrites, tests or folds a slot as one
+column; ``EdgeTable.by_type`` splits an all-rows column by row type and
+``in_edge_order`` merges per-type columns back into edge order.
+``build_graphoid`` (and so a JSON load, ``store.generate``,
+``store.ingest_calls`` and ``cubes.star``) writes a table, ``edgify``
+appends rows to one, the operators of ``olap`` read and write tables, and
+``metrics``, ``store.graphoid_to_json``, the CLI's CSV output and
+``cubes.unstar`` read them: none builds a per-edge object.  Edges given to
+``Graphoid(...)``, or as ``edges=`` to ``derive`` or ``replaced``, are
+turned into a table once, by ``EdgeTable.of``.
 ``build_graphoid`` checks its edge rows and writes their table a column at
 a time (``_checked_table``): each edge type's rows are transposed once with
 ``zip(*rows)``, a slot's membership is one test of its column, a parsed
 slot (a JSON document's ISO dates) is parsed once per distinct string, and
-the labels are zipped back once.  Only when some row fails are the rows
-read one at a time, by ``_report_edge_rows``, the one place that words an
-edge row's problems.
-``Graphoid.edges``, the public view, is a tuple of ``HyperEdge``s built
-from the table on first read and kept, in which each distinct endpoint set
-is the table's one frozenset; on 64-bit CPython 3.11 it costs about 110
-bytes per edge beyond the table's 40.
+the transposed columns are kept as the type's slot columns.  Only when some
+row fails are the rows read one at a time, by ``_report_edge_rows``, the
+one place that words an edge row's problems.
+``EdgeTable.labels`` is a read-only view of the labels as row tuples, built
+from the columns on each read for tests and cold callers; no operator reads
+it.  ``Graphoid.edges``, the public view, is a tuple of ``HyperEdge``s
+built from the table on first read and kept, in which each distinct
+endpoint set is the table's one frozenset.
 
 ``HyperEdge(...)``, ``Node(...)`` and ``Graphoid(...)`` are the public
 constructors; the engine skips their frozen dataclass ``__init__`` (one
@@ -45,11 +51,11 @@ values) copy the parent's fields and start an empty index table.
 """
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field, fields, make_dataclass
 from itertools import chain, compress, count, repeat
 from operator import eq, itemgetter
-from typing import AbstractSet, Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
+from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 try:
     from operator import call
@@ -172,49 +178,109 @@ make_edge: Callable[[str, frozenset[int], frozenset[int], tuple, int], HyperEdge
 
 
 class EdgeTable(NamedTuple):
-    """An edge bag as parallel columns, one row per edge in edge order.
+    """An edge bag as columns, one entry per edge in edge order.
 
-    ``sets`` holds each distinct endpoint set once; ``sources`` and
-    ``targets`` are indexes into it, so two rows have equal endpoint sets
-    exactly when they have equal ids.  Columns are never changed once a table
-    is built, so an operator hands the columns it does not rewrite on to its
-    result, and ``surrogates`` may be a ``range``.
+    ``etypes``, ``sources``, ``targets`` and ``surrogates`` are parallel
+    columns over every row.  ``sets`` holds each distinct endpoint set once;
+    ``sources`` and ``targets`` are indexes into it, so two rows have equal
+    endpoint sets exactly when they have equal ids.  ``columns`` holds the
+    labels: for each edge type with rows in the table, and only those, one
+    tuple of slot columns, each a tuple of that slot's values at the type's
+    rows, in edge order (a type with no label slots has an empty tuple).
+    Columns are never changed once a table is built, so an operator hands
+    the columns it does not rewrite on to its result, and ``surrogates``
+    may be a ``range``.
     """
 
     etypes: Sequence[str]
     sources: Sequence[int]
     targets: Sequence[int]
-    labels: Sequence[tuple]
+    columns: Mapping[str, tuple[tuple, ...]]
     surrogates: Sequence[int]
     sets: Sequence[frozenset[int]]
 
     @classmethod
     def of(cls, edges: Iterable[HyperEdge]) -> EdgeTable:
-        """The table of ``edges``; each distinct set is the first object found for it."""
+        """The table of ``edges``; each distinct set is the first object found
+        for it.  Edges of one type must have labels of one length."""
         edges = tuple(edges)  # read once: each column is one more pass
         ids: dict[frozenset[int], int] = {}
         sources = [ids.setdefault(e.source, len(ids)) for e in edges]
         targets = [ids.setdefault(e.target, len(ids)) for e in edges]
-        return cls(
-            [e.etype for e in edges], sources, targets, [e.label for e in edges], [e.surrogate for e in edges], list(ids)
-        )
+        labels_of: defaultdict[str, list[tuple]] = defaultdict(list)
+        for e in edges:
+            labels_of[e.etype].append(e.label)
+        columns = {}
+        for name, labels in labels_of.items():
+            try:
+                columns[name] = tuple(zip(*labels, strict=True))
+            except ValueError:
+                raise GraphoidError(f"edges of type {name} have labels of different lengths") from None
+        return cls([e.etype for e in edges], sources, targets, columns, [e.surrogate for e in edges], list(ids))
+
+    @property
+    def labels(self) -> tuple[tuple, ...]:
+        """The labels as row tuples, in edge order: a read-only view built from
+        the slot columns on each read, for tests and cold callers."""
+        return tuple(_label_rows(self))
 
     def edges(self) -> tuple[HyperEdge, ...]:
         """The rows as edges; rows with equal set ids share their frozensets."""
         at = self.sets.__getitem__
-        return tuple(map(make_edge, self.etypes, map(at, self.sources), map(at, self.targets), self.labels, self.surrogates))
+        return tuple(map(make_edge, self.etypes, map(at, self.sources), map(at, self.targets), _label_rows(self), self.surrogates))
 
-    def where(self, mask: Sequence[bool], labels: Sequence[tuple] | None = None) -> EdgeTable:
-        """The rows whose ``mask`` entry is true, in order; ``labels``, when
-        given, are those rows' new labels.  Keeping every row keeps the
-        columns."""
-        etypes, sources, targets, old_labels, surrogates, sets = self
+    def by_type(self, column: Sequence) -> dict[str, Sequence]:
+        """The entries of an all-rows ``column`` split by row type: for each
+        type in the table, the entries at its rows, in edge order, gathered in
+        one pass; ``column`` itself when the table holds one type."""
+        if len(self.columns) == 1:
+            return dict.fromkeys(self.columns, column)
+        split: dict[str, list] = {name: [] for name in self.columns}
+        consume(map(list.append, map(split.__getitem__, self.etypes), column))
+        return split
+
+    def where(self, mask: Sequence[bool], columns: Mapping[str, tuple[tuple, ...]] | None = None) -> EdgeTable:
+        """The rows whose ``mask`` entry is true, in order.  ``columns``, when
+        given, are those rows' slot columns; else each type's columns keep the
+        entries of its kept rows: a type that keeps every row keeps its
+        columns, and a type left with no rows is dropped."""
+        etypes, sources, targets, old_columns, surrogates, sets = self
         if all(mask):
-            return self if labels is None else EdgeTable(etypes, sources, targets, labels, surrogates, sets)
+            return self if columns is None else self._replace(columns=columns)
+        if columns is None:
+            columns = {}
+            for name, type_mask in self.by_type(mask).items():
+                if all(type_mask):
+                    columns[name] = old_columns[name]
+                elif any(type_mask):
+                    columns[name] = tuple(map(tuple, map(compress, old_columns[name], repeat(type_mask))))
         return EdgeTable(
             list(compress(etypes, mask)), list(compress(sources, mask)), list(compress(targets, mask)),
-            list(compress(old_labels, mask)) if labels is None else labels, list(compress(surrogates, mask)), sets,
+            columns, list(compress(surrogates, mask)), sets,
         )
+
+
+# drains an iterator at C speed, keeping nothing
+consume = deque(maxlen=0).extend
+
+
+def in_edge_order(etypes: Iterable[str], per_type: Mapping[str, Iterable]) -> Iterator:
+    """Per-type sequences merged in edge order: for each entry of ``etypes``,
+    the next item of its type's sequence.  Every entry must be a key of
+    ``per_type``; a single key's sequence is returned as it is."""
+    if len(per_type) == 1:
+        (values,) = per_type.values()
+        return iter(values)
+    rest = {name: iter(values) for name, values in per_type.items()}
+    return map(next, map(rest.__getitem__, etypes))
+
+
+def _label_rows(table: EdgeTable) -> Iterator[tuple]:
+    """Each row's label, in edge order, zipped from its type's slot columns."""
+    rows = len(table.etypes)
+    return in_edge_order(
+        table.etypes, {name: zip(*columns) if columns else repeat((), rows) for name, columns in table.columns.items()}
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,7 +320,7 @@ class Graphoid:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edge_table.labels)
+        return len(self.edge_table.etypes)
 
     def __getattr__(self, name: str) -> object:
         # called only for a name the value does not hold: ``edges`` is built
@@ -292,9 +358,9 @@ class Graphoid:
         ]
 
     def edge_multiset(self) -> Counter:
-        etypes, sources, targets, labels, _, sets = self.edge_table
-        at = sets.__getitem__
-        return Counter(zip(etypes, map(at, sources), map(at, targets), labels))
+        table = self.edge_table
+        at = table.sets.__getitem__
+        return Counter(zip(table.etypes, map(at, table.sources), map(at, table.targets), _label_rows(table)))
 
     def bag_equal(self, other: Graphoid) -> bool:
         return (
@@ -557,8 +623,8 @@ def _checked_table(
       checks that they share one width, the type's label width; on those
       columns each ``parse`` slot's strings are parsed once per distinct
       string, each slot's column test runs once (see
-      ``DimensionInstance.column_test``), and the labels are zipped back,
-      several types' merged in row order;
+      ``DimensionInstance.column_test``), and the label columns become the
+      type's slot columns;
     - the endpoint columns, over all rows: every id an integer by type (5.0
       and True equal ints, so a set cannot tell them apart), no row with
       both sets empty, and each distinct set, a frozenset held once and
@@ -584,7 +650,7 @@ def _checked_table(
             typed = {}
             for kind in kinds:
                 typed[kind] = list(compress(rows, map(eq, etypes, repeat(kind))))
-        labels_of: dict[str, list[tuple]] = {}
+        columns_of: dict[str, tuple[tuple, ...]] = {}
         for kind, kind_rows in typed.items():
             tests = column_tests[kind]
             columns = list(zip(*kind_rows, strict=True))
@@ -595,16 +661,13 @@ def _checked_table(
                 if parse and (read := parse.get((kind, slot))) is not None:
                     column = slots[slot]
                     parsed = {value: read(value) for value in set(column) if isinstance(value, str)}
-                    slots[slot] = list(map(parsed.get, column, column))
+                    slots[slot] = tuple(map(parsed.get, column, column))
                 if not test(slots[slot]):
                     return None
-            labels_of[kind] = list(zip(*slots)) if slots else [()] * len(kind_rows)
-        if len(labels_of) == 1:
-            (labels,) = labels_of.values()
+            columns_of[kind] = tuple(slots)
+        if len(columns_of) == 1:
             source_column, target_column = columns[1], columns[2]
         else:
-            rest = dict(zip(labels_of, map(iter, labels_of.values())))
-            labels = list(map(next, map(rest.__getitem__, etypes)))
             source_column, target_column = list(map(_SOURCES, rows)), list(map(_TARGETS, rows))
         if not (
             _INT.issuperset(map(type, chain.from_iterable(source_column)))
@@ -622,7 +685,7 @@ def _checked_table(
             return None
     except (LookupError, TypeError, ValueError):
         return None
-    return EdgeTable(etypes, sources, targets, labels, range(len(labels)), list(set_ids))
+    return EdgeTable(etypes, sources, targets, columns_of, range(len(rows)), list(set_ids))
 
 
 def _positions(row: object) -> tuple | None:
@@ -712,23 +775,26 @@ def edgify(g: Graphoid, ntype: str, slot: int) -> Graphoid:
         return g.derive(edge_types=etypes, levels=levels)
 
     nodes = dict(g.nodes)
-    etype_column, sources, targets, labels, surrogates, sets = g.edge_table
+    etype_column, sources, targets, columns, surrogates, sets = g.edge_table
     set_ids = dict(zip(sets, range(len(sets))))  # a table's sets are distinct
     no_source = set_ids.setdefault(frozenset(), len(set_ids))
-    new_targets, new_labels = [], []
+    new_targets, new_values = [], []
     for ident in sorted(nodes):
         node = nodes[ident]
         if node.ntype != ntype:
             continue
         label = list(node.label)
-        new_labels.append((label[slot],))
+        new_values.append(label[slot])
         label[slot] = ALL_MEMBER
         nodes[ident] = make_node(ntype, tuple(label))
         new_targets.append(set_ids.setdefault(frozenset({ident}), len(set_ids)))
-    n, first = len(new_labels), max(surrogates, default=-1) + 1
+    n, first = len(new_values), max(surrogates, default=-1) + 1
+    if n:
+        # another node type's edgify of the same dimension may have made the type's column already
+        columns = {**columns, new_type: ((*columns[new_type][0], *new_values) if new_type in columns else tuple(new_values),)}
     table = EdgeTable(
         [*etype_column, *[new_type] * n], [*sources, *[no_source] * n], [*targets, *new_targets],
-        [*labels, *new_labels], [*surrogates, *range(first, first + n)], list(set_ids),
+        columns, [*surrogates, *range(first, first + n)], list(set_ids),
     )
     levels[(ntype, slot)] = ALL_LEVEL
     return g.derive(edge_types=etypes, nodes=nodes, edge_table=table, levels=levels)

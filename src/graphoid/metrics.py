@@ -42,7 +42,7 @@ from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 from .dims import DimensionCatalog
-from .hypergraph import Graphoid, GraphoidError
+from .hypergraph import Graphoid, GraphoidError, in_edge_order
 from .olap import Condition, TargetSet, atom_test, condition_problems
 
 
@@ -261,7 +261,7 @@ def group_average(
     if size < 1:
         raise GraphoidError("group size must be at least 1")
     types = _edge_types(g, via)
-    etypes, sources, targets, labels, _, sets = g.edge_table
+    etypes, sources, targets, columns, _, sets = g.edge_table
     slots: dict[str, int] = {}
     for etype in dict.fromkeys(etypes):  # each type once, in edge order
         if etype not in types:
@@ -283,13 +283,14 @@ def group_average(
             )
         slots[etype] = slot
 
+    # the selected rows' measure values, each type's slot column, in edge order
+    values = {name: columns[name][slot] for name, slot in slots.items()}
+    if len(slots) < len(columns):
+        selected = list(map(slots.__contains__, etypes))
+        etypes, sources, targets = (itertools.compress(column, selected) for column in (etypes, sources, targets))
     sums: dict[tuple[int, ...], float] = {}
     counts: dict[tuple[int, ...], int] = {}
-    for etype, source, target, label in zip(etypes, sources, targets, labels):
-        slot = slots.get(etype)
-        if slot is None:
-            continue
-        value = label[slot]
+    for source, target, value in zip(sources, targets, in_edge_order(etypes, values)):
         for combo in itertools.combinations(sorted(sets[source] | sets[target]), size):
             sums[combo] = sums.get(combo, 0) + value
             counts[combo] = counts.get(combo, 0) + 1

@@ -8,18 +8,19 @@ strong variant filter edges under a three-valued reading of conditions, slice
 rolls a dimension out entirely, and n-delete removes a node type.
 
 Every operation reads and writes the graph value's edge table
-(``hypergraph.EdgeTable``) and builds no edge objects.  Climb and aggr run
-column at a time, over one edge type's rows at once: they gather the type's
-rows (all of them when the table holds that type only), transpose the
-labels into slot columns with ``zip(*labels)``, rewrite or fold whole
-columns with ``map``/``zip``/``compress`` passes, and scatter the rebuilt
-labels back to the rows' positions.  Climb maps the catalog's roll over the
-climbed column (one call per rolled value); aggr finds each row's class
-from the zipped source, target and key columns.  Minimize and n-delete
-rewrite the endpoint-set list once per distinct set and remap the two id
-columns through it; dice and strong dice keep the rows their condition
-passes.  Columns an operation does not rewrite are handed on to its result
-unchanged.
+(``hypergraph.EdgeTable``), whose labels are slot columns, one tuple of
+columns per edge type, and builds no edge objects.  Climb replaces the one
+climbed column of each targeted edge type with the catalog's roll mapped
+over it (one call per row); every other column is handed on.  Aggr keys
+the rows of a targeted type on the zipped source, target and key columns
+of that type (``EdgeTable.by_type`` splits the id columns by type), folds each measure column per class and keeps each class's first
+row, gathering only the members of classes with several.  Dice and strong dice test an edge atom as one pass over its slot
+column (``map(compare, column, repeat(constant))``, after the roll to the
+atom's level when one is needed), merge the types' results in edge order
+(``hypergraph.in_edge_order``) and keep the rows their condition passes.
+Minimize and n-delete rewrite the endpoint-set list once per distinct set
+and remap the two id columns through it.  Columns an operation does not
+rewrite are handed on to its result unchanged.
 
 Each operation resolves its roll-up steps, class keys and condition atoms
 once, to the dimension instances' roll-up maps and to per-type slot
@@ -33,12 +34,12 @@ from __future__ import annotations
 
 import datetime
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from decimal import Decimal
-from collections import defaultdict, deque
 from itertools import compress, count, repeat
-from operator import eq, is_not, not_, or_
-from typing import Callable, Collection, Iterable, Sequence
+from operator import and_, eq, not_, or_
+from typing import Callable, Iterator, Sequence
 
 from .dims import (
     ALL_LEVEL,
@@ -56,6 +57,8 @@ from .hypergraph import (
     GraphoidError,
     HyperEdge,
     NodeTypeDecl,
+    consume,
+    in_edge_order,
     make_node,
 )
 
@@ -134,6 +137,9 @@ _FOLDS: dict[str, Callable[[list], object]] = {
     "COUNT": len,
     "AVG": lambda values: sum(values) / len(values),
 }
+
+# the one type of an exact int
+_INT = frozenset({int})
 
 # aggregates whose fold over partial results equals the fold over the raw values
 _REFOLDS = {"SUM": "SUM", "MIN": "MIN", "MAX": "MAX", "COUNT": "SUM"}
@@ -220,10 +226,10 @@ def _atom_slot(atom: Atom, decl: NodeTypeDecl | EdgeTypeDecl) -> int | None:
     return decl.measure_slot_of(atom.dim) if isinstance(decl, EdgeTypeDecl) else None
 
 
-def atom_test(atom: Atom, decl, levels, catalog) -> Callable[[tuple], bool] | None:
-    """Resolve an atom on one type to a two-valued test of a label; None when
-    the type has no slot for it.  An atom below the slot's stored level is
-    refused: its values cannot be rolled down."""
+def _resolved_atom(atom: Atom, decl, levels, catalog) -> tuple[int, Callable | None, Callable] | None:
+    """An atom on one type as (slot, roll to the atom's level or None, compare);
+    None when the type has no slot for it.  An atom below the slot's stored
+    level is refused: its values cannot be rolled down."""
     slot = _atom_slot(atom, decl)
     if slot is None:
         return None
@@ -234,13 +240,39 @@ def atom_test(atom: Atom, decl, levels, catalog) -> Callable[[tuple], bool] | No
             f"condition level {atom.dim}.{target_level} is below the stored level {stored} of type {decl.name}"
         )
     roll = catalog.roller(atom.dim, stored, target_level) if stored != target_level else None
-    compare = comparator(atom.cmp)
+    return slot, roll, comparator(atom.cmp)
+
+
+def atom_test(atom: Atom, decl, levels, catalog) -> Callable[[tuple], bool] | None:
+    """Resolve an atom on one type to a two-valued test of a label; None when
+    the type has no slot for it (see ``_resolved_atom``)."""
+    resolved = _resolved_atom(atom, decl, levels, catalog)
+    if resolved is None:
+        return None
+    slot, roll, compare = resolved
     constant, negated = atom.value, atom.negated
 
     def test(label: tuple) -> bool:
         value = label[slot] if roll is None else roll(label[slot])
         result = compare(value, constant)
         return (not result) if negated else result
+
+    return test
+
+
+def _atom_column_test(atom: Atom, decl: EdgeTypeDecl, levels, catalog) -> Callable[[tuple], Iterator[bool]] | None:
+    """``atom_test`` a column at a time: a function of an edge type's slot
+    columns giving the test's outcome on each of its rows, in order."""
+    resolved = _resolved_atom(atom, decl, levels, catalog)
+    if resolved is None:
+        return None
+    slot, roll, compare = resolved
+    constant, negated = atom.value, atom.negated
+
+    def test(columns: tuple) -> Iterator[bool]:
+        values = columns[slot] if roll is None else map(roll, columns[slot])
+        outcomes = map(compare, values, repeat(constant))
+        return map(not_, outcomes) if negated else outcomes
 
     return test
 
@@ -256,7 +288,9 @@ def edge_filter(g: Graphoid, cond: Condition) -> Callable[[EdgeTable], list[bool
     one pass per clause, into the set of nodes some atom of the clause is
     false on, and each distinct endpoint set of the table is tested against
     that set once, so an edge passes a clause when the clause's edge tests
-    hold on it and both its sets are clear.  Raises OlapError for a
+    hold on it and both its sets are clear.  An edge test runs as one pass
+    over its type's slot column (``_atom_column_test``), and the types'
+    outcomes are merged in edge order.  Raises OlapError for a
     condition that ``condition_problems`` or ``atom_test`` refuses, and for a
     measure atom (no level) whose dimension no edge type of the graph holds
     as a measure: it could read no slot, and would hold on every edge.
@@ -272,36 +306,45 @@ def edge_filter(g: Graphoid, cond: Condition) -> Callable[[EdgeTable], list[bool
         edge_tests: dict[str, list] = {name: [] for name in g.edge_types}
         node_tests: dict[str, list] = {name: [] for name in g.node_types}
         for atom in clause:
-            for tests, decls in ((edge_tests, g.edge_types), (node_tests, g.node_types)):
+            for tests, decls, resolve in (
+                (edge_tests, g.edge_types, _atom_column_test), (node_tests, g.node_types, atom_test)
+            ):
                 for name, decl in decls.items():
-                    test = atom_test(atom, decl, g.levels, g.catalog)
+                    test = resolve(atom, decl, g.levels, g.catalog)
                     if test is not None:
                         tests[name].append(test)
         false_nodes = frozenset(
             ident for ident, node in g.nodes.items() if not all(test(node.label) for test in node_tests[node.ntype])
         )
-        clauses.append(({name: _all_of(tests) for name, tests in edge_tests.items()}, false_nodes))
+        clauses.append(({name: tests for name, tests in edge_tests.items() if tests}, false_nodes))
 
     def satisfied(table: EdgeTable) -> list[bool]:
-        etypes, sources, targets, labels, _, sets = table
-        passed = [False] * len(labels)
+        etypes, sources, targets, columns, _, sets = table
+        passed = None
         for edge_tests, false_nodes in clauses:
-            clear = [false_nodes.isdisjoint(ends) for ends in sets]
-            # a row that passed an earlier clause is not tested again
-            passed = [
-                ok or (((test := edge_tests[etype]) is None or test(label)) and clear[source] and clear[target])
-                for ok, etype, source, target, label in zip(passed, etypes, sources, targets, labels)
-            ]
-        return passed
+            holds = None  # every row holds
+            tested = {name: _all_of(tests, columns[name]) for name, tests in edge_tests.items() if name in columns}
+            if tested:
+                # the rows of a type the clause has no edge test for pass its edge part
+                holds = in_edge_order(etypes, {name: tested[name] if name in tested else repeat(True) for name in columns})
+            if false_nodes:
+                clear = list(map(false_nodes.isdisjoint, sets))
+                ends = map(and_, map(clear.__getitem__, sources), map(clear.__getitem__, targets))
+                holds = ends if holds is None else map(and_, holds, ends)
+            if holds is None:
+                holds = repeat(True, len(etypes))
+            passed = list(holds) if passed is None else list(map(or_, passed, holds))
+        return [False] * len(etypes) if passed is None else passed
 
     return satisfied
 
 
-def _all_of(tests: list[Callable[[tuple], bool]]) -> Callable[[tuple], bool] | None:
-    """One test for a conjunction of label tests; None when there are none."""
-    if len(tests) <= 1:
-        return tests[0] if tests else None
-    return lambda label: all(test(label) for test in tests)
+def _all_of(tests: list[Callable[[tuple], Iterator[bool]]], columns: tuple) -> Iterator[bool]:
+    """The conjunction of column tests on one type's slot columns, row by row."""
+    outcomes = tests[0](columns)
+    for test in tests[1:]:
+        outcomes = map(and_, outcomes, test(columns))
+    return outcomes
 
 
 # the engine filters whole tables with ``edge_filter``; this one-edge form stays because perfbench's tracer wraps it by name
@@ -354,10 +397,9 @@ def _resolve_climb_targets(g: Graphoid, targets: TargetSet, step: RollupStep) ->
 def climb(g: Graphoid, targets, step: RollupStep) -> Graphoid:
     """Rewrite one dimension's slot values from one level to a higher one.
 
-    Each targeted edge type's labels are transposed into slot columns, the
-    climbed column becomes the catalog's roll mapped over it (one
-    ``DimensionCatalog.roll`` call per row), and the columns are zipped back
-    into labels at the type's rows; rows of other types keep their labels.
+    Each targeted edge type's climbed slot column is replaced by the
+    catalog's roll mapped over it (one ``DimensionCatalog.roll`` call per
+    row); every other column is handed on.
     """
     if step.dimension == ID_DIMENSION:
         raise OlapError("the Id dimension cannot be climbed")
@@ -386,42 +428,14 @@ def climb(g: Graphoid, targets, step: RollupStep) -> Graphoid:
         levels[(name, slot)] = step.to_level
     if not edge_slots:
         return g.derive(nodes=nodes, levels=levels)
-    etypes, sources, targets, labels, surrogates, sets = g.edge_table
-    climbed = list(labels)
+    table = g.edge_table
+    columns = dict(table.columns)
     for name, slot in edge_slots.items():
-        rows = _rows_of(etypes, name)
-        if rows:
-            columns = list(zip(*_take(labels, rows)))
-            columns[slot] = map(roll, repeat(dim), repeat(lo), repeat(hi), columns[slot])
-            _scatter(climbed, rows, zip(*columns))
-    table = EdgeTable(etypes, sources, targets, climbed, surrogates, sets)
-    return g.derive(nodes=nodes, edge_table=table, levels=levels)
-
-
-def _rows_of(etypes: Sequence[str], name: str) -> Sequence[int]:
-    """The positions of one edge type's rows, in edge order; every position
-    when the table holds that type only."""
-    if etypes.count(name) == len(etypes):
-        return range(len(etypes))
-    return [row for row, etype in enumerate(etypes) if etype == name]
-
-
-def _take(column: Sequence, rows: Sequence[int]) -> Sequence:
-    """The entries of ``column`` at ``rows``; the column itself when ``rows`` is all of it."""
-    return column if len(rows) == len(column) else list(map(column.__getitem__, rows))
-
-
-# drains an iterator at C speed, keeping nothing
-_consume = deque(maxlen=0).extend
-
-
-def _scatter(column: list, rows: Iterable[int], values: Iterable) -> None:
-    """Write ``values`` into ``column`` at ``rows``: one slice assignment for a
-    range of rows, else one C-level pass."""
-    if isinstance(rows, range):
-        column[rows.start:rows.stop:rows.step] = values
-    else:
-        _consume(map(column.__setitem__, rows, values))
+        type_columns = columns.get(name)  # None when the type has no rows
+        if type_columns is not None:
+            climbed = tuple(map(roll, repeat(dim), repeat(lo), repeat(hi), type_columns[slot]))
+            columns[name] = (*type_columns[:slot], climbed, *type_columns[slot + 1:])
+    return g.derive(nodes=nodes, edge_table=table._replace(columns=columns), levels=levels)
 
 
 def minimize(g: Graphoid) -> Graphoid:
@@ -450,13 +464,13 @@ def _rewrite_sets(table: EdgeTable, fn: Callable[[frozenset[int]], frozenset[int
     """``table`` with ``fn`` applied to each of its endpoint sets, once per
     set; equal results share one id, and a result equal to its input is the
     input's object."""
-    etypes, sources, targets, labels, surrogates, sets = table
+    etypes, sources, targets, columns, surrogates, sets = table
     ids: dict[frozenset[int], int] = {}
     remap = []
     for ends in sets:
         new = fn(ends)
         remap.append(ids.setdefault(ends if new == ends else new, len(ids)))
-    return EdgeTable(etypes, [remap[i] for i in sources], [remap[i] for i in targets], labels, surrogates, list(ids))
+    return EdgeTable(etypes, [remap[i] for i in sources], [remap[i] for i in targets], columns, surrogates, list(ids))
 
 
 def group(g: Graphoid, type_name: str, step: RollupStep) -> Graphoid:
@@ -529,15 +543,12 @@ def aggr(g: Graphoid, edge_type: str, measures: MeasurePairs) -> Graphoid:
     receive the aggregate over the whole class, folded in edge order.  Input
     is contracted first, so equal endpoint sets have equal ids.
 
-    Each targeted edge type is folded column at a time.  Its labels are
-    transposed into slot columns; class keys are the zipped source, target
-    and key columns, and ``first_at.setdefault`` mapped over them with the
-    row positions gives each row its class's first member.  One-member
-    classes fold as ``map(fold, zip(column))``; only the members of classes
-    with several members are gathered.  A folded value that is the stored
-    object or an equal int leaves the stored value in place (a float SUM
-    turns -0.0 into 0.0), so only the labels of classes whose slots changed
-    are rebuilt, and those are scattered back to the first members' rows.
+    Each targeted edge type is folded column at a time, on its slot
+    columns.  Class keys are the zipped source, target and key columns of
+    the type, and ``first_at.setdefault`` mapped over them with the row
+    positions gives each row its class's first member.  Each measure column
+    is folded per class (``_fold_column``); each other column keeps its
+    first members' entries, and is handed on whole when no class has two.
     Rows of untargeted types pass through unchanged, and never share a
     class with targeted ones.
     """
@@ -546,65 +557,65 @@ def aggr(g: Graphoid, edge_type: str, measures: MeasurePairs) -> Graphoid:
     plan, folds = _aggregation_plan(g, edge_type, pairs)
 
     table = g.edge_table
-    etypes, sources, targets, labels = table.etypes, table.sources, table.targets, table.labels
-    keep = [True] * len(labels)  # per row: an untargeted edge, or its class's first member
-    folded = list(labels)
+    columns = dict(table.columns)
+    sources_of, targets_of = table.by_type(table.sources), table.by_type(table.targets)
+    kept_of: dict[str, list[bool]] = {}  # per type with a class of several rows: is each row its class's first?
     for name, slots in plan.items():
-        rows = _rows_of(etypes, name)
-        if not rows:
+        type_columns = columns.get(name)  # None when the type has no rows
+        if type_columns is None:
             continue
-        columns = list(zip(*_take(labels, rows)))
         key_slots = [slot for slot, dim in enumerate(g.edge_types[name].dims) if slot not in slots and dim != ID_DIMENSION]
-        keys = zip(_take(sources, rows), _take(targets, rows), *map(columns.__getitem__, key_slots))
+        keys = zip(sources_of[name], targets_of[name], *map(type_columns.__getitem__, key_slots))
         first_at: dict[tuple, int] = {}  # class key -> its first member's position among the rows
         firsts = list(map(first_at.setdefault, keys, count()))
-        kept = list(map(eq, firsts, count()))
-        # classes with several members, by first position
-        merged = set(compress(firsts, map(not_, kept))) if len(first_at) < len(firsts) else ()
-        changed = None  # per class: some folded slot does not hold its stored value
-        for slot, fn in slots.items():
-            stored = list(compress(columns[slot], kept))
-            values = _fold_column(_FOLDS[fn], columns[slot], stored, firsts, kept, merged)
-            flags = map(is_not, values, stored)
-            changed = list(flags) if changed is None else list(map(or_, changed, flags))
-            columns[slot] = values
-        if any(changed):
-            rebuilt = zip(*(
-                compress(columns[slot] if slot in slots else compress(column, kept), changed)
-                for slot, column in enumerate(columns)
-            ))
-            _scatter(folded, compress(compress(rows, kept), changed), rebuilt)
-        _scatter(keep, rows, kept)
-    return g.derive(edge_table=table.where(keep, list(compress(folded, keep))), folds=folds)
+        kept = joining = None
+        if len(first_at) < len(firsts):
+            kept = kept_of[name] = list(map(eq, firsts, count()))
+            joining = list(compress(count(), map(not_, kept)))
+        columns[name] = tuple(
+            _fold_column(slots[slot], column, firsts, kept, joining) if slot in slots
+            else column if kept is None else tuple(compress(column, kept))
+            for slot, column in enumerate(type_columns)
+        )
+    if not kept_of:
+        return g.derive(edge_table=table._replace(columns=columns), folds=folds)
+    keep = list(in_edge_order(table.etypes, {name: kept_of[name] if name in kept_of else repeat(True) for name in columns}))
+    return g.derive(edge_table=table.where(keep, columns), folds=folds)
 
 
-def _fold_column(fold, column: Sequence, stored: list, firsts: list[int], kept: list[bool], merged: Collection[int]) -> list:
-    """One measure slot folded per class, classes in the order of their first
-    members, with the stored value standing in where it can (``_stand_in``).
+def _fold_column(
+    fn: str, column: tuple, firsts: list[int], kept: list[bool] | None, joining: list[int] | None
+) -> tuple:
+    """One measure slot folded with ``fn`` per class, classes in the order of
+    their first members.  ``firsts`` gives each row its class's first row,
+    ``kept`` flags each row that is its class's first, and ``joining`` lists
+    in order the rows that join an earlier row's class; both are None when
+    every class has one member.
 
-    ``stored`` holds each class's first value.  Every class is folded as if
-    it had one member; then the members of each class in ``merged`` are
-    gathered, in edge order, and their folds replace those of the classes'
-    first values.
+    A one-member class folds its one value, with no call where the fold is
+    known: MIN and MAX of one value are the value, SUM of one exact ``int``
+    is the int, and COUNT of one is 1; any other fold (a float SUM turns
+    -0.0 into 0.0, AVG gives a float) is called on the value.  Then each
+    class with several members gathers its values, first row first and the
+    joining rows in edge order, and their fold replaces its first value's.
     """
-    values = list(map(fold, zip(stored)))
-    if merged:
-        in_merged = list(map(merged.__contains__, firsts))
-        members: defaultdict[int, list] = defaultdict(list)
-        for first, value in zip(compress(firsts, in_merged), compress(column, in_merged)):
-            members[first].append(value)
-        # the merged classes' places among all classes, in the same order
-        for at, class_values in zip(compress(count(), compress(in_merged, kept)), members.values()):
-            values[at] = fold(class_values)
-    return list(map(_stand_in, values, stored))
-
-
-def _stand_in(value: object, stored: object) -> object:
-    """A folded value, or the stored one when the fold returned it or an equal
-    int (0 + -0.0 is 0.0, so a float is never an equal stand-in)."""
-    if value is stored or (type(value) is int and type(stored) is int and value == stored):
-        return stored
-    return value
+    fold = _FOLDS[fn]
+    stored = column if kept is None else tuple(compress(column, kept))
+    if fn in ("MIN", "MAX") or (fn == "SUM" and _INT.issuperset(map(type, stored))):
+        values = stored
+    elif fn == "COUNT":
+        values = (1,) * len(stored)
+    else:
+        values = tuple(map(fold, zip(stored)))
+    if not joining:
+        return values
+    members = {first: [column[first]] for first in set(map(firsts.__getitem__, joining))}
+    consume(map(list.append, map(members.__getitem__, map(firsts.__getitem__, joining)), map(column.__getitem__, joining)))
+    values = list(values)
+    for first, class_values in members.items():
+        # a class's place among the classes: its first row, less the joining rows before it
+        values[first - bisect_left(joining, first)] = fold(class_values)
+    return tuple(values)
 
 
 def roll_up(g: Graphoid, targets, step: RollupStep, edge_type: str, measures: MeasurePairs) -> Graphoid:

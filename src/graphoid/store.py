@@ -19,10 +19,11 @@ import datetime
 import json
 import os
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 from operator import eq
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .cubes import Cube, CubeMeasure, build_cube
 from .dims import (
@@ -43,6 +44,7 @@ from .hypergraph import (
     GraphoidError,
     NodeTypeDecl,
     build_graphoid,
+    in_edge_order,
     replaced,
 )
 
@@ -167,9 +169,10 @@ def instance_from_json(raw: dict) -> DimensionInstance:
 def graphoid_to_json(g: Graphoid) -> dict:
     """The JSON document of a graph value, rows in node-id and edge order.
 
-    Rows are written a column at a time (``_json_rows``): per type, the
-    labels are transposed once, each slot that may hold dates is encoded
-    once per distinct date, and the rows are zipped from the columns.
+    Rows are written a column at a time (``_json_rows``): per type, each
+    slot column that may hold dates is encoded once per distinct date, and
+    the rows are zipped from the columns.  An edge type's columns are the
+    table's slot columns; node labels are transposed once per node type.
     """
     # the encode plan: per type, the slots whose level's own test does not rule
     # out a date (a closed level is only as typed as its members); the values of
@@ -183,11 +186,15 @@ def graphoid_to_json(g: Graphoid) -> dict:
             if lv is None or not (lv.name == ALL_LEVEL or (lv.open and lv.vtype != "date"))
         )
     nodes = [g.nodes[i] for i in sorted(g.nodes)]
-    nodes = _json_rows([node.ntype for node in nodes], (), [node.label for node in nodes], encoded)
-    etypes, sources, targets, labels, _, sets = g.edge_table
+    node_labels: defaultdict[str, list[tuple]] = defaultdict(list)
+    for node in nodes:
+        node_labels[node.ntype].append(node.label)
+    node_columns = {kind: tuple(zip(*labels)) for kind, labels in node_labels.items()}
+    nodes = _json_rows([node.ntype for node in nodes], (), node_columns, encoded)
+    etypes, sources, targets, columns, _, sets = g.edge_table
     # each distinct endpoint set sorted once; each row gets its own copies
     at = [sorted(ends) for ends in sets].__getitem__
-    edges = _json_rows(etypes, (list(map(list, map(at, sources))), list(map(list, map(at, targets)))), labels, encoded)
+    edges = _json_rows(etypes, (list(map(list, map(at, sources))), list(map(list, map(at, targets)))), columns, encoded)
     doc = {
         "nodeTypes": [{"name": d.name, "dims": list(d.dims)} for d in g.node_types.values()],
         "edgeTypes": [
@@ -211,31 +218,28 @@ def graphoid_to_json(g: Graphoid) -> dict:
 
 
 def _json_rows(
-    types: Sequence[str], leads: tuple[Sequence, ...], labels: Sequence[tuple], encoded: dict[str, tuple[int, ...]]
+    types: Sequence[str],
+    leads: tuple[Sequence, ...],
+    columns: Mapping[str, Sequence[Sequence]],
+    encoded: dict[str, tuple[int, ...]],
 ) -> list[list]:
     """One document row per entry, in order: its type, its value in each of
     the ``leads`` columns, then its label, with ``_value_to_json`` applied at
-    the ``encoded`` slots of its type.  Each type's labels are transposed
-    once, each encoded column is encoded once per distinct date in it, and
-    the rows are zipped from the columns; several types are merged back in
-    row order."""
-    kinds = set(types)
-    if len(kinds) == 1:
-        parts = {kind: (types, leads, labels) for kind in kinds}
-    else:
-        parts = {}
-        for kind in kinds:
-            mask = list(map(eq, types, repeat(kind)))
-            parts[kind] = ([kind] * sum(mask), [list(compress(column, mask)) for column in leads], list(compress(labels, mask)))
+    the ``encoded`` slots of its type.  ``columns`` holds each type's slot
+    columns, each in the order of that type's entries.  Each encoded column
+    is encoded once per distinct date in it, and the rows are zipped from
+    the columns; several types are merged back in row order."""
+    single = len(columns) == 1
     rows = {}
-    for kind, (kind_types, kind_leads, kind_labels) in parts.items():
-        columns = list(zip(*kind_labels))
+    for kind, kind_columns in columns.items():
+        mask = None if single else list(map(eq, types, repeat(kind)))
+        kind_leads = leads if single else [list(compress(column, mask)) for column in leads]
+        kind_columns = list(kind_columns)
         for slot in encoded[kind]:
-            columns[slot] = _encoded_column(columns[slot])
-        rows[kind] = map(list, zip(kind_types, *kind_leads, *columns))
-    if len(rows) == 1:
-        return list(rows.popitem()[1])
-    return list(map(next, map(rows.__getitem__, types)))
+            kind_columns[slot] = _encoded_column(kind_columns[slot])
+        kinds = repeat(kind, len(types) if single else sum(mask))
+        rows[kind] = map(list, zip(kinds, *kind_leads, *kind_columns))
+    return list(in_edge_order(types, rows))
 
 
 def _encoded_column(column: Sequence[object]) -> Sequence[object]:

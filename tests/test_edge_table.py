@@ -11,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphoid import cli, hypergraph, store
+from graphoid.cubes import CubeMeasure, build_cube, random_catalog, random_cube, star
 from graphoid.dims import RollupStep
-from graphoid.hypergraph import EdgeTable, Graphoid, GraphoidError, HyperEdge
-from graphoid.olap import climb, dice, drill_down, group, n_delete, roll_up, s_dice, slice_out
+from graphoid.hypergraph import EdgeTable, Graphoid, GraphoidError, HyperEdge, edgify, replaced
+from graphoid.metrics import group_average
+from graphoid.olap import Atom, Condition, aggr, climb, dice, drill_down, group, n_delete, roll_up, s_dice, slice_out
 from helpers import climbable_step, ends_are_shared, random_graph_condition, random_graphoid
 
 QUERY = Path(__file__).resolve().parents[1] / "queries" / "operator_year_rollup.gql"
@@ -125,6 +127,14 @@ class TestRepresentationIndependence:
         assert len(table.sets) == len({ids for e in edges for ids in (e.source, e.target)})
 
 
+class TestTableOfEdges:
+    def test_labels_of_two_lengths_in_one_type_are_refused(self, base_graph):
+        first = base_graph.edges[0]
+        short = HyperEdge(first.etype, first.source, first.target, first.label[:1])
+        with pytest.raises(GraphoidError, match="edges of type #Call have labels of different lengths"):
+            EdgeTable.of((first, short))
+
+
 def count_edge_builds(monkeypatch) -> list[int]:
     """Count every ``HyperEdge`` built from here on, by ``make_edge`` or by the public constructor."""
     built = [0]
@@ -188,3 +198,136 @@ class TestNoEdgeObjects:
         built = count_edge_builds(monkeypatch)
         edges = loaded.edges
         assert built[0] == len(edges) > 0
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_query_reads_no_label_rows(self, query_files, tmp_path, monkeypatch, fmt):
+        query, dims = query_files
+        out = tmp_path / f"out.{fmt}"
+        forbid_label_rows(monkeypatch)
+        assert cli.main(["query", str(query), *dims, "--out", str(out), "--format", fmt]) == 0
+        assert out.read_text(encoding="utf-8").strip()
+
+    def test_operators_read_no_label_rows(self, monkeypatch):
+        data = store.generate(store.GeneratorConfig(phone_count=12, user_count=5, call_count=80, seed=4))
+        g = data.graphoid
+        mixed = replaced(edgify(g, store.PHONE_TYPE, 1), base=None)  # a lineage base of its own, for drill-down
+        operator = sorted(g.catalog.instance("Phone").domain("Operator"))[0]
+        dated = ((Atom("Duration", None, ">", 600), Atom("Time", "Year", "=", 2017, negated=True)),)
+        on_phones = ((Atom("Phone", "Operator", "=", operator, negated=True), Atom("Time", "Month", ">", "2016-06")),)
+        sums = [("Duration", "SUM")]
+        forbid_label_rows(monkeypatch)
+        # edgify moves the node slot to All, where an Operator atom is refused
+        for value, cond in ((g, Condition(dated + on_phones)), (mixed, Condition(dated))):
+            yearly = roll_up(value, "*", RollupStep("Time", "Day", "Year"), "#Call", sums)
+            for result in (
+                dice(value, cond),
+                s_dice(value, cond),
+                slice_out(value, "Time", sums),
+                drill_down(yearly, "*", "Time", "Month", "#Call", sums),
+            ):
+                assert result.edge_count > 0
+            assert group_average(value, "#Call", 2, "Duration")
+
+    def test_the_label_guard_sees_a_read(self, base_graph, monkeypatch):
+        forbid_label_rows(monkeypatch)
+        with pytest.raises(AssertionError, match="EdgeTable.labels"):
+            base_graph.edge_table.labels
+
+
+def forbid_label_rows(monkeypatch) -> None:
+    """Make every read of the row view ``EdgeTable.labels`` fail."""
+
+    def read(table):
+        raise AssertionError("EdgeTable.labels was read")
+
+    monkeypatch.setattr(EdgeTable, "labels", property(read))
+
+
+def two_measure_star(rng: random.Random) -> Graphoid:
+    """The star graph of a random cube with two measures: the rows of the two
+    measure edge types interleave, one of each per cell."""
+    catalog = random_catalog(rng)
+    cube = random_cube(rng, catalog)
+    measures = [CubeMeasure(name, rng.choice(FNS[:4])) for name in ("M1", "M2")]
+    cells = {
+        coord: (rng.randint(0, 100), rng.choice((rng.randint(0, 100), rng.randint(0, 400) / 4, -0.0)))
+        for coord in cube.cells
+    }
+    return star(build_cube(catalog, list(zip(cube.dims, cube.levels)), measures, cells))
+
+
+def edgified_graph(rng: random.Random) -> Graphoid:
+    """A small generated graph with its phones moved onto ``#HasPhone`` edges,
+    the lineage base of what is derived from it."""
+    config = store.GeneratorConfig(phone_count=8, user_count=4, call_count=rng.randint(1, 30), seed=rng.randrange(10**6))
+    return replaced(edgify(store.generate(config).graphoid, store.PHONE_TYPE, 1), base=None)
+
+
+def draw_column_op(rng: random.Random, g: Graphoid):
+    """One random climb, aggr, dice, s_dice, slice or drill-down on values
+    shaped like ``g``, as a function of the value; measures are the open
+    ones ``g`` declares."""
+    kind = rng.choice(("climb", "aggr", "dice", "s_dice", "slice_out", "drill_down"))
+    open_measures = sorted({
+        decl.dims[slot] for decl in g.edge_types.values() for slot, _ in decl.measures
+        if g.catalog.schema(decl.dims[slot]).level(g.catalog.schema(decl.dims[slot]).bottom).open
+    })
+    measures = [(dim, rng.choice(FNS)) for dim in rng.sample(open_measures, rng.randint(1, len(open_measures)))]
+    dims = sorted({dim for decl in (*g.node_types.values(), *g.edge_types.values()) for dim in decl.dims} - {"Id", *open_measures})
+    if kind == "climb":
+        step = climbable_step(rng, g)
+        return (lambda value: value) if step is None else (lambda value: climb(value, "*", step))
+    if kind == "aggr":
+        edge_type = rng.choice(["*", *sorted(g.edge_types)])
+        return lambda value: aggr(value, edge_type, measures)
+    if kind in ("dice", "s_dice"):
+        clauses = []
+        for _ in range(rng.randint(1, 2)):
+            atoms = []
+            for _ in range(rng.randint(1, 3)):
+                negated = rng.random() < 0.3
+                if not dims or rng.random() < 0.4:
+                    atoms.append(Atom(rng.choice(open_measures), None, rng.choice("<>="), rng.randint(0, 100), negated))
+                    continue
+                inst = g.catalog.instance(rng.choice(dims))
+                level = rng.choice([lv.name for lv in inst.schema.levels if lv.name != "All" and not lv.open])
+                atoms.append(Atom(inst.name, level, rng.choice("<>="), rng.choice(sorted(inst.domain(level))), negated))
+            clauses.append(tuple(atoms))
+        op = dice if kind == "dice" else s_dice
+        return lambda value: op(value, Condition(tuple(clauses)))
+    dim = rng.choice(dims)
+    if kind == "slice_out":
+        return lambda value: slice_out(value, dim, measures)
+    to_level = rng.choice([lv.name for lv in g.catalog.schema(dim).levels])
+    return lambda value: drill_down(value, "*", dim, to_level, "*", measures)
+
+
+class TestSlotColumnsOfInterleavedTypes:
+    """On tables holding several edge types, interleaved (a two-measure star)
+    or appended (an ``edgify``'d graph), each operation gives the value it
+    gives on the same value whose table is ``EdgeTable.of`` its edges: edge
+    for edge, byte for byte when saved, and column for column."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10**9), st.booleans())
+    def test_operations_equal_those_on_the_table_of_the_edges(self, seed, use_star):
+        rng = random.Random(seed)
+        g = two_measure_star(rng) if use_star else edgified_graph(rng)
+        for _ in range(rng.randint(1, 3)):
+            from_edges = replaced(g, edge_table=EdgeTable.of(g.edge_table.edges()))
+            assert g.edge_table.columns == from_edges.edge_table.columns
+            run = draw_column_op(rng, g)
+            outcomes = []
+            for value in (g, from_edges):
+                try:
+                    outcomes.append(run(value))
+                except GraphoidError as exc:
+                    outcomes.append(exc)
+            a, b = outcomes
+            if isinstance(a, Exception) or isinstance(b, Exception):
+                assert (type(a), str(a)) == (type(b), str(b))
+                return
+            assert_same_value(a, b)
+            assert a.edge_table.columns == b.edge_table.columns
+            assert a.edge_table.columns.keys() == set(a.edge_table.etypes)
+            g = a

@@ -935,6 +935,36 @@ class TestOneEdgeClasses:
         assert repr(edge.label[1]) == repr(expected)
 
 
+class TestMergedClasses:
+    """A class of two or three parallel edges folds like ``apply_aggregate``
+    over its values in edge order, value type and sign of zero included.
+    It follows a two-member class, and a one-member class's edge sits
+    between its members."""
+
+    @pytest.mark.parametrize("fn", ["SUM", "MIN", "MAX", "COUNT", "AVG"])
+    @pytest.mark.parametrize("values", [
+        (7, 3600), (3600, 7, 10**30), (2.5, 0.25), (0.25, 2.5, 1e-3), (-0.0, -0.0), (-0.0, -0.0, -0.0),
+        (0.0, -0.0), (-0.0, 0.0, -0.0), (7, 2.5), (-0.0, 7, 2.5),
+    ])
+    def test_fold_like_apply_aggregate(self, figures_catalog, fn, values):
+        day = DAY(2016, 10, 10)
+        members = [("#Call", [11], [12], day, value) for value in values]
+        lone = ("#Call", [12], [11], day, values[-1])
+        before = [("#Call", [12], [12], day, 5), ("#Call", [12], [12], day, 6)]
+        g = build_graphoid(
+            figures_catalog, [PHONE_DECL], [CALL_DECL], [("#Phone", 11, "Ph1"), ("#Phone", 12, "Ph2")],
+            [*before, members[0], lone, *members[1:]],
+        )
+        earlier, merged, single = aggr(g, "#Call", [("Duration", fn)]).edges
+        assert [(e.source, e.target) for e in (earlier, merged, single)] == [
+            (frozenset({12}), frozenset({12})), (frozenset({11}), frozenset({12})), (frozenset({12}), frozenset({11}))
+        ]
+        for edge, class_values in ((earlier, [5, 6]), (merged, list(values)), (single, [values[-1]])):
+            expected = apply_aggregate(fn, class_values)
+            assert type(edge.label[1]) is type(expected)
+            assert repr(edge.label[1]) == repr(expected)
+
+
 def flat_rollup(data, phone_level: str, year_of, fn: str) -> dict:
     """(caller members, participant members, year) -> fn over the raw durations."""
     member = {
