@@ -22,7 +22,11 @@ The lines are:
   of the three benchmark workloads, the five files ``perfbench/workloads.py``
   writes in ``set_up`` at seed 901 (three dimension files, the graph and
   the query program), and three more saved with ``store.save_json``: the
-  OLAP graph, its Day-to-Year roll-up and its group by Operator.
+  OLAP graph, its Day-to-Year roll-up and its group by Operator;
+* ``multitype <value> sha256 <hex>`` for saved values of several edge
+  types, whose rows a save groups by type: the star graphs of three seeded
+  two-measure cubes, a roll-up of the first, and a generated call graph
+  with its phones moved onto ``#HasPhone`` edges by ``edgify``.
 
 No timing is printed.  It imports ``graphoid`` from ``src/`` and reads
 ``perfbench/workloads.py`` without changing it.  On a shared 2-CPU host
@@ -35,13 +39,15 @@ import contextlib
 import hashlib
 import io
 import os
+import random
 import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
-from graphoid import cli, olap, store  # noqa: E402
+from graphoid import cli, cubes, olap, store  # noqa: E402
+from graphoid.hypergraph import edgify  # noqa: E402
 from graphoid.dims import RollupStep  # noqa: E402
 
 import workloads  # noqa: E402
@@ -102,6 +108,38 @@ def setup_lines(work: str) -> list[str]:
     return lines
 
 
+def two_measure_star(seed: int):
+    """The star graph of a random cube with measures M1 (SUM) and M2 (MAX),
+    whose two edge types' rows interleave, one of each per cell."""
+    rng = random.Random(seed)
+    catalog = cubes.random_catalog(rng)
+    cube = cubes.random_cube(rng, catalog)
+    measures = [cubes.CubeMeasure("M1", "SUM"), cubes.CubeMeasure("M2", "MAX")]
+    cells = {coord: (rng.randint(0, 100), rng.randint(0, 400) / 4) for coord in cube.cells}
+    return cubes.star(cubes.build_cube(catalog, list(zip(cube.dims, cube.levels)), measures, cells))
+
+
+def multi_type_lines() -> list[str]:
+    stars = {f"star-{seed}": two_measure_star(seed) for seed in (3, 5, 9)}
+    g = stars["star-3"]
+    dim = next(iter(g.node_types.values())).dims[1]
+    bottom = g.levels[(f"#{dim}", 1)]
+    up = sorted(g.catalog.schema(dim).reachable_from(bottom) - {bottom})[0]
+    values = {
+        **stars,
+        "star-3-rollup": olap.roll_up(g, "*", RollupStep(dim, bottom, up), "*", [("M1", "SUM"), ("M2", "MAX")]),
+        "edgified": edgify(
+            store.generate(store.GeneratorConfig(phone_count=12, user_count=5, call_count=80, seed=4)).graphoid,
+            store.PHONE_TYPE,
+            1,
+        ),
+    }
+    return [
+        f"multitype {name} sha256 {hashlib.sha256(store.dump_text(store.graphoid_to_json(value)).encode('utf-8')).hexdigest()}"
+        for name, value in values.items()
+    ]
+
+
 def main() -> int:
     for line in d1_lines():
         print(line, flush=True)
@@ -110,6 +148,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as work:
         for line in setup_lines(work):
             print(line)
+    for line in multi_type_lines():
+        print(line)
     return 0
 
 

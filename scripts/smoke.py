@@ -57,7 +57,7 @@ def main() -> int:
     )
     check("group and roll-up build no edge objects", all("edges" not in vars(v) for v in (g, grouped, yearly)))
     # an edge type's labels are its slot columns: #Call holds (Day, Duration)
-    total = sum(yearly.edge_table.columns[store.CALL_TYPE][1])
+    total = sum(yearly.edge_table.types[store.CALL_TYPE].columns[1])
     check("roll-up keeps the total duration", total == sum(call.duration for call in data.calls))
 
     mixed = edgify(g, store.PHONE_TYPE, 1)
@@ -65,14 +65,16 @@ def main() -> int:
         mixed, [store.CALL_TYPE], RollupStep(store.TIME_DIMENSION, "Day", "Month"), store.CALL_TYPE, [("Duration", "SUM")]
     )
     table = monthly.edge_table
-    check("a slot column set per edge type", table.columns.keys() == mixed.edge_types.keys())
-    surrogates = table.by_type(table.surrogates)
-    rows = {etype: list(zip(zip(*columns), surrogates[etype])) for etype, columns in table.columns.items()}
-    total = sum(label[1] for label, _ in rows[store.CALL_TYPE])
+    check("a slot column set per edge type", table.types.keys() == mixed.edge_types.keys())
+    call_rows, phone_rows = table.types[store.CALL_TYPE], table.types["#HasPhone"]
+    total = sum(call_rows.columns[1])
     check("mixed-type roll-up keeps the total duration", total == sum(call.duration for call in data.calls))
     check("edgify and its roll-up build no edge objects", all("edges" not in vars(v) for v in (mixed, monthly)))
     has_phone = [(e.label, e.surrogate) for e in mixed.edges if e.etype == "#HasPhone"]
-    check("mixed-type roll-up keeps the #HasPhone rows", len(has_phone) == len(data.phones) and rows["#HasPhone"] == has_phone)
+    check(
+        "mixed-type roll-up keeps the #HasPhone rows",
+        len(has_phone) == len(data.phones) and list(zip(phone_rows.labels(), phone_rows.surrogates)) == has_phone,
+    )
 
     try:
         rows = [(store.CALL_TYPE, [1], [2], ["x"], 5)]
@@ -83,7 +85,7 @@ def main() -> int:
     check("an unhashable label is refused with its slot", "slot 0 value ['x'] outside dom(Time.Day)" in refused)
 
     # a path 1-2-3-4, phone 5 joined to 1 and 3 (1 and 3 meet through 2 or 5), phone 6 on no call
-    day = g.edge_table.columns[store.CALL_TYPE][0][0]
+    day = g.edge_table.types[store.CALL_TYPE].columns[0][0]
     calls = [(store.CALL_TYPE, [s], [t], day, 1) for s, t in ((1, 2), (2, 3), (3, 4), (5, 1), (3, 5))]
     nodes = [g.nodes[i] for i in range(1, 7)]
     tiny = build_graphoid(data.catalog, g.node_types.values(), g.edge_types.values(), nodes, calls)

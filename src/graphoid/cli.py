@@ -24,7 +24,7 @@ except ImportError:  # not on Windows
 
 from . import cubes, gql, metrics, olap, store
 from .dims import DimensionCatalog, DimensionError, RollupStep, validate_instance, validate_schema
-from .hypergraph import Graphoid, GraphoidBuildError, GraphoidError, in_edge_order
+from .hypergraph import Graphoid, GraphoidBuildError, GraphoidError
 from .metrics import NodeFilter
 from .olap import Atom, Condition
 
@@ -156,15 +156,11 @@ def _graphoid_edge_csv(g: Graphoid) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["type", "source", "target"] + [f"v{i}" for i in range(width)])
-    etypes, sources, targets, columns, _, sets = g.edge_table
-    ends = ["/".join(str(i) for i in sorted(ids)) for ids in sets]
-    # each type's label cells, a column at a time
-    cells = in_edge_order(etypes, {
-        name: zip(*(map(str, column) for column in type_columns)) if type_columns else itertools.repeat(())
-        for name, type_columns in columns.items()
-    })
-    for etype, source, target, label in zip(etypes, sources, targets, cells):
-        writer.writerow([etype, ends[source], ends[target], *label, *[""] * (width - len(label))])
+    table = g.edge_table
+    ends = ["/".join(str(i) for i in sorted(ids)) for ids in table.sets]
+    for etype, rows in table.types.items():
+        for source, target, label in zip(rows.sources, rows.targets, rows.labels()):
+            writer.writerow([etype, ends[source], ends[target], *map(str, label), *[""] * (width - len(label))])
     return out.getvalue()
 
 

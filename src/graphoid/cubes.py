@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Callable, Sequence
 
 from . import olap
@@ -34,7 +35,6 @@ from .hypergraph import (
     Node,
     NodeTypeDecl,
     build_graphoid,
-    in_edge_order,
 )
 from .olap import Atom, Condition
 
@@ -184,10 +184,10 @@ def unstar(g: Graphoid) -> Cube:
     dimension loses all of them); measures are every declared edge type.
     Raises StarShapeError when the value does not look like an embedded cube.
     """
-    nodes_by_type: dict[str, list[Node]] = {}
+    nodes_of_type: dict[str, list[Node]] = {}
     for node in g.nodes.values():
-        nodes_by_type.setdefault(node.ntype, []).append(node)
-    dim_decls = [decl for decl in g.node_types.values() if decl.name in nodes_by_type]
+        nodes_of_type.setdefault(node.ntype, []).append(node)
+    dim_decls = [decl for decl in g.node_types.values() if decl.name in nodes_of_type]
     for decl in dim_decls:
         if decl.arity != 2:
             raise StarShapeError(f"malformed star shape: node type {decl.name} is not (Id, dim)")
@@ -204,16 +204,19 @@ def unstar(g: Graphoid) -> Cube:
 
     dim_of_node: dict[int, tuple[int, object]] = {}
     for di, decl in enumerate(dim_decls):
-        for node in nodes_by_type[decl.name]:
+        for node in nodes_of_type[decl.name]:
             dim_of_node[node.ident] = (di, node.label[1])
 
     measure_index = {f"#{m.name}": j for j, m in enumerate(measures)}
     cells: dict[tuple, list] = {}
     seen: set[tuple[tuple, int]] = set()
-    etypes, sources, targets, columns, _, sets = g.edge_table
+    table = g.edge_table
+    sets = table.sets
     # every edge type holds one slot, its measure
-    values = in_edge_order(etypes, {name: type_columns[0] for name, type_columns in columns.items()})
-    for etype, source, target, value in zip(etypes, sources, targets, values):
+    rows = chain.from_iterable(
+        zip(repeat(name), sources, targets, values) for name, (sources, targets, (values,), _) in table.types.items()
+    )
+    for etype, source, target, value in rows:
         if sets[source]:
             raise StarShapeError(f"malformed star shape: edge {etype} has a non-empty source")
         parts: dict[int, object] = {}

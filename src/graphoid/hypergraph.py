@@ -6,14 +6,15 @@ target node ids and form a bag: two edges with identical type, endpoints and
 label are distinct occurrences.  Each (type, slot) pair tracks the dimension
 level its values currently live at.
 
-A graph value holds its edge bag in one store, an ``EdgeTable``: parallel
-columns of edge type, source-set id, target-set id and surrogate, one entry
-per edge in edge order, over one list of the value's distinct endpoint sets,
-each a frozenset held once; and the labels as slot columns, one tuple of
-columns per edge type, each column holding one slot's values of that type's
-edges in edge order.  An operator rewrites, tests or folds a slot as one
-column; ``EdgeTable.by_type`` splits an all-rows column by row type and
-``in_edge_order`` merges per-type columns back into edge order.
+A graph value holds its edge bag in one store, an ``EdgeTable``: one
+sub-table (``TypeRows``) per edge type with rows, over one list of the
+value's distinct endpoint sets, each a frozenset held once.  A sub-table
+holds parallel columns of source-set id, target-set id and surrogate, and
+the labels as slot columns, each holding one slot's values, one entry per
+row.  Edge order is each type's rows in order, types in the order of their
+first row: the order of edges of different types is not part of the value,
+so a table keeps none.  An operator rewrites, tests or folds one sub-table
+at a time, and a slot as one column.
 ``build_graphoid`` (and so a JSON load, ``store.generate``,
 ``store.ingest_calls`` and ``cubes.star``) writes a table, ``edgify``
 appends rows to one, the operators of ``olap`` read and write tables, and
@@ -22,40 +23,33 @@ appends rows to one, the operators of ``olap`` read and write tables, and
 ``Graphoid(...)``, or as ``edges=`` to ``derive`` or ``replaced``, are
 turned into a table once, by ``EdgeTable.of``.
 ``build_graphoid`` checks its edge rows and writes their table a column at
-a time (``_checked_table``): each edge type's rows are transposed once with
-``zip(*rows)``, a slot's membership is one test of its column, a parsed
-slot (a JSON document's ISO dates) is parsed once per distinct string, and
-the transposed columns are kept as the type's slot columns.  Only when some
-row fails are the rows read one at a time, by ``_report_edge_rows``, the
-one place that words an edge row's problems.
+a time (``_checked_table``): each edge type's rows are gathered in input
+order and transposed once with ``zip(*rows)``, a slot's membership is one
+test of its column, a parsed slot (a JSON document's ISO dates) is parsed
+once per distinct string, and the transposed columns are kept as the
+type's slot columns.  Only when some row fails are the rows read one at a
+time, by ``_report_edge_rows``, the one place that words an edge row's
+problems.
 ``EdgeTable.labels`` is a read-only view of the labels as row tuples, built
 from the columns on each read for tests and cold callers; no operator reads
 it.  ``Graphoid.edges``, the public view, is a tuple of ``HyperEdge``s
 built from the table on first read and kept, in which each distinct
 endpoint set is the table's one frozenset.
 
-``HyperEdge(...)``, ``Node(...)`` and ``Graphoid(...)`` are the public
-constructors; the engine skips their frozen dataclass ``__init__`` (one
-``object.__setattr__`` per field).  Edges come from ``make_edge`` (when
-``.edges`` is built from a table) and nodes from ``make_node``, each made
-by ``slot_writer`` from its record: an unfrozen twin derived from the
-record's own fields, so it has the same slot layout.  The twin's
-``__init__`` takes every field positionally (``surrogate`` too), converts
-nothing, fills the slots with plain writes and then turns the object into
-the record, which the equal layout allows; what it returns is an ordinary
-``HyperEdge`` or ``Node``.
-Graph values come from one internal constructor, ``_graphoid``, which sets
-a value's field dict in one step: ``build_graphoid`` returns its value, and
-``Graphoid.derive`` and ``replaced`` (``dataclasses.replace`` for graph
-values) copy the parent's fields and start an empty index table.
+Nodes and edges are built with ``Node(...)`` and ``HyperEdge(...)``.
+Besides the public ``Graphoid(...)``, graph values come from one internal
+constructor, ``_graphoid``, which sets a value's field dict in one step:
+``build_graphoid`` returns its value, and ``Graphoid.derive`` and
+``replaced`` (``dataclasses.replace`` for graph values) copy the parent's
+fields and start an empty index table.
 """
 from __future__ import annotations
 
 from collections import Counter, defaultdict, deque
-from dataclasses import dataclass, field, fields, make_dataclass
+from dataclasses import dataclass, field, fields
 from itertools import chain, compress, count, repeat
-from operator import eq, itemgetter
-from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
+from operator import itemgetter
+from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 try:
     from operator import call
@@ -114,34 +108,9 @@ class EdgeTypeDecl(_TypeDecl):
         return None
 
 
-_R = TypeVar("_R")
-
-
-def slot_writer(cls: type[_R]) -> Callable[..., _R]:
-    """A constructor of the frozen, slotted dataclass ``cls`` that writes its
-    slots directly: ``slot_writer(cls)(*values)`` equals ``cls(*values)``
-    and is of type ``cls``.  Every field is a positional argument, in field
-    order, with no default.  ``make_node`` and ``make_edge`` are its two
-    twins."""
-
-    def __post_init__(self) -> None:
-        self.__class__ = cls
-
-    return make_dataclass(
-        f"_{cls.__name__}Writer",
-        [(f.name, f.type) for f in fields(cls)],
-        namespace={"__post_init__": __post_init__},
-        slots=True,
-        eq=False,
-        repr=False,
-        match_args=False,
-    )
-
-
 @dataclass(frozen=True, slots=True)
 class Node:
-    """One node; slotted, so it holds no ``__dict__``.  The engine's own
-    nodes come from ``make_node``, which builds the same value more cheaply."""
+    """One node; slotted, so it holds no ``__dict__``."""
 
     ntype: str
     label: tuple
@@ -151,16 +120,12 @@ class Node:
         return self.label[0]
 
 
-make_node: Callable[[str, tuple], Node] = slot_writer(Node)
-
-
 @dataclass(frozen=True, slots=True)
 class HyperEdge:
     """One edge occurrence; ``surrogate`` is internal bookkeeping, never compared.
 
     Slotted, so an edge holds no ``__dict__``.  Edges of one graph value with
-    equal endpoint sets hold the same frozenset objects.  The engine's own
-    edges come from ``make_edge``, which builds the same value more cheaply.
+    equal endpoint sets hold the same frozenset objects.
     """
 
     etype: str
@@ -174,113 +139,92 @@ class HyperEdge:
         return self.source | self.target
 
 
-make_edge: Callable[[str, frozenset[int], frozenset[int], tuple, int], HyperEdge] = slot_writer(HyperEdge)
+class TypeRows(NamedTuple):
+    """The rows of one edge type, as parallel columns in edge order.
+
+    ``sources`` and ``targets`` are indexes into the table's ``sets``.
+    ``columns`` holds the labels, one tuple of values per label slot (a type
+    with no label slots has an empty tuple).  Columns are never changed once
+    built, so an operator hands the ones it does not rewrite on to its
+    result.
+    """
+
+    sources: Sequence[int]
+    targets: Sequence[int]
+    columns: tuple[tuple, ...]
+    surrogates: Sequence[int]
+
+    def labels(self) -> Iterator[tuple]:
+        """Each row's label, in order, zipped from the slot columns."""
+        return zip(*self.columns) if self.columns else repeat((), len(self.sources))
 
 
 class EdgeTable(NamedTuple):
-    """An edge bag as columns, one entry per edge in edge order.
-
-    ``etypes``, ``sources``, ``targets`` and ``surrogates`` are parallel
-    columns over every row.  ``sets`` holds each distinct endpoint set once;
-    ``sources`` and ``targets`` are indexes into it, so two rows have equal
-    endpoint sets exactly when they have equal ids.  ``columns`` holds the
-    labels: for each edge type with rows in the table, and only those, one
-    tuple of slot columns, each a tuple of that slot's values at the type's
-    rows, in edge order (a type with no label slots has an empty tuple).
-    Columns are never changed once a table is built, so an operator hands
-    the columns it does not rewrite on to its result, and ``surrogates``
-    may be a ``range``.
+    """An edge bag as one ``TypeRows`` per edge type with rows, over
+    ``sets``, which holds each distinct endpoint set once: two rows have
+    equal endpoint sets exactly when they have equal ids.  Edge order is
+    each type's rows in order, types in the order of ``types``.
     """
 
-    etypes: Sequence[str]
-    sources: Sequence[int]
-    targets: Sequence[int]
-    columns: Mapping[str, tuple[tuple, ...]]
-    surrogates: Sequence[int]
+    types: Mapping[str, TypeRows]
     sets: Sequence[frozenset[int]]
 
     @classmethod
     def of(cls, edges: Iterable[HyperEdge]) -> EdgeTable:
-        """The table of ``edges``; each distinct set is the first object found
-        for it.  Edges of one type must have labels of one length."""
-        edges = tuple(edges)  # read once: each column is one more pass
-        ids: dict[frozenset[int], int] = {}
-        sources = [ids.setdefault(e.source, len(ids)) for e in edges]
-        targets = [ids.setdefault(e.target, len(ids)) for e in edges]
-        labels_of: defaultdict[str, list[tuple]] = defaultdict(list)
+        """The table of ``edges``, each type's rows in their order, types in
+        the order of their first edge; each distinct set is numbered at its
+        first row, a type's sources before its targets, and is the first
+        object found for it.  Edges of one type must have labels of one
+        length."""
+        typed: defaultdict[str, list[HyperEdge]] = defaultdict(list)
         for e in edges:
-            labels_of[e.etype].append(e.label)
-        columns = {}
-        for name, labels in labels_of.items():
+            typed[e.etype].append(e)
+        ids: dict[frozenset[int], int] = {}
+        types = {}
+        for name, rows in typed.items():
+            sources = [ids.setdefault(e.source, len(ids)) for e in rows]
+            targets = [ids.setdefault(e.target, len(ids)) for e in rows]
             try:
-                columns[name] = tuple(zip(*labels, strict=True))
+                columns = tuple(zip(*(e.label for e in rows), strict=True))
             except ValueError:
                 raise GraphoidError(f"edges of type {name} have labels of different lengths") from None
-        return cls([e.etype for e in edges], sources, targets, columns, [e.surrogate for e in edges], list(ids))
+            types[name] = TypeRows(sources, targets, columns, [e.surrogate for e in rows])
+        return cls(types, list(ids))
 
     @property
     def labels(self) -> tuple[tuple, ...]:
         """The labels as row tuples, in edge order: a read-only view built from
         the slot columns on each read, for tests and cold callers."""
-        return tuple(_label_rows(self))
+        return tuple(chain.from_iterable(rows.labels() for rows in self.types.values()))
 
     def edges(self) -> tuple[HyperEdge, ...]:
         """The rows as edges; rows with equal set ids share their frozensets."""
         at = self.sets.__getitem__
-        return tuple(map(make_edge, self.etypes, map(at, self.sources), map(at, self.targets), _label_rows(self), self.surrogates))
+        return tuple(chain.from_iterable(
+            map(HyperEdge, repeat(name), map(at, rows.sources), map(at, rows.targets), rows.labels(), rows.surrogates)
+            for name, rows in self.types.items()
+        ))
 
-    def by_type(self, column: Sequence) -> dict[str, Sequence]:
-        """The entries of an all-rows ``column`` split by row type: for each
-        type in the table, the entries at its rows, in edge order, gathered in
-        one pass; ``column`` itself when the table holds one type."""
-        if len(self.columns) == 1:
-            return dict.fromkeys(self.columns, column)
-        split: dict[str, list] = {name: [] for name in self.columns}
-        consume(map(list.append, map(split.__getitem__, self.etypes), column))
-        return split
-
-    def where(self, mask: Sequence[bool], columns: Mapping[str, tuple[tuple, ...]] | None = None) -> EdgeTable:
-        """The rows whose ``mask`` entry is true, in order.  ``columns``, when
-        given, are those rows' slot columns; else each type's columns keep the
-        entries of its kept rows: a type that keeps every row keeps its
-        columns, and a type left with no rows is dropped."""
-        etypes, sources, targets, old_columns, surrogates, sets = self
-        if all(mask):
-            return self if columns is None else self._replace(columns=columns)
-        if columns is None:
-            columns = {}
-            for name, type_mask in self.by_type(mask).items():
-                if all(type_mask):
-                    columns[name] = old_columns[name]
-                elif any(type_mask):
-                    columns[name] = tuple(map(tuple, map(compress, old_columns[name], repeat(type_mask))))
-        return EdgeTable(
-            list(compress(etypes, mask)), list(compress(sources, mask)), list(compress(targets, mask)),
-            columns, list(compress(surrogates, mask)), sets,
-        )
+    def where(self, masks: Mapping[str, Sequence[bool]]) -> EdgeTable:
+        """The rows whose mask entry is true, in order; ``masks`` holds one
+        mask per type of the table.  A type that keeps every row keeps its
+        sub-table, and a type left with no rows is dropped."""
+        types = {}
+        for name, rows in self.types.items():
+            mask = masks[name]
+            if all(mask):
+                types[name] = rows
+            elif any(mask):
+                sources, targets, columns, surrogates = rows
+                types[name] = TypeRows(
+                    list(compress(sources, mask)), list(compress(targets, mask)),
+                    tuple(map(tuple, map(compress, columns, repeat(mask)))), list(compress(surrogates, mask)),
+                )
+        return EdgeTable(types, self.sets)
 
 
 # drains an iterator at C speed, keeping nothing
 consume = deque(maxlen=0).extend
-
-
-def in_edge_order(etypes: Iterable[str], per_type: Mapping[str, Iterable]) -> Iterator:
-    """Per-type sequences merged in edge order: for each entry of ``etypes``,
-    the next item of its type's sequence.  Every entry must be a key of
-    ``per_type``; a single key's sequence is returned as it is."""
-    if len(per_type) == 1:
-        (values,) = per_type.values()
-        return iter(values)
-    rest = {name: iter(values) for name, values in per_type.items()}
-    return map(next, map(rest.__getitem__, etypes))
-
-
-def _label_rows(table: EdgeTable) -> Iterator[tuple]:
-    """Each row's label, in edge order, zipped from its type's slot columns."""
-    rows = len(table.etypes)
-    return in_edge_order(
-        table.etypes, {name: zip(*columns) if columns else repeat((), rows) for name, columns in table.columns.items()}
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,7 +264,7 @@ class Graphoid:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edge_table.etypes)
+        return sum(len(rows.sources) for rows in self.edge_table.types.values())
 
     def __getattr__(self, name: str) -> object:
         # called only for a name the value does not hold: ``edges`` is built
@@ -360,7 +304,10 @@ class Graphoid:
     def edge_multiset(self) -> Counter:
         table = self.edge_table
         at = table.sets.__getitem__
-        return Counter(zip(table.etypes, map(at, table.sources), map(at, table.targets), _label_rows(table)))
+        return Counter(chain.from_iterable(
+            zip(repeat(name), map(at, rows.sources), map(at, rows.targets), rows.labels())
+            for name, rows in table.types.items()
+        ))
 
     def bag_equal(self, other: Graphoid) -> bool:
         return (
@@ -544,7 +491,7 @@ def build_graphoid(
     node_table: dict[int, Node] = {}
     for row in nodes:
         try:
-            node = row if isinstance(row, Node) else make_node(str(row[0]), tuple(row[1:]))
+            node = row if isinstance(row, Node) else Node(str(row[0]), tuple(row[1:]))
         except (LookupError, TypeError):
             problems.append(f"node row {row!r}: expected a type and a label")
             continue
@@ -601,9 +548,9 @@ def build_graphoid(
     })
 
 
-# an edge row's type, sources and targets; the row types whose iteration reads
-# what indexing reads; the one type of an endpoint id, and of a type name
-_TYPE, _SOURCES, _TARGETS = itemgetter(0), itemgetter(1), itemgetter(2)
+# an edge row's type; the row types whose iteration reads what indexing
+# reads; the one type of an endpoint id, and of a type name
+_TYPE = itemgetter(0)
 _ROWS, _INT, _STR = frozenset({list, tuple}), frozenset({int}), frozenset({str})
 
 
@@ -618,45 +565,38 @@ def _checked_table(
 
     The rows are read a column at a time, with no per-row Python step:
     - the type column: every type declared (a row's type is ``str`` of
-      what it holds);
+      what it holds), and each type's row positions gathered in one pass,
+      types in the order of their first row;
     - per edge type, its rows transposed once with ``zip(*rows)``, which
       checks that they share one width, the type's label width; on those
       columns each ``parse`` slot's strings are parsed once per distinct
       string, each slot's column test runs once (see
       ``DimensionInstance.column_test``), and the label columns become the
       type's slot columns;
-    - the endpoint columns, over all rows: every id an integer by type (5.0
+    - per edge type, its endpoint columns: every id an integer by type (5.0
       and True equal ints, so a set cannot tell them apart), no row with
-      both sets empty, and each distinct set, a frozenset held once and
-      numbered at its first row, sources first, a set of nodes.
-    A built edge's surrogate is its position.  A row that is not a list or
-    tuple is read by position, as ``_report_edge_rows`` reads it.
+      both sets empty, and each distinct set a frozenset held once,
+      numbered at its first row, a type's sources before its targets;
+    - every set a set of nodes.
+    A built edge's surrogate is its position in ``rows``.  A row that is not
+    a list or tuple is read by position, as ``_report_edge_rows`` reads it.
     """
     try:
         if not _ROWS.issuperset(map(type, rows)):
             rows = list(map(_positions, rows))
-        types = list(map(_TYPE, rows))
-        kinds = set(types)
-        if not _STR.issuperset(map(type, kinds)):
-            types = list(map(str, types))
-            kinds = set(types)
-        if not column_tests.keys() >= kinds:
+        positions = _grouped(map(_TYPE, rows))
+        if not _STR.issuperset(map(type, positions)):
+            positions = _grouped(map(str, map(_TYPE, rows)))
+        if not column_tests.keys() >= positions.keys():
             return None
-        if len(kinds) == 1:
-            etypes = [*kinds] * len(rows)
-            typed = dict.fromkeys(kinds, rows)
-        else:
-            etypes = types
-            typed = {}
-            for kind in kinds:
-                typed[kind] = list(compress(rows, map(eq, etypes, repeat(kind))))
-        columns_of: dict[str, tuple[tuple, ...]] = {}
-        for kind, kind_rows in typed.items():
+        # each distinct set numbered at its first row; a repeat is dropped at once
+        set_ids: defaultdict[frozenset[int], int] = defaultdict(count().__next__)
+        typed = {}
+        for kind, at in positions.items():
             tests = column_tests[kind]
-            columns = list(zip(*kind_rows, strict=True))
-            if len(columns) != 3 + len(tests):
+            _, source_column, target_column, *slots = zip(*map(rows.__getitem__, at), strict=True)
+            if len(slots) != len(tests):
                 return None
-            slots = columns[3:]
             for slot, test in enumerate(tests):
                 if parse and (read := parse.get((kind, slot))) is not None:
                     column = slots[slot]
@@ -664,28 +604,30 @@ def _checked_table(
                     slots[slot] = tuple(map(parsed.get, column, column))
                 if not test(slots[slot]):
                     return None
-            columns_of[kind] = tuple(slots)
-        if len(columns_of) == 1:
-            source_column, target_column = columns[1], columns[2]
-        else:
-            source_column, target_column = list(map(_SOURCES, rows)), list(map(_TARGETS, rows))
-        if not (
-            _INT.issuperset(map(type, chain.from_iterable(source_column)))
-            and _INT.issuperset(map(type, chain.from_iterable(target_column)))
-        ):
-            return None
-        # each distinct set numbered at its first row, sources first; a repeat is dropped at once
-        set_ids: defaultdict[frozenset[int], int] = defaultdict(count().__next__)
-        sources = list(map(set_ids.__getitem__, map(frozenset, source_column)))
-        targets = list(map(set_ids.__getitem__, map(frozenset, target_column)))
-        empty = set_ids.get(frozenset())
-        if empty is not None and (empty, empty) in zip(sources, targets):
-            return None
+            if not (
+                _INT.issuperset(map(type, chain.from_iterable(source_column)))
+                and _INT.issuperset(map(type, chain.from_iterable(target_column)))
+            ):
+                return None
+            sources = list(map(set_ids.__getitem__, map(frozenset, source_column)))
+            targets = list(map(set_ids.__getitem__, map(frozenset, target_column)))
+            empty = set_ids.get(frozenset())
+            if empty is not None and (empty, empty) in zip(sources, targets):
+                return None
+            typed[kind] = TypeRows(sources, targets, tuple(slots), at)
         if not node_ids >= frozenset().union(*set_ids):
             return None
     except (LookupError, TypeError, ValueError):
         return None
-    return EdgeTable(etypes, sources, targets, columns_of, range(len(rows)), list(set_ids))
+    return EdgeTable(typed, list(set_ids))
+
+
+def _grouped(types: Iterable[str]) -> defaultdict[str, list[int]]:
+    """The positions of each type's entries in ``types``, in one pass; types
+    in the order of their first entry."""
+    positions: defaultdict[str, list[int]] = defaultdict(list)
+    consume(map(list.append, map(positions.__getitem__, types), count()))
+    return positions
 
 
 def _positions(row: object) -> tuple | None:
@@ -775,8 +717,8 @@ def edgify(g: Graphoid, ntype: str, slot: int) -> Graphoid:
         return g.derive(edge_types=etypes, levels=levels)
 
     nodes = dict(g.nodes)
-    etype_column, sources, targets, columns, surrogates, sets = g.edge_table
-    set_ids = dict(zip(sets, range(len(sets))))  # a table's sets are distinct
+    table = g.edge_table
+    set_ids = dict(zip(table.sets, range(len(table.sets))))  # a table's sets are distinct
     no_source = set_ids.setdefault(frozenset(), len(set_ids))
     new_targets, new_values = [], []
     for ident in sorted(nodes):
@@ -786,15 +728,17 @@ def edgify(g: Graphoid, ntype: str, slot: int) -> Graphoid:
         label = list(node.label)
         new_values.append(label[slot])
         label[slot] = ALL_MEMBER
-        nodes[ident] = make_node(ntype, tuple(label))
+        nodes[ident] = Node(ntype, tuple(label))
         new_targets.append(set_ids.setdefault(frozenset({ident}), len(set_ids)))
-    n, first = len(new_values), max(surrogates, default=-1) + 1
+    n = len(new_values)
     if n:
-        # another node type's edgify of the same dimension may have made the type's column already
-        columns = {**columns, new_type: ((*columns[new_type][0], *new_values) if new_type in columns else tuple(new_values),)}
-    table = EdgeTable(
-        [*etype_column, *[new_type] * n], [*sources, *[no_source] * n], [*targets, *new_targets],
-        columns, [*surrogates, *range(first, first + n)], list(set_ids),
-    )
+        first = max(chain.from_iterable(rows.surrogates for rows in table.types.values()), default=-1) + 1
+        # another node type's edgify of the same dimension may have made the type's rows already
+        sources, targets, (values,), surrogates = table.types.get(new_type, ((), (), ((),), ()))
+        rows = TypeRows(
+            [*sources, *[no_source] * n], [*targets, *new_targets], ((*values, *new_values),),
+            [*surrogates, *range(first, first + n)],
+        )
+        table = EdgeTable({**table.types, new_type: rows}, list(set_ids))
     levels[(ntype, slot)] = ALL_LEVEL
     return g.derive(edge_types=etypes, nodes=nodes, edge_table=table, levels=levels)

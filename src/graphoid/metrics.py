@@ -42,7 +42,7 @@ from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 from .dims import DimensionCatalog
-from .hypergraph import Graphoid, GraphoidError, in_edge_order
+from .hypergraph import Graphoid, GraphoidError
 from .olap import Condition, TargetSet, atom_test, condition_problems
 
 
@@ -98,8 +98,11 @@ def _build_bitsets(g: Graphoid, types: frozenset[str]) -> _Bitsets:
     order = tuple(sorted(g.nodes))
     bit = {v: 1 << i for i, v in enumerate(order)}
     near = dict.fromkeys(order, 0)
-    etypes, sources, targets, _, _, sets = g.edge_table
-    pairs = {(source, target) for etype, source, target in zip(etypes, sources, targets) if etype in types}
+    table = g.edge_table
+    sets = table.sets
+    pairs = set(itertools.chain.from_iterable(
+        zip(rows.sources, rows.targets) for name, rows in table.types.items() if name in types
+    ))
     for adjacency in {sets[source] | sets[target] for source, target in pairs}:
         mask = sum(map(bit.__getitem__, adjacency))
         for v in adjacency:
@@ -261,9 +264,9 @@ def group_average(
     if size < 1:
         raise GraphoidError("group size must be at least 1")
     types = _edge_types(g, via)
-    etypes, sources, targets, columns, _, sets = g.edge_table
-    slots: dict[str, int] = {}
-    for etype in dict.fromkeys(etypes):  # each type once, in edge order
+    table = g.edge_table
+    measured = []  # each selected type's ends and measure values, in edge order
+    for etype, (sources, targets, columns, _) in table.types.items():
         if etype not in types:
             continue
         slot = g.edge_types[etype].measure_slot_of(measure)
@@ -281,16 +284,12 @@ def group_average(
                 f"measure {measure} of {etype} holds {fold} aggregates; "
                 "a group average needs the raw values"
             )
-        slots[etype] = slot
+        measured.append(zip(sources, targets, columns[slot]))
 
-    # the selected rows' measure values, each type's slot column, in edge order
-    values = {name: columns[name][slot] for name, slot in slots.items()}
-    if len(slots) < len(columns):
-        selected = list(map(slots.__contains__, etypes))
-        etypes, sources, targets = (itertools.compress(column, selected) for column in (etypes, sources, targets))
+    sets = table.sets
     sums: dict[tuple[int, ...], float] = {}
     counts: dict[tuple[int, ...], int] = {}
-    for source, target, value in zip(sources, targets, in_edge_order(etypes, values)):
+    for source, target, value in itertools.chain.from_iterable(measured):
         for combo in itertools.combinations(sorted(sets[source] | sets[target]), size):
             sums[combo] = sums.get(combo, 0) + value
             counts[combo] = counts.get(combo, 0) + 1

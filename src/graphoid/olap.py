@@ -8,19 +8,20 @@ strong variant filter edges under a three-valued reading of conditions, slice
 rolls a dimension out entirely, and n-delete removes a node type.
 
 Every operation reads and writes the graph value's edge table
-(``hypergraph.EdgeTable``), whose labels are slot columns, one tuple of
-columns per edge type, and builds no edge objects.  Climb replaces the one
-climbed column of each targeted edge type with the catalog's roll mapped
-over it (one call per row); every other column is handed on.  Aggr keys
-the rows of a targeted type on the zipped source, target and key columns
-of that type (``EdgeTable.by_type`` splits the id columns by type), folds each measure column per class and keeps each class's first
-row, gathering only the members of classes with several.  Dice and strong dice test an edge atom as one pass over its slot
-column (``map(compare, column, repeat(constant))``, after the roll to the
-atom's level when one is needed), merge the types' results in edge order
-(``hypergraph.in_edge_order``) and keep the rows their condition passes.
-Minimize and n-delete rewrite the endpoint-set list once per distinct set
-and remap the two id columns through it.  Columns an operation does not
-rewrite are handed on to its result unchanged.
+(``hypergraph.EdgeTable``) one edge type's sub-table at a time, its labels
+as slot columns, and builds no edge objects.  Climb
+replaces the one climbed column of each targeted edge type with the
+catalog's roll mapped over it (one call per row); every other column is
+handed on.  Aggr keys the rows of a targeted type on the zipped source,
+target and key columns of its sub-table, folds each measure column per
+class and keeps each class's first row, gathering only the members of
+classes with several.  Dice and strong dice test an edge atom as one pass
+over its slot column (``map(compare, column, repeat(constant))``, after the
+roll to the atom's level when one is needed), and keep the rows of each
+type that its mask passes.  Minimize and n-delete rewrite the endpoint-set
+list once per distinct set and remap each type's two id columns through
+it.  Columns an operation does not rewrite are handed on to its result
+unchanged.
 
 Each operation resolves its roll-up steps, class keys and condition atoms
 once, to the dimension instances' roll-up maps and to per-type slot
@@ -56,10 +57,10 @@ from .hypergraph import (
     Graphoid,
     GraphoidError,
     HyperEdge,
+    Node,
     NodeTypeDecl,
+    TypeRows,
     consume,
-    in_edge_order,
-    make_node,
 )
 
 
@@ -277,10 +278,10 @@ def _atom_column_test(atom: Atom, decl: EdgeTypeDecl, levels, catalog) -> Callab
     return test
 
 
-def edge_filter(g: Graphoid, cond: Condition) -> Callable[[EdgeTable], list[bool]]:
+def edge_filter(g: Graphoid, cond: Condition) -> Callable[[EdgeTable], dict[str, list[bool]]]:
     """Resolve a condition on a graph to a test of edge tables:
-    ``edge_filter(g, cond)(table)`` says, row by row, whether each edge
-    satisfies the condition.
+    ``edge_filter(g, cond)(table)`` holds one mask per type of the table,
+    saying row by row whether each of its edges satisfies the condition.
 
     An edge satisfies an atom when it is not false on the edge itself and on
     every adjacent node; clauses and the disjunction lift pointwise.  Each
@@ -289,11 +290,10 @@ def edge_filter(g: Graphoid, cond: Condition) -> Callable[[EdgeTable], list[bool
     false on, and each distinct endpoint set of the table is tested against
     that set once, so an edge passes a clause when the clause's edge tests
     hold on it and both its sets are clear.  An edge test runs as one pass
-    over its type's slot column (``_atom_column_test``), and the types'
-    outcomes are merged in edge order.  Raises OlapError for a
-    condition that ``condition_problems`` or ``atom_test`` refuses, and for a
-    measure atom (no level) whose dimension no edge type of the graph holds
-    as a measure: it could read no slot, and would hold on every edge.
+    over its type's slot column (``_atom_column_test``).  Raises OlapError
+    for a condition that ``condition_problems`` or ``atom_test`` refuses, and
+    for a measure atom (no level) whose dimension no edge type of the graph
+    holds as a measure: it could read no slot, and would hold on every edge.
     """
     problems = condition_problems(g.catalog, cond)
     if problems:
@@ -318,23 +318,20 @@ def edge_filter(g: Graphoid, cond: Condition) -> Callable[[EdgeTable], list[bool
         )
         clauses.append(({name: tests for name, tests in edge_tests.items() if tests}, false_nodes))
 
-    def satisfied(table: EdgeTable) -> list[bool]:
-        etypes, sources, targets, columns, _, sets = table
-        passed = None
+    def satisfied(table: EdgeTable) -> dict[str, list[bool]]:
+        passed: dict[str, list[bool]] = {}
         for edge_tests, false_nodes in clauses:
-            holds = None  # every row holds
-            tested = {name: _all_of(tests, columns[name]) for name, tests in edge_tests.items() if name in columns}
-            if tested:
+            clear = list(map(false_nodes.isdisjoint, table.sets)) if false_nodes else None
+            for name, (sources, targets, columns, _) in table.types.items():
                 # the rows of a type the clause has no edge test for pass its edge part
-                holds = in_edge_order(etypes, {name: tested[name] if name in tested else repeat(True) for name in columns})
-            if false_nodes:
-                clear = list(map(false_nodes.isdisjoint, sets))
-                ends = map(and_, map(clear.__getitem__, sources), map(clear.__getitem__, targets))
-                holds = ends if holds is None else map(and_, holds, ends)
-            if holds is None:
-                holds = repeat(True, len(etypes))
-            passed = list(holds) if passed is None else list(map(or_, passed, holds))
-        return [False] * len(etypes) if passed is None else passed
+                holds = _all_of(edge_tests[name], columns) if name in edge_tests else None
+                if clear is not None:
+                    ends = map(and_, map(clear.__getitem__, sources), map(clear.__getitem__, targets))
+                    holds = ends if holds is None else map(and_, holds, ends)
+                if holds is None:
+                    holds = repeat(True, len(sources))
+                passed[name] = list(holds) if name not in passed else list(map(or_, passed[name], holds))
+        return {name: passed.get(name) or [False] * len(rows.sources) for name, rows in table.types.items()}
 
     return satisfied
 
@@ -350,7 +347,7 @@ def _all_of(tests: list[Callable[[tuple], Iterator[bool]]], columns: tuple) -> I
 # the engine filters whole tables with ``edge_filter``; this one-edge form stays because perfbench's tracer wraps it by name
 def edge_satisfies(g: Graphoid, edge: HyperEdge, cond: Condition) -> bool:
     """Does one edge satisfy the condition?  See ``edge_filter``."""
-    return edge_filter(g, cond)(EdgeTable.of((edge,)))[0]
+    return edge_filter(g, cond)(EdgeTable.of((edge,)))[edge.etype][0]
 
 
 # ---------------------------------------------------------------------------
@@ -422,20 +419,21 @@ def climb(g: Graphoid, targets, step: RollupStep) -> Graphoid:
             slot = node_slots.get(node.ntype)
             if slot is not None:
                 label = node.label
-                nodes[ident] = make_node(node.ntype, label[:slot] + (roll(dim, lo, hi, label[slot]),) + label[slot + 1:])
+                nodes[ident] = Node(node.ntype, label[:slot] + (roll(dim, lo, hi, label[slot]),) + label[slot + 1:])
     levels = dict(g.levels)
     for name, slot in found:
         levels[(name, slot)] = step.to_level
     if not edge_slots:
         return g.derive(nodes=nodes, levels=levels)
     table = g.edge_table
-    columns = dict(table.columns)
+    types = dict(table.types)
     for name, slot in edge_slots.items():
-        type_columns = columns.get(name)  # None when the type has no rows
-        if type_columns is not None:
-            climbed = tuple(map(roll, repeat(dim), repeat(lo), repeat(hi), type_columns[slot]))
-            columns[name] = (*type_columns[:slot], climbed, *type_columns[slot + 1:])
-    return g.derive(nodes=nodes, edge_table=table._replace(columns=columns), levels=levels)
+        rows = types.get(name)  # None when the type has no rows
+        if rows is not None:
+            sources, targets, columns, surrogates = rows
+            climbed = tuple(map(roll, repeat(dim), repeat(lo), repeat(hi), columns[slot]))
+            types[name] = TypeRows(sources, targets, (*columns[:slot], climbed, *columns[slot + 1:]), surrogates)
+    return g.derive(nodes=nodes, edge_table=EdgeTable(types, table.sets), levels=levels)
 
 
 def minimize(g: Graphoid) -> Graphoid:
@@ -464,13 +462,16 @@ def _rewrite_sets(table: EdgeTable, fn: Callable[[frozenset[int]], frozenset[int
     """``table`` with ``fn`` applied to each of its endpoint sets, once per
     set; equal results share one id, and a result equal to its input is the
     input's object."""
-    etypes, sources, targets, columns, surrogates, sets = table
     ids: dict[frozenset[int], int] = {}
     remap = []
-    for ends in sets:
+    for ends in table.sets:
         new = fn(ends)
         remap.append(ids.setdefault(ends if new == ends else new, len(ids)))
-    return EdgeTable(etypes, [remap[i] for i in sources], [remap[i] for i in targets], columns, surrogates, list(ids))
+    types = {
+        name: TypeRows([remap[i] for i in sources], [remap[i] for i in targets], columns, surrogates)
+        for name, (sources, targets, columns, surrogates) in table.types.items()
+    }
+    return EdgeTable(types, list(ids))
 
 
 def group(g: Graphoid, type_name: str, step: RollupStep) -> Graphoid:
@@ -543,44 +544,41 @@ def aggr(g: Graphoid, edge_type: str, measures: MeasurePairs) -> Graphoid:
     receive the aggregate over the whole class, folded in edge order.  Input
     is contracted first, so equal endpoint sets have equal ids.
 
-    Each targeted edge type is folded column at a time, on its slot
-    columns.  Class keys are the zipped source, target and key columns of
-    the type, and ``first_at.setdefault`` mapped over them with the row
-    positions gives each row its class's first member.  Each measure column
+    Each targeted edge type's sub-table is folded column at a time.  Class
+    keys are its zipped source, target and key columns, and
+    ``first_at.setdefault`` mapped over them with the row positions gives
+    each row its class's first member.  Each measure column
     is folded per class (``_fold_column``); each other column keeps its
     first members' entries, and is handed on whole when no class has two.
-    Rows of untargeted types pass through unchanged, and never share a
-    class with targeted ones.
+    Untargeted types' sub-tables pass through unchanged.
     """
     g = minimize(g)
     pairs = _coerce_measures(measures)
     plan, folds = _aggregation_plan(g, edge_type, pairs)
 
     table = g.edge_table
-    columns = dict(table.columns)
-    sources_of, targets_of = table.by_type(table.sources), table.by_type(table.targets)
-    kept_of: dict[str, list[bool]] = {}  # per type with a class of several rows: is each row its class's first?
+    types = dict(table.types)
     for name, slots in plan.items():
-        type_columns = columns.get(name)  # None when the type has no rows
-        if type_columns is None:
+        rows = types.get(name)  # None when the type has no rows
+        if rows is None:
             continue
+        sources, targets, columns, surrogates = rows
         key_slots = [slot for slot, dim in enumerate(g.edge_types[name].dims) if slot not in slots and dim != ID_DIMENSION]
-        keys = zip(sources_of[name], targets_of[name], *map(type_columns.__getitem__, key_slots))
+        keys = zip(sources, targets, *map(columns.__getitem__, key_slots))
         first_at: dict[tuple, int] = {}  # class key -> its first member's position among the rows
         firsts = list(map(first_at.setdefault, keys, count()))
-        kept = joining = None
+        kept = joining = None  # is each row its class's first; the rows joining an earlier class
         if len(first_at) < len(firsts):
-            kept = kept_of[name] = list(map(eq, firsts, count()))
+            kept = list(map(eq, firsts, count()))
             joining = list(compress(count(), map(not_, kept)))
-        columns[name] = tuple(
+            sources, targets, surrogates = (list(compress(column, kept)) for column in (sources, targets, surrogates))
+        columns = tuple(
             _fold_column(slots[slot], column, firsts, kept, joining) if slot in slots
             else column if kept is None else tuple(compress(column, kept))
-            for slot, column in enumerate(type_columns)
+            for slot, column in enumerate(columns)
         )
-    if not kept_of:
-        return g.derive(edge_table=table._replace(columns=columns), folds=folds)
-    keep = list(in_edge_order(table.etypes, {name: kept_of[name] if name in kept_of else repeat(True) for name in columns}))
-    return g.derive(edge_table=table.where(keep, columns), folds=folds)
+        types[name] = TypeRows(sources, targets, columns, surrogates)
+    return g.derive(edge_table=EdgeTable(types, table.sets), folds=folds)
 
 
 def _fold_column(
@@ -677,11 +675,16 @@ def dice(g: Graphoid, cond: Condition) -> Graphoid:
 def s_dice(g: Graphoid, cond: Condition) -> Graphoid:
     """Dice, then also drop survivors sharing an adjacency set with a removed edge."""
     table = g.edge_table
-    sets, sources, targets = table.sets, table.sources, table.targets
+    sets = table.sets
     passed = edge_filter(g, cond)(table)
     # each row's adjacency as an inline union of its two sets
-    removed = {sets[s] | sets[t] for ok, s, t in zip(passed, sources, targets) if not ok}
-    keep = [ok and sets[s] | sets[t] not in removed for ok, s, t in zip(passed, sources, targets)]
+    removed = set()
+    for name, rows in table.types.items():
+        removed.update(sets[s] | sets[t] for ok, s, t in zip(passed[name], rows.sources, rows.targets) if not ok)
+    keep = {
+        name: [ok and sets[s] | sets[t] not in removed for ok, s, t in zip(passed[name], rows.sources, rows.targets)]
+        for name, rows in table.types.items()
+    }
     return g.derive(edge_table=table.where(keep), tainted=True)
 
 
@@ -712,5 +715,8 @@ def n_delete(g: Graphoid, node_type: str) -> Graphoid:
     nodes = {ident: node for ident, node in g.nodes.items() if ident not in dead}
     table = _rewrite_sets(g.edge_table, lambda ends: ends - dead)
     touches = [bool(ends) for ends in table.sets]
-    keep = [touches[source] or touches[target] for source, target in zip(table.sources, table.targets)]
+    keep = {
+        name: [touches[source] or touches[target] for source, target in zip(rows.sources, rows.targets)]
+        for name, rows in table.types.items()
+    }
     return g.derive(nodes=nodes, edge_table=table.where(keep), tainted=True)

@@ -8,8 +8,9 @@ Graph values are read into and written from their edge table
 (``hypergraph.EdgeTable``): loading, ingesting and generating go through
 ``build_graphoid``, which checks the rows and writes the table a column at
 a time, and ``graphoid_to_json`` writes the document's rows from the
-table's columns, sorting each distinct endpoint set once and encoding each
-distinct date once.  Neither builds an edge object.
+table's columns, one edge type after another, sorting each distinct
+endpoint set once and encoding each distinct date once.  Neither builds an
+edge object.
 """
 from __future__ import annotations
 
@@ -21,9 +22,8 @@ import os
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import compress, repeat
-from operator import eq
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO
+from itertools import chain, repeat
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .cubes import Cube, CubeMeasure, build_cube
 from .dims import (
@@ -44,7 +44,6 @@ from .hypergraph import (
     GraphoidError,
     NodeTypeDecl,
     build_graphoid,
-    in_edge_order,
     replaced,
 )
 
@@ -167,12 +166,14 @@ def instance_from_json(raw: dict) -> DimensionInstance:
 # graph values
 
 def graphoid_to_json(g: Graphoid) -> dict:
-    """The JSON document of a graph value, rows in node-id and edge order.
+    """The JSON document of a graph value, rows in node-id and edge order:
+    edge rows grouped by edge type, types in the order of their first row.
 
     Rows are written a column at a time (``_json_rows``): per type, each
     slot column that may hold dates is encoded once per distinct date, and
-    the rows are zipped from the columns.  An edge type's columns are the
-    table's slot columns; node labels are transposed once per node type.
+    the rows are zipped from the columns.  An edge type's columns are its
+    sub-table's slot columns; node labels are transposed once per node type,
+    and the node types' rows merged back in node-id order.
     """
     # the encode plan: per type, the slots whose level's own test does not rule
     # out a date (a closed level is only as typed as its members); the values of
@@ -189,12 +190,19 @@ def graphoid_to_json(g: Graphoid) -> dict:
     node_labels: defaultdict[str, list[tuple]] = defaultdict(list)
     for node in nodes:
         node_labels[node.ntype].append(node.label)
-    node_columns = {kind: tuple(zip(*labels)) for kind, labels in node_labels.items()}
-    nodes = _json_rows([node.ntype for node in nodes], (), node_columns, encoded)
-    etypes, sources, targets, columns, _, sets = g.edge_table
+    node_rows = {
+        kind: _json_rows(kind, len(labels), (), tuple(zip(*labels)), encoded[kind]) for kind, labels in node_labels.items()
+    }
+    nodes = list(map(next, map(node_rows.__getitem__, [node.ntype for node in nodes])))
+    table = g.edge_table
     # each distinct endpoint set sorted once; each row gets its own copies
-    at = [sorted(ends) for ends in sets].__getitem__
-    edges = _json_rows(etypes, (list(map(list, map(at, sources))), list(map(list, map(at, targets)))), columns, encoded)
+    at = [sorted(ends) for ends in table.sets].__getitem__
+    edges = list(chain.from_iterable(
+        _json_rows(
+            kind, len(sources), (list(map(list, map(at, sources))), list(map(list, map(at, targets)))), columns, encoded[kind]
+        )
+        for kind, (sources, targets, columns, _) in table.types.items()
+    ))
     doc = {
         "nodeTypes": [{"name": d.name, "dims": list(d.dims)} for d in g.node_types.values()],
         "edgeTypes": [
@@ -218,28 +226,17 @@ def graphoid_to_json(g: Graphoid) -> dict:
 
 
 def _json_rows(
-    types: Sequence[str],
-    leads: tuple[Sequence, ...],
-    columns: Mapping[str, Sequence[Sequence]],
-    encoded: dict[str, tuple[int, ...]],
-) -> list[list]:
-    """One document row per entry, in order: its type, its value in each of
-    the ``leads`` columns, then its label, with ``_value_to_json`` applied at
-    the ``encoded`` slots of its type.  ``columns`` holds each type's slot
-    columns, each in the order of that type's entries.  Each encoded column
-    is encoded once per distinct date in it, and the rows are zipped from
-    the columns; several types are merged back in row order."""
-    single = len(columns) == 1
-    rows = {}
-    for kind, kind_columns in columns.items():
-        mask = None if single else list(map(eq, types, repeat(kind)))
-        kind_leads = leads if single else [list(compress(column, mask)) for column in leads]
-        kind_columns = list(kind_columns)
-        for slot in encoded[kind]:
-            kind_columns[slot] = _encoded_column(kind_columns[slot])
-        kinds = repeat(kind, len(types) if single else sum(mask))
-        rows[kind] = map(list, zip(kinds, *kind_leads, *kind_columns))
-    return list(in_edge_order(types, rows))
+    kind: str, count: int, leads: tuple[Sequence, ...], columns: Sequence[Sequence], encoded: tuple[int, ...]
+) -> Iterator[list]:
+    """The document rows of ``count`` entries of type ``kind``, in order: the
+    type, the entry's value in each of the ``leads`` columns, then its label
+    from the slot ``columns``, with ``_value_to_json`` applied at the
+    ``encoded`` slots.  Each encoded column is encoded once per distinct
+    date in it, and the rows are zipped from the columns."""
+    columns = list(columns)
+    for slot in encoded:
+        columns[slot] = _encoded_column(columns[slot])
+    return map(list, zip(repeat(kind, count), *leads, *columns))
 
 
 def _encoded_column(column: Sequence[object]) -> Sequence[object]:

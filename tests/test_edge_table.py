@@ -4,16 +4,17 @@ from __future__ import annotations
 
 import random
 import shutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphoid import cli, hypergraph, store
+from graphoid import cli, cubes, store
 from graphoid.cubes import CubeMeasure, build_cube, random_catalog, random_cube, star
 from graphoid.dims import RollupStep
-from graphoid.hypergraph import EdgeTable, Graphoid, GraphoidError, HyperEdge, edgify, replaced
+from graphoid.hypergraph import EdgeTable, Graphoid, GraphoidError, HyperEdge, build_graphoid, edgify, replaced
 from graphoid.metrics import group_average
 from graphoid.olap import Atom, Condition, aggr, climb, dice, drill_down, group, n_delete, roll_up, s_dice, slice_out
 from helpers import climbable_step, ends_are_shared, random_graph_condition, random_graphoid
@@ -110,7 +111,7 @@ class TestRepresentationIndependence:
         assert table_backed.edges is table_backed.edges
         from_edges = edges_only(table_backed)
         assert from_edges.edge_table is from_edges.edge_table
-        assert from_edges.edge_table == table_backed.edge_table._replace(surrogates=list(table_backed.edge_table.surrogates))
+        assert from_edges.edge_table == table_backed.edge_table
 
     def test_new_edges_drop_the_parent_table(self, base_graph):
         table_backed = climb(base_graph, ["#Call"], RollupStep("Time", "Day", "Month"))
@@ -136,19 +137,14 @@ class TestTableOfEdges:
 
 
 def count_edge_builds(monkeypatch) -> list[int]:
-    """Count every ``HyperEdge`` built from here on, by ``make_edge`` or by the public constructor."""
+    """Count every ``HyperEdge`` built from here on."""
     built = [0]
-    make_edge, init = hypergraph.make_edge, HyperEdge.__init__
-
-    def counted_make_edge(*args):
-        built[0] += 1
-        return make_edge(*args)
+    init = HyperEdge.__init__
 
     def counted_init(self, *args, **kwargs):
         built[0] += 1
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(hypergraph, "make_edge", counted_make_edge)
     monkeypatch.setattr(HyperEdge, "__init__", counted_init)
     return built
 
@@ -302,6 +298,11 @@ def draw_column_op(rng: random.Random, g: Graphoid):
     return lambda value: drill_down(value, "*", dim, to_level, "*", measures)
 
 
+def slot_columns(g: Graphoid) -> list[tuple[str, tuple]]:
+    """Each edge type's name and slot columns, in the table's type order."""
+    return [(name, rows.columns) for name, rows in g.edge_table.types.items()]
+
+
 class TestSlotColumnsOfInterleavedTypes:
     """On tables holding several edge types, interleaved (a two-measure star)
     or appended (an ``edgify``'d graph), each operation gives the value it
@@ -315,7 +316,7 @@ class TestSlotColumnsOfInterleavedTypes:
         g = two_measure_star(rng) if use_star else edgified_graph(rng)
         for _ in range(rng.randint(1, 3)):
             from_edges = replaced(g, edge_table=EdgeTable.of(g.edge_table.edges()))
-            assert g.edge_table.columns == from_edges.edge_table.columns
+            assert slot_columns(g) == slot_columns(from_edges)
             run = draw_column_op(rng, g)
             outcomes = []
             for value in (g, from_edges):
@@ -328,6 +329,77 @@ class TestSlotColumnsOfInterleavedTypes:
                 assert (type(a), str(a)) == (type(b), str(b))
                 return
             assert_same_value(a, b)
-            assert a.edge_table.columns == b.edge_table.columns
-            assert a.edge_table.columns.keys() == set(a.edge_table.etypes)
+            assert slot_columns(a) == slot_columns(b)
+            # only types with rows have a sub-table
+            assert all(rows.sources for rows in a.edge_table.types.values())
             g = a
+
+
+def stably_grouped(rows: list) -> list[tuple[int, object]]:
+    """Each row with its position, the rows stably grouped by type (the row's
+    first entry), types in the order of their first row."""
+    rank = {kind: r for r, kind in enumerate(dict.fromkeys(row[0] for row in rows))}
+    return sorted(enumerate(rows), key=lambda pair: rank[pair[1][0]])
+
+
+def interleaved_document(rng: random.Random) -> tuple[Graphoid, dict, list[int]]:
+    """An ``edgify``'d generated graph, its saved document with the edge rows
+    shuffled, so the ``#Call`` and ``#HasPhone`` rows interleave, and the
+    position in ``g.edges`` of each of the document's edge rows."""
+    g = edgified_graph(rng)
+    doc = store.graphoid_to_json(g)
+    order = list(range(g.edge_count))
+    rng.shuffle(order)
+    doc["edges"] = [doc["edges"][i] for i in order]
+    return g, doc, order
+
+
+class TestEdgeOrderGroupsTypes:
+    """Edge order is each type's rows in input order, types in the order of
+    their first row; a surrogate is the row's input position."""
+
+    @staticmethod
+    def assert_grouped(g: Graphoid, rows: list) -> None:
+        """``g`` built from ``rows``, each (type, sources, targets, label...)."""
+        expected = [
+            (row[0], frozenset(row[1]), frozenset(row[2]), tuple(row[3:]), position)
+            for position, row in stably_grouped(rows)
+        ]
+        assert [(e.etype, e.source, e.target, e.label, e.surrogate) for e in g.edges] == expected
+        assert g.edge_multiset() == Counter(edge[:4] for edge in expected)
+
+    def test_star_rows(self):
+        interleaved = 0
+        for seed in range(40):
+            captured = []
+
+            def build(*args):
+                captured.append(list(args[4]))
+                return build_graphoid(*args)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(cubes, "build_graphoid", build)
+                g = two_measure_star(random.Random(seed))
+            (rows,) = captured
+            self.assert_grouped(g, rows)
+            interleaved += [row[0] for row in rows] != [row[0] for _, row in stably_grouped(rows)]
+        assert interleaved
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_document_rows(self, seed):
+        g, doc, order = interleaved_document(random.Random(seed))
+        loaded = store.graphoid_from_json(doc, g.catalog)
+        # the document's rows as read: dates parsed, endpoint lists as sets
+        rows = [(e.etype, e.source, e.target, *e.label) for e in map(g.edges.__getitem__, order)]
+        self.assert_grouped(loaded, rows)
+        assert loaded == g
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_load_and_save_regroups_once(self, seed):
+        g, doc, _ = interleaved_document(random.Random(seed))
+        first = store.graphoid_to_json(store.graphoid_from_json(doc, g.catalog))
+        second = store.graphoid_to_json(store.graphoid_from_json(first, g.catalog))
+        assert first["edges"] == [row for _, row in stably_grouped(doc["edges"])]
+        assert store.dump_text(second) == store.dump_text(first)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from graphoid.dims import DimensionCatalog, RollupStep, open_dimension
 from graphoid.hypergraph import (
+    EdgeTable,
     EdgeTypeDecl,
     Graphoid,
     GraphoidBuildError,
@@ -19,10 +20,7 @@ from graphoid.hypergraph import (
     NodeTypeDecl,
     build_graphoid,
     edgify,
-    make_edge,
-    make_node,
     replaced,
-    slot_writer,
 )
 from graphoid.olap import climb
 from conftest import BASE_CALLS, BASE_LEVELS, BASE_NODES, CALL_DECL, PHONE_DECL
@@ -262,7 +260,7 @@ class TestGraphValueConstructors:
     def test_given_edges_are_kept_as_a_table_with_shared_sets(self, figures_catalog):
         g = fresh_graph(figures_catalog)
         # a fresh copy of every endpoint set: equal sets, distinct objects
-        copies = tuple(make_edge(e.etype, frozenset([*e.source]), frozenset([*e.target]), e.label, e.surrogate) for e in g.edges)
+        copies = tuple(HyperEdge(e.etype, frozenset([*e.source]), frozenset([*e.target]), e.label, e.surrogate) for e in g.edges)
         assert len({id(ids) for e in copies for ids in (e.source, e.target)}) == 2 * len(copies)
         public = Graphoid(figures_catalog, g.node_types, g.edge_types, g.nodes, copies, g.levels)
         streamed = Graphoid(figures_catalog, g.node_types, g.edge_types, g.nodes, iter(copies), g.levels)
@@ -295,56 +293,14 @@ class TestNode:
         assert type(copied) is Node and copied == n and hash(copied) == hash(n)
 
     def test_engine_nodes_are_plain_nodes(self, figures_catalog):
-        drafted = make_node("#Phone", (11, "Ph1"))
-        assert type(drafted) is Node and drafted == Node("#Phone", (11, "Ph1"))
         g = fresh_graph(figures_catalog)
         rolled = climb(g, ["#Phone"], RollupStep("Phone", "Phone", "Customer"))
-        for node in (drafted, *g.nodes.values(), *rolled.nodes.values(), *edgify(g, "#Phone", 1).nodes.values()):
+        for node in (*g.nodes.values(), *rolled.nodes.values(), *edgify(g, "#Phone", 1).nodes.values()):
             assert type(node) is Node and not hasattr(node, "__dict__")
             copied = pickle.loads(pickle.dumps(node))
             assert copied == node and hash(copied) == hash(Node(node.ntype, node.label))
             with pytest.raises(dataclasses.FrozenInstanceError):
                 node.ntype = "#Other"
-
-
-@dataclasses.dataclass(frozen=True, slots=True)
-class WeightedEdge:
-    """A toy record: ``HyperEdge``'s fields and one more."""
-
-    etype: str
-    source: frozenset[int]
-    target: frozenset[int]
-    label: tuple
-    surrogate: int = dataclasses.field(compare=False, default=0)
-    weight: float = 1.0
-
-
-class TestSlotWriter:
-    @pytest.mark.parametrize(
-        "record, writer, values",
-        [
-            (Node, make_node, ("#Phone", (11, "Ph1"))),
-            (HyperEdge, make_edge, ("#Call", frozenset({11}), frozenset({12, 13}), ("d", 30), 4)),
-            (WeightedEdge, slot_writer(WeightedEdge), ("#Call", frozenset(), frozenset({12}), (), 4, 2.5)),
-        ],
-        ids=["Node", "HyperEdge", "toy"],
-    )
-    def test_writes_the_public_value(self, record, writer, values):
-        written, public = writer(*values), record(*values)
-        assert type(written) is record
-        assert written == public and hash(written) == hash(public)
-        assert [getattr(written, f.name) for f in dataclasses.fields(record)] == list(values)
-        assert not hasattr(written, "__dict__")
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(written, dataclasses.fields(record)[0].name, None)
-        copied = pickle.loads(pickle.dumps(written))
-        assert type(copied) is record and copied == public and hash(copied) == hash(public)
-
-    def test_twin_follows_the_record_fields(self):
-        writer = slot_writer(WeightedEdge)
-        assert [f.name for f in dataclasses.fields(writer)] == [f.name for f in dataclasses.fields(WeightedEdge)]
-        with pytest.raises(TypeError):  # every field is positional, with no default
-            writer("#Call", frozenset(), frozenset({12}), (), 4)
 
 
 class TestAdjacency:
@@ -435,11 +391,34 @@ class TestEdgify:
         assert "edges" not in vars(out)
         table = out.edge_table
         assert out.edges[: base_graph.edge_count] == base_graph.edges
-        assert list(table.surrogates) == [*base_graph.edge_table.surrogates, *range(6, 11)]
+        assert table.types["#Call"] == base_graph.edge_table.types["#Call"]
+        assert list(table.types["#HasPhone"].surrogates) == list(range(6, 11))
         assert [(e.etype, e.source, e.target, e.label) for e in out.edges[base_graph.edge_count:]] == [
             ("#HasPhone", frozenset(), frozenset({ident}), (f"Ph{ident - 10}",)) for ident in range(11, 16)
         ]
         assert len(table.sets) == len(set(table.sets))
+
+    def test_a_second_node_type_appends_to_the_type_rows(self):
+        catalog, phone_decl, _ = billing_graph()
+        g = build_graphoid(
+            catalog,
+            [phone_decl, NodeTypeDecl("#Pager", ("Id", "ExpectedBill"))],
+            [],
+            [("#Phone", 11, "Ph1", 880), ("#Phone", 12, "Ph2", 120), ("#Pager", 13, 45)],
+            [],
+        )
+        # the same dimension edgified from two node types, another edgified type between them
+        out = edgify(edgify(edgify(g, "#Phone", 2), "#Phone", 1), "#Pager", 1)
+        table = out.edge_table
+        assert list(table.types) == ["#HasExpectedBill", "#HasPhone"]
+        bills = table.types["#HasExpectedBill"]
+        assert bills.columns == ((880, 120, 45),)
+        assert [table.sets[i] for i in bills.targets] == [frozenset({11}), frozenset({12}), frozenset({13})]
+        assert list(bills.surrogates) == [0, 1, 4] and list(table.types["#HasPhone"].surrogates) == [2, 3]
+        assert [(e.etype, min(e.target)) for e in out.edges] == [
+            ("#HasExpectedBill", 11), ("#HasExpectedBill", 12), ("#HasExpectedBill", 13), ("#HasPhone", 11), ("#HasPhone", 12),
+        ]
+        assert table == EdgeTable.of(out.edges)
 
     def test_preserves_node_count_and_adds_one_edge_per_node(self):
         _, _, g = billing_graph()

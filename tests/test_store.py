@@ -708,21 +708,27 @@ def column_document(rows: list) -> dict:
     return json.loads(json.dumps(dict(COLUMN_HEAD, nodes=nodes, edges=rows)))
 
 
-def per_row_table(rows: list) -> tuple[list, list, list, list, list]:
-    """The type, set-id, label and set columns of ``rows``, read one row at a
-    time: each date string parsed where it stands, each distinct endpoint
-    set numbered at its first row, sources first, then targets."""
+def per_row_table(rows: list) -> tuple[dict[str, tuple[list, list, list, list]], list]:
+    """The set-id, label and position columns of ``rows`` per type, and the
+    set list, read one row at a time: rows grouped stably by type, types in
+    the order of their first row, each date string parsed where it stands,
+    each distinct endpoint set numbered at its first row, a type's sources
+    before its targets."""
     set_ids: dict[frozenset, int] = {}
-    sources = [set_ids.setdefault(frozenset(row[1]), len(set_ids)) for row in rows]
-    targets = [set_ids.setdefault(frozenset(row[2]), len(set_ids)) for row in rows]
-    labels = [
-        tuple(
-            datetime.date.fromisoformat(value) if slot in COLUMN_DATES.get(row[0], ()) else value
-            for slot, value in enumerate(row[3:])
-        )
-        for row in rows
-    ]
-    return [row[0] for row in rows], sources, targets, labels, list(set_ids)
+    table = {}
+    for kind in dict.fromkeys(row[0] for row in rows):
+        positions = [i for i, row in enumerate(rows) if row[0] == kind]
+        sources = [set_ids.setdefault(frozenset(rows[i][1]), len(set_ids)) for i in positions]
+        targets = [set_ids.setdefault(frozenset(rows[i][2]), len(set_ids)) for i in positions]
+        labels = [
+            tuple(
+                datetime.date.fromisoformat(value) if slot in COLUMN_DATES.get(kind, ()) else value
+                for slot, value in enumerate(rows[i][3:])
+            )
+            for i in positions
+        ]
+        table[kind] = (sources, targets, labels, positions)
+    return table, list(set_ids)
 
 
 class TestColumnPass:
@@ -731,12 +737,14 @@ class TestColumnPass:
     def test_load_equals_the_per_row_reference(self, rows):
         doc = column_document(rows)
         table = graphoid_from_json(doc, COLUMN_DATA.catalog).edge_table
-        etypes, sources, targets, labels, sets = per_row_table(rows)
-        assert list(table.etypes) == etypes
-        assert (list(table.sources), list(table.targets), list(table.sets)) == (sources, targets, sets)
-        assert list(table.labels) == labels
-        assert [tuple(map(type, label)) for label in table.labels] == [tuple(map(type, label)) for label in labels]
-        assert list(table.surrogates) == list(range(len(rows)))
+        reference, sets = per_row_table(rows)
+        assert list(table.types) == list(reference) and list(table.sets) == sets
+        for kind, (sources, targets, labels, positions) in reference.items():
+            got = table.types[kind]
+            assert (list(got.sources), list(got.targets)) == (sources, targets)
+            assert list(got.labels()) == labels
+            assert [tuple(map(type, label)) for label in got.labels()] == [tuple(map(type, label)) for label in labels]
+            assert list(got.surrogates) == positions
         # a document that loads is read, not rewritten
         assert doc["edges"] == [list(row) for row in rows]
 
@@ -752,7 +760,7 @@ class TestColumnPass:
         rng = random.Random(seed)
         config = GeneratorConfig(phone_count=rng.randint(4, 10), user_count=3, call_count=rng.randint(0, 40), seed=seed)
         g = edgify(generate(config).graphoid, "#Phone", 1)
-        assert {*g.edge_table.etypes} == {"#Call", "#HasPhone"} or not config.call_count
+        assert g.edge_table.types.keys() == {"#Call", "#HasPhone"} or not config.call_count
         assert_round_trip(g)
         yearly = roll_up(g, ["#Call"], RollupStep("Time", "Day", rng.choice(["Month", "Year"])), "#Call", [("Duration", "SUM")])
         assert_round_trip(yearly)
