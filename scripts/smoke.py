@@ -15,7 +15,8 @@ refused with a ``GraphoidBuildError`` naming its slot, checks the one-,
 two-, three-hop and unreachable rows of shortest paths on a six-phone graph
 against literal witnesses, checks that a path row is a ``PathResult`` that
 equals and unpacks as its plain tuple and refuses assignment with
-``FrozenInstanceError``, saves and reloads the roll-up and the two-edge-type
+``FrozenInstanceError``, checks that a two-clause phone filter selects the
+phones the generator's own records name, saves and reloads the roll-up and the two-edge-type
 graph as JSON (each edge type's rows a column at a time), and
 compares the output of ``graphoid theorem1 --trials 50 --seed 7 --format
 json`` with the digest of the same run under Python 3.11.  It prints one
@@ -112,6 +113,19 @@ def main() -> int:
         and refused
         and row.hops == 2,
     )
+
+    # a two-clause node filter, read a column at a time, against the generator's own phone records
+    city, operator = data.phones[1].city, data.phones[2].operator
+    clauses = (
+        (olap.Atom(store.PHONE_DIMENSION, "City", "=", city), olap.Atom(store.PHONE_DIMENSION, "Operator", "=", operator, True)),
+        (olap.Atom(store.PHONE_DIMENSION, "Operator", "<", "Claro"),),
+    )
+    picked = metrics.NodeFilter(store.PHONE_TYPE, olap.Condition(clauses))
+    sources = sorted({r.source for r in metrics.shortest_paths(g, picked, phones)})
+    expected = [
+        i for i, info in sorted(data.phones.items()) if (info.city == city and info.operator != operator) or info.operator < "Claro"
+    ]
+    check("a two-clause phone filter selects the phones it names", 0 < len(sources) < len(data.phones) and sources == expected)
 
     # the edgified graph holds two edge types, dates at the #Call rows' slot 0
     for what, value in (("JSON round trip", yearly), ("two-edge-type JSON round trip", mixed)):

@@ -32,7 +32,6 @@ from .hypergraph import (
     EdgeTypeDecl,
     Graphoid,
     GraphoidError,
-    Node,
     NodeTypeDecl,
     build_graphoid,
 )
@@ -184,10 +183,8 @@ def unstar(g: Graphoid) -> Cube:
     dimension loses all of them); measures are every declared edge type.
     Raises StarShapeError when the value does not look like an embedded cube.
     """
-    nodes_of_type: dict[str, list[Node]] = {}
-    for node in g.nodes.values():
-        nodes_of_type.setdefault(node.ntype, []).append(node)
-    dim_decls = [decl for decl in g.node_types.values() if decl.name in nodes_of_type]
+    nodes = g.node_columns()
+    dim_decls = [decl for decl in g.node_types.values() if decl.name in nodes]
     for decl in dim_decls:
         if decl.arity != 2:
             raise StarShapeError(f"malformed star shape: node type {decl.name} is not (Id, dim)")
@@ -204,8 +201,8 @@ def unstar(g: Graphoid) -> Cube:
 
     dim_of_node: dict[int, tuple[int, object]] = {}
     for di, decl in enumerate(dim_decls):
-        for node in nodes_of_type[decl.name]:
-            dim_of_node[node.ident] = (di, node.label[1])
+        ids, (_, members) = nodes[decl.name]
+        dim_of_node.update(zip(ids, zip(repeat(di), members)))
 
     measure_index = {f"#{m.name}": j for j, m in enumerate(measures)}
     cells: dict[tuple, list] = {}

@@ -36,6 +36,11 @@ it.  ``Graphoid.edges``, the public view, is a tuple of ``HyperEdge``s
 built from the table on first read and kept, in which each distinct
 endpoint set is the table's one frozenset.
 
+Nodes stay ``Node`` objects keyed by id.  ``Graphoid.node_columns`` is
+their column view, built on each call: per node type, the ids in id order
+and the labels as slot columns (``NodeRows``).  Dice's and path queries'
+node tests, the saved document's node rows and ``cubes.unstar`` read it.
+
 Nodes and edges are built with ``Node(...)`` and ``HyperEdge(...)``.
 Besides the public ``Graphoid(...)``, graph values come from one internal
 constructor, ``_graphoid``, which sets a value's field dict in one step:
@@ -50,12 +55,6 @@ from dataclasses import dataclass, field, fields
 from itertools import chain, compress, count, repeat
 from operator import itemgetter
 from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
-
-try:
-    from operator import call
-except ImportError:  # Python 3.10: operator.call is new in 3.11
-    def call(test: Callable[[object], bool], value: object) -> bool:
-        return test(value)
 
 from .dims import ALL_LEVEL, ALL_MEMBER, DimensionCatalog, DimensionInstance, ID_DIMENSION, ID_LEVEL
 
@@ -223,6 +222,15 @@ class EdgeTable(NamedTuple):
         return EdgeTable(types, self.sets)
 
 
+class NodeRows(NamedTuple):
+    """The nodes of one node type, as parallel columns in id order: ``ids``,
+    and the labels as slot columns, one tuple of values per label slot (slot
+    0, the Id slot, is ``ids`` itself)."""
+
+    ids: tuple[int, ...]
+    columns: tuple[tuple, ...]
+
+
 # drains an iterator at C speed, keeping nothing
 consume = deque(maxlen=0).extend
 
@@ -246,7 +254,8 @@ class Graphoid:
     node_types: Mapping[str, NodeTypeDecl]
     edge_types: Mapping[str, EdgeTypeDecl]
     nodes: Mapping[int, Node]
-    edges: tuple[HyperEdge, ...]
+    # left out of the repr, which would build every edge object
+    edges: tuple[HyperEdge, ...] = field(repr=False)
     levels: Mapping[tuple[str, int], str]
     base: Graphoid | None = field(default=None, repr=False)
     tainted: bool = False
@@ -273,6 +282,21 @@ class Graphoid:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         edges = self.__dict__["edges"] = self.edge_table.edges()
         return edges
+
+    def node_columns(self) -> dict[str, NodeRows]:
+        """The nodes of each node type that has some, as a ``NodeRows``, types
+        in the order of their first node in id order.  Built on each call:
+        one pass over the nodes in id order, then one ``zip(*labels)`` per
+        type."""
+        labels: defaultdict[str, list[tuple]] = defaultdict(list)
+        for ident in sorted(self.nodes):
+            node = self.nodes[ident]
+            labels[node.ntype].append(node.label)
+        view = {}
+        for name, rows in labels.items():
+            columns = tuple(zip(*rows))
+            view[name] = NodeRows(columns[0], columns)
+        return view
 
     def node_type(self, name: str) -> NodeTypeDecl:
         try:
@@ -510,12 +534,9 @@ def build_graphoid(
             problems.append(f"node id {ident}: duplicate identifier")
             continue
         tests = node_tests[node.ntype]
-        try:
-            if all(map(call, tests, node.label)):
-                node_table[ident] = node
-                continue
-        except TypeError:  # an unhashable value at a closed level: reported below
-            pass
+        if all(map(_holds, tests, node.label)):
+            node_table[ident] = node
+            continue
         for slot, (value, member) in enumerate(zip(node.label, tests)):
             if not _holds(member, value):
                 problems.append(

@@ -7,13 +7,16 @@ per endpoint pair is the lexicographically smallest shortest path; an
 unreachable pair gets hops -1 and an empty path.
 
 The projection and the group averages read the value's edge table
-(``hypergraph.EdgeTable``), not its edge objects.  One index of the graph
-value serves path queries, built on the first query that needs it, once per
-set of edge types, and kept with that value
-(``Graphoid.indexed``): each node's neighbours as one Python int, bit ``i``
-standing for the ``i``-th node id in sorted order.  ``*``, an omitted type
-list and the full list of declared types select the same set and share one
-entry.  A value derived from this one (by a dice, a roll-up, a node
+(``hypergraph.EdgeTable``), not its edge objects.  A node filter reads its
+type's label columns (``Graphoid.node_columns``): each clause is the
+conjunction of its atoms' column tests (``olap.atom_test``,
+``olap.all_of``), one pass per atom over the type's nodes, and a node
+passes when some clause holds on it.  One index of the graph value serves
+path queries, built on the first query that needs it, once per set of edge
+types, and kept with that value (``Graphoid.indexed``): each node's
+neighbours as one Python int, bit ``i`` standing for the ``i``-th node id
+in sorted order.  ``*``, an omitted type list and the full list of declared
+types select the same set and share one entry.  A value derived from this one (by a dice, a roll-up, a node
 deletion, ...) starts with no index and builds its own.  Distances and
 paths are computed on every call.
 
@@ -43,7 +46,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .dims import DimensionCatalog
 from .hypergraph import Graphoid, GraphoidError
-from .olap import Condition, TargetSet, atom_test, condition_problems
+from .olap import Condition, TargetSet, all_of, atom_test, condition_problems
 
 
 @dataclass(frozen=True)
@@ -135,23 +138,24 @@ def filter_problems(catalog: DimensionCatalog, flt: NodeFilter) -> list[str]:
 
 
 def _matching_nodes(g: Graphoid, flt: NodeFilter) -> list[int]:
+    """The ids of the filter's type that satisfy its condition, ascending.
+    Atoms are resolved on that type alone; ``atom_test`` refuses one below
+    the stored level."""
     decl = g.node_type(flt.ntype)
-    members = [ident for ident in sorted(g.nodes) if g.nodes[ident].ntype == flt.ntype]
+    # the view leaves out a type without nodes: its columns are empty
+    ids, columns = g.node_columns().get(flt.ntype, ((), ((),) * decl.arity))
     if flt.condition is None:
-        return members
+        return list(ids)
     problems = filter_problems(g.catalog, flt)
     if problems:
         raise GraphoidError(problems[0])
     for atom in flt.condition.atoms():
         if decl.slot_of(atom.dim) is None:
             raise GraphoidError(f"filter atom {atom.dim} is absent from node type {flt.ntype}")
-    # atom_test refuses an atom below the stored level
     clauses = [[atom_test(a, decl, g.levels, g.catalog) for a in clause] for clause in flt.condition.clauses]
-    return [
-        ident
-        for ident in members
-        if any(all(test(g.nodes[ident].label) for test in tests) for tests in clauses)
-    ]
+    # an atomless clause holds on every node
+    outcomes = [all_of(tests, columns) if tests else itertools.repeat(True) for tests in clauses]
+    return list(itertools.compress(ids, map(any, zip(*outcomes))))
 
 
 def shortest_paths(

@@ -15,21 +15,23 @@ catalog's roll mapped over it (one call per row); every other column is
 handed on.  Aggr keys the rows of a targeted type on the zipped source,
 target and key columns of its sub-table, folds each measure column per
 class and keeps each class's first row, gathering only the members of
-classes with several.  Dice and strong dice test an edge atom as one pass
-over its slot column (``map(compare, column, repeat(constant))``, after the
-roll to the atom's level when one is needed), and keep the rows of each
-type that its mask passes.  Minimize and n-delete rewrite the endpoint-set
-list once per distinct set and remap each type's two id columns through
-it.  Columns an operation does not rewrite are handed on to its result
-unchanged.
+classes with several.  Dice and strong dice test an atom as one pass over
+a slot column (``map(compare, column, repeat(constant))``, after the roll
+to the atom's level when one is needed): an edge type's, or a node type's
+from ``Graphoid.node_columns``, with one atom test for both
+(``atom_test``).  They keep the rows of each type that its mask passes.
+Minimize and n-delete rewrite the endpoint-set list once per distinct set
+and remap each type's two id columns through it.  Columns an operation
+does not rewrite are handed on to its result unchanged.
 
 Each operation resolves its roll-up steps, class keys and condition atoms
 once, to the dimension instances' roll-up maps and to per-type slot
-tuples, and then makes one lookup per label value.  Dice reads each node
-once per clause, into the set of nodes the clause is false on, and tests
-each distinct endpoint set against that set once.  A folded measure slot
-remembers its aggregate, so a second fold is either exact (SUM, MIN and MAX
-over themselves; COUNT re-folds its counts with SUM) or refused.
+tuples, and then makes one lookup per label value.  Dice tests a
+clause's atoms on each node type's columns, into the set of nodes the
+clause is false on, and tests each distinct endpoint set against that set
+once.  A folded measure slot remembers its aggregate, so a second fold is
+either exact (SUM, MIN and MAX over themselves; COUNT re-folds its counts
+with SUM) or refused.
 """
 from __future__ import annotations
 
@@ -38,7 +40,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from decimal import Decimal
-from itertools import compress, count, repeat
+from itertools import chain, compress, count, repeat
 from operator import and_, eq, not_, or_
 from typing import Callable, Iterator, Sequence
 
@@ -227,8 +229,10 @@ def _atom_slot(atom: Atom, decl: NodeTypeDecl | EdgeTypeDecl) -> int | None:
     return decl.measure_slot_of(atom.dim) if isinstance(decl, EdgeTypeDecl) else None
 
 
-def _resolved_atom(atom: Atom, decl, levels, catalog) -> tuple[int, Callable | None, Callable] | None:
-    """An atom on one type as (slot, roll to the atom's level or None, compare);
+def atom_test(atom: Atom, decl, levels, catalog) -> Callable[[tuple], Iterator[bool]] | None:
+    """Resolve an atom on one type to a test of its slot columns: a function
+    of the type's columns (an edge type's ``TypeRows.columns``, a node type's
+    ``NodeRows.columns``) giving the atom's outcome on each row, in order.
     None when the type has no slot for it.  An atom below the slot's stored
     level is refused: its values cannot be rolled down."""
     slot = _atom_slot(atom, decl)
@@ -241,34 +245,7 @@ def _resolved_atom(atom: Atom, decl, levels, catalog) -> tuple[int, Callable | N
             f"condition level {atom.dim}.{target_level} is below the stored level {stored} of type {decl.name}"
         )
     roll = catalog.roller(atom.dim, stored, target_level) if stored != target_level else None
-    return slot, roll, comparator(atom.cmp)
-
-
-def atom_test(atom: Atom, decl, levels, catalog) -> Callable[[tuple], bool] | None:
-    """Resolve an atom on one type to a two-valued test of a label; None when
-    the type has no slot for it (see ``_resolved_atom``)."""
-    resolved = _resolved_atom(atom, decl, levels, catalog)
-    if resolved is None:
-        return None
-    slot, roll, compare = resolved
-    constant, negated = atom.value, atom.negated
-
-    def test(label: tuple) -> bool:
-        value = label[slot] if roll is None else roll(label[slot])
-        result = compare(value, constant)
-        return (not result) if negated else result
-
-    return test
-
-
-def _atom_column_test(atom: Atom, decl: EdgeTypeDecl, levels, catalog) -> Callable[[tuple], Iterator[bool]] | None:
-    """``atom_test`` a column at a time: a function of an edge type's slot
-    columns giving the test's outcome on each of its rows, in order."""
-    resolved = _resolved_atom(atom, decl, levels, catalog)
-    if resolved is None:
-        return None
-    slot, roll, compare = resolved
-    constant, negated = atom.value, atom.negated
+    compare, constant, negated = comparator(atom.cmp), atom.value, atom.negated
 
     def test(columns: tuple) -> Iterator[bool]:
         values = columns[slot] if roll is None else map(roll, columns[slot])
@@ -285,15 +262,17 @@ def edge_filter(g: Graphoid, cond: Condition) -> Callable[[EdgeTable], dict[str,
 
     An edge satisfies an atom when it is not false on the edge itself and on
     every adjacent node; clauses and the disjunction lift pointwise.  Each
-    atom is resolved per declared type once.  Node labels are then read in
-    one pass per clause, into the set of nodes some atom of the clause is
-    false on, and each distinct endpoint set of the table is tested against
-    that set once, so an edge passes a clause when the clause's edge tests
-    hold on it and both its sets are clear.  An edge test runs as one pass
-    over its type's slot column (``_atom_column_test``).  Raises OlapError
-    for a condition that ``condition_problems`` or ``atom_test`` refuses, and
-    for a measure atom (no level) whose dimension no edge type of the graph
-    holds as a measure: it could read no slot, and would hold on every edge.
+    atom is resolved per declared type once, to a column test
+    (``atom_test``), and a clause's tests on one type run as one pass over
+    its columns (``all_of``): on each node type's columns of
+    ``Graphoid.node_columns``, into the set of nodes the clause is false on,
+    and on each edge type's slot columns.  Each distinct endpoint set of the
+    table is tested against that set once, so an edge passes a clause when
+    the clause's edge tests hold on it and both its sets are clear.  Raises
+    OlapError for a condition that ``condition_problems`` or ``atom_test``
+    refuses, and for a measure atom (no level) whose dimension no edge type
+    of the graph holds as a measure: it could read no slot, and would hold
+    on every edge.
     """
     problems = condition_problems(g.catalog, cond)
     if problems:
@@ -301,21 +280,21 @@ def edge_filter(g: Graphoid, cond: Condition) -> Callable[[EdgeTable], dict[str,
     for atom in cond.atoms():
         if atom.level is None and all(decl.measure_slot_of(atom.dim) is None for decl in g.edge_types.values()):
             raise OlapError(f"measure {atom.dim} is not declared by any edge type")
+    nodes = g.node_columns()
     clauses = []
     for clause in cond.clauses:
         edge_tests: dict[str, list] = {name: [] for name in g.edge_types}
         node_tests: dict[str, list] = {name: [] for name in g.node_types}
         for atom in clause:
-            for tests, decls, resolve in (
-                (edge_tests, g.edge_types, _atom_column_test), (node_tests, g.node_types, atom_test)
-            ):
+            for tests, decls in ((edge_tests, g.edge_types), (node_tests, g.node_types)):
                 for name, decl in decls.items():
-                    test = resolve(atom, decl, g.levels, g.catalog)
+                    test = atom_test(atom, decl, g.levels, g.catalog)
                     if test is not None:
                         tests[name].append(test)
-        false_nodes = frozenset(
-            ident for ident, node in g.nodes.items() if not all(test(node.label) for test in node_tests[node.ntype])
-        )
+        false_nodes = frozenset(chain.from_iterable(
+            compress(ids, map(not_, all_of(node_tests[name], columns)))
+            for name, (ids, columns) in nodes.items() if node_tests[name]
+        ))
         clauses.append(({name: tests for name, tests in edge_tests.items() if tests}, false_nodes))
 
     def satisfied(table: EdgeTable) -> dict[str, list[bool]]:
@@ -324,7 +303,7 @@ def edge_filter(g: Graphoid, cond: Condition) -> Callable[[EdgeTable], dict[str,
             clear = list(map(false_nodes.isdisjoint, table.sets)) if false_nodes else None
             for name, (sources, targets, columns, _) in table.types.items():
                 # the rows of a type the clause has no edge test for pass its edge part
-                holds = _all_of(edge_tests[name], columns) if name in edge_tests else None
+                holds = all_of(edge_tests[name], columns) if name in edge_tests else None
                 if clear is not None:
                     ends = map(and_, map(clear.__getitem__, sources), map(clear.__getitem__, targets))
                     holds = ends if holds is None else map(and_, holds, ends)
@@ -336,7 +315,7 @@ def edge_filter(g: Graphoid, cond: Condition) -> Callable[[EdgeTable], dict[str,
     return satisfied
 
 
-def _all_of(tests: list[Callable[[tuple], Iterator[bool]]], columns: tuple) -> Iterator[bool]:
+def all_of(tests: list[Callable[[tuple], Iterator[bool]]], columns: tuple) -> Iterator[bool]:
     """The conjunction of column tests on one type's slot columns, row by row."""
     outcomes = tests[0](columns)
     for test in tests[1:]:

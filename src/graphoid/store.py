@@ -17,10 +17,10 @@ from __future__ import annotations
 import contextlib
 import csv
 import datetime
+import heapq
 import json
 import os
 import random
-from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from typing import Iterable, Iterator, Sequence, TextIO
@@ -186,14 +186,10 @@ def graphoid_to_json(g: Graphoid) -> dict:
             for slot, lv in enumerate(levels)
             if lv is None or not (lv.name == ALL_LEVEL or (lv.open and lv.vtype != "date"))
         )
-    nodes = [g.nodes[i] for i in sorted(g.nodes)]
-    node_labels: defaultdict[str, list[tuple]] = defaultdict(list)
-    for node in nodes:
-        node_labels[node.ntype].append(node.label)
-    node_rows = {
-        kind: _json_rows(kind, len(labels), (), tuple(zip(*labels)), encoded[kind]) for kind, labels in node_labels.items()
-    }
-    nodes = list(map(next, map(node_rows.__getitem__, [node.ntype for node in nodes])))
+    # each node type's rows in id order, merged into one id order (ids are distinct, so no row is compared)
+    nodes = [row for _, row in heapq.merge(*(
+        zip(ids, _json_rows(kind, len(ids), (), columns, encoded[kind])) for kind, (ids, columns) in g.node_columns().items()
+    ))]
     table = g.edge_table
     # each distinct endpoint set sorted once; each row gets its own copies
     at = [sorted(ends) for ends in table.sets].__getitem__

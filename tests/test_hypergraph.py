@@ -277,6 +277,12 @@ class TestGraphValueConstructors:
         with pytest.raises(dataclasses.FrozenInstanceError):
             g.tainted = True
 
+    def test_repr_builds_no_edge_objects(self, figures_catalog):
+        g = fresh_graph(figures_catalog)
+        assert "edges" not in vars(g)
+        text = repr(g)
+        assert "edges" not in vars(g) and "HyperEdge" not in text
+
 
 class TestNode:
     def test_value_semantics(self):

@@ -26,7 +26,7 @@ from graphoid.metrics import (
     shortest_paths,
 )
 from graphoid.olap import Atom, Condition, climb, dice, n_delete, roll_up, slice_out
-from helpers import cooccurrence_pairs, floyd_warshall, random_graphoid, smallest_shortest_paths
+from helpers import climbable_step, cooccurrence_pairs, floyd_warshall, random_graphoid, smallest_shortest_paths
 
 PHONES = NodeFilter("#Phone")
 
@@ -110,6 +110,12 @@ class TestShortestPaths:
         bad = NodeFilter("#Phone", Condition.of(Atom("Time", "Year", "=", 2016)))
         with pytest.raises(GraphoidError, match="absent from node type"):
             shortest_paths(base_graph, bad, PHONES)
+
+    def test_filter_on_a_type_without_nodes_selects_none(self, figures_catalog):
+        empty = NodeTypeDecl("#Handset", ("Id", "Phone"))
+        g = build_graphoid(figures_catalog, [PHONE_DECL, empty], [CALL_DECL], BASE_NODES, [], levels=BASE_LEVELS)
+        flt = NodeFilter("#Handset", Condition.of(Atom("Phone", "Operator", "=", "Movistar")))
+        assert len(shortest_paths(g, flt, PHONES)) == 0
 
     def test_filter_level_must_be_at_or_above_stored(self, base_graph, operator_graph):
         flt = NodeFilter("#Phone", Condition.of(Atom("Phone", "Phone", "=", "Ph1")))
@@ -460,6 +466,79 @@ class TestBitOrder:
         assert warm[2] == warm[0]
         assert any(r.hops == -1 and r.path == () for r in warm[0])
         assert as_rows(shortest_paths(g, every, below)) == expected_witnesses(g, nodes, sources)
+
+
+def random_node_filter(rng: random.Random, g) -> NodeFilter:
+    """A DNF filter on one node type of ``g``: one to three clauses of one to
+    three atoms on the type's dimensions, at a level below All (an Id atom
+    compares a node id), with ``<``, ``=`` or ``>``, some negated."""
+    ntype = rng.choice(sorted(g.node_types))
+    clauses = []
+    for _ in range(rng.randint(1, 3)):
+        atoms = []
+        for _ in range(rng.randint(1, 3)):
+            dim = rng.choice(g.node_types[ntype].dims)
+            if dim == "Id":
+                level, value = "Id", rng.choice(sorted(g.nodes))
+            else:
+                inst = g.catalog.instance(dim)
+                level = rng.choice([lv.name for lv in inst.schema.levels if lv.name != "All"])
+                value = rng.choice(sorted(inst.domain(level)))
+            atoms.append(Atom(dim, level, rng.choice("<>="), value, rng.random() < 0.3))
+        clauses.append(tuple(atoms))
+    return NodeFilter(ntype, Condition(tuple(clauses)))
+
+
+def reference_matches(g, flt: NodeFilter) -> list[int] | None:
+    """The ids of ``flt``'s type, ascending, whose label satisfies some clause,
+    read node by node with ``catalog.roll``; None when an atom is refused:
+    its dimension is off the type, its level is below the stored one, or it
+    orders an unordered level.  Only the filter's own type is read."""
+    decl = g.node_types[flt.ntype]
+    for atom in flt.condition.atoms():
+        if atom.dim not in decl.dims:
+            return None
+        schema = g.catalog.schema(atom.dim)
+        stored = g.levels[(decl.name, decl.dims.index(atom.dim))]
+        if atom.level not in schema.reachable_from(stored) or (atom.cmp != "=" and not schema.level(atom.level).ordered):
+            return None
+
+    def holds(atom, label) -> bool:
+        slot = decl.dims.index(atom.dim)
+        value = g.catalog.roll(atom.dim, g.levels[(decl.name, slot)], atom.level, label[slot])
+        result = {"=": value == atom.value, "<": value < atom.value, ">": value > atom.value}[atom.cmp]
+        return result != atom.negated
+
+    return [
+        ident
+        for ident in sorted(g.nodes)
+        if g.nodes[ident].ntype == flt.ntype
+        and any(all(holds(atom, g.nodes[ident].label) for atom in clause) for clause in flt.condition.clauses)
+    ]
+
+
+class TestNodeFilterOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_sources_match_a_per_node_reference(self, seed):
+        rng = random.Random(seed)
+        g = random_graphoid(rng)
+        step = climbable_step(rng, g)
+        if step is not None and rng.random() < 0.6:
+            # one type climbed alone leaves the others holding the dimension at a finer level
+            at = [name for name, slot in g.slots_of(step.dimension) if g.levels[(name, slot)] == step.from_level]
+            g = climb(g, rng.choice(["*", rng.choice(at)]), step)
+        flt = random_node_filter(rng, g)
+        expected = reference_matches(g, flt)
+        every = NodeFilter(flt.ntype)
+        try:
+            rows = shortest_paths(g, flt, every)
+        except GraphoidError:
+            assert expected is None
+            return
+        assert expected is not None
+        members = [i for i in sorted(g.nodes) if g.nodes[i].ntype == flt.ntype]
+        assert [(r.source, r.target) for r in rows] == [(s, t) for s in expected for t in members if s != t]
 
 
 class TestPathResult:
