@@ -17,9 +17,10 @@ against literal witnesses, checks that a path row is a ``PathResult`` that
 equals and unpacks as its plain tuple and refuses assignment with
 ``FrozenInstanceError``, checks that a two-clause phone filter selects the
 phones the generator's own records name, saves and reloads the roll-up and the two-edge-type
-graph as JSON (each edge type's rows a column at a time), and
-compares the output of ``graphoid theorem1 --trials 50 --seed 7 --format
-json`` with the digest of the same run under Python 3.11.  It prints one
+graph as JSON (each edge type's rows a column at a time), checks that the
+saved text of the two-edge-type graph equals ``json.dumps`` with its cycle
+check on, and compares the output of ``graphoid theorem1 --trials 50 --seed
+7 --format json`` with the digest of the same run under Python 3.11.  It prints one
 ``ok`` line per check and exits non-zero at the first failure.
 """
 from __future__ import annotations
@@ -132,6 +133,9 @@ def main() -> int:
         text = store.dump_text(store.graphoid_to_json(value))
         reloaded = store.graphoid_from_json(json.loads(text), data.catalog)
         check(what, reloaded == value and store.dump_text(store.graphoid_to_json(reloaded)) == text)
+    # dump_text encodes without the cycle check; its text must equal the checking dump's
+    doc = store.graphoid_to_json(mixed)
+    check("saved text equals the cycle-checking dump", store.dump_text(doc) == json.dumps(doc, separators=(",", ":")) + "\n")
 
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

@@ -8,7 +8,8 @@ unreachable pair gets hops -1 and an empty path.
 
 The projection and the group averages read the value's edge table
 (``hypergraph.EdgeTable``), not its edge objects.  A node filter reads its
-type's label columns (``Graphoid.node_columns``): each clause is the
+type's label columns (``Graphoid.node_columns``, built once per path
+query for both of its filters): each clause is the
 conjunction of its atoms' column tests (``olap.atom_test``,
 ``olap.all_of``), one pass per atom over the type's nodes, and a node
 passes when some clause holds on it.  One index of the graph value serves
@@ -45,7 +46,7 @@ from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 from .dims import DimensionCatalog
-from .hypergraph import Graphoid, GraphoidError
+from .hypergraph import Graphoid, GraphoidError, NodeRows
 from .olap import Condition, TargetSet, all_of, atom_test, condition_problems
 
 
@@ -137,13 +138,14 @@ def filter_problems(catalog: DimensionCatalog, flt: NodeFilter) -> list[str]:
     ]
 
 
-def _matching_nodes(g: Graphoid, flt: NodeFilter) -> list[int]:
-    """The ids of the filter's type that satisfy its condition, ascending.
-    Atoms are resolved on that type alone; ``atom_test`` refuses one below
-    the stored level."""
+def _matching_nodes(g: Graphoid, nodes: dict[str, NodeRows], flt: NodeFilter) -> list[int]:
+    """The ids of the filter's type that satisfy its condition, ascending,
+    read from ``nodes``, the graph's ``node_columns`` view.  Atoms are
+    resolved on that type alone; ``atom_test`` refuses one below the stored
+    level."""
     decl = g.node_type(flt.ntype)
     # the view leaves out a type without nodes: its columns are empty
-    ids, columns = g.node_columns().get(flt.ntype, ((), ((),) * decl.arity))
+    ids, columns = nodes.get(flt.ntype, ((), ((),) * decl.arity))
     if flt.condition is None:
         return list(ids)
     problems = filter_problems(g.catalog, flt)
@@ -183,9 +185,10 @@ def shortest_paths(
     """
     order, bit, near = _bitsets(g, _edge_types(g, via))
     everyone = (1 << len(order)) - 1
-    sources = _matching_nodes(g, source_filter)
+    nodes = g.node_columns()
+    sources = _matching_nodes(g, nodes, source_filter)
     searches: list[tuple[int, int, int, int, list[int]]] = []
-    for target in _matching_nodes(g, target_filter):
+    for target in _matching_nodes(g, nodes, target_filter):
         layers = [bit[target], near[target]]
         seen = layers[0] | layers[1]
         frontier = _members(order, layers[1])

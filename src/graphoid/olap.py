@@ -29,9 +29,10 @@ once, to the dimension instances' roll-up maps and to per-type slot
 tuples, and then makes one lookup per label value.  Dice tests a
 clause's atoms on each node type's columns, into the set of nodes the
 clause is false on, and tests each distinct endpoint set against that set
-once.  A folded measure slot remembers its aggregate, so a second fold is
-either exact (SUM, MIN and MAX over themselves; COUNT re-folds its counts
-with SUM) or refused.
+once; a condition with no node atom builds no node view.  A folded
+measure slot remembers its aggregate, so a second fold is either exact
+(SUM, MIN and MAX over themselves; COUNT re-folds its counts with SUM) or
+refused.
 """
 from __future__ import annotations
 
@@ -265,7 +266,8 @@ def edge_filter(g: Graphoid, cond: Condition) -> Callable[[EdgeTable], dict[str,
     atom is resolved per declared type once, to a column test
     (``atom_test``), and a clause's tests on one type run as one pass over
     its columns (``all_of``): on each node type's columns of
-    ``Graphoid.node_columns``, into the set of nodes the clause is false on,
+    ``Graphoid.node_columns`` (built only when some atom tests a node type),
+    into the set of nodes the clause is false on,
     and on each edge type's slot columns.  Each distinct endpoint set of the
     table is tested against that set once, so an edge passes a clause when
     the clause's edge tests hold on it and both its sets are clear.  Raises
@@ -280,8 +282,7 @@ def edge_filter(g: Graphoid, cond: Condition) -> Callable[[EdgeTable], dict[str,
     for atom in cond.atoms():
         if atom.level is None and all(decl.measure_slot_of(atom.dim) is None for decl in g.edge_types.values()):
             raise OlapError(f"measure {atom.dim} is not declared by any edge type")
-    nodes = g.node_columns()
-    clauses = []
+    resolved = []
     for clause in cond.clauses:
         edge_tests: dict[str, list] = {name: [] for name in g.edge_types}
         node_tests: dict[str, list] = {name: [] for name in g.node_types}
@@ -291,11 +292,16 @@ def edge_filter(g: Graphoid, cond: Condition) -> Callable[[EdgeTable], dict[str,
                     test = atom_test(atom, decl, g.levels, g.catalog)
                     if test is not None:
                         tests[name].append(test)
-        false_nodes = frozenset(chain.from_iterable(
+        resolved.append(({name: tests for name, tests in edge_tests.items() if tests}, node_tests))
+    # the node view is built only for a condition that tests some node
+    nodes = g.node_columns() if any(any(node_tests.values()) for _, node_tests in resolved) else {}
+    clauses = [
+        (edge_tests, frozenset(chain.from_iterable(
             compress(ids, map(not_, all_of(node_tests[name], columns)))
             for name, (ids, columns) in nodes.items() if node_tests[name]
-        ))
-        clauses.append(({name: tests for name, tests in edge_tests.items() if tests}, false_nodes))
+        )))
+        for edge_tests, node_tests in resolved
+    ]
 
     def satisfied(table: EdgeTable) -> dict[str, list[bool]]:
         passed: dict[str, list[bool]] = {}

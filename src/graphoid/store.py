@@ -361,14 +361,23 @@ def cube_from_json(raw: dict, catalog: DimensionCatalog) -> Cube:
 # ---------------------------------------------------------------------------
 # files
 
+_ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+
+
 def dump_text(payload: object) -> str:
     """The saved text of a document: its compact JSON dump on one line and a newline.
 
     Every JSON writer goes through here. Compact separators and no ``indent``
     keep CPython on its C encoder; ``json.load`` reads any layout, so files
-    saved indented still load.
+    saved indented still load.  The text equals ``json.dumps(payload,
+    separators=(",", ":"))``, but without its cycle check, which records and
+    forgets the id of every list and dict: each payload is a fresh tree built
+    by this library's writers (``graphoid_to_json``, ``cube_to_json``,
+    ``instance_to_json``, ``schema_to_json``, ``path_results_to_rows``), which
+    holds no cycle.  A cyclic payload still fails, with ``RecursionError``
+    from the encoder's depth guard, before ``save_json`` opens its target.
     """
-    return json.dumps(payload, separators=(",", ":")) + "\n"
+    return _ENCODER.encode(payload) + "\n"
 
 
 @contextlib.contextmanager

@@ -15,7 +15,7 @@ from conftest import BASE_CALLS, BASE_LEVELS, BASE_NODES, CALL_DECL, DAY, PHONE_
 from graphoid import metrics, store
 from graphoid.cubes import random_catalog
 from graphoid.dims import RollupStep
-from graphoid.hypergraph import EdgeTypeDecl, GraphoidError, NodeTypeDecl, build_graphoid
+from graphoid.hypergraph import EdgeTypeDecl, Graphoid, GraphoidError, NodeTypeDecl, build_graphoid
 from graphoid.metrics import (
     NodeFilter,
     PathResult,
@@ -88,6 +88,14 @@ class TestShortestPaths:
             (15, 12, 1),
             (15, 14, 1),
         ]
+
+    def test_both_filters_read_one_node_view(self, base_graph, monkeypatch):
+        built = []
+        node_columns = Graphoid.node_columns
+        monkeypatch.setattr(Graphoid, "node_columns", lambda g: built.append(g) or node_columns(g))
+        results = shortest_paths(base_graph, operator_filter("Movistar"), operator_filter("Vodafone"))
+        assert built == [base_graph]
+        assert {(r.source, r.target) for r in results} == {(13, 12), (13, 14), (15, 12), (15, 14)}
 
     def test_unreachable_pairs_get_minus_one(self, base_graph):
         survivors_only = dice(base_graph, Condition.of(Atom("Duration", None, ">", 8)))

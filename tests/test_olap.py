@@ -27,6 +27,7 @@ from graphoid.dims import (
 from graphoid.dims import UnknownMember
 from graphoid.hypergraph import (
     EdgeTypeDecl,
+    Graphoid,
     GraphoidError,
     HyperEdge,
     Node,
@@ -446,6 +447,19 @@ class TestDice:
     def test_two_operator_conjunction_empties(self, base_graph):
         cond = Condition.of(operator_atom("Vodafone"), operator_atom("Movistar"))
         assert dice(base_graph, cond).edges == ()
+
+    def test_node_view_built_only_for_a_node_atom(self, base_graph, monkeypatch):
+        built = []
+        node_columns = Graphoid.node_columns
+        monkeypatch.setattr(Graphoid, "node_columns", lambda g: built.append(g) or node_columns(g))
+        assert dice(base_graph, Condition.of(Atom("Duration", None, ">", 100))).edges == ()
+        assert built == []
+        out = dice(base_graph, Condition.of(Atom("Phone", "City", "=", "Salta")))
+        assert built == [base_graph]
+        # Salta holds Ph3, Ph4 and Ph5 (ids 13-15)
+        assert edge_bag(out) == Counter(
+            ("#Call", frozenset(s), frozenset(t), (d, dur)) for s, t, d, dur in BASE_CALLS if set(s + t) <= {13, 14, 15}
+        )
 
     def test_measure_atom_filters_by_duration(self, base_graph):
         out = dice(base_graph, Condition.of(Atom("Duration", None, ">", 3)))

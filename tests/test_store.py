@@ -24,6 +24,7 @@ from graphoid.dims import (
     validate_schema,
 )
 from graphoid.hypergraph import GraphoidBuildError, GraphoidError, HyperEdge, build_graphoid, edgify
+from graphoid.metrics import NodeFilter, path_results_to_rows, shortest_paths
 from graphoid.olap import OlapError, group, roll_up, slice_out
 from graphoid.store import (
     CALL_COLUMNS,
@@ -154,14 +155,33 @@ class TestJsonRoundTrips:
         assert instance_from_json(load_json(buffer)) == phone_dimension
 
     def test_saved_text_is_compact_dump_plus_newline(self, tmp_path):
-        payload = graphoid_to_json(generate(GeneratorConfig(phone_count=10, user_count=5, call_count=40, seed=2)).graphoid)
-        expected = json.dumps(payload, separators=(",", ":")) + "\n"
+        # the stdlib's cycle-checking dump is the reference for every kind of document
+        g = generate(GeneratorConfig(phone_count=10, user_count=5, call_count=40, seed=2)).graphoid
+        phones = NodeFilter("#Phone")
+        rows = path_results_to_rows(shortest_paths(g, phones, phones))
+        assert rows
+        payloads = [graphoid_to_json(g), rows] + [doc for _, doc, _ in saved_values()]
+        path = tmp_path / "saved.json"
+        for payload in payloads:
+            expected = json.dumps(payload, separators=(",", ":")) + "\n"
+            assert dump_text(payload) == expected
+            save_json(payload, str(path))
+            assert path.read_text(encoding="utf-8") == expected
+            buffer = io.StringIO()
+            save_json(payload, buffer)
+            assert buffer.getvalue() == expected
+
+    def test_cyclic_payload_fails_and_writes_nothing(self, tmp_path, base_graph):
+        cyclic = []
+        cyclic.append(cyclic)
+        with pytest.raises((ValueError, RecursionError)):
+            dump_text(cyclic)
         path = tmp_path / "graph.json"
-        save_json(payload, str(path))
-        assert path.read_text(encoding="utf-8") == expected
-        buffer = io.StringIO()
-        save_json(payload, buffer)
-        assert buffer.getvalue() == expected
+        save_json(graphoid_to_json(base_graph), str(path))
+        before = path.read_bytes()
+        with pytest.raises((ValueError, RecursionError)):
+            save_json({"nodeTypes": [], "edges": cyclic}, str(path))
+        assert path.read_bytes() == before
 
     def test_documents_saved_indented_still_load(self):
         for value, doc, catalog in saved_values():
