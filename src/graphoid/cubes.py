@@ -183,8 +183,7 @@ def unstar(g: Graphoid) -> Cube:
     dimension loses all of them); measures are every declared edge type.
     Raises StarShapeError when the value does not look like an embedded cube.
     """
-    nodes = g.node_columns()
-    dim_decls = [decl for decl in g.node_types.values() if decl.name in nodes]
+    dim_decls = [decl for decl in g.node_types.values() if decl.name in g.node_table]
     for decl in dim_decls:
         if decl.arity != 2:
             raise StarShapeError(f"malformed star shape: node type {decl.name} is not (Id, dim)")
@@ -201,7 +200,7 @@ def unstar(g: Graphoid) -> Cube:
 
     dim_of_node: dict[int, tuple[int, object]] = {}
     for di, decl in enumerate(dim_decls):
-        ids, (_, members) = nodes[decl.name]
+        ids, (_, members) = g.node_table[decl.name]
         dim_of_node.update(zip(ids, zip(repeat(di), members)))
 
     measure_index = {f"#{m.name}": j for j, m in enumerate(measures)}

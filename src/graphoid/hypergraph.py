@@ -36,10 +36,20 @@ it.  ``Graphoid.edges``, the public view, is a tuple of ``HyperEdge``s
 built from the table on first read and kept, in which each distinct
 endpoint set is the table's one frozenset.
 
-Nodes stay ``Node`` objects keyed by id.  ``Graphoid.node_columns`` is
-their column view, built on each call: per node type, the ids in id order
-and the labels as slot columns (``NodeRows``).  Dice's and path queries'
-node tests, the saved document's node rows and ``cubes.unstar`` read it.
+Nodes are held the same way, in one store, the node table: one
+``NodeRows`` per node type with nodes, its ids in ascending order and its
+labels as slot columns, types in the order of their smallest id.  A value
+built from the same nodes has the same table, whatever order they came
+in.  The nodes ``build_graphoid`` checks, and nodes given to
+``Graphoid(...)``, or as ``nodes=`` to ``derive`` or ``replaced``, are
+turned into a table once, by ``node_table_of``, which transposes each
+node type's labels once.
+``climb`` and ``edgify`` replace one node column (``with_column``),
+``minimize`` keys each type's nodes on its zipped columns, ``n_delete``
+drops one sub-table, and dice's and path queries' node tests, the saved
+document's node rows and ``cubes.unstar`` read the table.
+``Graphoid.nodes``, the public view, is a dict of ``Node``s by id, in id
+order, built from the table on first read and kept.
 
 Nodes and edges are built with ``Node(...)`` and ``HyperEdge(...)``.
 Besides the public ``Graphoid(...)``, graph values come from one internal
@@ -225,10 +235,33 @@ class EdgeTable(NamedTuple):
 class NodeRows(NamedTuple):
     """The nodes of one node type, as parallel columns in id order: ``ids``,
     and the labels as slot columns, one tuple of values per label slot (slot
-    0, the Id slot, is ``ids`` itself)."""
+    0, the Id slot, is ``ids`` itself).  Like a ``TypeRows``, never changed
+    once built."""
 
     ids: tuple[int, ...]
     columns: tuple[tuple, ...]
+
+
+def node_table_of(nodes: Iterable[Node]) -> dict[str, NodeRows]:
+    """The node table of ``nodes``, given in any order: a ``NodeRows`` per
+    node type with nodes, its labels sorted by id, types in the order of
+    their smallest id.  Ids are distinct, so no two labels are compared
+    past their id."""
+    labels: defaultdict[str, list[tuple]] = defaultdict(list)
+    for node in nodes:
+        labels[node.ntype].append(node.label)
+    table = {}
+    for name, rows in labels.items():
+        columns = tuple(zip(*sorted(rows)))
+        table[name] = NodeRows(columns[0], columns)
+    return dict(sorted(table.items(), key=lambda item: item[1].ids[0]))
+
+
+def with_column(rows: TypeRows | NodeRows, slot: int, column: tuple) -> TypeRows | NodeRows:
+    """``rows`` with slot column ``slot`` replaced by ``column``; every other
+    column is handed on."""
+    columns = rows.columns
+    return rows._replace(columns=(*columns[:slot], column, *columns[slot + 1:]))
 
 
 # drains an iterator at C speed, keeping nothing
@@ -245,9 +278,10 @@ class Graphoid:
     ``tainted`` records that a dice, slice or node deletion happened along
     the way.
     ``folds`` maps each measure slot an aggregation folded to the aggregate
-    its values now hold; unfolded slots hold raw values.  ``edge_table`` is
-    the edge bag's one store, made from the ``edges`` the constructor is
-    given; ``edges`` is built from it on first read (see the module docstring).
+    its values now hold; unfolded slots hold raw values.  ``node_table`` and
+    ``edge_table`` are the value's two stores, made from the ``nodes`` and
+    ``edges`` the constructor is given; ``nodes`` and ``edges`` are built
+    from them on first read (see the module docstring).
     """
 
     catalog: DimensionCatalog = field(repr=False)
@@ -265,10 +299,11 @@ class Graphoid:
 
     @property
     def node_count(self) -> int:
-        return len(self.nodes)
+        return sum(len(rows.ids) for rows in self.node_table.values())
 
     def __post_init__(self) -> None:
         state = self.__dict__
+        state["node_table"] = node_table_of(state.pop("nodes").values())
         state["edge_table"] = EdgeTable.of(state.pop("edges"))
 
     @property
@@ -276,26 +311,17 @@ class Graphoid:
         return sum(len(rows.sources) for rows in self.edge_table.types.values())
 
     def __getattr__(self, name: str) -> object:
-        # called only for a name the value does not hold: ``edges`` is built
-        # from the table on first read, and kept
-        if name != "edges":
+        # called only for a name the value does not hold: ``nodes`` and
+        # ``edges`` are built from their tables on first read, and kept
+        if name == "nodes":
+            view = dict(sorted(chain.from_iterable(
+                zip(rows.ids, map(Node, repeat(kind), zip(*rows.columns))) for kind, rows in self.node_table.items()
+            )))
+        elif name == "edges":
+            view = self.edge_table.edges()
+        else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        edges = self.__dict__["edges"] = self.edge_table.edges()
-        return edges
-
-    def node_columns(self) -> dict[str, NodeRows]:
-        """The nodes of each node type that has some, as a ``NodeRows``, types
-        in the order of their first node in id order.  Built on each call:
-        one pass over the nodes in id order, then one ``zip(*labels)`` per
-        type."""
-        labels: defaultdict[str, list[tuple]] = defaultdict(list)
-        for ident in sorted(self.nodes):
-            node = self.nodes[ident]
-            labels[node.ntype].append(node.label)
-        view = {}
-        for name, rows in labels.items():
-            columns = tuple(zip(*rows))
-            view[name] = NodeRows(columns[0], columns)
+        self.__dict__[name] = view
         return view
 
     def node_type(self, name: str) -> NodeTypeDecl:
@@ -337,7 +363,7 @@ class Graphoid:
         return (
             dict(self.node_types) == dict(other.node_types)
             and dict(self.edge_types) == dict(other.edge_types)
-            and dict(self.nodes) == dict(other.nodes)
+            and self.node_table == other.node_table
             and dict(self.levels) == dict(other.levels)
             and self.edge_multiset() == other.edge_multiset()
         )
@@ -364,15 +390,16 @@ class Graphoid:
 
 
 # the fields a graph value is built from: ``Graphoid.__init__``'s parameters,
-# and ``edge_table``, the store that ``edges`` are turned into
-_GRAPHOID_FIELDS = frozenset(f.name for f in fields(Graphoid) if f.init) | {"edge_table"}
+# and ``node_table`` and ``edge_table``, the stores that ``nodes`` and ``edges`` are turned into
+_GRAPHOID_FIELDS = frozenset(f.name for f in fields(Graphoid) if f.init) | {"node_table", "edge_table"}
 
 
 def _graphoid(state: dict[str, object]) -> Graphoid:
     """The graph value whose fields are ``state``, one entry per name in
-    ``_GRAPHOID_FIELDS`` but ``edges``, with an empty index table: what
-    ``Graphoid(**state)`` returns for the edges of ``state["edge_table"]``,
-    without one ``object.__setattr__`` per field."""
+    ``_GRAPHOID_FIELDS`` but ``nodes`` and ``edges``, with an empty index
+    table: what ``Graphoid(**state)`` returns for the nodes and edges of
+    ``state["node_table"]`` and ``state["edge_table"]``, without one
+    ``object.__setattr__`` per field."""
     state["_indexes"] = {}
     g = object.__new__(Graphoid)
     object.__setattr__(g, "__dict__", state)
@@ -382,14 +409,19 @@ def _graphoid(state: dict[str, object]) -> Graphoid:
 def replaced(g: Graphoid, **changes) -> Graphoid:
     """``dataclasses.replace(g, **changes)`` through ``_graphoid``: the other
     fields are ``g``'s, the index table is new, and a name that is not a
-    field is refused with ``TypeError``.  New ``edges`` are turned into the
-    value's table; a new table drops ``g``'s built ``edges``."""
+    field is refused with ``TypeError``.  New ``nodes`` or ``edges`` are
+    turned into the value's table; a new table drops ``g``'s built view of
+    it."""
     unknown = changes.keys() - _GRAPHOID_FIELDS
     if unknown:
         raise TypeError(f"graph values have no field {sorted(unknown)[0]!r}")
     state = g.__dict__.copy()
+    if "nodes" in changes:
+        changes["node_table"] = node_table_of(changes.pop("nodes").values())
     if "edges" in changes:
         changes["edge_table"] = EdgeTable.of(changes.pop("edges"))
+    if "node_table" in changes:
+        state.pop("nodes", None)
     if "edge_table" in changes:
         state.pop("edges", None)
     state.update(changes)
@@ -512,7 +544,7 @@ def build_graphoid(
     node_tests = slot_tests(ntypes, DimensionInstance.member_test)
     column_tests = slot_tests(etypes, DimensionInstance.column_test)
 
-    node_table: dict[int, Node] = {}
+    checked: dict[int, Node] = {}
     for row in nodes:
         try:
             node = row if isinstance(row, Node) else Node(str(row[0]), tuple(row[1:]))
@@ -530,12 +562,12 @@ def build_graphoid(
         if not isinstance(ident, int) or isinstance(ident, bool):
             problems.append(f"node {node.label!r}: identifier slot must be an integer")
             continue
-        if ident in node_table:
+        if ident in checked:
             problems.append(f"node id {ident}: duplicate identifier")
             continue
         tests = node_tests[node.ntype]
         if all(map(_holds, tests, node.label)):
-            node_table[ident] = node
+            checked[ident] = node
             continue
         for slot, (value, member) in enumerate(zip(node.label, tests)):
             if not _holds(member, value):
@@ -543,24 +575,23 @@ def build_graphoid(
                     f"node {node.label!r}: slot {slot} value {value!r} outside "
                     f"dom({decl.dims[slot]}.{level_map[(node.ntype, slot)]})"
                 )
-    if not node_table and not problems:
+    if not checked and not problems:
         problems.append("non-empty node set required")
     if problems:
         raise GraphoidBuildError(problems)
 
     rows = list(edges)
-    table = _checked_table(rows, column_tests, node_table.keys(), parse or {})
+    table = _checked_table(rows, column_tests, checked.keys(), parse or {})
     if table is None:
         # a HyperEdge row is read as the row (type, sources, targets, label...)
         rows = [(e.etype, e.source, e.target, *e.label) if isinstance(e, HyperEdge) else e for e in rows]
-        _report_edge_rows(rows, etypes, slot_tests(etypes, DimensionInstance.member_test), node_table, level_map, problems)
+        _report_edge_rows(rows, etypes, slot_tests(etypes, DimensionInstance.member_test), checked.keys(), level_map, problems)
         raise GraphoidBuildError(problems)
-    ordered_nodes = {ident: node_table[ident] for ident in sorted(node_table)}
     return _graphoid({
         "catalog": catalog,
         "node_types": ntypes,
         "edge_types": etypes,
-        "nodes": ordered_nodes,
+        "node_table": node_table_of(checked.values()),
         "edge_table": table,
         "levels": level_map,
         "base": None,
@@ -675,7 +706,7 @@ def _report_edge_rows(
     rows: list,
     etypes: Mapping[str, EdgeTypeDecl],
     edge_tests: Mapping[str, tuple],
-    node_table: Mapping[int, Node],
+    node_ids: AbstractSet[int],
     level_map: Mapping[tuple[str, int], str],
     problems: list[str],
 ) -> None:
@@ -701,7 +732,7 @@ def _report_edge_rows(
         for ident in ids:
             if type(ident) is not int:
                 problems.append(f"edge {etype} {label!r}: endpoint {ident!r} is not an integer")
-        for ident in sorted({ident for ident in ids if type(ident) is int and ident not in node_table}):
+        for ident in sorted({ident for ident in ids if type(ident) is int and ident not in node_ids}):
             problems.append(f"edge {etype} {label!r}: endpoint {ident} is not a node")
         for slot, (value, member) in enumerate(zip(label, edge_tests[etype])):
             if not _holds(member, value):
@@ -737,29 +768,22 @@ def edgify(g: Graphoid, ntype: str, slot: int) -> Graphoid:
     if old_level == ALL_LEVEL:
         return g.derive(edge_types=etypes, levels=levels)
 
-    nodes = dict(g.nodes)
+    node_table = dict(g.node_table)
     table = g.edge_table
-    set_ids = dict(zip(table.sets, range(len(table.sets))))  # a table's sets are distinct
-    no_source = set_ids.setdefault(frozenset(), len(set_ids))
-    new_targets, new_values = [], []
-    for ident in sorted(nodes):
-        node = nodes[ident]
-        if node.ntype != ntype:
-            continue
-        label = list(node.label)
-        new_values.append(label[slot])
-        label[slot] = ALL_MEMBER
-        nodes[ident] = Node(ntype, tuple(label))
-        new_targets.append(set_ids.setdefault(frozenset({ident}), len(set_ids)))
-    n = len(new_values)
-    if n:
+    moved = node_table.get(ntype)  # None when the type has no nodes
+    if moved is not None:
+        n = len(moved.ids)
+        node_table[ntype] = with_column(moved, slot, (ALL_MEMBER,) * n)
+        set_ids = dict(zip(table.sets, range(len(table.sets))))  # a table's sets are distinct
+        no_source = set_ids.setdefault(frozenset(), len(set_ids))
+        new_targets = [set_ids.setdefault(frozenset({ident}), len(set_ids)) for ident in moved.ids]
         first = max(chain.from_iterable(rows.surrogates for rows in table.types.values()), default=-1) + 1
         # another node type's edgify of the same dimension may have made the type's rows already
         sources, targets, (values,), surrogates = table.types.get(new_type, ((), (), ((),), ()))
         rows = TypeRows(
-            [*sources, *[no_source] * n], [*targets, *new_targets], ((*values, *new_values),),
+            [*sources, *[no_source] * n], [*targets, *new_targets], ((*values, *moved.columns[slot]),),
             [*surrogates, *range(first, first + n)],
         )
         table = EdgeTable({**table.types, new_type: rows}, list(set_ids))
     levels[(ntype, slot)] = ALL_LEVEL
-    return g.derive(edge_types=etypes, nodes=nodes, edge_table=table, levels=levels)
+    return g.derive(edge_types=etypes, node_table=node_table, edge_table=table, levels=levels)

@@ -7,17 +7,17 @@ per endpoint pair is the lexicographically smallest shortest path; an
 unreachable pair gets hops -1 and an empty path.
 
 The projection and the group averages read the value's edge table
-(``hypergraph.EdgeTable``), not its edge objects.  A node filter reads its
-type's label columns (``Graphoid.node_columns``, built once per path
-query for both of its filters): each clause is the
-conjunction of its atoms' column tests (``olap.atom_test``,
-``olap.all_of``), one pass per atom over the type's nodes, and a node
-passes when some clause holds on it.  One index of the graph value serves
-path queries, built on the first query that needs it, once per set of edge
-types, and kept with that value (``Graphoid.indexed``): each node's
-neighbours as one Python int, bit ``i`` standing for the ``i``-th node id
-in sorted order.  ``*``, an omitted type list and the full list of declared
-types select the same set and share one entry.  A value derived from this one (by a dice, a roll-up, a node
+(``hypergraph.EdgeTable``), not its edge objects, and node filters and the
+index read its node table, not its ``Node`` objects.  A node filter reads
+its type's label columns: each clause is the conjunction of its atoms'
+column tests (``olap.atom_test``, ``olap.all_of``), one pass per atom over
+the type's nodes, and a node passes when some clause holds on it.  One
+index of the graph value serves path queries, built on the first query
+that needs it, once per set of edge types, and kept with that value
+(``Graphoid.indexed``): each node's neighbours as one Python int, bit
+``i`` standing for the ``i``-th node id in sorted order, the node table's
+per-type id columns merged.  ``*``, an omitted type list and the full
+list of declared types select the same set and share one entry.  A value derived from this one (by a dice, a roll-up, a node
 deletion, ...) starts with no index and builds its own.  Distances and
 paths are computed on every call.
 
@@ -46,7 +46,7 @@ from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 from .dims import DimensionCatalog
-from .hypergraph import Graphoid, GraphoidError, NodeRows
+from .hypergraph import Graphoid, GraphoidError
 from .olap import Condition, TargetSet, all_of, atom_test, condition_problems
 
 
@@ -99,7 +99,7 @@ def _members(order: tuple[int, ...], bits: int) -> Iterator[int]:
 
 def _build_bitsets(g: Graphoid, types: frozenset[str]) -> _Bitsets:
     """Each node's neighbours over the edges of ``types``, from each distinct adjacency set."""
-    order = tuple(sorted(g.nodes))
+    order = tuple(sorted(itertools.chain.from_iterable(rows.ids for rows in g.node_table.values())))
     bit = {v: 1 << i for i, v in enumerate(order)}
     near = dict.fromkeys(order, 0)
     table = g.edge_table
@@ -138,14 +138,13 @@ def filter_problems(catalog: DimensionCatalog, flt: NodeFilter) -> list[str]:
     ]
 
 
-def _matching_nodes(g: Graphoid, nodes: dict[str, NodeRows], flt: NodeFilter) -> list[int]:
+def _matching_nodes(g: Graphoid, flt: NodeFilter) -> list[int]:
     """The ids of the filter's type that satisfy its condition, ascending,
-    read from ``nodes``, the graph's ``node_columns`` view.  Atoms are
-    resolved on that type alone; ``atom_test`` refuses one below the stored
-    level."""
+    read from the graph's node table.  Atoms are resolved on that type
+    alone; ``atom_test`` refuses one below the stored level."""
     decl = g.node_type(flt.ntype)
-    # the view leaves out a type without nodes: its columns are empty
-    ids, columns = nodes.get(flt.ntype, ((), ((),) * decl.arity))
+    # the table leaves out a type without nodes: its columns are empty
+    ids, columns = g.node_table.get(flt.ntype, ((), ((),) * decl.arity))
     if flt.condition is None:
         return list(ids)
     problems = filter_problems(g.catalog, flt)
@@ -185,10 +184,9 @@ def shortest_paths(
     """
     order, bit, near = _bitsets(g, _edge_types(g, via))
     everyone = (1 << len(order)) - 1
-    nodes = g.node_columns()
-    sources = _matching_nodes(g, nodes, source_filter)
+    sources = _matching_nodes(g, source_filter)
     searches: list[tuple[int, int, int, int, list[int]]] = []
-    for target in _matching_nodes(g, nodes, target_filter):
+    for target in _matching_nodes(g, target_filter):
         layers = [bit[target], near[target]]
         seen = layers[0] | layers[1]
         frontier = _members(order, layers[1])

@@ -18,18 +18,21 @@ class and keeps each class's first row, gathering only the members of
 classes with several.  Dice and strong dice test an atom as one pass over
 a slot column (``map(compare, column, repeat(constant))``, after the roll
 to the atom's level when one is needed): an edge type's, or a node type's
-from ``Graphoid.node_columns``, with one atom test for both
-(``atom_test``).  They keep the rows of each type that its mask passes.
-Minimize and n-delete rewrite the endpoint-set list once per distinct set
-and remap each type's two id columns through it.  Columns an operation
-does not rewrite are handed on to its result unchanged.
+from the value's node table, with one atom test for both (``atom_test``).
+They keep the rows of each type that its mask passes.  Climb replaces a
+node type's climbed column the same way.  Minimize keys each node type's
+nodes on its zipped non-identifier columns, n-delete drops one node
+type's sub-table, and both rewrite the endpoint-set list once per
+distinct set and remap each edge type's two id columns through it.
+Columns an operation does not rewrite are handed on to its result
+unchanged.
 
 Each operation resolves its roll-up steps, class keys and condition atoms
 once, to the dimension instances' roll-up maps and to per-type slot
 tuples, and then makes one lookup per label value.  Dice tests a
 clause's atoms on each node type's columns, into the set of nodes the
 clause is false on, and tests each distinct endpoint set against that set
-once; a condition with no node atom builds no node view.  A folded
+once.  A folded
 measure slot remembers its aggregate, so a second fold is either exact
 (SUM, MIN and MAX over themselves; COUNT re-folds its counts with SUM) or
 refused.
@@ -60,10 +63,11 @@ from .hypergraph import (
     Graphoid,
     GraphoidError,
     HyperEdge,
-    Node,
+    NodeRows,
     NodeTypeDecl,
     TypeRows,
     consume,
+    with_column,
 )
 
 
@@ -265,10 +269,9 @@ def edge_filter(g: Graphoid, cond: Condition) -> Callable[[EdgeTable], dict[str,
     every adjacent node; clauses and the disjunction lift pointwise.  Each
     atom is resolved per declared type once, to a column test
     (``atom_test``), and a clause's tests on one type run as one pass over
-    its columns (``all_of``): on each node type's columns of
-    ``Graphoid.node_columns`` (built only when some atom tests a node type),
-    into the set of nodes the clause is false on,
-    and on each edge type's slot columns.  Each distinct endpoint set of the
+    its columns (``all_of``): on each node type's slot columns of the
+    value's node table, into the set of nodes the clause is false on, and
+    on each edge type's slot columns.  Each distinct endpoint set of the
     table is tested against that set once, so an edge passes a clause when
     the clause's edge tests hold on it and both its sets are clear.  Raises
     OlapError for a condition that ``condition_problems`` or ``atom_test``
@@ -293,12 +296,10 @@ def edge_filter(g: Graphoid, cond: Condition) -> Callable[[EdgeTable], dict[str,
                     if test is not None:
                         tests[name].append(test)
         resolved.append(({name: tests for name, tests in edge_tests.items() if tests}, node_tests))
-    # the node view is built only for a condition that tests some node
-    nodes = g.node_columns() if any(any(node_tests.values()) for _, node_tests in resolved) else {}
     clauses = [
         (edge_tests, frozenset(chain.from_iterable(
             compress(ids, map(not_, all_of(node_tests[name], columns)))
-            for name, (ids, columns) in nodes.items() if node_tests[name]
+            for name, (ids, columns) in g.node_table.items() if node_tests[name]
         )))
         for edge_tests, node_tests in resolved
     ]
@@ -379,9 +380,9 @@ def _resolve_climb_targets(g: Graphoid, targets: TargetSet, step: RollupStep) ->
 def climb(g: Graphoid, targets, step: RollupStep) -> Graphoid:
     """Rewrite one dimension's slot values from one level to a higher one.
 
-    Each targeted edge type's climbed slot column is replaced by the
-    catalog's roll mapped over it (one ``DimensionCatalog.roll`` call per
-    row); every other column is handed on.
+    Each targeted node or edge type's climbed slot column is replaced by
+    the catalog's roll mapped over it (one ``DimensionCatalog.roll`` call
+    per row); every other column is handed on.
     """
     if step.dimension == ID_DIMENSION:
         raise OlapError("the Id dimension cannot be climbed")
@@ -393,32 +394,18 @@ def climb(g: Graphoid, targets, step: RollupStep) -> Graphoid:
     if step.from_level == step.to_level:
         return g.derive()
 
-    node_slots = {name: slot for name, slot in found if name in g.node_types}
-    edge_slots = {name: slot for name, slot in found if name in g.edge_types}
     # the catalog resolves the step on the first value and keeps it
     roll, dim, lo, hi = g.catalog.roll, step.dimension, step.from_level, step.to_level
-
-    nodes = dict(g.nodes)
-    if node_slots:
-        for ident, node in g.nodes.items():
-            slot = node_slots.get(node.ntype)
-            if slot is not None:
-                label = node.label
-                nodes[ident] = Node(node.ntype, label[:slot] + (roll(dim, lo, hi, label[slot]),) + label[slot + 1:])
+    node_table, table = dict(g.node_table), g.edge_table
+    types = dict(table.types)
     levels = dict(g.levels)
     for name, slot in found:
         levels[(name, slot)] = step.to_level
-    if not edge_slots:
-        return g.derive(nodes=nodes, levels=levels)
-    table = g.edge_table
-    types = dict(table.types)
-    for name, slot in edge_slots.items():
-        rows = types.get(name)  # None when the type has no rows
+        subtables = node_table if name in g.node_types else types
+        rows = subtables.get(name)  # None when the type has no rows
         if rows is not None:
-            sources, targets, columns, surrogates = rows
-            climbed = tuple(map(roll, repeat(dim), repeat(lo), repeat(hi), columns[slot]))
-            types[name] = TypeRows(sources, targets, (*columns[:slot], climbed, *columns[slot + 1:]), surrogates)
-    return g.derive(nodes=nodes, edge_table=EdgeTable(types, table.sets), levels=levels)
+            subtables[name] = with_column(rows, slot, tuple(map(roll, repeat(dim), repeat(lo), repeat(hi), rows.columns[slot])))
+    return g.derive(node_table=node_table, edge_table=EdgeTable(types, table.sets), levels=levels)
 
 
 def minimize(g: Graphoid) -> Graphoid:
@@ -428,19 +415,21 @@ def minimize(g: Graphoid) -> Graphoid:
     edge endpoints are rewritten through the contraction, the edge bag keeps
     its size.  Idempotent, and independent of input ordering.
     """
-    chosen: dict[tuple, int] = {}
-    rep: dict[int, int] = {}
-    for ident in sorted(g.nodes):
-        node = g.nodes[ident]
-        key = (node.ntype, node.label[1:])
-        if key not in chosen:
-            chosen[key] = ident
-        rep[ident] = chosen[key]
-    if all(k == v for k, v in rep.items()):
+    rep: dict[int, int] = {}  # each contracted id -> its representative
+    node_table = dict(g.node_table)
+    for name, (ids, columns) in g.node_table.items():
+        chosen: dict[tuple, int] = {}  # a non-identifier label -> its smallest id
+        keys = zip(*columns[1:]) if len(columns) > 1 else repeat((), len(ids))
+        firsts = list(map(chosen.setdefault, keys, ids))
+        if len(chosen) < len(ids):
+            kept = list(map(eq, firsts, ids))
+            rep.update(compress(zip(ids, firsts), map(not_, kept)))
+            columns = tuple(map(tuple, map(compress, columns, repeat(kept))))
+            node_table[name] = NodeRows(columns[0], columns)
+    if not rep:
         return g.derive()
-    nodes = {ident: g.nodes[ident] for ident in sorted(chosen.values())}
-    table = _rewrite_sets(g.edge_table, lambda ends: frozenset(map(rep.__getitem__, ends)))
-    return g.derive(nodes=nodes, edge_table=table)
+    table = _rewrite_sets(g.edge_table, lambda ends: frozenset(map(rep.get, ends, ends)))
+    return g.derive(node_table=node_table, edge_table=table)
 
 
 def _rewrite_sets(table: EdgeTable, fn: Callable[[frozenset[int]], frozenset[int]]) -> EdgeTable:
@@ -693,15 +682,20 @@ def n_delete(g: Graphoid, node_type: str) -> Graphoid:
     """Remove a node type; edges shrink and vanish once they touch nothing.
 
     The result is tainted: the base still holds the deleted nodes, so a
-    drill-down could not re-derive without bringing them back.
+    drill-down could not re-derive without bringing them back.  Deleting
+    the last nodes of a value is refused, as ``build_graphoid`` refuses a
+    value with no nodes.
     """
     g.node_type(node_type)
-    dead = {ident for ident, node in g.nodes.items() if node.ntype == node_type}
-    nodes = {ident: node for ident, node in g.nodes.items() if ident not in dead}
+    node_table = dict(g.node_table)
+    rows = node_table.pop(node_type, None)  # None when the type has no nodes
+    if rows is not None and not node_table:
+        raise OlapError(f"deleting node type {node_type} would leave no nodes: a graph value needs at least one")
+    dead = frozenset(rows.ids if rows is not None else ())
     table = _rewrite_sets(g.edge_table, lambda ends: ends - dead)
     touches = [bool(ends) for ends in table.sets]
     keep = {
         name: [touches[source] or touches[target] for source, target in zip(rows.sources, rows.targets)]
         for name, rows in table.types.items()
     }
-    return g.derive(nodes=nodes, edge_table=table.where(keep), tainted=True)
+    return g.derive(node_table=node_table, edge_table=table.where(keep), tainted=True)

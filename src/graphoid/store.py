@@ -4,13 +4,14 @@ Scalars are typed by the level they sit at, so dates travel as ISO strings and
 come back as date objects.  Dimension instance files embed their schema to
 stay self-contained.
 
-Graph values are read into and written from their edge table
-(``hypergraph.EdgeTable``): loading, ingesting and generating go through
-``build_graphoid``, which checks the rows and writes the table a column at
-a time, and ``graphoid_to_json`` writes the document's rows from the
-table's columns, one edge type after another, sorting each distinct
-endpoint set once and encoding each distinct date once.  Neither builds an
-edge object.
+Graph values are read into and written from their node and edge tables
+(``hypergraph.NodeRows``, ``hypergraph.EdgeTable``): loading, ingesting and
+generating go through ``build_graphoid``, which checks the rows and writes
+the tables a column at a time, and ``graphoid_to_json`` writes the
+document's rows from the tables' columns, node types merged in id order,
+then one edge type after another, sorting each distinct endpoint set once
+and encoding each distinct date once.  Neither builds a node or edge
+object.
 """
 from __future__ import annotations
 
@@ -172,8 +173,8 @@ def graphoid_to_json(g: Graphoid) -> dict:
     Rows are written a column at a time (``_json_rows``): per type, each
     slot column that may hold dates is encoded once per distinct date, and
     the rows are zipped from the columns.  An edge type's columns are its
-    sub-table's slot columns; node labels are transposed once per node type,
-    and the node types' rows merged back in node-id order.
+    sub-table's slot columns, and a node type's are its node table's, each
+    type's rows in id order, the types' rows merged into one id order.
     """
     # the encode plan: per type, the slots whose level's own test does not rule
     # out a date (a closed level is only as typed as its members); the values of
@@ -188,7 +189,7 @@ def graphoid_to_json(g: Graphoid) -> dict:
         )
     # each node type's rows in id order, merged into one id order (ids are distinct, so no row is compared)
     nodes = [row for _, row in heapq.merge(*(
-        zip(ids, _json_rows(kind, len(ids), (), columns, encoded[kind])) for kind, (ids, columns) in g.node_columns().items()
+        zip(ids, _json_rows(kind, len(ids), (), columns, encoded[kind])) for kind, (ids, columns) in g.node_table.items()
     ))]
     table = g.edge_table
     # each distinct endpoint set sorted once; each row gets its own copies

@@ -436,6 +436,10 @@ class TestEval:
         with pytest.raises(GqlEvalError, match="expects a graph value"):
             eval_program(parse(text), figures_catalog, bindings={"G": base_graph})
 
+    def test_ndelete_of_every_node_fails_at_eval(self, base_graph, figures_catalog):
+        with pytest.raises(GqlEvalError, match="deleting node type #Phone would leave no nodes"):
+            eval_program(parse("OUTPUT NDELETE(G, #Phone);"), figures_catalog, bindings={"G": base_graph})
+
     def test_edgify_wiring(self, base_graph, figures_catalog):
         program = parse("OUTPUT EDGIFY(G, #Phone, Phone);")
         outcome = eval_program(program, figures_catalog, bindings={"G": base_graph})

@@ -22,7 +22,11 @@ from graphoid.hypergraph import (
     edgify,
     replaced,
 )
-from graphoid.olap import climb
+from graphoid.cubes import random_catalog as cube_catalog
+from graphoid.cubes import random_cube, star, unstar
+from graphoid.metrics import NodeFilter, shortest_paths
+from graphoid.olap import Atom, Condition, climb, dice, group, minimize, n_delete, s_dice
+from graphoid.store import graphoid_to_json
 from conftest import BASE_CALLS, BASE_LEVELS, BASE_NODES, CALL_DECL, PHONE_DECL
 from helpers import ends_are_shared, random_graphoid_input, shuffled_build
 
@@ -307,6 +311,65 @@ class TestNode:
             assert copied == node and hash(copied) == hash(Node(node.ntype, node.label))
             with pytest.raises(dataclasses.FrozenInstanceError):
                 node.ntype = "#Other"
+
+
+def two_type_graph(catalog):
+    """The base call graph plus two users that no call touches; a new value on every call."""
+    return build_graphoid(
+        catalog, [PHONE_DECL, NodeTypeDecl("#User", ("Id",))], [CALL_DECL],
+        BASE_NODES + [("#User", 21), ("#User", 22)],
+        [("#Call", s, t, d, dur) for s, t, d, dur in BASE_CALLS], levels=BASE_LEVELS,
+    )
+
+
+class TestNodeTable:
+    def test_no_operator_or_reader_builds_the_node_view(self, figures_catalog):
+        operator = RollupStep("Phone", "Phone", "Operator")
+        salta = Condition.of(Atom("Phone", "City", "=", "Salta"))
+        phones = NodeFilter("#Phone")
+        runs = {
+            "climb": lambda g: climb(g, ["#Phone"], operator),
+            "minimize": minimize,  # contracts the two users, whose type has no slot but Id
+            "group": lambda g: group(g, "#Phone", operator),
+            "dice": lambda g: dice(g, salta),
+            "s_dice": lambda g: s_dice(g, salta),
+            "n_delete": lambda g: n_delete(g, "#Phone"),
+            "edgify": lambda g: edgify(g, "#Phone", 1),
+            "shortest_paths": lambda g: shortest_paths(g, phones, phones),
+            "graphoid_to_json": graphoid_to_json,
+        }
+        for name, run in runs.items():
+            g = two_type_graph(figures_catalog)
+            out = run(g)
+            assert "nodes" not in vars(g), name
+            if isinstance(out, Graphoid):
+                assert "nodes" not in vars(out), name
+        g = star(random_cube(random.Random(5), cube_catalog(random.Random(5))))
+        unstar(g)
+        assert "nodes" not in vars(g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_table_is_canonical(self, seed):
+        rng = random.Random(seed)
+        catalog, ntypes, etypes, nodes, edges = random_graphoid_input(rng)
+        g = build_graphoid(catalog, ntypes, etypes, nodes, edges)
+        in_any_order = list(g.nodes.items())
+        rng.shuffle(in_any_order)
+        in_any_order = dict(in_any_order)
+        values = (
+            shuffled_build(rng, catalog, ntypes, etypes, nodes, edges),
+            Graphoid(catalog, g.node_types, g.edge_types, in_any_order, g.edges, g.levels),
+            g.derive(nodes=in_any_order),
+            replaced(g, nodes=in_any_order),
+        )
+        assert list(g.nodes) == sorted(g.nodes)
+        assert g.nodes == {row[1]: Node(row[0], tuple(row[1:])) for row in nodes}
+        for value in values:
+            assert value.node_table == g.node_table
+            assert list(value.node_table) == list(g.node_table)
+            assert all(list(rows.ids) == sorted(rows.ids) for rows in value.node_table.values())
+            assert list(value.nodes.items()) == list(g.nodes.items())
 
 
 class TestAdjacency:
