@@ -7,7 +7,9 @@ run it (Python 3.10 up):
 
 It imports ``graphoid`` from ``src/``, runs a group and a roll-up on a
 generated call graph whose edges stay in their edge table, checks the totals
-against the raw calls, rolls up the calls of a graph that also holds a
+against the raw calls, checks each class total of a Day->Month roll-up and
+of a Time slice of that graph against the calls summed one row at a time
+through the catalog's ``roller``, rolls up the calls of a graph that also holds a
 second edge type (the phone slot moved onto ``#HasPhone`` edges by
 ``edgify``) and checks that those edges' rows pass through and that
 neither value builds edge objects, checks that an unhashable label is
@@ -61,6 +63,27 @@ def main() -> int:
     # an edge type's labels are its slot columns: #Call holds (Day, Duration)
     total = sum(yearly.edge_table.types[store.CALL_TYPE].columns[1])
     check("roll-up keeps the total duration", total == sum(call.duration for call in data.calls))
+
+    # a Day->Month roll-up and a Time slice, each class's total against the call rows summed one at a time
+    sum_durations = [("Duration", "SUM")]
+    base_calls = g.edge_table.types[store.CALL_TYPE]
+    for what, level, out in (
+        ("Day->Month roll-up", "Month", olap.roll_up(
+            g, [store.CALL_TYPE], RollupStep(store.TIME_DIMENSION, "Day", "Month"), store.CALL_TYPE, sum_durations
+        )),
+        ("Time slice", "All", olap.slice_out(g, store.TIME_DIMENSION, sum_durations)),
+    ):
+        roll, sets = data.catalog.roller(store.TIME_DIMENSION, "Day", level), g.edge_table.sets
+        reference: dict[tuple, int] = {}
+        for source, target, day, duration in zip(base_calls.sources, base_calls.targets, *base_calls.columns):
+            key = (sets[source], sets[target], roll(day))
+            reference[key] = reference.get(key, 0) + duration
+        classes, sets = out.edge_table.types[store.CALL_TYPE], out.edge_table.sets
+        totals = {(sets[s], sets[t], at): total for s, t, at, total in zip(classes.sources, classes.targets, *classes.columns)}
+        check(
+            f"{what} class totals equal the per-row reference",
+            len(reference) < len(base_calls.sources) and len(classes.sources) == len(reference) and totals == reference,
+        )
 
     mixed = edgify(g, store.PHONE_TYPE, 1)
     monthly = olap.roll_up(

@@ -10,6 +10,9 @@ per-value ``DimensionCatalog.roll`` included, goes through it.
 ``DimensionCatalog.roll`` keeps each step it resolved as the instance's own
 roll-up map for the level pair, never copied, and the step's function, which
 answers every member the map lacks (open levels and refused values too).
+It keeps them in a table nested by dimension, then from-level, then
+to-level, so a call reads its step with three subscripts of the names it is
+given and builds no ``(dimension, from, to)`` key tuple to hash.
 
 Each ``DimensionSchema`` resolves its levels and edges once, at
 construction, into a table (level by name, parents per level, the bottom),
@@ -521,8 +524,8 @@ class DimensionCatalog:
     """Immutable name -> instance lookup; always carries the Id dimension."""
 
     instances: dict[str, DimensionInstance]
-    # roll-up steps resolved by ``roll``, one (map, function) pair per (dimension, from, to)
-    _steps: dict[tuple[str, str, str], tuple[dict, Callable[[object], object]]] = field(
+    # roll-up steps resolved by ``roll``: dimension -> from-level -> to-level -> (map, function)
+    _steps: dict[str, dict[str, dict[str, tuple[dict, Callable[[object], object]]]]] = field(
         init=False, compare=False, repr=False, default_factory=dict
     )
 
@@ -582,12 +585,23 @@ class DimensionCatalog:
         itself, a refused or unhashable value) goes to the function.  The map
         is kept only when its keys are members of a closed from-level (and,
         to All, map to the All member), so a hit is the function's answer
-        even on an instance ``validate_instance`` rejects."""
-        key = (dim, from_level, to_level)
-        step = self._steps.get(key)
-        if step is None:
-            step = self._steps[key] = self._resolve(dim, from_level, to_level)
-        mapping, roller = step
+        even on an instance ``validate_instance`` rejects.
+
+        Steps are kept in a table nested by dimension, from-level and
+        to-level, read with three subscripts of the names as given.  A call
+        builds no key tuple, whose hash would be computed anew on every
+        call, where a string caches its own.  A step not yet kept is
+        resolved after the lookup's ``except`` block, never in it, so that a
+        refusal raised by the resolve (an unknown level, say), like one
+        raised by the function, carries no lookup error as its context."""
+        try:
+            mapping, roller = self._steps[dim][from_level][to_level]
+        except KeyError:
+            mapping = None
+        if mapping is None:
+            mapping, roller = self._steps.setdefault(dim, {}).setdefault(from_level, {})[to_level] = self._resolve(
+                dim, from_level, to_level
+            )
         try:
             return mapping[member]
         except (KeyError, TypeError):  # left here, so a refusal carries no lookup error as its context

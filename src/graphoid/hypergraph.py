@@ -24,12 +24,16 @@ appends rows to one, the operators of ``olap`` read and write tables, and
 turned into a table once, by ``EdgeTable.of``.
 ``build_graphoid`` checks its edge rows and writes their table a column at
 a time (``_checked_table``): each edge type's rows are gathered in input
-order and transposed once with ``zip(*rows)``, a slot's membership is one
+order (rows of one edge type are taken as given, with no gather) and
+transposed once with ``zip(*rows)``, a slot's membership is one
 test of its column, a parsed slot (a JSON document's ISO dates) is parsed
 once per distinct string, and the transposed columns are kept as the
 type's slot columns.  Only when some row fails are the rows read one at a
 time, by ``_report_edge_rows``, the one place that words an edge row's
-problems.
+problems.  Node rows are checked the same way (``_checked_nodes``), each
+node type's rows sorted by id and transposed once into its ``NodeRows``;
+``_report_node_rows`` reads them one at a time, and words their problems,
+only when some row fails or is a ``Node``.
 ``EdgeTable.labels`` is a read-only view of the labels as row tuples, built
 from the columns on each read for tests and cold callers; no operator reads
 it.  ``Graphoid.edges``, the public view, is a tuple of ``HyperEdge``s
@@ -40,10 +44,10 @@ Nodes are held the same way, in one store, the node table: one
 ``NodeRows`` per node type with nodes, its ids in ascending order and its
 labels as slot columns, types in the order of their smallest id.  A value
 built from the same nodes has the same table, whatever order they came
-in.  The nodes ``build_graphoid`` checks, and nodes given to
-``Graphoid(...)``, or as ``nodes=`` to ``derive`` or ``replaced``, are
-turned into a table once, by ``node_table_of``, which transposes each
-node type's labels once.
+in.  ``build_graphoid`` writes the table from the checked columns, and
+nodes given to ``Graphoid(...)``, or as ``nodes=`` to ``derive`` or
+``replaced``, are turned into a table once, by ``node_table_of``, which
+transposes each node type's labels once.
 ``climb`` and ``edgify`` replace one node column (``with_column``),
 ``minimize`` keys each type's nodes on its zipped columns, ``n_delete``
 drops one sub-table, and dice's and path queries' node tests, the saved
@@ -64,7 +68,7 @@ from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field, fields
 from itertools import chain, compress, count, repeat
 from operator import itemgetter
-from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .dims import ALL_LEVEL, ALL_MEMBER, DimensionCatalog, DimensionInstance, ID_DIMENSION, ID_LEVEL
 
@@ -490,8 +494,12 @@ def build_graphoid(
     targets are collections of node ids.  Raises GraphoidBuildError with
     the full report when anything is off.
 
-    The edge rows are checked and turned into the value's table a column at
-    a time (``_checked_table``).  ``parse`` maps edge (type, slot)s to the
+    The node rows are checked a column at a time per node type and written
+    as the node table directly, in id order (``_checked_nodes``); when any
+    fails, or one is a ``Node``, ``_report_node_rows`` checks them one at a
+    time, words every problem in row order, and builds the table when none
+    fails.  The edge rows are checked and turned into the value's table a
+    column at a time (``_checked_table``).  ``parse`` maps edge (type, slot)s to the
     parse of a string held there, as a JSON document's ISO dates need: each
     distinct string is parsed once, the parsed value is the one checked and
     kept, and a string the parse refuses (``ValueError``) fails the check.
@@ -533,19 +541,97 @@ def build_graphoid(
             level_map[(tname, slot)] = level
     if problems:
         raise GraphoidBuildError(problems)
-    # one resolved membership test per (type, slot) -- a predicate on values for
-    # nodes and on a column of values for edges; a type's arity is the length of its tuple
+    # one resolved membership test per (type, slot) -- a predicate on a column
+    # of values, or on one value for the per-row reports; a type's arity is the length of its tuple
     def slot_tests(decls: Mapping[str, NodeTypeDecl | EdgeTypeDecl], resolve: Callable) -> dict[str, tuple]:
         return {
             name: tuple(resolve(catalog.instance(dim), level_map[(name, slot)]) for slot, dim in enumerate(decl.dims))
             for name, decl in decls.items()
         }
 
-    node_tests = slot_tests(ntypes, DimensionInstance.member_test)
     column_tests = slot_tests(etypes, DimensionInstance.column_test)
 
+    nodes = list(nodes)
+    node_table = _checked_nodes(nodes, slot_tests(ntypes, DimensionInstance.column_test))
+    if node_table is None:
+        node_table = _report_node_rows(nodes, ntypes, slot_tests(ntypes, DimensionInstance.member_test), level_map, problems)
+    node_ids = set(chain.from_iterable(rows.ids for rows in node_table.values()))
+
+    rows = list(edges)
+    table = _checked_table(rows, column_tests, node_ids, parse or {})
+    if table is None:
+        # a HyperEdge row is read as the row (type, sources, targets, label...)
+        rows = [(e.etype, e.source, e.target, *e.label) if isinstance(e, HyperEdge) else e for e in rows]
+        _report_edge_rows(rows, etypes, slot_tests(etypes, DimensionInstance.member_test), node_ids, level_map, problems)
+        raise GraphoidBuildError(problems)
+    return _graphoid({
+        "catalog": catalog,
+        "node_types": ntypes,
+        "edge_types": etypes,
+        "node_table": node_table,
+        "edge_table": table,
+        "levels": level_map,
+        "base": None,
+        "tainted": False,
+        "folds": {},
+    })
+
+
+# a row's type, and a node row's identifier; the row types whose iteration
+# reads what indexing reads; the one type of an identifier, and of a type name
+_TYPE, _ID = itemgetter(0), itemgetter(1)
+_ROWS, _INT, _STR = frozenset({list, tuple}), frozenset({int}), frozenset({str})
+
+
+def _checked_nodes(rows: list, column_tests: Mapping[str, tuple]) -> dict[str, NodeRows] | None:
+    """The node table of ``rows`` when every row passes every check, else
+    None, and ``build_graphoid`` falls back to the per-row report.
+
+    The rows are read a column at a time per node type: every row a list or
+    tuple whose type is a declared type name; each type's rows sorted by id
+    and transposed once with ``zip(*rows)``, which checks that they share
+    one width, the type's label width; every id an ``int`` by type and no id
+    held twice, across types too; and each slot's column test run once (see
+    ``DimensionInstance.column_test``).  The columns are written as the
+    type's ``NodeRows`` directly, the table ``node_table_of`` builds from the
+    same nodes.  An empty node set is left to the report, which refuses it.
+    """
+    try:
+        if not rows or not _ROWS.issuperset(map(type, rows)):
+            return None
+        positions = _typed(rows)
+        if not (_STR.issuperset(map(type, positions)) and column_tests.keys() >= positions.keys()):
+            return None
+        table = {}
+        for kind, at in positions.items():
+            tests = column_tests[kind]
+            kind_rows = rows if at is None else map(rows.__getitem__, at)
+            _, *columns = zip(*sorted(kind_rows, key=_ID), strict=True)
+            if len(columns) != len(tests) or not _INT.issuperset(map(type, columns[0])):
+                return None
+            if not all(test(column) for test, column in zip(tests, columns)):
+                return None
+            table[kind] = NodeRows(columns[0], tuple(columns))
+        if len(set(chain.from_iterable(typed_rows.ids for typed_rows in table.values()))) != len(rows):
+            return None
+    except (LookupError, TypeError, ValueError):
+        return None
+    return dict(sorted(table.items(), key=lambda item: item[1].ids[0]))
+
+
+def _report_node_rows(
+    rows: list,
+    ntypes: Mapping[str, NodeTypeDecl],
+    node_tests: Mapping[str, tuple],
+    level_map: Mapping[tuple[str, int], str],
+    problems: list[str],
+) -> dict[str, NodeRows]:
+    """Check the node rows one at a time, appending each problem to
+    ``problems`` in row order, the one place that words a node row's
+    problems; a row may be a ``Node``.  The node table of the rows when
+    none fails; raises ``GraphoidBuildError`` with the report otherwise."""
     checked: dict[int, Node] = {}
-    for row in nodes:
+    for row in rows:
         try:
             node = row if isinstance(row, Node) else Node(str(row[0]), tuple(row[1:]))
         except (LookupError, TypeError):
@@ -579,37 +665,13 @@ def build_graphoid(
         problems.append("non-empty node set required")
     if problems:
         raise GraphoidBuildError(problems)
-
-    rows = list(edges)
-    table = _checked_table(rows, column_tests, checked.keys(), parse or {})
-    if table is None:
-        # a HyperEdge row is read as the row (type, sources, targets, label...)
-        rows = [(e.etype, e.source, e.target, *e.label) if isinstance(e, HyperEdge) else e for e in rows]
-        _report_edge_rows(rows, etypes, slot_tests(etypes, DimensionInstance.member_test), checked.keys(), level_map, problems)
-        raise GraphoidBuildError(problems)
-    return _graphoid({
-        "catalog": catalog,
-        "node_types": ntypes,
-        "edge_types": etypes,
-        "node_table": node_table_of(checked.values()),
-        "edge_table": table,
-        "levels": level_map,
-        "base": None,
-        "tainted": False,
-        "folds": {},
-    })
-
-
-# an edge row's type; the row types whose iteration reads what indexing
-# reads; the one type of an endpoint id, and of a type name
-_TYPE = itemgetter(0)
-_ROWS, _INT, _STR = frozenset({list, tuple}), frozenset({int}), frozenset({str})
+    return node_table_of(checked.values())
 
 
 def _checked_table(
     rows: list,
     column_tests: Mapping[str, tuple],
-    node_ids: AbstractSet[int],
+    node_ids: set[int],
     parse: Mapping[tuple[str, int], Callable[[str], object]],
 ) -> EdgeTable | None:
     """The edge table of ``rows`` when every row passes every check, else
@@ -618,7 +680,9 @@ def _checked_table(
     The rows are read a column at a time, with no per-row Python step:
     - the type column: every type declared (a row's type is ``str`` of
       what it holds), and each type's row positions gathered in one pass,
-      types in the order of their first row;
+      types in the order of their first row; when every row holds one
+      ``str`` type, ``rows`` are that type's rows as given, and no position
+      is gathered;
     - per edge type, its rows transposed once with ``zip(*rows)``, which
       checks that they share one width, the type's label width; on those
       columns each ``parse`` slot's strings are parsed once per distinct
@@ -629,14 +693,15 @@ def _checked_table(
       and True equal ints, so a set cannot tell them apart), no row with
       both sets empty, and each distinct set a frozenset held once,
       numbered at its first row, a type's sources before its targets;
-    - every set a set of nodes.
-    A built edge's surrogate is its position in ``rows``.  A row that is not
+    - every set a set of nodes, one ``issuperset`` over the sets' ids.
+    A built edge's surrogate is its position in ``rows``, the surrogate
+    column a list.  A row that is not
     a list or tuple is read by position, as ``_report_edge_rows`` reads it.
     """
     try:
         if not _ROWS.issuperset(map(type, rows)):
             rows = list(map(_positions, rows))
-        positions = _grouped(map(_TYPE, rows))
+        positions = _typed(rows)
         if not _STR.issuperset(map(type, positions)):
             positions = _grouped(map(str, map(_TYPE, rows)))
         if not column_tests.keys() >= positions.keys():
@@ -646,7 +711,11 @@ def _checked_table(
         typed = {}
         for kind, at in positions.items():
             tests = column_tests[kind]
-            _, source_column, target_column, *slots = zip(*map(rows.__getitem__, at), strict=True)
+            if at is None:
+                at, kind_rows = list(range(len(rows))), rows
+            else:
+                kind_rows = map(rows.__getitem__, at)
+            _, source_column, target_column, *slots = zip(*kind_rows, strict=True)
             if len(slots) != len(tests):
                 return None
             for slot, test in enumerate(tests):
@@ -667,11 +736,22 @@ def _checked_table(
             if empty is not None and (empty, empty) in zip(sources, targets):
                 return None
             typed[kind] = TypeRows(sources, targets, tuple(slots), at)
-        if not node_ids >= frozenset().union(*set_ids):
+        if not node_ids.issuperset(chain.from_iterable(set_ids)):
             return None
     except (LookupError, TypeError, ValueError):
         return None
     return EdgeTable(typed, list(set_ids))
+
+
+def _typed(rows: list) -> Mapping[object, list[int] | None]:
+    """Each type's row positions in ``rows`` (a row's type is its first
+    entry), types in the order of their first row.  When every row holds one
+    ``str`` type, its positions are None: that type's rows are ``rows`` as
+    given, and no position is gathered."""
+    kinds = set(map(_TYPE, rows))
+    if len(kinds) == 1 and _STR.issuperset(map(type, kinds)):
+        return dict.fromkeys(kinds)
+    return _grouped(map(_TYPE, rows))
 
 
 def _grouped(types: Iterable[str]) -> defaultdict[str, list[int]]:
@@ -706,7 +786,7 @@ def _report_edge_rows(
     rows: list,
     etypes: Mapping[str, EdgeTypeDecl],
     edge_tests: Mapping[str, tuple],
-    node_ids: AbstractSet[int],
+    node_ids: set[int],
     level_map: Mapping[tuple[str, int], str],
     problems: list[str],
 ) -> None:

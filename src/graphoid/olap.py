@@ -45,7 +45,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from decimal import Decimal
 from itertools import chain, compress, count, repeat
-from operator import and_, eq, not_, or_
+from operator import and_, eq, ne, not_, or_
 from typing import Callable, Iterator, Sequence
 
 from .dims import (
@@ -521,7 +521,11 @@ def aggr(g: Graphoid, edge_type: str, measures: MeasurePairs) -> Graphoid:
     Each targeted edge type's sub-table is folded column at a time.  Class
     keys are its zipped source, target and key columns, and
     ``first_at.setdefault`` mapped over them with the row positions gives
-    each row its class's first member.  Each measure column
+    each row its class's first member.  When some class has two, one pass
+    over those firsts (``compress(count(), map(ne, firsts, count()))``)
+    finds the joining rows, the rows whose class began at an earlier row,
+    and the ``kept`` mask of first members is written from them: all true,
+    then false at each joining row.  Each measure column
     is folded per class (``_fold_column``); each other column keeps its
     first members' entries, and is handed on whole when no class has two.
     Untargeted types' sub-tables pass through unchanged.
@@ -543,8 +547,9 @@ def aggr(g: Graphoid, edge_type: str, measures: MeasurePairs) -> Graphoid:
         firsts = list(map(first_at.setdefault, keys, count()))
         kept = joining = None  # is each row its class's first; the rows joining an earlier class
         if len(first_at) < len(firsts):
-            kept = list(map(eq, firsts, count()))
-            joining = list(compress(count(), map(not_, kept)))
+            joining = list(compress(count(), map(ne, firsts, count())))
+            kept = [True] * len(firsts)
+            consume(map(kept.__setitem__, joining, repeat(False)))
             sources, targets, surrogates = (list(compress(column, kept)) for column in (sources, targets, surrogates))
         columns = tuple(
             _fold_column(slots[slot], column, firsts, kept, joining) if slot in slots

@@ -560,10 +560,28 @@ class TestRoller:
 
         g = generate(GeneratorConfig(phone_count=8, user_count=4, call_count=20, seed=5)).graphoid
         climb(g, ["#Call"], RollupStep("Time", "Day", "Month"))
-        mapping, roller = g.catalog._steps[("Time", "Day", "Month")]
+        mapping, roller = g.catalog._steps["Time"]["Day"]["Month"]
         assert mapping is g.catalog.instance("Time").rollup_maps[("Day", "Month")]
         day = g.edge_table.labels[0][0]
         assert g.catalog.roll("Time", "Day", "Month", day) == roller(day) == mapping[day]
+
+    @pytest.mark.parametrize(
+        "from_level, to_level, member, refusal, message",
+        [
+            ("Phone", "Operator", "Ph99", UnknownMember, "'Ph99' is not a member of level Phone"),
+            ("Phone", "Region", "Ph1", UnreachableLevel, "unknown level Region"),
+        ],
+    )
+    def test_a_refused_roll_carries_no_lookup_error(self, phone_dimension, from_level, to_level, member, refusal, message):
+        # the first call resolves the step, the second reads the kept one (or
+        # resolves again, when the first was refused); neither raises from
+        # inside the step table's ``except`` block
+        catalog = DimensionCatalog.of(phone_dimension)
+        for _ in range(2):
+            with pytest.raises(refusal, match=message) as caught:
+                catalog.roll("Phone", from_level, to_level, member)
+            assert caught.value.__context__ is None
+            assert caught.value.__cause__ is None
 
     def test_open_level_type_checked_on_the_way_to_all(self):
         duration = open_dimension("Duration")

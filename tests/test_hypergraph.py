@@ -4,11 +4,13 @@ from __future__ import annotations
 import dataclasses
 import pickle
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from graphoid import hypergraph
 from graphoid.dims import DimensionCatalog, RollupStep, open_dimension
 from graphoid.hypergraph import (
     EdgeTable,
@@ -177,6 +179,58 @@ class TestBuildGraphoid:
             assert err.problems and all(err.problems)
         else:
             assert g.edge_count == len(edges)
+
+    @given(nodes=st.lists(MALFORMED_NODE_ROWS, max_size=4), keep_base=st.booleans(), at=st.integers(0, 9))
+    @example(nodes=[("#Phone", 12, "Ph1")], keep_base=True, at=3)  # an id held twice
+    @example(nodes=[("#Phone", 16, "Ph1"), ("#Phone", 9, "Ph3")], keep_base=True, at=2)  # ids out of order
+    @example(nodes=[("#Phone", True, "Ph1")], keep_base=True, at=0)  # a bool id
+    @example(nodes=[["#Phone", 16, "Ph1"], Node("#Phone", (17, "Ph2"))], keep_base=True, at=1)  # a Node row
+    @settings(max_examples=300, deadline=None)
+    def test_node_column_pass_agrees_with_the_per_row_check(self, figures_catalog, nodes, keep_base, at):
+        # the same report, or the same node table, with the column pass off
+        rows = list(BASE_NODES) if keep_base else []
+        for row in nodes:
+            rows.insert(at % (len(rows) + 1), row)
+
+        def outcome():
+            try:
+                g = build_graphoid(figures_catalog, [PHONE_DECL], [CALL_DECL], rows, [], levels=BASE_LEVELS)
+            except GraphoidBuildError as err:
+                return ("refused", err.problems)
+            return ("built", g.node_table, list(g.node_table))
+
+        by_columns = outcome()
+        with mock.patch.object(hypergraph, "_checked_nodes", return_value=None):
+            assert outcome() == by_columns
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_valid_node_rows_are_checked_a_column_at_a_time(self, seed):
+        # list and tuple rows in any order build the table of the per-row check, which never runs
+        rng = random.Random(seed)
+        catalog, ntypes, etypes, nodes, edges = random_graphoid_input(rng)
+        rows = [list(row) if rng.random() < 0.5 else row for row in nodes]
+        rng.shuffle(rows)
+        with mock.patch.object(hypergraph, "_report_node_rows", side_effect=AssertionError("per-row check ran")):
+            g = build_graphoid(catalog, ntypes, etypes, rows, edges)
+        # a Node row is read by the per-row check
+        per_row = build_graphoid(catalog, ntypes, etypes, [Node(row[0], tuple(row[1:])) for row in rows], edges)
+        assert g.node_table == per_row.node_table and list(g.node_table) == list(per_row.node_table)
+        assert g == per_row
+
+    def test_edge_surrogates_are_row_positions(self, figures_catalog):
+        calls = [("#Call", s, t, d, dur) for s, t, d, dur in BASE_CALLS]
+        one = build_graphoid(figures_catalog, [PHONE_DECL], [CALL_DECL], BASE_NODES, calls, levels=BASE_LEVELS)
+        rows = one.edge_table.types["#Call"]
+        assert rows.surrogates == list(range(len(calls)))
+        assert rows.columns == tuple(zip(*(call[3:] for call in calls)))
+        # a second edge type's rows interleaved: each type keeps the positions of its own rows
+        other = EdgeTypeDecl("#Other", ())
+        mixed = [row for call in calls for row in (call, ("#Other", call[1], call[2]))]
+        two = build_graphoid(figures_catalog, [PHONE_DECL], [CALL_DECL, other], BASE_NODES, mixed, levels=BASE_LEVELS)
+        assert two.edge_table.types["#Call"].surrogates == list(range(0, len(mixed), 2))
+        assert two.edge_table.types["#Other"].surrogates == list(range(1, len(mixed), 2))
+        assert two.edge_table.types["#Call"].columns == rows.columns
 
     def test_default_levels_are_bottoms(self, figures_catalog):
         g = build_graphoid(

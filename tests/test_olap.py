@@ -318,6 +318,30 @@ class TestAggr:
         for value in (g, h, reloaded):
             assert [e.label for e in aggr(value, "#Call", [("Duration", "SUM")]).edges] == [(100, 12)]
 
+    @pytest.mark.parametrize(
+        "ends",
+        [
+            [(1, 2), (2, 3), (3, 1), (1, 3)],  # no row joins a class
+            [(1, 2), (2, 3), (1, 2), (3, 1)],  # exactly one row joins: the third joins the first's
+            [(1, 2)] * 4,  # every row after the first joins the first's class
+        ],
+        ids=["none-join", "one-joins", "all-join"],
+    )
+    @pytest.mark.parametrize("fn", ["SUM", "MIN", "MAX", "COUNT", "AVG"])
+    def test_joining_rows_match_the_flat_fold(self, ends, fn):
+        # a call's only other slot is its measure, so two calls are one class exactly when they share their ends
+        catalog = DimensionCatalog.of(open_dimension("Duration"), open_dimension("Name", "string"))
+        g = build_graphoid(
+            catalog,
+            [NodeTypeDecl("#Phone", ("Id", "Name"))],
+            [EdgeTypeDecl("#Call", ("Duration",), measures=((0, "SUM"),))],
+            [("#Phone", 1, "a"), ("#Phone", 2, "b"), ("#Phone", 3, "c")],
+            [("#Call", [s], [t], duration) for (s, t), duration in zip(ends, (7, -0.0, 2.5, 40))],
+        )
+        expected = [(t, sorted(s), sorted(d), label, sur) for t, s, d, label, sur in flat_aggr(g, {"#Call"}, "Duration", fn)]
+        assert len(expected) == len(set(ends))
+        assert repr(table_rows(aggr(g, "#Call", [("Duration", fn)]).edges)) == repr(expected)
+
     def test_shared_surrogates_keep_classes_apart(self):
         # a hand-built edge carries the default surrogate 0, like the generator's first edge
         g = generate(GeneratorConfig(phone_count=10, user_count=5, call_count=20, seed=5)).graphoid
