@@ -210,7 +210,7 @@ def unstar(g: Graphoid) -> Cube:
     sets = table.sets
     # every edge type holds one slot, its measure
     rows = chain.from_iterable(
-        zip(repeat(name), sources, targets, values) for name, (sources, targets, (values,), _) in table.types.items()
+        zip(repeat(name), sources, targets, values) for name, (sources, targets, (values,)) in table.types.items()
     )
     for etype, source, target, value in rows:
         if sets[source]:

@@ -9,11 +9,11 @@ level its values currently live at.
 A graph value holds its edge bag in one store, an ``EdgeTable``: one
 sub-table (``TypeRows``) per edge type with rows, over one list of the
 value's distinct endpoint sets, each a frozenset held once.  A sub-table
-holds parallel columns of source-set id, target-set id and surrogate, and
-the labels as slot columns, each holding one slot's values, one entry per
-row.  Edge order is each type's rows in order, types in the order of their
-first row: the order of edges of different types is not part of the value,
-so a table keeps none.  An operator rewrites, tests or folds one sub-table
+holds the columns of the edge bag and nothing else: parallel columns of
+source-set id and target-set id, and the labels as slot columns, each
+holding one slot's values, one entry per row.  Edge order is each type's
+rows in order, types in the order of their first row: the order of edges
+of different types is not part of the value, so a table keeps none.  An operator rewrites, tests or folds one sub-table
 at a time, and a slot as one column.
 ``build_graphoid`` (and so a JSON load, ``store.generate``,
 ``store.ingest_calls`` and ``cubes.star``) writes a table, ``edgify``
@@ -34,11 +34,9 @@ problems.  Node rows are checked the same way (``_checked_nodes``), each
 node type's rows sorted by id and transposed once into its ``NodeRows``;
 ``_report_node_rows`` reads them one at a time, and words their problems,
 only when some row fails or is a ``Node``.
-``EdgeTable.labels`` is a read-only view of the labels as row tuples, built
-from the columns on each read for tests and cold callers; no operator reads
-it.  ``Graphoid.edges``, the public view, is a tuple of ``HyperEdge``s
-built from the table on first read and kept, in which each distinct
-endpoint set is the table's one frozenset.
+``Graphoid.edges``, the public view, is a tuple of ``HyperEdge``s built
+from the table on first read and kept, in which each distinct endpoint set
+is the table's one frozenset.
 
 Nodes are held the same way, in one store, the node table: one
 ``NodeRows`` per node type with nodes, its ids in ascending order and its
@@ -135,10 +133,13 @@ class Node:
 
 @dataclass(frozen=True, slots=True)
 class HyperEdge:
-    """One edge occurrence; ``surrogate`` is internal bookkeeping, never compared.
+    """One edge occurrence: a type, a source set, a target set and a label.
 
     Slotted, so an edge holds no ``__dict__``.  Edges of one graph value with
-    equal endpoint sets hold the same frozenset objects.
+    equal endpoint sets hold the same frozenset objects.  ``surrogate`` is
+    never compared, and a graph value does not keep it: an edge's identity,
+    if it has one, is an Id slot of its label, and every edge read from
+    ``Graphoid.edges`` carries surrogate 0.
     """
 
     etype: str
@@ -153,7 +154,8 @@ class HyperEdge:
 
 
 class TypeRows(NamedTuple):
-    """The rows of one edge type, as parallel columns in edge order.
+    """The rows of one edge type, as parallel columns in edge order: the
+    columns of the edge bag and nothing else.
 
     ``sources`` and ``targets`` are indexes into the table's ``sets``.
     ``columns`` holds the labels, one tuple of values per label slot (a type
@@ -165,7 +167,6 @@ class TypeRows(NamedTuple):
     sources: Sequence[int]
     targets: Sequence[int]
     columns: tuple[tuple, ...]
-    surrogates: Sequence[int]
 
     def labels(self) -> Iterator[tuple]:
         """Each row's label, in order, zipped from the slot columns."""
@@ -201,20 +202,14 @@ class EdgeTable(NamedTuple):
                 columns = tuple(zip(*(e.label for e in rows), strict=True))
             except ValueError:
                 raise GraphoidError(f"edges of type {name} have labels of different lengths") from None
-            types[name] = TypeRows(sources, targets, columns, [e.surrogate for e in rows])
+            types[name] = TypeRows(sources, targets, columns)
         return cls(types, list(ids))
-
-    @property
-    def labels(self) -> tuple[tuple, ...]:
-        """The labels as row tuples, in edge order: a read-only view built from
-        the slot columns on each read, for tests and cold callers."""
-        return tuple(chain.from_iterable(rows.labels() for rows in self.types.values()))
 
     def edges(self) -> tuple[HyperEdge, ...]:
         """The rows as edges; rows with equal set ids share their frozensets."""
         at = self.sets.__getitem__
         return tuple(chain.from_iterable(
-            map(HyperEdge, repeat(name), map(at, rows.sources), map(at, rows.targets), rows.labels(), rows.surrogates)
+            map(HyperEdge, repeat(name), map(at, rows.sources), map(at, rows.targets), rows.labels())
             for name, rows in self.types.items()
         ))
 
@@ -228,10 +223,10 @@ class EdgeTable(NamedTuple):
             if all(mask):
                 types[name] = rows
             elif any(mask):
-                sources, targets, columns, surrogates = rows
+                sources, targets, columns = rows
                 types[name] = TypeRows(
                     list(compress(sources, mask)), list(compress(targets, mask)),
-                    tuple(map(tuple, map(compress, columns, repeat(mask)))), list(compress(surrogates, mask)),
+                    tuple(map(tuple, map(compress, columns, repeat(mask)))),
                 )
         return EdgeTable(types, self.sets)
 
@@ -694,9 +689,8 @@ def _checked_table(
       both sets empty, and each distinct set a frozenset held once,
       numbered at its first row, a type's sources before its targets;
     - every set a set of nodes, one ``issuperset`` over the sets' ids.
-    A built edge's surrogate is its position in ``rows``, the surrogate
-    column a list.  A row that is not
-    a list or tuple is read by position, as ``_report_edge_rows`` reads it.
+    A type's rows keep their order in ``rows``.  A row that is not a list or
+    tuple is read by position, as ``_report_edge_rows`` reads it.
     """
     try:
         if not _ROWS.issuperset(map(type, rows)):
@@ -711,10 +705,7 @@ def _checked_table(
         typed = {}
         for kind, at in positions.items():
             tests = column_tests[kind]
-            if at is None:
-                at, kind_rows = list(range(len(rows))), rows
-            else:
-                kind_rows = map(rows.__getitem__, at)
+            kind_rows = rows if at is None else map(rows.__getitem__, at)
             _, source_column, target_column, *slots = zip(*kind_rows, strict=True)
             if len(slots) != len(tests):
                 return None
@@ -735,7 +726,7 @@ def _checked_table(
             empty = set_ids.get(frozenset())
             if empty is not None and (empty, empty) in zip(sources, targets):
                 return None
-            typed[kind] = TypeRows(sources, targets, tuple(slots), at)
+            typed[kind] = TypeRows(sources, targets, tuple(slots))
         if not node_ids.issuperset(chain.from_iterable(set_ids)):
             return None
     except (LookupError, TypeError, ValueError):
@@ -857,13 +848,9 @@ def edgify(g: Graphoid, ntype: str, slot: int) -> Graphoid:
         set_ids = dict(zip(table.sets, range(len(table.sets))))  # a table's sets are distinct
         no_source = set_ids.setdefault(frozenset(), len(set_ids))
         new_targets = [set_ids.setdefault(frozenset({ident}), len(set_ids)) for ident in moved.ids]
-        first = max(chain.from_iterable(rows.surrogates for rows in table.types.values()), default=-1) + 1
         # another node type's edgify of the same dimension may have made the type's rows already
-        sources, targets, (values,), surrogates = table.types.get(new_type, ((), (), ((),), ()))
-        rows = TypeRows(
-            [*sources, *[no_source] * n], [*targets, *new_targets], ((*values, *moved.columns[slot]),),
-            [*surrogates, *range(first, first + n)],
-        )
+        sources, targets, (values,) = table.types.get(new_type, ((), (), ((),)))
+        rows = TypeRows([*sources, *[no_source] * n], [*targets, *new_targets], ((*values, *moved.columns[slot]),))
         table = EdgeTable({**table.types, new_type: rows}, list(set_ids))
     levels[(ntype, slot)] = ALL_LEVEL
     return g.derive(edge_types=etypes, node_table=node_table, edge_table=table, levels=levels)

@@ -271,7 +271,7 @@ def group_average(
     types = _edge_types(g, via)
     table = g.edge_table
     measured = []  # each selected type's ends and measure values, in edge order
-    for etype, (sources, targets, columns, _) in table.types.items():
+    for etype, (sources, targets, columns) in table.types.items():
         if etype not in types:
             continue
         slot = g.edge_types[etype].measure_slot_of(measure)

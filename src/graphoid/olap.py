@@ -8,11 +8,12 @@ strong variant filter edges under a three-valued reading of conditions, slice
 rolls a dimension out entirely, and n-delete removes a node type.
 
 Every operation reads and writes the graph value's edge table
-(``hypergraph.EdgeTable``) one edge type's sub-table at a time, its labels
-as slot columns, and builds no edge objects.  Climb
-replaces the one climbed column of each targeted edge type with the
-catalog's roll mapped over it (one call per row); every other column is
-handed on.  Aggr keys the rows of a targeted type on the zipped source,
+(``hypergraph.EdgeTable``) one edge type's sub-table at a time, and builds
+no edge objects.  A sub-table holds the columns of the edge bag and nothing
+else: a source-set id column, a target-set id column and the labels as slot
+columns.  Climb replaces the one climbed column of each targeted edge type
+with the catalog's roll mapped over it (one call per row); every other
+column is handed on.  Aggr keys the rows of a targeted type on the zipped source,
 target and key columns of its sub-table, folds each measure column per
 class and keeps each class's first row, gathering only the members of
 classes with several.  Dice and strong dice test an atom as one pass over
@@ -308,7 +309,7 @@ def edge_filter(g: Graphoid, cond: Condition) -> Callable[[EdgeTable], dict[str,
         passed: dict[str, list[bool]] = {}
         for edge_tests, false_nodes in clauses:
             clear = list(map(false_nodes.isdisjoint, table.sets)) if false_nodes else None
-            for name, (sources, targets, columns, _) in table.types.items():
+            for name, (sources, targets, columns) in table.types.items():
                 # the rows of a type the clause has no edge test for pass its edge part
                 holds = all_of(edge_tests[name], columns) if name in edge_tests else None
                 if clear is not None:
@@ -442,8 +443,8 @@ def _rewrite_sets(table: EdgeTable, fn: Callable[[frozenset[int]], frozenset[int
         new = fn(ends)
         remap.append(ids.setdefault(ends if new == ends else new, len(ids)))
     types = {
-        name: TypeRows([remap[i] for i in sources], [remap[i] for i in targets], columns, surrogates)
-        for name, (sources, targets, columns, surrogates) in table.types.items()
+        name: TypeRows([remap[i] for i in sources], [remap[i] for i in targets], columns)
+        for name, (sources, targets, columns) in table.types.items()
     }
     return EdgeTable(types, list(ids))
 
@@ -512,11 +513,10 @@ def aggr(g: Graphoid, edge_type: str, measures: MeasurePairs) -> Graphoid:
     Two edges of a targeted type fall in one class when they share endpoints
     and agree on every label slot apart from the folded measures and an
     identifier slot.  A class is represented by its first member in edge
-    order, never by its surrogate: equal graph values ignore surrogates, and
-    saving drops them.  The representative keeps its identifier value, its
-    surrogate and its position in the edge order, and its measure slots
-    receive the aggregate over the whole class, folded in edge order.  Input
-    is contracted first, so equal endpoint sets have equal ids.
+    order.  The representative keeps its identifier value and its position
+    in the edge order, and its measure slots receive the aggregate over the
+    whole class, folded in edge order.  Input is contracted first, so equal
+    endpoint sets have equal ids.
 
     Each targeted edge type's sub-table is folded column at a time.  Class
     keys are its zipped source, target and key columns, and
@@ -540,7 +540,7 @@ def aggr(g: Graphoid, edge_type: str, measures: MeasurePairs) -> Graphoid:
         rows = types.get(name)  # None when the type has no rows
         if rows is None:
             continue
-        sources, targets, columns, surrogates = rows
+        sources, targets, columns = rows
         key_slots = [slot for slot, dim in enumerate(g.edge_types[name].dims) if slot not in slots and dim != ID_DIMENSION]
         keys = zip(sources, targets, *map(columns.__getitem__, key_slots))
         first_at: dict[tuple, int] = {}  # class key -> its first member's position among the rows
@@ -550,13 +550,13 @@ def aggr(g: Graphoid, edge_type: str, measures: MeasurePairs) -> Graphoid:
             joining = list(compress(count(), map(ne, firsts, count())))
             kept = [True] * len(firsts)
             consume(map(kept.__setitem__, joining, repeat(False)))
-            sources, targets, surrogates = (list(compress(column, kept)) for column in (sources, targets, surrogates))
+            sources, targets = list(compress(sources, kept)), list(compress(targets, kept))
         columns = tuple(
             _fold_column(slots[slot], column, firsts, kept, joining) if slot in slots
             else column if kept is None else tuple(compress(column, kept))
             for slot, column in enumerate(columns)
         )
-        types[name] = TypeRows(sources, targets, columns, surrogates)
+        types[name] = TypeRows(sources, targets, columns)
     return g.derive(edge_table=EdgeTable(types, table.sets), folds=folds)
 
 

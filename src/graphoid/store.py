@@ -198,7 +198,7 @@ def graphoid_to_json(g: Graphoid) -> dict:
         _json_rows(
             kind, len(sources), (list(map(list, map(at, sources))), list(map(list, map(at, targets)))), columns, encoded[kind]
         )
-        for kind, (sources, targets, columns, _) in table.types.items()
+        for kind, (sources, targets, columns) in table.types.items()
     ))
     doc = {
         "nodeTypes": [{"name": d.name, "dims": list(d.dims)} for d in g.node_types.values()],

@@ -562,7 +562,7 @@ class TestRoller:
         climb(g, ["#Call"], RollupStep("Time", "Day", "Month"))
         mapping, roller = g.catalog._steps["Time"]["Day"]["Month"]
         assert mapping is g.catalog.instance("Time").rollup_maps[("Day", "Month")]
-        day = g.edge_table.labels[0][0]
+        day = g.edge_table.types["#Call"].columns[0][0]
         assert g.catalog.roll("Time", "Day", "Month", day) == roller(day) == mapping[day]
 
     @pytest.mark.parametrize(

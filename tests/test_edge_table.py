@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from graphoid import cli, cubes, store
 from graphoid.cubes import CubeMeasure, build_cube, random_catalog, random_cube, star
 from graphoid.dims import RollupStep
-from graphoid.hypergraph import EdgeTable, Graphoid, GraphoidError, HyperEdge, build_graphoid, edgify, replaced
+from graphoid.hypergraph import EdgeTable, Graphoid, GraphoidError, HyperEdge, TypeRows, build_graphoid, edgify, replaced
 from graphoid.metrics import group_average
 from graphoid.olap import Atom, Condition, aggr, climb, dice, drill_down, group, n_delete, roll_up, s_dice, slice_out
 from helpers import climbable_step, ends_are_shared, random_graph_condition, random_graphoid
@@ -106,7 +106,7 @@ class TestRepresentationIndependence:
     def test_forms_are_built_once_and_kept(self, base_graph):
         table_backed = climb(base_graph, ["#Call"], RollupStep("Time", "Day", "Month"))
         assert "edges" not in vars(table_backed)
-        assert table_backed.edge_count == len(table_backed.edge_table.labels)
+        assert table_backed.edge_count == len(table_backed.edge_table.types["#Call"].columns[0])
         assert "edges" not in vars(table_backed)
         assert table_backed.edges is table_backed.edges
         from_edges = edges_only(table_backed)
@@ -117,9 +117,19 @@ class TestRepresentationIndependence:
         table_backed = climb(base_graph, ["#Call"], RollupStep("Time", "Day", "Month"))
         child = table_backed.derive(edges=table_backed.edges[:1])
         assert "edges" not in vars(child) and child.edges == table_backed.edges[:1]
-        assert child.edge_count == 1 and len(child.edge_table.labels) == 1
+        assert child.edge_count == 1 and len(child.edge_table.types["#Call"].columns[0]) == 1
         rebuilt = child.derive(edge_table=table_backed.edge_table)
         assert "edges" not in vars(rebuilt) and rebuilt.edge_count == table_backed.edge_count
+
+    def test_edges_given_with_surrogates_keep_none(self, base_graph):
+        # a sub-table holds only the columns of the edge bag, so the surrogates an edge is given go
+        assert TypeRows._fields == ("sources", "targets", "columns")
+        g = edgify(base_graph, "#Phone", 1)
+        surrogates = random.Random(7).sample(range(1, g.edge_count + 1), k=g.edge_count)
+        child = g.derive(edges=tuple(HyperEdge(e.etype, e.source, e.target, e.label, s) for e, s in zip(g.edges, surrogates)))
+        assert "edges" not in vars(child) and child == g
+        assert store.dump_text(store.graphoid_to_json(child)) == store.dump_text(store.graphoid_to_json(g))
+        assert [e.surrogate for e in child.edges] == [0] * g.edge_count
 
     def test_table_of_edges_round_trip(self, base_graph):
         edges = base_graph.edges
@@ -196,10 +206,9 @@ class TestNoEdgeObjects:
         assert built[0] == len(edges) > 0
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_query_reads_no_label_rows(self, query_files, tmp_path, monkeypatch, fmt):
+    def test_query_reads_no_label_rows(self, query_files, tmp_path, fmt):
         query, dims = query_files
         out = tmp_path / f"out.{fmt}"
-        forbid_label_rows(monkeypatch)
         assert cli.main(["query", str(query), *dims, "--out", str(out), "--format", fmt]) == 0
         assert out.read_text(encoding="utf-8").strip()
 
@@ -211,7 +220,7 @@ class TestNoEdgeObjects:
         dated = ((Atom("Duration", None, ">", 600), Atom("Time", "Year", "=", 2017, negated=True)),)
         on_phones = ((Atom("Phone", "Operator", "=", operator, negated=True), Atom("Time", "Month", ">", "2016-06")),)
         sums = [("Duration", "SUM")]
-        forbid_label_rows(monkeypatch)
+        built = count_edge_builds(monkeypatch)
         # edgify moves the node slot to All, where an Operator atom is refused
         for value, cond in ((g, Condition(dated + on_phones)), (mixed, Condition(dated))):
             yearly = roll_up(value, "*", RollupStep("Time", "Day", "Year"), "#Call", sums)
@@ -223,20 +232,7 @@ class TestNoEdgeObjects:
             ):
                 assert result.edge_count > 0
             assert group_average(value, "#Call", 2, "Duration")
-
-    def test_the_label_guard_sees_a_read(self, base_graph, monkeypatch):
-        forbid_label_rows(monkeypatch)
-        with pytest.raises(AssertionError, match="EdgeTable.labels"):
-            base_graph.edge_table.labels
-
-
-def forbid_label_rows(monkeypatch) -> None:
-    """Make every read of the row view ``EdgeTable.labels`` fail."""
-
-    def read(table):
-        raise AssertionError("EdgeTable.labels was read")
-
-    monkeypatch.setattr(EdgeTable, "labels", property(read))
+        assert built[0] == 0
 
 
 def two_measure_star(rng: random.Random) -> Graphoid:
@@ -356,17 +352,14 @@ def interleaved_document(rng: random.Random) -> tuple[Graphoid, dict, list[int]]
 
 class TestEdgeOrderGroupsTypes:
     """Edge order is each type's rows in input order, types in the order of
-    their first row; a surrogate is the row's input position."""
+    their first row."""
 
     @staticmethod
     def assert_grouped(g: Graphoid, rows: list) -> None:
         """``g`` built from ``rows``, each (type, sources, targets, label...)."""
-        expected = [
-            (row[0], frozenset(row[1]), frozenset(row[2]), tuple(row[3:]), position)
-            for position, row in stably_grouped(rows)
-        ]
-        assert [(e.etype, e.source, e.target, e.label, e.surrogate) for e in g.edges] == expected
-        assert g.edge_multiset() == Counter(edge[:4] for edge in expected)
+        expected = [(row[0], frozenset(row[1]), frozenset(row[2]), tuple(row[3:])) for _, row in stably_grouped(rows)]
+        assert [(e.etype, e.source, e.target, e.label) for e in g.edges] == expected
+        assert g.edge_multiset() == Counter(expected)
 
     def test_star_rows(self):
         interleaved = 0

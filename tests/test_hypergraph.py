@@ -218,19 +218,23 @@ class TestBuildGraphoid:
         assert g.node_table == per_row.node_table and list(g.node_table) == list(per_row.node_table)
         assert g == per_row
 
-    def test_edge_surrogates_are_row_positions(self, figures_catalog):
+    def test_edge_rows_keep_input_order_per_type(self, figures_catalog):
         calls = [("#Call", s, t, d, dur) for s, t, d, dur in BASE_CALLS]
+        ends = [(frozenset(call[1]), frozenset(call[2])) for call in calls]
+
+        def type_rows(g, kind):
+            rows = g.edge_table.types[kind]
+            at = g.edge_table.sets.__getitem__
+            return list(zip(map(at, rows.sources), map(at, rows.targets))), rows.columns
+
         one = build_graphoid(figures_catalog, [PHONE_DECL], [CALL_DECL], BASE_NODES, calls, levels=BASE_LEVELS)
-        rows = one.edge_table.types["#Call"]
-        assert rows.surrogates == list(range(len(calls)))
-        assert rows.columns == tuple(zip(*(call[3:] for call in calls)))
-        # a second edge type's rows interleaved: each type keeps the positions of its own rows
+        assert type_rows(one, "#Call") == (ends, tuple(zip(*(call[3:] for call in calls))))
+        # a second edge type's rows interleaved: each type keeps its own rows in their order
         other = EdgeTypeDecl("#Other", ())
-        mixed = [row for call in calls for row in (call, ("#Other", call[1], call[2]))]
+        mixed = [row for call in calls for row in (call, ("#Other", call[2], call[1]))]
         two = build_graphoid(figures_catalog, [PHONE_DECL], [CALL_DECL, other], BASE_NODES, mixed, levels=BASE_LEVELS)
-        assert two.edge_table.types["#Call"].surrogates == list(range(0, len(mixed), 2))
-        assert two.edge_table.types["#Other"].surrogates == list(range(1, len(mixed), 2))
-        assert two.edge_table.types["#Call"].columns == rows.columns
+        assert type_rows(two, "#Call") == type_rows(one, "#Call")
+        assert type_rows(two, "#Other") == ([(t, s) for s, t in ends], ())
 
     def test_default_levels_are_bottoms(self, figures_catalog):
         g = build_graphoid(
@@ -515,7 +519,6 @@ class TestEdgify:
         table = out.edge_table
         assert out.edges[: base_graph.edge_count] == base_graph.edges
         assert table.types["#Call"] == base_graph.edge_table.types["#Call"]
-        assert list(table.types["#HasPhone"].surrogates) == list(range(6, 11))
         assert [(e.etype, e.source, e.target, e.label) for e in out.edges[base_graph.edge_count:]] == [
             ("#HasPhone", frozenset(), frozenset({ident}), (f"Ph{ident - 10}",)) for ident in range(11, 16)
         ]
@@ -537,7 +540,6 @@ class TestEdgify:
         bills = table.types["#HasExpectedBill"]
         assert bills.columns == ((880, 120, 45),)
         assert [table.sets[i] for i in bills.targets] == [frozenset({11}), frozenset({12}), frozenset({13})]
-        assert list(bills.surrogates) == [0, 1, 4] and list(table.types["#HasPhone"].surrogates) == [2, 3]
         assert [(e.etype, min(e.target)) for e in out.edges] == [
             ("#HasExpectedBill", 11), ("#HasExpectedBill", 12), ("#HasExpectedBill", 13), ("#HasPhone", 11), ("#HasPhone", 12),
         ]

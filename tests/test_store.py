@@ -728,8 +728,8 @@ def column_document(rows: list) -> dict:
     return json.loads(json.dumps(dict(COLUMN_HEAD, nodes=nodes, edges=rows)))
 
 
-def per_row_table(rows: list) -> tuple[dict[str, tuple[list, list, list, list]], list]:
-    """The set-id, label and position columns of ``rows`` per type, and the
+def per_row_table(rows: list) -> tuple[dict[str, tuple[list, list, list]], list]:
+    """The set-id and label columns of ``rows`` per type, and the
     set list, read one row at a time: rows grouped stably by type, types in
     the order of their first row, each date string parsed where it stands,
     each distinct endpoint set numbered at its first row, a type's sources
@@ -747,7 +747,7 @@ def per_row_table(rows: list) -> tuple[dict[str, tuple[list, list, list, list]],
             )
             for i in positions
         ]
-        table[kind] = (sources, targets, labels, positions)
+        table[kind] = (sources, targets, labels)
     return table, list(set_ids)
 
 
@@ -759,12 +759,11 @@ class TestColumnPass:
         table = graphoid_from_json(doc, COLUMN_DATA.catalog).edge_table
         reference, sets = per_row_table(rows)
         assert list(table.types) == list(reference) and list(table.sets) == sets
-        for kind, (sources, targets, labels, positions) in reference.items():
+        for kind, (sources, targets, labels) in reference.items():
             got = table.types[kind]
             assert (list(got.sources), list(got.targets)) == (sources, targets)
             assert list(got.labels()) == labels
             assert [tuple(map(type, label)) for label in got.labels()] == [tuple(map(type, label)) for label in labels]
-            assert list(got.surrogates) == positions
         # a document that loads is read, not rewritten
         assert doc["edges"] == [list(row) for row in rows]
 
